@@ -373,5 +373,4 @@ def metadata(root, args, blas_threads_setting: str) -> dict:
         "blas_threads_setting": blas_threads_setting,
         "blas_threads_reported": _blas_threads(),
         "git_revision": _git_revision(root), "source_sha256": _source_digest(root),
-        "argv": sys.argv,
     }
