@@ -8,15 +8,13 @@ printing no result, when that tree is missing.  BLAS is pinned to one thread.
 
 --trace 0 measures the end-to-end metrics with tracing off:
 
-* setup_s - median over fresh processes that each import cactor, build
-  the workload's inputs and warm up;
-* updates_per_s, update_ms_p50 - the workload repeats one deterministic
-  cycle (bench/workloads.py) and times each of its steps (an iteration, an
-  update, a save, ...).  Each step's cost is its fastest repeat, because
-  other load on a shared machine only ever slows a step down;
-  updates_per_s is the cycle's update steps over the sum of those costs,
-  update_ms_p50 the median cost per update step.  Plain wall-clock rates
-  and percentiles go to the details line;
+* setup_s - median over SETUP_PROBES fresh processes that each import
+  cactor, build the workload's inputs and warm up;
+* updates_per_s, update_ms_p50, update_ms_p90 - the workload repeats one
+  deterministic cycle (bench/workloads.py) in a closed loop for --seconds.
+  updates_per_s is the cycle's update steps over the median cycle time;
+  the percentiles are taken over the wall times of every update step of
+  every cycle (runner.timing_metrics);
 * peak_rss_mb - peak resident set of the process.
 
 --trace 1 wraps cactor's public functions (bench/tracer.py) and reports
@@ -47,7 +45,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
 
 def _import_cactor():
@@ -63,7 +61,7 @@ def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=35.0)
+    p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     return p.parse_args(argv)

@@ -25,7 +25,7 @@ def setup_probes(script, workload: str, seed: int, n: int) -> list[float]:
     out = []
     for _ in range(n):
         proc = subprocess.run([sys.executable, str(script), "--workload", workload,
-                               "--seed", str(seed), "--setup-probe"],
+                               "--seed", str(seed), "--seconds", "0", "--setup-probe"],
                               capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
                               check=True)
         out.append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
@@ -74,23 +74,35 @@ class _Window:
     def updates(self) -> int:
         return sum(r.updates for r in self.results if r)
 
-    def best_steps(self):
-        """(kinds, fastest wall seconds, update steps) per step position over
-        the completed cycles.  Every cycle repeats identical work, and other
-        load on the machine only ever slows a step down, so the fastest repeat
-        of a step is the estimate of its own cost."""
-        done = [r for r in self.results if r is not None and r.digest is not None]
-        times = np.array([[dt for _, dt, _ in r.steps] for r in done])
-        return ([k for k, _, _ in done[0].steps], times.min(axis=0),
-                np.array([u for _, _, u in done[0].steps]))
-
-
-def _planned_ops(workload) -> int:
-    return getattr(workload, "ops_per_cycle", workload.updates_per_cycle)
+    def completed(self) -> list[tuple[float, object]]:
+        """(wall seconds, result) of every cycle that ran to a digest."""
+        return [(dt, r) for dt, r in zip(self.cycle_s, self.results)
+                if r is not None and r.digest is not None]
 
 
 def _errors(window) -> list[str]:
     return window.errors + [e for r in window.results if r for e in r.errors]
+
+
+def timing_metrics(completed, updates_per_cycle: int) -> tuple[dict, dict]:
+    """End-to-end timings of whole, real cycles.
+
+    updates_per_s is the cycle's update steps over the median cycle time.
+    update_ms_p50/p90 are percentiles of the per-update samples of all
+    cycles: the wall time of each update step, or of a step's updates
+    shared out evenly where one call runs several (offline_ddpg's
+    train_constrained_ddpg, whose p50 therefore equals 1000/updates_per_s).
+    """
+    cycle_s = np.array([dt for dt, _ in completed])
+    samples = 1e3 * np.array([dt / u for _, r in completed for _, dt, u in r.steps if u])
+    metrics = {"updates_per_s": updates_per_cycle / float(np.median(cycle_s)),
+               "update_ms_p50": float(np.percentile(samples, 50)),
+               "update_ms_p90": float(np.percentile(samples, 90))}
+    counts = {"cycles": int(cycle_s.size), "update_samples": int(samples.size),
+              "update_samples_above_p90": int((samples > metrics["update_ms_p90"]).sum()),
+              "cycle_ms": {f"p{q}": 1e3 * float(np.percentile(cycle_s, q))
+                           for q in (0, 25, 50, 75, 100)}}
+    return metrics, counts
 
 
 def untraced_run(workload_cls, seed: int, seconds: float, outdir, setup_s: list[float]):
@@ -108,10 +120,11 @@ def untraced_run(workload_cls, seed: int, seconds: float, outdir, setup_s: list[
     counts = {k: v["calls"] for k, v in tracer.summary().items()}
     ref_digest = ref.results[0].digest if ref.results[0] else None
 
-    attempted, failed = window.ops(_planned_ops(workload))
+    attempted, failed = window.ops(workload.ops_per_cycle)
     digests = window.digests()
-    correct = (failed == 0 and ref.ops(0) == (_planned_ops(workload), 0)
+    correct = (failed == 0 and ref.ops(0) == (workload.ops_per_cycle, 0)
                and digests == {ref_digest} and ref_digest is not None)
+    completed = window.completed()
     details = {"workload": workload_cls.name, "trace": 0,
                "cycles": window.cycles, "window_s": window.wall_s,
                "updates": window.updates(), "setup_s_samples": setup_s,
@@ -119,48 +132,40 @@ def untraced_run(workload_cls, seed: int, seconds: float, outdir, setup_s: list[
                "ops_failed_frac": failed / attempted,
                "reference_counts_per_cycle": counts,
                "trace_overhead_pct_one_cycle":
-                   100.0 * (ref.cycle_s[0] / min(window.cycle_s) - 1.0),
+                   100.0 * (ref.cycle_s[0] / float(np.median(window.cycle_s)) - 1.0),
                "digest": ref_digest, "digests_seen": sorted(map(str, digests)),
                "errors": (_errors(window) + _errors(ref))[:5]}
     metrics = {"setup_s": float(np.median(setup_s))}
-    if any(r is not None and r.digest is not None for r in window.results):
-        kinds, best, units = window.best_steps()
-        per_update_ms = 1e3 * best[units > 0] / units[units > 0]
-        metrics["updates_per_s"] = float(units.sum() / best.sum())
-        metrics["update_ms_p50"] = float(np.median(per_update_ms))
-        details.update(_step_stats(window, kinds, best, per_update_ms, counts))
+    if completed:
+        timing, samples = timing_metrics(completed, workload.updates_per_cycle)
+        metrics.update(timing)
+        details["samples"] = samples
+        details.update(_step_stats(completed, counts))
     metrics["peak_rss_mb"] = peak_rss_mb
     units_of = {"setup_s": "s", "updates_per_s": "1/s", "update_ms_p50": "ms",
-                "peak_rss_mb": "MB"}
+                "update_ms_p90": "ms", "peak_rss_mb": "MB"}
     return _result(correct, attempted, failed, metrics, units_of), details
 
 
-def _step_stats(window, kinds, best, per_update_ms, counts):
-    """Figures beside the metrics: best-of-repeats cycle and per-kind times,
-    the workload's own rates, and the plain wall-clock view (which on a
-    shared machine also measures whatever else runs on it)."""
-    raw = 1e3 * np.array([dt / u for r in window.results if r for _, dt, u in r.steps if u])
+def _step_stats(completed, counts):
+    """Figures beside the metrics: median wall time of each kind of step,
+    and the workload's own rates, all over the completed cycles."""
     by_kind = {}
-    for k, b in zip(kinds, best):
-        by_kind.setdefault(k, []).append(b)
+    for _, r in completed:
+        for kind, dt, _ in r.steps:
+            by_kind.setdefault(kind, []).append(dt)
+    med = {k: float(np.median(v)) for k, v in by_kind.items()}
+    cycle_s = float(np.median([dt for dt, _ in completed]))
     rates = {}
     if counts.get("sim.step"):
-        rates["env_steps_per_s"] = counts["sim.step"] / float(best.sum())
-    rows = next(r.rows for r in window.results if r is not None)
+        rates["env_steps_per_s"] = counts["sim.step"] / cycle_s
+    rows = completed[0][1].rows
     if rows:
-        kb = dict(zip(kinds, best))  # one save and one load step per cycle
-        rates["dataset_rows_per_s"] = 2 * rows / (kb["save_dataset"] + kb["load_dataset"])
-        rates["ncis_rows_per_s"] = rows / float(np.median(by_kind["ncis_evaluate"]))
-    return {"best_cycle_s": float(best.sum()), "min_cycle_s": float(min(window.cycle_s)),
-            "best_step_ms_by_kind": {k: {"steps": len(v), "median": 1e3 * float(np.median(v)),
-                                         "max": 1e3 * float(max(v))}
-                                     for k, v in by_kind.items()},
-            "update_ms_p90_best": float(np.percentile(per_update_ms, 90)),
-            "rates": rates,
-            "wall_updates_per_s": window.updates() / window.wall_s,
-            "wall_update_ms": {"samples": int(raw.size),
-                               **{f"p{q}": float(np.percentile(raw, q))
-                                  for q in (10, 25, 50, 75, 90)}}}
+        rates["dataset_rows_per_s"] = 2 * rows / (med["save_dataset"] + med["load_dataset"])
+        rates["ncis_rows_per_s"] = rows / med["ncis_evaluate"]
+    return {"step_ms_by_kind": {k: {"samples": len(v), "median": 1e3 * med[k]}
+                                for k, v in by_kind.items()},
+            "rates": rates}
 
 
 def traced_run(workload_cls, seed: int, seconds: float, outdir):
@@ -174,7 +179,7 @@ def traced_run(workload_cls, seed: int, seconds: float, outdir):
     finally:
         tracer.uninstall()
     # untraced and traced cycles alternate, so both meet the same load from
-    # the rest of the machine and their fastest cycles give the overhead
+    # the rest of the machine and their median cycles give the overhead
     plain, traced = _Window(workload), _Window(workload)
     lo = tracer.mark()
     start = time.perf_counter()
@@ -189,13 +194,13 @@ def traced_run(workload_cls, seed: int, seconds: float, outdir):
     self_times = tracer.self_times(lo)
 
     digests = plain.digests() | traced.digests()
-    a1, f1 = plain.ops(_planned_ops(workload))
-    a2, f2 = traced.ops(_planned_ops(workload))
+    a1, f1 = plain.ops(workload.ops_per_cycle)
+    a2, f2 = traced.ops(workload.ops_per_cycle)
     attempted, failed = a1 + a2, f1 + f2
     correct = failed == 0 and len(digests) == 1 and None not in digests
 
-    cycle_s_plain = min(plain.cycle_s)
-    cycle_s_traced = min(traced.cycle_s)
+    cycle_s_plain = float(np.median(plain.cycle_s))
+    cycle_s_traced = float(np.median(traced.cycle_s))
     metrics, units = layer_metrics(summary, sum(traced.cycle_s) * 1e9, traced.cycles,
                                    workload.updates_per_cycle, setup, setup_ns)
     metrics["trace.overhead_pct"] = 100.0 * (cycle_s_traced / cycle_s_plain - 1.0)

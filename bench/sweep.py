@@ -55,8 +55,6 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", default=None,
                    help="comma-separated; default: every workload in BENCHMARK.json")
     p.add_argument("--seeds", default="1-10", help="a seed or a range such as 1-10")
-    p.add_argument("--seconds", type=int, default=None,
-                   help="default: run_seconds from BENCHMARK.json")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", type=Path, default=None)
     args = p.parse_args(argv)
@@ -65,7 +63,7 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     report = {}
     for workload in workloads:

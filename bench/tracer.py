@@ -16,6 +16,8 @@ import sys
 import time
 from collections import defaultdict
 
+PACKAGE = "cactor"
+
 # (module, attribute) of every traced callable, grouped by layer.  A dotted
 # attribute names a method on a class.
 TRACED = (
@@ -66,8 +68,7 @@ class Tracer:
     """Records spans while installed; can be installed again after
     ``uninstall`` and keeps every span recorded so far."""
 
-    def __init__(self, package: str = "cactor"):
-        self.package = package
+    def __init__(self):
         self.names: list[str] = []
         self.spans: list = []  # [name_id, start_ns, end_ns, parent, rows]
         self._stack: list[int] = []
@@ -98,13 +99,13 @@ class Tracer:
         traced.__name__ = getattr(fn, "__name__", name)
         return traced
 
-    def install(self, targets=TRACED) -> None:
+    def install(self) -> None:
         if self._patches:
             raise RuntimeError("tracer already installed")
         modules = [m for n, m in sorted(sys.modules.items())
-                   if m is not None and (n == self.package or n.startswith(self.package + "."))]
-        for mod_name, attr in targets:
-            mod = importlib.import_module(f"{self.package}.{mod_name}")
+                   if m is not None and (n == PACKAGE or n.startswith(PACKAGE + "."))]
+        for mod_name, attr in TRACED:
+            mod = importlib.import_module(f"{PACKAGE}.{mod_name}")
             name = f"{mod_name}.{attr.rsplit('.', 1)[-1]}"
             if "." in attr:
                 cls_name, meth = attr.split(".")

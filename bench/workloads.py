@@ -124,6 +124,10 @@ class OnlineTwoStage:
     def updates_per_cycle(self) -> int:
         return (self.sim.config.m - 1) * self.stage1_iters + self.stage2_iters
 
+    @property
+    def ops_per_cycle(self) -> int:
+        return self.updates_per_cycle  # an op is one iteration
+
     def cycle(self) -> CycleResult:
         rows = _StampedRows()
         t0 = time.perf_counter()
@@ -162,6 +166,10 @@ class OfflineDDPG:
     @property
     def updates_per_cycle(self) -> int:
         return self.dataset.m * self.updates
+
+    @property
+    def ops_per_cycle(self) -> int:
+        return self.updates_per_cycle  # an op is one update step
 
     def cycle(self) -> CycleResult:
         n = self.updates_per_cycle
