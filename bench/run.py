@@ -1,20 +1,22 @@
 """cactor benchmark: one workload, one seed, one result line.
 
-    python3 bench/run.py --workload online_two_stage --seed 1 --seconds 35 --trace 0
+    python3 bench/run.py --workload online_two_stage --seed 1 --seconds 30 --trace 0
 
 Run from the root of a source checkout: the benchmark imports ``cactor``
 from ``src/`` beside this directory and exits with a non-zero code,
 printing no result, when that tree is missing.  BLAS is pinned to one thread.
 
---trace 0 measures the end-to-end metrics with tracing off:
+--trace 0 measures the end-to-end metrics with tracing off.  Times are
+host-speed normalised by a calibration job timed beside them
+(bench/calibrate.py), because the shared host's speed swings by up to 1.6x:
 
 * setup_s - median over SETUP_PROBES fresh processes that each import
   cactor, build the workload's inputs and warm up;
 * updates_per_s, update_ms_p50, update_ms_p90 - the workload repeats one
   deterministic cycle (bench/workloads.py) in a closed loop for --seconds.
   updates_per_s is the cycle's update steps over the median cycle time;
-  the percentiles are taken over the wall times of every update step of
-  every cycle (runner.timing_metrics);
+  the percentiles are taken over the times of every update step of every
+  cycle (runner.timing_metrics);
 * peak_rss_mb - peak resident set of the process.
 
 --trace 1 wraps cactor's public functions (bench/tracer.py) and reports
@@ -45,7 +47,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 
 
 def _import_cactor():
@@ -79,7 +81,9 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     if args.setup_probe:
         workload(args.seed, OUT)
-        print(json.dumps({"setup_s": time.perf_counter() - T_START}))
+        setup_s = time.perf_counter() - T_START
+        print(json.dumps({"setup_s": setup_s,
+                          "calibration_s": runner.probe_calibration_s()}))
         return 0
 
     if args.trace:

@@ -14,35 +14,48 @@ import traceback
 
 import numpy as np
 
+import calibrate
 from tracer import Tracer
 
 LAYERS = ("sim", "approximator", "stochastic", "deterministic", "offline", "core")
 CHILD_TIMEOUT_S = 170
 
 
-def setup_probes(script, workload: str, seed: int, n: int) -> list[float]:
-    """Set-up time of ``n`` fresh processes: import, inputs and warm-up."""
+def setup_probes(script, workload: str, seed: int, n: int) -> list[dict]:
+    """Set-up of ``n`` fresh processes (import, inputs and warm-up), each
+    bracketed by calibration runs: one here right before the process
+    starts, and the median of three in the process right after its set-up."""
     out = []
     for _ in range(n):
+        before = calibrate.job_seconds()
         proc = subprocess.run([sys.executable, str(script), "--workload", workload,
                                "--seed", str(seed), "--seconds", "0", "--setup-probe"],
                               capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
                               check=True)
-        out.append(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
+        probe = json.loads(proc.stdout.strip().splitlines()[-1])
+        out.append({**probe, "calibration_before_s": before})
     return out
 
 
+def probe_calibration_s() -> float:
+    """Calibration time right after a set-up probe: median of three runs."""
+    return float(np.median([calibrate.job_seconds() for _ in range(3)]))
+
+
 class _Window:
-    """Runs cycles back to back until ``seconds`` have passed (at least one)."""
+    """Runs cycles back to back until ``seconds`` have passed (at least one),
+    with the calibration job timed before the first cycle and after each."""
 
     def __init__(self, workload):
         self.workload = workload
-        self.results, self.errors, self.cycle_s = [], [], []
+        self.results, self.errors, self.cycle_s, self.scales = [], [], [], []
+        self.calibration_s: list[float] = []
         self.wall_s = 0.0
 
     def run(self, seconds: float):
         """Adds to the cycles run so far; ``wall_s`` accumulates."""
         start = time.perf_counter()
+        before = calibrate.job_seconds()
         while True:
             t0 = time.perf_counter()
             try:
@@ -52,6 +65,10 @@ class _Window:
                 res = None
             self.cycle_s.append(time.perf_counter() - t0)
             self.results.append(res)
+            after = calibrate.job_seconds()
+            self.calibration_s.append(after)
+            self.scales.append(calibrate.scale(before, after))
+            before = after
             if time.perf_counter() - start >= seconds:
                 break
         self.wall_s += time.perf_counter() - start
@@ -74,9 +91,10 @@ class _Window:
     def updates(self) -> int:
         return sum(r.updates for r in self.results if r)
 
-    def completed(self) -> list[tuple[float, object]]:
-        """(wall seconds, result) of every cycle that ran to a digest."""
-        return [(dt, r) for dt, r in zip(self.cycle_s, self.results)
+    def completed(self) -> list[tuple[float, float, object]]:
+        """(wall seconds, calibration scale, result) of every cycle that ran
+        to a digest."""
+        return [(dt, k, r) for dt, k, r in zip(self.cycle_s, self.scales, self.results)
                 if r is not None and r.digest is not None]
 
 
@@ -85,27 +103,34 @@ def _errors(window) -> list[str]:
 
 
 def timing_metrics(completed, updates_per_cycle: int) -> tuple[dict, dict]:
-    """End-to-end timings of whole, real cycles.
+    """End-to-end timings of whole, real cycles, host-speed normalised.
 
-    updates_per_s is the cycle's update steps over the median cycle time.
-    update_ms_p50/p90 are percentiles of the per-update samples of all
-    cycles: the wall time of each update step, or of a step's updates
-    shared out evenly where one call runs several (offline_ddpg's
-    train_constrained_ddpg, whose p50 therefore equals 1000/updates_per_s).
+    Every time is the wall time times its cycle's calibration scale
+    (bench/calibrate.py).  updates_per_s is the cycle's update steps over
+    the median normalised cycle time.  update_ms_p50/p90 are percentiles of
+    the per-update samples of all cycles: the time of each update step, or
+    of a step's updates shared out evenly where one call runs several
+    (offline_ddpg's train_constrained_ddpg, whose p50 therefore equals
+    1000/updates_per_s).
     """
-    cycle_s = np.array([dt for dt, _ in completed])
-    samples = 1e3 * np.array([dt / u for _, r in completed for _, dt, u in r.steps if u])
+    cycle_s = np.array([dt * k for dt, k, _ in completed])
+    samples = 1e3 * np.array([k * dt / u for _, k, r in completed
+                              for _, dt, u in r.steps if u])
     metrics = {"updates_per_s": updates_per_cycle / float(np.median(cycle_s)),
                "update_ms_p50": float(np.percentile(samples, 50)),
                "update_ms_p90": float(np.percentile(samples, 90))}
+    wall_s = np.array([dt for dt, _, _ in completed])
     counts = {"cycles": int(cycle_s.size), "update_samples": int(samples.size),
               "update_samples_above_p90": int((samples > metrics["update_ms_p90"]).sum()),
               "cycle_ms": {f"p{q}": 1e3 * float(np.percentile(cycle_s, q))
-                           for q in (0, 25, 50, 75, 100)}}
+                           for q in (0, 25, 50, 75, 100)},
+              "cycle_ms_wall": {f"p{q}": 1e3 * float(np.percentile(wall_s, q))
+                                for q in (0, 25, 50, 75, 100)},
+              "calibration_scale_median": float(np.median([k for _, k, _ in completed]))}
     return metrics, counts
 
 
-def untraced_run(workload_cls, seed: int, seconds: float, outdir, setup_s: list[float]):
+def untraced_run(workload_cls, seed: int, seconds: float, outdir, probes: list[dict]):
     workload = workload_cls(seed, outdir)
     window = _Window(workload).run(seconds)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -120,6 +145,8 @@ def untraced_run(workload_cls, seed: int, seconds: float, outdir, setup_s: list[
     counts = {k: v["calls"] for k, v in tracer.summary().items()}
     ref_digest = ref.results[0].digest if ref.results[0] else None
 
+    setup_s = [p["setup_s"] * calibrate.scale(p["calibration_before_s"], p["calibration_s"])
+               for p in probes]
     attempted, failed = window.ops(workload.ops_per_cycle)
     digests = window.digests()
     correct = (failed == 0 and ref.ops(0) == (workload.ops_per_cycle, 0)
@@ -127,7 +154,10 @@ def untraced_run(workload_cls, seed: int, seconds: float, outdir, setup_s: list[
     completed = window.completed()
     details = {"workload": workload_cls.name, "trace": 0,
                "cycles": window.cycles, "window_s": window.wall_s,
-               "updates": window.updates(), "setup_s_samples": setup_s,
+               "updates": window.updates(), "setup_probes": probes,
+               "setup_s_samples": setup_s, "calibration_ref_ms": calibrate.REF_MS,
+               "calibration_ms": {f"p{q}": 1e3 * float(np.percentile(window.calibration_s, q))
+                                  for q in (0, 50, 100)},
                "ops_total": attempted, "ops_failed": failed,
                "ops_failed_frac": failed / attempted,
                "reference_counts_per_cycle": counts,
@@ -148,18 +178,18 @@ def untraced_run(workload_cls, seed: int, seconds: float, outdir, setup_s: list[
 
 
 def _step_stats(completed, counts):
-    """Figures beside the metrics: median wall time of each kind of step,
-    and the workload's own rates, all over the completed cycles."""
+    """Figures beside the metrics: median normalised time of each kind of
+    step, and the workload's own rates, all over the completed cycles."""
     by_kind = {}
-    for _, r in completed:
+    for _, k, r in completed:
         for kind, dt, _ in r.steps:
-            by_kind.setdefault(kind, []).append(dt)
+            by_kind.setdefault(kind, []).append(k * dt)
     med = {k: float(np.median(v)) for k, v in by_kind.items()}
-    cycle_s = float(np.median([dt for dt, _ in completed]))
+    cycle_s = float(np.median([dt * k for dt, k, _ in completed]))
     rates = {}
     if counts.get("sim.step"):
         rates["env_steps_per_s"] = counts["sim.step"] / cycle_s
-    rows = completed[0][1].rows
+    rows = completed[0][2].rows
     if rows:
         rates["dataset_rows_per_s"] = 2 * rows / (med["save_dataset"] + med["load_dataset"])
         rates["ncis_rows_per_s"] = rows / med["ncis_evaluate"]

@@ -107,8 +107,8 @@ class _Steps(list):
 
 class OnlineTwoStage:
     name = "online_two_stage"
-    stage1_iters = 5
-    stage2_iters = 5
+    stage1_iters = 1  # per auxiliary: a short cycle keeps its calibration close in time
+    stage2_iters = 1
 
     def __init__(self, seed: int, workdir):
         self.sim = C.SessionSimulator(C.SimConfig(seed=derive(seed, "sim")))
