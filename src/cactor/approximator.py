@@ -11,12 +11,14 @@ first-order optimizer.  No hidden state anywhere: callers own the arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 ACTIVATIONS = ("linear", "softmax", "tanh")
 
 _HEADER = "cactor-approx 1"
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,19 @@ class ApproxSpec:
 
     @property
     def param_count(self) -> int:
+        return self._layout[-1][2]
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per layer (W start, W end, b end, fan_in, fan_out) in the flat
+        vector; computed once per spec instance."""
         dims = self.layer_dims
-        return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
+        layout, pos = [], 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            w_end = pos + fan_in * fan_out
+            layout.append((pos, w_end, w_end + fan_out, fan_in, fan_out))
+            pos = w_end + fan_out
+        return tuple(layout)
 
 
 def init_params(spec: ApproxSpec) -> np.ndarray:
@@ -68,17 +81,8 @@ def unpack_params(spec: ApproxSpec, params: np.ndarray) -> list[tuple[np.ndarray
         raise ValueError(
             f"parameter vector has size {params.size}, spec requires {spec.param_count}"
         )
-    dims = spec.layer_dims
-    layers = []
-    pos = 0
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        w = params[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        b = params[pos : pos + fan_out]
-        pos += fan_out
-        layers.append((w, b))
-    return layers
+    return [(params[w0:w1].reshape(fan_in, fan_out), params[w1:b1])
+            for w0, w1, b1, fan_in, fan_out in spec._layout]
 
 
 def first_layer_size(spec: ApproxSpec) -> int:
@@ -106,13 +110,14 @@ def _apply_output_activation(kind: str, z: np.ndarray) -> np.ndarray:
         return np.tanh(z)
     # softmax with max-subtraction; entries floored at the smallest normal
     # float so the head always returns strictly positive probabilities
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return np.maximum(e / e.sum(axis=1, keepdims=True), np.finfo(np.float64).tiny)
+    return np.maximum(e / e.sum(axis=-1, keepdims=True), _TINY)
 
 
 def _forward_pass(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
-    """Returns (output, hidden activations list) for a 2-D input batch."""
+    """Returns (output, hidden activations list) for an input batch whose
+    last axis holds the features."""
     layers = unpack_params(spec, params)
     hidden = []
     h = x
@@ -129,6 +134,21 @@ def forward(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     x, single = _check_input(spec, x)
     out, _ = _forward_pass(spec, params, x)
     return out[0] if single else out
+
+
+def forward_rows(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``forward`` of a (batch, input_dim) matrix, one row at a time: row i
+    equals ``forward(spec, params, x[i])`` bit for bit, whatever the batch.
+
+    Each row is pushed through as a stacked (1, input_dim) product, which
+    runs the one-row kernel (gemv) per row; ``forward`` on a batch runs gemm,
+    which changes the last bits of most rows.  One gemv per row is slower
+    than one gemm on large batches, so use this only where results must not
+    depend on how many rows are evaluated together (lockstep rollouts).
+    """
+    x, _ = _check_input(spec, x)
+    out, _ = _forward_pass(spec, params, x[:, None, :])
+    return out[:, 0]
 
 
 def _output_delta(kind: str, y: np.ndarray, upstream: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import approximator as ap
 from .core import ReplayDataset, check_discounts
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 from .stochastic import (StochasticPolicy, _policy_loglik_grad, batch_arrays,
                          make_policy, validate_lambdas)
 

@@ -25,6 +25,7 @@ REVIEW_M = 8
 REVIEW_ASPECTS = ("service", "business", "cleanliness", "checkin",
                   "value", "rooms", "location", "overall")
 _REVIEW_HEADER = "# cactor-reviews 1"
+_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
 
 
 def _sigmoid(x):
@@ -62,9 +63,17 @@ class SimConfig:
 
 
 class SessionSimulator:
-    """One user session at a time.  All draws come from a stream fully
-    determined by (config.seed, episode_seed); independent instances are
-    required for concurrent episodes."""
+    """User sessions.  ``reset``/``step`` drive one session; ``rollout``
+    steps many together and runs the same arithmetic (``step`` is its
+    one-row case), so both give bit-identical trajectories.
+
+    RNG contract: every draw of an episode comes from its own stream, named
+    by (config.seed, "episode", episode_seed), in a fixed order: the session
+    length, the initial core features, then per step the dense noise and the
+    m-1 sparse uniforms.  An episode's trajectory therefore depends only on
+    that pair and on the items chosen, never on which sessions step beside
+    it.  reset/step keep one session's state on the instance; the tables are
+    read-only after construction."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -83,6 +92,11 @@ class SessionSimulator:
         self.quality = np.tanh(-rho * z + np.sqrt(max(1.0 - rho * rho, 0.0)) * noise)
         self.fold_map = rng.normal(size=(k, c.embed_dim)) / np.sqrt(c.embed_dim)
         self.fold_resp = rng.normal(scale=1.0, size=k)
+        # per-item constants of the dynamics: the affinity bias of each
+        # response, and each item's push on the core features
+        self._bias = np.vstack([self.appeal, self.sparse_bias])
+        fold = 0.4 * self.fold_map
+        self._fold_push = np.stack([fold @ self.item_embed[0, j] for j in range(c.n_items)])
 
         self._episode_rng = None
         self._features = None
@@ -91,15 +105,18 @@ class SessionSimulator:
 
     # -- episode control ---------------------------------------------------
 
-    def reset(self, episode_seed: int) -> State:
+    def _start(self, episode_seed: int) -> tuple[np.random.Generator, int, np.ndarray]:
+        """The episode's generator, its length and its initial features."""
         cfg = self.config
-        self._episode_rng = np.random.Generator(
-            np.random.PCG64(derive_seed(cfg.seed, "episode", episode_seed)))
+        rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "episode", episode_seed)))
         lo, hi = cfg.session_length_range
-        self._length = int(self._episode_rng.integers(lo, hi + 1))
+        length = int(rng.integers(lo, hi + 1))
+        core = rng.normal(size=self._core_dim)
+        return rng, length, np.concatenate([core, [1.0], [0.0]])
+
+    def reset(self, episode_seed: int) -> State:
+        self._episode_rng, self._length, self._features = self._start(episode_seed)
         self._t = 0
-        core = self._episode_rng.normal(size=self._core_dim)
-        self._features = np.concatenate([core, [1.0], [0.0]])
         return State(self._features.copy())
 
     def step(self, item: int) -> tuple[State, np.ndarray, bool]:
@@ -110,41 +127,53 @@ class SessionSimulator:
             raise RuntimeError("stepping a terminal state")
         if not (0 <= item < cfg.n_items):
             raise ValueError(f"item index {item} out of range [0, {cfg.n_items})")
-
-        dense_mean, sparse_p = self.response_probs(self._features, item)
-        noise = self._episode_rng.normal(0.0, cfg.dense_noise_std) if cfg.dense_noise_std > 0 else 0.0
-        g = self._features[-2]
-        dense = g * max(0.0, cfg.dense_base + self._dense_affinity(self._features, item) + noise)
-        fires = (self._episode_rng.random(cfg.m - 1) < sparse_p).astype(np.float64)
-        response = np.concatenate([[dense], fires])
-
-        core = self._features[:self._core_dim]
-        new_core = np.tanh(0.85 * core
-                           + 0.4 * self.fold_map @ self.item_embed[0, item]
-                           + 0.1 * response.sum() * self.fold_resp)
-        new_g = float(np.clip(g + cfg.engagement_gain * self.quality[item], 0.25, 2.0))
         self._t += 1
+        response, features = self._advance(self._features[None], np.array([item]),
+                                           [self._episode_rng], self._t,
+                                           np.array([self._length]))
         done = self._t >= self._length
-        self._features = np.concatenate([new_core, [new_g], [self._t / self._length]])
-        return State(self._features.copy(), terminal=done), response, done
+        self._features = features[0]
+        return State(self._features.copy(), terminal=done), response[0], done
 
-    # -- analytic pieces (used by tests and oracles) -------------------------
+    def _advance(self, features, items, rngs, t, lengths) -> tuple[np.ndarray, np.ndarray]:
+        """One step of every row: ``features`` (k, state_dim), the items
+        shown, each row's episode generator, the step count after this step
+        and the session lengths.  Returns responses (k, m) and the next
+        features (k, state_dim)."""
+        cfg = self.config
+        affinity, sparse_p = self._response_terms(features, items)
+        noise = (np.array([r.normal(0.0, cfg.dense_noise_std) for r in rngs])
+                 if cfg.dense_noise_std > 0 else 0.0)
+        uniforms = np.array([r.random(cfg.m - 1) for r in rngs])
+        g = features[:, -2]
+        level = cfg.dense_base + affinity + noise
+        dense = g * np.where(level > 0.0, level, 0.0)
+        response = np.concatenate([dense[:, None], (uniforms < sparse_p).astype(np.float64)],
+                                  axis=1)
+        new_core = np.tanh(0.85 * features[:, :self._core_dim] + self._fold_push[items]
+                           + (0.1 * response.sum(axis=1))[:, None] * self.fold_resp)
+        new_g = np.clip(g + cfg.engagement_gain * self.quality[items], 0.25, 2.0)
+        progress = t / lengths
+        return response, np.concatenate([new_core, new_g[:, None], progress[:, None]], axis=1)
 
-    def _dense_affinity(self, features, item) -> float:
-        pref = self.pref_maps[0] @ features
-        return float(np.tanh(pref @ self.item_embed[0, item] + self.appeal[item]))
+    # -- response model (also used by tests and oracles) ----------------------
+
+    def _response_terms(self, features, items) -> tuple[np.ndarray, np.ndarray]:
+        """Dense affinity (k,) and sparse fire probabilities (k, m-1) at each
+        row's (state, item).  Every product is stacked so that each row and
+        response runs the one-row kernels (gemv, then dot)."""
+        cfg = self.config
+        pref = (self.pref_maps[None] @ features[:, None, :, None])[..., 0]
+        embed = self.item_embed[:, items].transpose(1, 0, 2)
+        x = np.tanh((pref[..., None, :] @ embed[..., None])[..., 0, 0] + self._bias[:, items].T)
+        sparse = cfg.sparse_prob_scale * _sigmoid(cfg.sparse_slope * x[:, 1:] - cfg.sparse_offset)
+        return x[:, 0], sparse
 
     def response_probs(self, features, item) -> tuple[float, np.ndarray]:
         """Expected dense response and sparse fire probabilities at (state, item)."""
-        cfg = self.config
-        g = features[-2]
-        dense_mean = g * max(0.0, cfg.dense_base + self._dense_affinity(features, item))
-        sparse = np.empty(cfg.m - 1)
-        for i in range(1, cfg.m):
-            pref = self.pref_maps[i] @ features
-            x = np.tanh(pref @ self.item_embed[i, item] + self.sparse_bias[i - 1, item])
-            sparse[i - 1] = cfg.sparse_prob_scale * _sigmoid(cfg.sparse_slope * x - cfg.sparse_offset)
-        return dense_mean, sparse
+        affinity, sparse = self._response_terms(np.asarray(features)[None], np.array([item]))
+        dense_mean = features[-2] * max(0.0, self.config.dense_base + float(affinity[0]))
+        return dense_mean, sparse[0]
 
 
 class UniformRandomPolicy:
@@ -157,16 +186,49 @@ class UniformRandomPolicy:
         return np.full(self.n_items, 1.0 / self.n_items)
 
 
+def inverse_cdf(p, u):
+    """The index ``Generator.choice(n, p=p)`` returns when its one
+    ``random()`` draw is ``u``: the first entry of the cumulative sum,
+    normalised by its last entry, that exceeds u.
+
+    ``p`` is one distribution with a scalar ``u``, or a stack of rows with
+    one draw per row.  Raises ValueError where choice does: on NaN, on a
+    negative entry, or on a sum more than sqrt(eps) away from 1.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf: reported as NaN below
+        total = p.sum(axis=-1)
+    if np.any(np.isnan(total)):
+        raise ValueError("probabilities contain NaN")
+    if np.any(p < 0.0):
+        raise ValueError("probabilities are not non-negative")
+    if np.any(np.abs(total - 1.0) > _SUM_TOL):
+        raise ValueError(f"probabilities do not sum to 1 (sums {total})")
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.sum(cdf <= np.asarray(u)[..., None], axis=-1)
+
+
+def _transition(state, item, prob, response, next_state, done, n_items) -> Transition:
+    """One logged step.  The terminal next_state is canonicalized to a zero
+    feature vector (its value is never bootstrapped), which keeps the text
+    format round trip exact."""
+    action = np.zeros(n_items)
+    action[item] = 1.0
+    return Transition(state=state, action=action, response=response,
+                      next_state=terminal_state(state.features.size) if done else next_state,
+                      done=done, action_index=item, behavior_prob=prob)
+
+
 def run_episode(sim: SessionSimulator, select, episode_seed: int,
                 session_id: str | None = None) -> Trajectory:
     """Roll one session.  ``select(features) -> (item, behavior_prob | None)``.
 
-    The terminal next_state is canonicalized to a zero feature vector (its
-    value is never bootstrapped), which keeps the text format round trip
-    exact.
+    The session draws from its own episode stream (see SessionSimulator);
+    any action stream belongs to ``select``.  ``rollout`` steps many sessions
+    together and gives the same trajectories.
     """
     state = sim.reset(episode_seed)
-    dim = state.features.size
     transitions = []
     done = False
     while not done:
@@ -174,19 +236,58 @@ def run_episode(sim: SessionSimulator, select, episode_seed: int,
         if prob is not None and prob <= 0.0:
             raise ValueError(f"behavior policy assigned probability {prob} to item {item}")
         next_state, response, done = sim.step(item)
-        action = np.zeros(sim.config.n_items)
-        action[item] = 1.0
-        transitions.append(Transition(
-            state=state,
-            action=action,
-            response=response,
-            next_state=terminal_state(dim) if done else next_state,
-            done=done,
-            action_index=item,
-            behavior_prob=prob,
-        ))
+        transitions.append(_transition(state, item, prob, response, next_state, done,
+                                       sim.config.n_items))
         state = next_state
     return Trajectory(transitions, session_id=session_id or f"ep-{episode_seed}")
+
+
+def rollout(sim: SessionSimulator, probs, rng: np.random.Generator, episode_seeds,
+            session_ids=None) -> list[Trajectory]:
+    """Roll one session per episode seed, all sessions in lockstep.
+
+    ``probs(features)`` maps the (k, state_dim) features of the k sessions
+    still running to their (k, n_items) action probabilities; row i must not
+    depend on the other rows (see ``approximator.forward_rows``).  Each
+    session's item is drawn by ``inverse_cdf`` from one uniform of ``rng``.
+
+    RNG contract: each session draws from its own episode stream, as in
+    ``run_episode``.  ``rng`` is drawn once, one uniform per step of every
+    session, and session e's step t takes draw offset_e + t, where offset_e
+    is the summed length of the sessions before e: the order of rolling the
+    sessions one after another with ``choice(n, p=p)`` on ``rng``.  So the
+    trajectories, and the state of ``rng`` afterwards, are bit-identical to
+    that sequential run.  Session ids default to ``ep-<seed>``.
+    """
+    n_items = sim.config.n_items
+    seeds = list(episode_seeds)
+    ids = [f"ep-{s}" for s in seeds] if session_ids is None else list(session_ids)
+    starts = [sim._start(s) for s in seeds]
+    rngs = [r for r, _, _ in starts]
+    lengths = np.array([length for _, length, _ in starts], dtype=np.int64)
+    length_of = lengths.tolist()
+    states = [State(f.copy()) for _, _, f in starts]
+    features = np.array([f for _, _, f in starts]).reshape(len(seeds), sim.config.state_dim)
+    offsets = np.cumsum(lengths) - lengths
+    uniforms = rng.random(int(lengths.sum()))
+    transitions = [[] for _ in seeds]
+    for t in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > t)
+        p = np.asarray(probs(features[live]), dtype=np.float64)
+        if p.shape != (live.size, n_items):
+            raise ValueError(f"probs returned shape {p.shape}, expected ({live.size}, {n_items})")
+        items = inverse_cdf(p, uniforms[offsets[live] + t])
+        chosen = p[np.arange(live.size), items].tolist()
+        responses, nxt = sim._advance(features[live], items, [rngs[e] for e in live],
+                                      t + 1, lengths[live])
+        features[live] = nxt
+        for j, e in enumerate(live.tolist()):
+            done = t + 1 == length_of[e]
+            next_state = None if done else State(nxt[j])
+            transitions[e].append(_transition(states[e], int(items[j]), chosen[j],
+                                              responses[j], next_state, done, n_items))
+            states[e] = next_state
+    return [Trajectory(tr, session_id=i) for tr, i in zip(transitions, ids)]
 
 
 def generate_offline_dataset(config, behavior=None, n_trajectories: int = 0) -> ReplayDataset:
@@ -194,8 +295,10 @@ def generate_offline_dataset(config, behavior=None, n_trajectories: int = 0) -> 
 
     With a SimConfig the behavior must put positive probability on every
     item; each transition records the probability the behavior assigned to
-    the logged action.  With a ReviewDatasetConfig the built-in reviewer
-    model is the behavior and the other arguments are ignored.
+    the logged action.  The sessions are rolled in lockstep (``rollout``)
+    with one action stream, (config.seed, "behavior-actions").  With a
+    ReviewDatasetConfig the built-in reviewer model is the behavior and the
+    other arguments are ignored.
     """
     if isinstance(config, ReviewDatasetConfig):
         return generate_review_dataset(config)
@@ -204,16 +307,16 @@ def generate_offline_dataset(config, behavior=None, n_trajectories: int = 0) -> 
     sim = SessionSimulator(config)
     action_rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "behavior-actions")))
 
-    def select(features):
-        p = behavior.probs(features)
-        if np.any(p <= 0.0):
-            bad = int(np.argmin(p))
+    def probs(features):
+        p = np.array([behavior.probs(f) for f in features])
+        zero = np.any(p <= 0.0, axis=1)
+        if np.any(zero):
+            bad = int(np.argmin(p[zero][0]))
             raise ValueError(f"behavior policy assigns zero probability to item {bad}")
-        item = int(action_rng.choice(config.n_items, p=p))
-        return item, float(p[item])
+        return p
 
-    trajectories = [run_episode(sim, select, episode_seed=k, session_id=f"sim-{k}")
-                    for k in range(n_trajectories)]
+    trajectories = rollout(sim, probs, action_rng, range(n_trajectories),
+                           [f"sim-{k}" for k in range(n_trajectories)])
     meta = {"state_dim": config.state_dim, "n_items": config.n_items, "source": "sim"}
     return ReplayDataset(trajectories, m=config.m, metadata=meta)
 

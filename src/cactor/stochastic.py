@@ -14,14 +14,14 @@ taken on the weighted log-likelihood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import approximator as ap
-from .core import Trajectory, check_discounts
+from .core import check_discounts
 from .seeding import derive_seed, rng_for
-from .sim import SessionSimulator, run_episode
+from .sim import SessionSimulator, inverse_cdf, rollout
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,8 +45,9 @@ class StochasticPolicy:
         return ap.forward(self.spec, self.params, features)
 
     def sample(self, features, rng: np.random.Generator) -> tuple[int, float]:
+        """The item ``rng.choice(n_items, p=probs)`` would draw, and its probability."""
         p = self.probs(features)
-        item = int(rng.choice(p.size, p=p))
+        item = int(inverse_cdf(p, rng.random()))
         return item, float(p[item])
 
     def greedy(self, features) -> int:
@@ -288,15 +289,19 @@ class TwoStageConfig:
 def collect_batch(sim: SessionSimulator, policy: StochasticPolicy,
                   rng: np.random.Generator, n_episodes: int,
                   episode_seeds) -> tuple[list, np.ndarray]:
-    """Fresh on-policy episodes; returns transitions plus per-episode
-    cumulative reward vectors."""
-    transitions = []
+    """Fresh on-policy episodes, rolled in lockstep; returns transitions
+    plus the mean over episodes of the cumulative reward vectors.
+
+    RNG contract (``sim.rollout``): each episode draws from its own stream,
+    and ``rng`` serves the actions in episode order, so the result is
+    bit-identical to running the episodes one after another with
+    ``policy.sample(features, rng)``."""
+    trajs = rollout(sim, lambda f: ap.forward_rows(policy.spec, policy.params, f), rng,
+                    [episode_seeds[e] for e in range(n_episodes)])
     totals = np.zeros((n_episodes, sim.config.m))
-    for e in range(n_episodes):
-        traj = run_episode(sim, lambda f: policy.sample(f, rng), episode_seeds[e])
-        transitions.extend(traj.transitions)
+    for e, traj in enumerate(trajs):
         totals[e] = np.sum([tr.response for tr in traj.transitions], axis=0)
-    return transitions, totals.mean(axis=0)
+    return [tr for traj in trajs for tr in traj.transitions], totals.mean(axis=0)
 
 
 def _entropy_ascent(policy, s, coef, opt):

@@ -78,6 +78,22 @@ class TestForward:
                                rtol=1e-12, atol=1e-15)
 
 
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ap.ACTIVATIONS), st.integers(0, 2),
+       st.integers(1, 70))
+def test_forward_rows_matches_one_row_forward_bit_for_bit(seed, head, depth, batch):
+    rng = np.random.default_rng(seed)
+    hidden = tuple(int(rng.integers(1, 40)) for _ in range(depth))
+    spec = ap.ApproxSpec(int(rng.integers(1, 20)), hidden, int(rng.integers(1, 40)), head,
+                         seed=seed)
+    params = ap.init_params(spec) * rng.uniform(0.5, 3.0)
+    xs = rng.normal(size=(batch, spec.input_dim)) * 2
+    rows = ap.forward_rows(spec, params, xs)
+    assert rows.shape == (batch, spec.output_dim)
+    for k in range(batch):
+        assert np.array_equal(rows[k], ap.forward(spec, params, xs[k]))
+
+
 class TestGradient:
     def test_zero_upstream_gives_zero_gradient(self):
         spec = ap.ApproxSpec(3, (4,), 2, "tanh", seed=5)

@@ -1,8 +1,34 @@
 import numpy as np
 import pytest
 
+from cactor import approximator as ap
 from cactor import sim as sm
 from cactor.core import load_dataset, save_dataset
+
+ROLLOUT_CONFIGS = [
+    sm.SimConfig(),
+    sm.SimConfig(m=2, seed=3),
+    sm.SimConfig(m=6, state_dim=7, n_items=12, seed=5),
+    sm.SimConfig(dense_noise_std=0.0, seed=7),
+    sm.SimConfig(session_length_range=(5, 5), seed=9),
+    sm.SimConfig(session_length_range=(1, 20), seed=13),
+]
+
+
+def assert_same_trajectories(got, want):
+    """Every logged field equal bit for bit, session by session."""
+    assert [t.session_id for t in got] == [t.session_id for t in want]
+    for a, b in zip(got, want):
+        assert len(a) == len(b)
+        for ta, tb in zip(a.transitions, b.transitions):
+            assert ta.action_index == tb.action_index
+            assert ta.behavior_prob == tb.behavior_prob
+            assert ta.done is tb.done
+            assert ta.next_state.terminal == tb.next_state.terminal
+            assert np.array_equal(ta.state.features, tb.state.features)
+            assert np.array_equal(ta.next_state.features, tb.next_state.features)
+            assert np.array_equal(ta.response, tb.response)
+            assert np.array_equal(ta.action, tb.action)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +129,69 @@ class TestStepSemantics:
         assert np.all(fires / steps <= 0.20)
 
 
+class TestRollout:
+    """The lockstep rollout against one session at a time with
+    Generator.choice on one shared action stream."""
+
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_matches_sequential_episodes_bit_for_bit(self, cfg):
+        sim = sm.SessionSimulator(cfg)
+        spec = ap.ApproxSpec(cfg.state_dim, (16,), cfg.n_items, "softmax", seed=cfg.seed)
+        params = ap.init_params(spec) * 3.0
+        seeds = [7, 123, 5, 40, 41, 9, 2, 11]
+
+        def select(features):
+            p = ap.forward(spec, params, features)
+            item = int(seq_rng.choice(cfg.n_items, p=p))
+            return item, float(p[item])
+
+        seq_rng = np.random.default_rng(cfg.seed)
+        want = [sm.run_episode(sim, select, s) for s in seeds]
+        rng = np.random.default_rng(cfg.seed)
+        got = sm.rollout(sim, lambda f: ap.forward_rows(spec, params, f), rng, seeds)
+        assert_same_trajectories(got, want)
+        assert rng.random() == seq_rng.random()
+
+    def test_probs_of_wrong_shape_rejected(self, cfg):
+        with pytest.raises(ValueError, match="shape"):
+            sm.rollout(sm.SessionSimulator(cfg), lambda f: np.full((len(f), 3), 1 / 3),
+                       np.random.default_rng(0), [1, 2])
+
+
+class TestInverseCdf:
+    def test_matches_choice_draw_for_draw(self):
+        rng = np.random.default_rng(17)
+        choice_rng, draw_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            p = rng.random(n) ** 3 * (rng.random(n) < 0.8)
+            p[int(rng.integers(n))] += 0.1
+            p /= p.sum()
+            assert sm.inverse_cdf(p, draw_rng.random()) == choice_rng.choice(n, p=p)
+
+    @pytest.mark.parametrize("p", [
+        [np.nan, 1.0],
+        [np.inf, -np.inf, 1.0],
+        [-0.1, 1.1],
+        [0.5, 0.6],
+        [0.5, 0.5 + 2e-8],
+    ], ids=["nan", "inf-inf", "negative", "sum-off", "sum-just-off"])
+    def test_raises_where_choice_raises(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(p.size, p=p)
+        with pytest.raises(ValueError, match="probabilities"):
+            sm.inverse_cdf(p, 0.5)
+        with pytest.raises(ValueError, match="probabilities"):
+            sm.inverse_cdf(np.stack([np.full(p.size, 1.0 / p.size), p]), [0.5, 0.5])
+
+    def test_sum_within_tolerance_accepted_like_choice(self):
+        p = np.array([0.25, 0.75 + 1e-9])
+        for seed in range(20):
+            u = np.random.default_rng(seed).random()
+            assert sm.inverse_cdf(p, u) == np.random.default_rng(seed).choice(2, p=p)
+
+
 class TestOfflineGeneration:
     def test_uniform_behavior_probs(self, cfg):
         ds = sm.generate_offline_dataset(cfg, sm.UniformRandomPolicy(cfg.n_items), 3)
@@ -122,8 +211,29 @@ class TestOfflineGeneration:
                 p[0] = 1.0
                 return p
 
-        with pytest.raises(ValueError, match="zero probability"):
+        with pytest.raises(ValueError, match="zero probability to item 1"):
             sm.generate_offline_dataset(cfg, Degenerate(), 1)
+
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_matches_sequential_logging_loop(self, cfg):
+        class Skewed:
+            def probs(self, features):
+                p = np.exp(np.sin(np.arange(cfg.n_items) * features[0]))
+                return p / p.sum()
+
+        behavior = Skewed()
+        sim = sm.SessionSimulator(cfg)
+        action_rng = np.random.Generator(
+            np.random.PCG64(sm.derive_seed(cfg.seed, "behavior-actions")))
+
+        def select(features):
+            p = behavior.probs(features)
+            item = int(action_rng.choice(cfg.n_items, p=p))
+            return item, float(p[item])
+
+        want = [sm.run_episode(sim, select, k, session_id=f"sim-{k}") for k in range(12)]
+        ds = sm.generate_offline_dataset(cfg, behavior, 12)
+        assert_same_trajectories(ds.trajectories, want)
 
     def test_logged_frequencies_match_behavior_chi_square(self, cfg):
         class Skewed:

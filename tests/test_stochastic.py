@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cactor import approximator as ap
 from cactor import stochastic as stx
 from cactor.core import State, Transition, terminal_state
-from cactor.sim import SessionSimulator, SimConfig
+from cactor.sim import SessionSimulator, SimConfig, run_episode
 
 
 def chain_batch(rewards, state_dim=None, m=1):
@@ -237,6 +237,54 @@ class TestActorUpdateMain:
             pset.main = (policy, pset.main[1])
             p = policy.probs(rng.normal(size=2))
             assert np.all(p > 0) and abs(p.sum() - 1.0) < 1e-9
+
+
+COLLECT_CONFIGS = [
+    SimConfig(),
+    SimConfig(m=2, seed=3),
+    SimConfig(m=6, state_dim=7, n_items=12, seed=5),
+    SimConfig(dense_noise_std=0.0, seed=7),
+    SimConfig(session_length_range=(5, 5), seed=9),
+    SimConfig(session_length_range=(1, 20), seed=13),
+]
+
+
+class TestCollectBatch:
+    """Lockstep collection against one episode at a time with
+    policy.sample on the same action generator."""
+
+    @pytest.mark.parametrize("cfg", COLLECT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_matches_sequential_sampling_bit_for_bit(self, cfg):
+        sim = SessionSimulator(cfg)
+        policy = stx.make_policy(cfg.state_dim, cfg.n_items, (32,), seed=cfg.seed + 1)
+        policy.params = policy.params * 4.0  # peaked, so items differ across states
+        seeds = [31, 4, 1000, 8, 77, 3, 12, 6]
+        seq_rng = np.random.default_rng(cfg.seed)
+        trajs = [run_episode(sim, lambda f: policy.sample(f, seq_rng), s) for s in seeds]
+        want = [tr for t in trajs for tr in t.transitions]
+        rng = np.random.default_rng(cfg.seed)
+        got, mean_totals = stx.collect_batch(sim, policy, rng, len(seeds), seeds)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.action_index == b.action_index
+            assert a.behavior_prob == b.behavior_prob
+            assert a.done is b.done
+            assert np.array_equal(a.state.features, b.state.features)
+            assert np.array_equal(a.next_state.features, b.next_state.features)
+            assert np.array_equal(a.response, b.response)
+        totals = [np.sum([tr.response for tr in t.transitions], axis=0) for t in trajs]
+        assert np.array_equal(mean_totals, np.mean(totals, axis=0))
+        assert rng.random() == seq_rng.random()
+
+    def test_sample_matches_choice_draw_for_draw(self):
+        policy = stx.make_policy(5, 9, (8,), seed=4)
+        policy.params = policy.params * 5.0
+        states = np.random.default_rng(1).normal(size=(300, 5))
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        for f in states:
+            p = policy.probs(f)
+            item = int(ref.choice(9, p=p))
+            assert policy.sample(f, rng) == (item, float(p[item]))
 
 
 @pytest.fixture
