@@ -179,10 +179,18 @@ def save_dataset(path, dataset: ReplayDataset) -> None:
         if key in ("state_dim", "n_items"):
             continue
         lines.append(f"# meta {key}={dataset.metadata[key]}")
+    # 17 significant digits round-trip every float64; one % per row
+    feats_fmt = ",".join(["%.17g"] * state_dim)
+    resp_fmt = ",".join(["%.17g"] * dataset.m)
     for traj in dataset.trajectories:
         for t, tr in enumerate(traj.transitions):
-            feats = ",".join(f"{v:.17g}" for v in tr.state.features)
-            resp = ",".join(f"{v:.17g}" for v in tr.response)
+            if tr.state.features.size != state_dim or tr.response.size != dataset.m:
+                raise ValueError(
+                    f"session {traj.session_id} step {t}: {tr.state.features.size} features "
+                    f"and {tr.response.size} responses, header says state_dim={state_dim} "
+                    f"m={dataset.m}")
+            feats = feats_fmt % tuple(tr.state.features.tolist())
+            resp = resp_fmt % tuple(tr.response.tolist())
             bp = "-" if tr.behavior_prob is None else f"{tr.behavior_prob:.17g}"
             a = "-" if tr.action_index is None else str(tr.action_index)
             lines.append(f"{traj.session_id},{t},{feats},{a},{bp},{resp},{int(tr.done)}")

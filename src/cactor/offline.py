@@ -10,14 +10,14 @@ sum(w * r) / sum(w) with w = min(pi(a|s) / pi_beta(a|s), cap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import approximator as ap
 from .core import ReplayDataset, Trajectory, check_discounts, discounted_returns
 from .seeding import derive_seed
-from .stochastic import (CriticV, PolicySet, StochasticPolicy,
+from .stochastic import (CriticV, PolicySet, StochasticPolicy, TrainingDiverged,
                          _policy_loglik_grad, constrained_weights_batch,
                          make_critic, td_errors)
 
@@ -60,19 +60,12 @@ def _behavior_prob(tr, cfg: ISConfig) -> float:
 def full_trajectory_ratio(traj: Trajectory, t: int, policy: StochasticPolicy,
                           cfg: ISConfig) -> float:
     """Product of per-step pi(a|s)/pi_beta(a|s) over steps 0..t, clipped."""
-    if not (0 <= t < len(traj)):
-        raise ValueError(f"step {t} outside trajectory of length {len(traj)}")
-    prod = 1.0
-    for tr in traj.transitions[: t + 1]:
-        p = float(policy.probs(tr.state.features)[tr.action_index])
-        prod *= p / _behavior_prob(tr, cfg)
-    return min(prod, cfg.ratio_clip)
+    return float(_ratios([(traj, t)], policy, replace(cfg, mode="full_product"))[0])
 
 
 def first_order_ratio(transition, policy: StochasticPolicy, cfg: ISConfig) -> float:
     """Single-step pi(a|s)/pi_beta(a|s), clipped."""
-    p = float(policy.probs(transition.state.features)[transition.action_index])
-    return min(p / _behavior_prob(transition, cfg), cfg.ratio_clip)
+    return float(_ratios([(Trajectory([transition]), 0)], policy, cfg)[0])
 
 
 def _batch_refs_arrays(batch_refs):
@@ -89,12 +82,57 @@ def _batch_refs_arrays(batch_refs):
     return trs, s, a, r, s2, done
 
 
-def _ratios(batch_refs, policy, cfg: ISConfig) -> np.ndarray:
-    if cfg.mode == "full_product":
-        return np.array([full_trajectory_ratio(traj, t, policy, cfg)
-                         for traj, t in batch_refs])
-    return np.array([first_order_ratio(traj.transitions[t], policy, cfg)
-                     for traj, t in batch_refs])
+def _raise_first_bad_ref(batch_refs, cfg: ISConfig):
+    """Raise the ValueError of the first bad (traj, t) in batch order: t out
+    of range, or a step whose behavior_prob is missing or below the floor."""
+    for traj, t in batch_refs:
+        if not (0 <= t < len(traj)):
+            raise ValueError(f"step {t} outside trajectory of length {len(traj)}")
+        lo = 0 if cfg.mode == "full_product" else t
+        for tr in traj.transitions[lo: t + 1]:
+            _behavior_prob(tr, cfg)
+
+
+def _ratios(batch_refs, policy: StochasticPolicy, cfg: ISConfig) -> np.ndarray:
+    """Clipped importance ratios of (Trajectory, t) refs from one net pass.
+
+    first_order evaluates each ref's step t.  full_product evaluates each
+    distinct trajectory's prefix once, up to the largest t asked of it, and
+    takes every ref's product from a left-to-right ``multiply.accumulate``
+    over that prefix: the same multiplications, in the same order, as a
+    scalar ``prod *= p / bp`` loop, so the ratios equal that loop's bit for
+    bit (a cumulative sum of log-ratios would not).  ``forward_rows`` keeps
+    each probability equal to a one-row ``forward``.
+    """
+    if not batch_refs:
+        raise ValueError("empty batch")
+    ts = np.array([t for _, t in batch_refs], dtype=np.intp)
+    # clipped into range so every ref can be gathered; bad refs are named below
+    step = np.clip(ts, 0, np.array([len(traj) for traj, _ in batch_refs]) - 1)
+    full = cfg.mode == "full_product"
+    if full:
+        seg_of: dict[int, int] = {}
+        seg = np.array([seg_of.setdefault(id(traj), len(seg_of)) for traj, _ in batch_refs])
+        heads = np.unique(seg, return_index=True)[1]  # each segment's first ref
+        upto = np.zeros(heads.size, dtype=np.intp)
+        np.maximum.at(upto, seg, step)
+        starts = np.concatenate([[0], np.cumsum(upto + 1)])
+        rows = [tr for k, u in zip(heads, upto) for tr in batch_refs[k][0].transitions[: u + 1]]
+        at = starts[seg] + step
+    else:
+        rows = [traj.transitions[k] for (traj, _), k in zip(batch_refs, step)]
+        at = np.arange(len(rows))
+    bp = np.array([tr.behavior_prob for tr in rows], dtype=np.float64)  # None -> nan
+    if np.any(step != ts) or np.any(np.isnan(bp) | (bp < cfg.min_behavior_prob)):
+        _raise_first_bad_ref(batch_refs, cfg)
+    x = np.stack([tr.state.features for tr in rows])
+    a = np.array([tr.action_index for tr in rows], dtype=np.intp)
+    ratio = ap.forward_rows(policy.spec, policy.params, x)[np.arange(a.size), a] / bp
+    if full:
+        with np.errstate(over="ignore"):  # an overflowed product is clipped below
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                ratio[lo:hi] = np.multiply.accumulate(ratio[lo:hi])
+    return np.minimum(ratio[at], cfg.ratio_clip)
 
 
 def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_refs,
@@ -102,10 +140,10 @@ def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_re
     """Ascent on mean(ratio * A_i * log pi(a|s)).  With behavior equal to the
     current policy the ratios are exactly 1 and this reproduces the online
     update bit for bit."""
+    ratios = _ratios(batch_refs, policy, is_cfg)
     trs, s, a_idx, r, s2, done = _batch_refs_arrays(batch_refs)
     v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
     adv = target - v
-    ratios = _ratios(batch_refs, policy, is_cfg)
     w = ratios * adv
     keep = np.isfinite(w)
     s, a_idx, w = s[keep], a_idx[keep], w[keep]
@@ -171,6 +209,12 @@ def _value_step(critic: CriticV, s, r_scalar, s2, done, opt):
     return grads, loss
 
 
+def _check_critic_loss(loss: float, response: str, iteration: int):
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"critic for {response} diverged at iteration {iteration}: "
+                               f"loss {loss}")
+
+
 def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
                        cfg: MultiCriticConfig, master_seed: int,
                        shared_gamma: float = 0.95):
@@ -180,7 +224,9 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
     discount; zeroing response j's rewards provably touches only critic j
     (unless share_bottom couples their first layers).
     mode="single_summed": one critic on sum_i r_i with one shared discount.
-    Returns a list of critics (length m, or 1 for single_summed).
+    Returns a list of critics (length m, or 1 for single_summed).  A
+    non-finite critic loss raises TrainingDiverged naming the response and
+    the iteration.
     """
     if mode not in ("separate", "single_summed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -199,12 +245,11 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         critic = make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", 0),
                              -1, shared_gamma)
         opt = ap.init_opt_state(critic.params.size, cfg.lr)
-        for _ in range(cfg.iters):
+        for it in range(cfg.iters):
             idx = rng.integers(len(transitions), size=cfg.batch_size)
             grads, loss = _value_step(critic, s_all[idx], r_all[idx].sum(axis=1),
                                       s2_all[idx], done_all[idx], opt)
-            if not np.isfinite(loss):
-                continue
+            _check_critic_loss(loss, "the summed response", it)
             params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
             critic = CriticV(critic.spec, params, -1, critic.gamma)
         return [critic]
@@ -227,14 +272,13 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         shared_opt = ap.init_opt_state(fl, cfg.lr)
         opts = [ap.init_opt_state(c.params.size - fl, cfg.lr) for c in critics]
 
-    for _ in range(cfg.iters):
+    for it in range(cfg.iters):
         idx = rng.integers(len(transitions), size=cfg.batch_size)
         s, r, s2, done = s_all[idx], r_all[idx], s2_all[idx], done_all[idx]
         if not cfg.share_bottom:
             for i, critic in enumerate(critics):
                 grads, loss = _value_step(critic, s, r[:, i], s2, done, opts[i])
-                if not np.isfinite(loss):
-                    continue
+                _check_critic_loss(loss, f"response {i}", it)
                 params, opts[i] = ap.optimizer_step(critic.params, grads, opts[i],
                                                     "minimize")
                 critics[i] = CriticV(critic.spec, params, i, critic.gamma)
@@ -242,8 +286,7 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
             shared_grad = np.zeros(fl)
             for i, critic in enumerate(critics):
                 grads, loss = _value_step(critic, s, r[:, i], s2, done, opts[i])
-                if not np.isfinite(loss):
-                    continue
+                _check_critic_loss(loss, f"response {i}", it)
                 shared_grad += grads[:fl]
                 tail, opts[i] = ap.optimizer_step(critic.params[fl:], grads[fl:],
                                                   opts[i], "minimize")

@@ -25,7 +25,8 @@ from .sim import SessionSimulator, inverse_cdf, rollout
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the critic loss stays above the divergence threshold."""
+    """Raised when a critic loss stays above the divergence threshold or
+    turns non-finite."""
 
 
 @dataclass

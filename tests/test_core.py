@@ -172,6 +172,33 @@ class TestDatasetIO:
         core.save_dataset(path, ds)
         assert core.load_dataset(path).trajectories[0].transitions[0].behavior_prob is None
 
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rewards = rng.normal(size=(4, 2)) * 10.0 ** rng.integers(-300, 300, size=(4, 2))
+        traj = make_traj(rewards, session_id="s3", behavior_prob=1.0 / 3.0)
+        traj.transitions[1].state.features[:] = [-0.0, 5e-324, np.finfo(float).max]
+        ds = core.ReplayDataset([traj], m=2, metadata={"state_dim": 3, "n_items": 2})
+        path = tmp_path / "d.txt"
+        core.save_dataset(path, ds)
+        body = path.read_text().splitlines()[2:]
+        assert len(body) == len(traj)
+        for t, (line, tr) in enumerate(zip(body, traj.transitions)):
+            feats = ",".join(f"{v:.17g}" for v in tr.state.features)
+            resp = ",".join(f"{v:.17g}" for v in tr.response)
+            assert line == f"s3,{t},{feats},0,{tr.behavior_prob:.17g},{resp},{int(tr.done)}"
+
+    def test_row_length_disagreeing_with_header_rejected(self, tmp_path):
+        path = tmp_path / "d.txt"
+        ds = core.ReplayDataset([make_traj([[1.0, 2.0]] * 3, session_id="s7")], m=2)
+        ds.trajectories[0].transitions[2].response = np.array([1.0])
+        with pytest.raises(ValueError, match="session s7 step 2"):
+            core.save_dataset(path, ds)
+        ds = core.ReplayDataset([make_traj([[1.0]] * 3, session_id="s8")], m=1)
+        ds.trajectories[0].transitions[1].state = core.State(np.ones(4))
+        with pytest.raises(ValueError, match="session s8 step 1: 4 features"):
+            core.save_dataset(path, ds)
+        assert not path.exists()
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# cactor-dataset 1\n# m=1 state_dim=2 n_items=2\ns0,0,1.0\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cactor import approximator as ap
 from cactor import offline as off
@@ -53,7 +55,7 @@ class TestRatios:
         prod = 1.0
         for tr in traj.transitions[: t + 1]:
             prod *= float(other.probs(tr.state.features)[tr.action_index]) / tr.behavior_prob
-        assert off.full_trajectory_ratio(traj, t, other, cfg) == pytest.approx(prod, rel=1e-12)
+        assert off.full_trajectory_ratio(traj, t, other, cfg) == prod
 
     def test_first_order_equals_full_at_step_zero(self, sim, policy):
         traj = logged_trajectory(policy, sim, 3, rng_for(4, "a"))
@@ -80,6 +82,114 @@ class TestRatios:
         traj.transitions[0].behavior_prob = 1e-9
         with pytest.raises(ValueError, match="floor"):
             off.first_order_ratio(traj.transitions[0], policy, off.ISConfig())
+
+
+def scalar_ratios(batch_refs, policy, cfg):
+    """Reference: one one-row forward per step and a left-to-right product."""
+    out = []
+    for traj, t in batch_refs:
+        steps = traj.transitions[: t + 1] if cfg.mode == "full_product" else [traj.transitions[t]]
+        prod = 1.0
+        for tr in steps:
+            prod *= float(policy.probs(tr.state.features)[tr.action_index]) / tr.behavior_prob
+        out.append(min(prod, cfg.ratio_clip))
+    return out
+
+
+RATIO_POLICY = stx.make_policy(4, 5, (6,), seed=7)
+
+
+def hand_trajectory(seed, behavior_probs, session_id="h"):
+    """A 4-feature, 5-item trajectory with the given logged probabilities."""
+    rng = np.random.default_rng(seed)
+    n = len(behavior_probs)
+    states = [State(f) for f in rng.normal(size=(n, 4))] + [terminal_state(4)]
+    return Trajectory([Transition(states[k], np.zeros(5), rng.normal(size=2), states[k + 1],
+                                  k == n - 1, action_index=int(rng.integers(5)),
+                                  behavior_prob=bp)
+                       for k, bp in enumerate(behavior_probs)], session_id=session_id)
+
+
+# 1e-300 makes two-step products overflow to inf; 1e-3 makes clips bind
+LOGGED_PROBS = st.sampled_from([1e-300, 1e-3, 0.05, 0.2, 0.5, 1.0])
+
+
+@st.composite
+def ratio_batches(draw):
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    trajs = [hand_trajectory(draw(st.integers(0, 2**16)),
+                             draw(st.lists(LOGGED_PROBS, min_size=n, max_size=n)))
+             for n in lengths]
+    # t = -1 stands for the last step; repeats of a trajectory and of a
+    # (traj, t) pair are common with at most three trajectories
+    picks = draw(st.lists(st.tuples(st.integers(0, len(trajs) - 1),
+                                    st.one_of(st.just(0), st.just(-1), st.integers(0, 7))),
+                          min_size=1, max_size=12))
+    return [(trajs[j], len(trajs[j]) - 1 if t == -1 else t % len(trajs[j]))
+            for j, t in picks]
+
+
+class TestBatchedRatios:
+    @given(refs=ratio_batches(), mode=st.sampled_from(["full_product", "first_order"]),
+           clip=st.sampled_from([1.0, 2.0, 1e3, 1e300]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_scalar_loop(self, refs, mode, clip):
+        cfg = off.ISConfig(mode=mode, ratio_clip=clip, min_behavior_prob=1e-300)
+        assert off._ratios(refs, RATIO_POLICY, cfg).tolist() \
+            == scalar_ratios(refs, RATIO_POLICY, cfg)
+
+    def test_overflowing_product_clips(self):
+        long = hand_trajectory(1, [1e-300, 1e-300, 0.5], "long")
+        short = hand_trajectory(2, [0.5, 0.2], "short")
+        refs = [(long, 2), (short, 0), (long, 0), (long, 2), (short, 1), (long, 1)]
+        cfg = off.ISConfig(mode="full_product", ratio_clip=50.0, min_behavior_prob=1e-300)
+        assert scalar_ratios([(long, 2)], RATIO_POLICY,
+                             off.ISConfig("full_product", np.inf, 1e-300)) == [np.inf]
+        got = off._ratios(refs, RATIO_POLICY, cfg)
+        assert got[0] == got[3] == got[5] == 50.0
+        assert got.tolist() == scalar_ratios(refs, RATIO_POLICY, cfg)
+
+    @pytest.mark.parametrize("mode", ["full_product", "first_order"])
+    @pytest.mark.parametrize("t", [-1, 5])
+    def test_step_outside_trajectory_rejected(self, mode, t):
+        good, bad = hand_trajectory(3, [0.5] * 5), hand_trajectory(4, [0.5] * 5)
+        with pytest.raises(ValueError, match=f"step {t} outside trajectory of length 5"):
+            off._ratios([(good, 4), (bad, t), (good, 0)], RATIO_POLICY, off.ISConfig(mode))
+
+    def test_missing_prefix_behavior_prob_rejected(self):
+        good, bad = hand_trajectory(5, [0.5] * 5), hand_trajectory(6, [0.5] * 5)
+        bad.transitions[1].behavior_prob = None
+        refs = [(good, 4), (bad, 0), (bad, 3)]
+        with pytest.raises(ValueError, match="missing behavior_prob"):
+            off._ratios(refs, RATIO_POLICY, off.ISConfig("full_product"))
+        # first-order ratios read only step t, so the same batch is fine there
+        off._ratios(refs, RATIO_POLICY, off.ISConfig("first_order"))
+        # step 1 lies in no requested prefix
+        off._ratios(refs[:2], RATIO_POLICY, off.ISConfig("full_product"))
+
+    @pytest.mark.parametrize("mode", ["full_product", "first_order"])
+    def test_behavior_prob_below_floor_rejected(self, mode):
+        good = hand_trajectory(7, [0.5] * 4)
+        bad = hand_trajectory(8, [0.5, 0.5, 1e-9, 0.5])
+        with pytest.raises(ValueError, match="behavior_prob 1e-09 below the 1e-06 floor"):
+            off._ratios([(good, 3), (bad, 2)], RATIO_POLICY, off.ISConfig(mode))
+
+    def test_first_bad_ref_in_batch_order_is_named(self):
+        traj = hand_trajectory(9, [0.5, 0.5, 1e-9])
+        cfg = off.ISConfig("full_product")
+        with pytest.raises(ValueError, match="step 3 outside"):
+            off._ratios([(traj, 3), (traj, 2)], RATIO_POLICY, cfg)
+        with pytest.raises(ValueError, match="floor"):
+            off._ratios([(traj, 2), (traj, 3)], RATIO_POLICY, cfg)
+
+    def test_update_rejects_bad_step(self):
+        traj = hand_trajectory(10, [0.5] * 3)
+        critic = stx.make_critic(4, (), seed=1, response_index=1, gamma=0.0)
+        opt = ap.init_opt_state(RATIO_POLICY.params.size)
+        for t in (-1, 3):
+            with pytest.raises(ValueError, match="outside trajectory"):
+                off.offline_actor_update_aux(RATIO_POLICY, critic, [(traj, 0), (traj, t)],
+                                             off.ISConfig(), opt)
 
 
 class TestOfflineUpdates:
@@ -200,6 +310,21 @@ class TestMultiCritic:
         cb = off.multi_critic_train(ds_b, [0.9, 0.5], "separate", cfg, master_seed=3)
         assert np.array_equal(ca[0].params, cb[0].params)
         assert not np.array_equal(ca[1].params, cb[1].params)
+
+    @pytest.mark.parametrize("mode,share_bottom,name", [
+        ("separate", False, "response 1"),
+        ("separate", True, "response 1"),
+        ("single_summed", False, "the summed response"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_loss_raises(self, mode, share_bottom, name):
+        ds = chain_dataset()
+        for tr in ds.trajectories[0].transitions:
+            tr.response[1] = 1e300  # squared TD error overflows to inf
+        cfg = off.MultiCriticConfig(iters=5, hidden=(4,), share_bottom=share_bottom)
+        with pytest.raises(stx.TrainingDiverged,
+                           match=f"critic for {name} diverged at iteration 0: loss inf"):
+            off.multi_critic_train(ds, [0.9, 0.5], mode, cfg, master_seed=5)
 
     def test_share_bottom_keeps_first_layer_synchronized(self):
         ds = chain_dataset()
