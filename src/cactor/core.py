@@ -33,7 +33,6 @@ class Transition:
     offline updates and importance-ratio evaluators."""
 
     state: State
-    action: np.ndarray
     response: np.ndarray
     next_state: State
     done: bool
@@ -41,7 +40,6 @@ class Transition:
     behavior_prob: float | None = None
 
     def __post_init__(self):
-        self.action = np.asarray(self.action, dtype=np.float64)
         self.response = np.asarray(self.response, dtype=np.float64)
         if not np.all(np.isfinite(self.response)):
             raise ValueError("non-finite response values")
@@ -120,13 +118,14 @@ def discounted_returns(traj: Trajectory, discounts) -> np.ndarray:
     return out
 
 
-def td_target(response_i: float, gamma_i: float, v_next: float, done: bool) -> float:
-    """response_i + gamma_i * V(s'), bootstrapping 0 past the end of a session."""
+def td_target(response_i, gamma_i: float, v_next, done):
+    """response_i + gamma_i * V(s'), bootstrapping 0 past the end of a session.
+
+    Elementwise over a batch of rewards, next values and done flags, or on
+    scalars."""
     if not (0.0 <= gamma_i < 1.0):
         raise ValueError("gamma must lie in [0, 1)")
-    if done:
-        return float(response_i)
-    return float(response_i + gamma_i * v_next)
+    return response_i + gamma_i * np.where(done, 0.0, v_next)
 
 
 def advantage(response_i: float, gamma_i: float, v_next: float, v_curr: float, done: bool) -> float:
@@ -242,6 +241,9 @@ def load_dataset(path) -> ReplayDataset:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         action_index = None if a_raw == "-" else int(a_raw)
+        if action_index is not None and n_items and not (0 <= action_index < n_items):
+            raise ValueError(f"{path}:{lineno}: action index {action_index} outside "
+                             f"[0, {n_items})")
         behavior_prob = None if bp_raw == "-" else float(bp_raw)
         if sid not in rows:
             rows[sid] = []
@@ -261,13 +263,8 @@ def load_dataset(path) -> ReplayDataset:
                 nxt = State(steps[t + 1][0])
             else:
                 nxt = terminal_state(state_dim) if done else State(np.zeros(state_dim))
-            action = np.zeros(n_items)
-            if a is not None and n_items:
-                if not (0 <= a < n_items):
-                    raise ValueError(f"{path}: session {sid} action index {a} out of range")
-                action[a] = 1.0
             transitions.append(Transition(
-                state=State(feats), action=action, response=resp, next_state=nxt,
+                state=State(feats), response=resp, next_state=nxt,
                 done=done, action_index=a, behavior_prob=bp,
             ))
         trajectories.append(Trajectory(transitions, session_id=sid))

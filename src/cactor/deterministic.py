@@ -18,10 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approximator as ap
-from .core import ReplayDataset, check_discounts
+from .core import ReplayDataset, check_discounts, td_target
 from .seeding import derive_seed
-from .stochastic import (StochasticPolicy, _policy_loglik_grad, batch_arrays,
-                         make_policy, validate_lambdas)
+from .stochastic import (StochasticPolicy, _check_critic_loss, _policy_loglik_grad,
+                         batch_arrays, make_policy, validate_lambdas)
 
 
 @dataclass
@@ -97,7 +97,7 @@ def q_critic_update(critic: CriticQ, target_critic: CriticQ,
     a_emb = items[a_idx]
     a2 = target_policy.act(s2)
     q2 = target_critic.q_value(s2, a2)
-    y = r_i + critic.gamma * np.where(done, 0.0, q2)
+    y = td_target(r_i, critic.gamma, q2, done)
     x = np.concatenate([s, a_emb], axis=1)
     q = ap.forward(critic.spec, critic.params, x)[:, 0]
     err = q - y
@@ -233,7 +233,6 @@ class DDPGConfig:
     embed_dim: int = 6
     target_refresh: int = 100
     exploration_noise_std: float = 0.1
-    learn_items: bool = True
     log_every: int = 50
 
 
@@ -263,13 +262,15 @@ class DDPGPipeline:
 def _train_ddpg_core(dataset, gammas_per_critic, reward_fn, actor_grad_mode,
                      cfg: DDPGConfig, master_seed, lambdas=None,
                      aux_policies=None, stage_label=2, response_label=0,
-                     items=None, actor_seed_label="actor"):
+                     items=None):
     """Shared loop for the DDPG-family trainers.
 
     actor_grad_mode: "single" (plain DDPG on critic 0), "rcpo" (weighted sum
     of all critics), or "constrained" (kernel pull toward aux_policies).
     reward_fn maps the (batch, m) response matrix to the scalar reward for
-    critic j, or None to use response j directly.
+    critic j, or None to use response j directly.  A non-finite critic loss
+    raises TrainingDiverged naming the response, the stage and the update
+    step.
     """
     state_dim = dataset.trajectories[0].transitions[0].state.features.size
     n_items = int(dataset.metadata["n_items"])
@@ -278,12 +279,16 @@ def _train_ddpg_core(dataset, gammas_per_critic, reward_fn, actor_grad_mode,
     items_opt = ap.init_opt_state(items.size, cfg.items_lr)
 
     policy = make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
-                             derive_seed(master_seed, actor_seed_label, response_label),
+                             derive_seed(master_seed, "actor", response_label),
                              cfg.exploration_noise_std, response_label)
     critics = [make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
                              derive_seed(master_seed, "critic", response_label, j),
                              j, g)
                for j, g in enumerate(gammas_per_critic)]
+    # a diverged critic is named by its response: rcpo's critic j learns
+    # response j, a lone critic the pipeline's own
+    names = [f"response {j if len(critics) > 1 else response_label} in stage {stage_label}"
+             for j in range(len(critics))]
     target_policy = replace(policy)
     target_critics = [replace(c) for c in critics]
     c_opts = [ap.init_opt_state(c.params.size, cfg.critic_lr) for c in critics]
@@ -299,12 +304,12 @@ def _train_ddpg_core(dataset, gammas_per_critic, reward_fn, actor_grad_mode,
             critic, c_opts[j], loss, item_grad = q_critic_update(
                 critic, target_critics[j], target_policy, items, batch, c_opts[j],
                 reward_override=override)
+            _check_critic_loss(loss, names[j], step)
             critics[j] = critic
             losses.append(loss)
-            if cfg.learn_items and np.all(np.isfinite(item_grad)):
-                flat, items_opt = ap.optimizer_step(items.ravel(), item_grad.ravel(),
-                                                    items_opt, "minimize")
-                items = flat.reshape(items.shape)
+            flat, items_opt = ap.optimizer_step(items.ravel(), item_grad.ravel(),
+                                                items_opt, "minimize")
+            items = flat.reshape(items.shape)
 
         info = {}
         if actor_grad_mode == "single":

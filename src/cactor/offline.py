@@ -17,9 +17,9 @@ import numpy as np
 from . import approximator as ap
 from .core import ReplayDataset, Trajectory, check_discounts, discounted_returns
 from .seeding import derive_seed
-from .stochastic import (CriticV, PolicySet, StochasticPolicy, TrainingDiverged,
-                         _policy_loglik_grad, constrained_weights_batch,
-                         make_critic, td_errors)
+from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
+                         _policy_loglik_grad, batch_arrays, constrained_weights_batch,
+                         critic_loss_grad, make_critic, td_errors)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class ISConfig:
 @dataclass(frozen=True)
 class NCISConfig:
     cap: float = 10.0
-    score_responses: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.cap <= 0.0:
@@ -66,20 +65,6 @@ def full_trajectory_ratio(traj: Trajectory, t: int, policy: StochasticPolicy,
 def first_order_ratio(transition, policy: StochasticPolicy, cfg: ISConfig) -> float:
     """Single-step pi(a|s)/pi_beta(a|s), clipped."""
     return float(_ratios([(Trajectory([transition]), 0)], policy, cfg)[0])
-
-
-def _batch_refs_arrays(batch_refs):
-    """batch_refs is a list of (Trajectory, t) pairs so full-product ratios
-    can see their prefixes."""
-    if not batch_refs:
-        raise ValueError("empty batch")
-    trs = [traj.transitions[t] for traj, t in batch_refs]
-    s = np.stack([tr.state.features for tr in trs])
-    a = np.array([tr.action_index for tr in trs], dtype=np.intp)
-    r = np.stack([tr.response for tr in trs])
-    s2 = np.stack([tr.next_state.features for tr in trs])
-    done = np.array([tr.done for tr in trs], dtype=bool)
-    return trs, s, a, r, s2, done
 
 
 def _raise_first_bad_ref(batch_refs, cfg: ISConfig):
@@ -141,7 +126,7 @@ def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_re
     current policy the ratios are exactly 1 and this reproduces the online
     update bit for bit."""
     ratios = _ratios(batch_refs, policy, is_cfg)
-    trs, s, a_idx, r, s2, done = _batch_refs_arrays(batch_refs)
+    s, a_idx, r, s2, done = batch_arrays([traj.transitions[t] for traj, t in batch_refs])
     v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
     adv = target - v
     w = ratios * adv
@@ -165,7 +150,8 @@ def offline_actor_update_main(policy_set: PolicySet, batch_refs, is_cfg: ISConfi
         prod_i (pi_aux_i(a|s) / pi_beta(a|s)) ** (lambda_i/sum) * exp(A_0/sum).
     """
     policy, critic = policy_set.main
-    trs, s, a_idx, r, s2, done = _batch_refs_arrays(batch_refs)
+    trs = [traj.transitions[t] for traj, t in batch_refs]
+    s, a_idx, r, s2, done = batch_arrays(trs)
     v, target = td_errors(critic, s, r[:, 0], s2, done)
     adv = target - v
     bp = np.array([_behavior_prob(tr, is_cfg) for tr in trs])
@@ -198,23 +184,6 @@ class MultiCriticConfig:
     share_bottom: bool = False
 
 
-def _value_step(critic: CriticV, s, r_scalar, s2, done, opt):
-    v = ap.forward(critic.spec, critic.params, s)[:, 0]
-    v2 = ap.forward(critic.spec, critic.params, s2)[:, 0]
-    target = r_scalar + critic.gamma * np.where(done, 0.0, v2)
-    err = v - target
-    loss = float(np.mean(err * err))
-    upstream = (2.0 * err / err.size)[:, None]
-    grads = ap.gradient(critic.spec, critic.params, s, upstream)
-    return grads, loss
-
-
-def _check_critic_loss(loss: float, response: str, iteration: int):
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"critic for {response} diverged at iteration {iteration}: "
-                               f"loss {loss}")
-
-
 def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
                        cfg: MultiCriticConfig, master_seed: int,
                        shared_gamma: float = 0.95):
@@ -234,10 +203,7 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
     if not transitions:
         raise ValueError("dataset has no transitions")
     state_dim = transitions[0].state.features.size
-    s_all = np.stack([tr.state.features for tr in transitions])
-    r_all = np.stack([tr.response for tr in transitions])
-    s2_all = np.stack([tr.next_state.features for tr in transitions])
-    done_all = np.array([tr.done for tr in transitions], dtype=bool)
+    s_all, _, r_all, s2_all, done_all = batch_arrays(transitions)
     rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "mc-batches")))
 
     if mode == "single_summed":
@@ -247,8 +213,8 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         opt = ap.init_opt_state(critic.params.size, cfg.lr)
         for it in range(cfg.iters):
             idx = rng.integers(len(transitions), size=cfg.batch_size)
-            grads, loss = _value_step(critic, s_all[idx], r_all[idx].sum(axis=1),
-                                      s2_all[idx], done_all[idx], opt)
+            loss, grads = critic_loss_grad(critic, s_all[idx], r_all[idx].sum(axis=1),
+                                           s2_all[idx], done_all[idx])
             _check_critic_loss(loss, "the summed response", it)
             params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
             critic = CriticV(critic.spec, params, -1, critic.gamma)
@@ -277,7 +243,7 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         s, r, s2, done = s_all[idx], r_all[idx], s2_all[idx], done_all[idx]
         if not cfg.share_bottom:
             for i, critic in enumerate(critics):
-                grads, loss = _value_step(critic, s, r[:, i], s2, done, opts[i])
+                loss, grads = critic_loss_grad(critic, s, r[:, i], s2, done)
                 _check_critic_loss(loss, f"response {i}", it)
                 params, opts[i] = ap.optimizer_step(critic.params, grads, opts[i],
                                                     "minimize")
@@ -285,7 +251,7 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         else:
             shared_grad = np.zeros(fl)
             for i, critic in enumerate(critics):
-                grads, loss = _value_step(critic, s, r[:, i], s2, done, opts[i])
+                loss, grads = critic_loss_grad(critic, s, r[:, i], s2, done)
                 _check_critic_loss(loss, f"response {i}", it)
                 shared_grad += grads[:fl]
                 tail, opts[i] = ap.optimizer_step(critic.params[fl:], grads[fl:],
@@ -324,13 +290,8 @@ def critic_return_correlation(critics, dataset: ReplayDataset, discounts,
     """
     gammas = check_discounts(discounts, dataset.m)
     responses = list(range(dataset.m)) if responses is None else list(responses)
-    states = []
-    returns = []
-    for traj in dataset.trajectories:
-        states.append(np.stack([tr.state.features for tr in traj.transitions]))
-        returns.append(discounted_returns(traj, gammas))
-    s = np.vstack(states)
-    ret = np.vstack(returns)
+    s = batch_arrays(dataset.all_transitions())[0]
+    ret = np.vstack([discounted_returns(traj, gammas) for traj in dataset.trajectories])
 
     single = isinstance(critics, CriticV)
     out = {}
@@ -345,12 +306,9 @@ def summed_value_correlation(critics, dataset: ReplayDataset, discounts) -> floa
     """Correlation of the summed separate-critic prediction (V_sep = sum_i V_i)
     with the Monte Carlo return of the summed reward."""
     gammas = check_discounts(discounts, dataset.m)
-    states, totals = [], []
-    for traj in dataset.trajectories:
-        states.append(np.stack([tr.state.features for tr in traj.transitions]))
-        totals.append(discounted_returns(traj, gammas).sum(axis=1))
-    s = np.vstack(states)
-    mc = np.concatenate(totals)
+    s = batch_arrays(dataset.all_transitions())[0]
+    mc = np.concatenate([discounted_returns(traj, gammas).sum(axis=1)
+                         for traj in dataset.trajectories])
     pred = np.zeros(s.shape[0])
     for critic in critics:
         pred += ap.forward(critic.spec, critic.params, s)[:, 0]
@@ -371,43 +329,32 @@ def ncis_from_weights(weights, rewards) -> np.ndarray:
     return weights @ rewards / total
 
 
-def ncis_evaluate(prob_fn, dataset: ReplayDataset, cfg: NCISConfig,
-                  behavior_prob_fn=None) -> dict:
+def ncis_evaluate(prob_fn, dataset: ReplayDataset, cfg: NCISConfig) -> dict:
     """Normalized capped importance sampling over all logged transitions.
 
     prob_fn(states) -> (batch, n_actions) action probabilities of the policy
-    under evaluation.  Behavior probabilities come from the log, or from
-    behavior_prob_fn when the log carries none.  Returns per-response scores
-    plus weight diagnostics (mean, max, effective sample size).
+    under evaluation; behavior probabilities come from the log.  Returns
+    per-response scores plus weight diagnostics (mean, max, effective
+    sample size).
     """
     transitions = dataset.all_transitions()
     if not transitions:
         raise ValueError("cannot evaluate on an empty dataset")
-    s = np.stack([tr.state.features for tr in transitions])
-    a = np.array([tr.action_index for tr in transitions], dtype=np.intp)
-    r = np.stack([tr.response for tr in transitions])
+    s, a, r, _, _ = batch_arrays(transitions)
+    if a is None:
+        raise ValueError("dataset lacks action indices")
     p = np.asarray(prob_fn(s))[np.arange(a.size), a]
-    if behavior_prob_fn is not None:
-        bp = np.asarray(behavior_prob_fn(s))[np.arange(a.size), a]
-    else:
-        if any(tr.behavior_prob is None for tr in transitions):
-            raise ValueError("dataset lacks behavior probabilities; "
-                             "pass behavior_prob_fn")
-        bp = np.array([tr.behavior_prob for tr in transitions])
+    if any(tr.behavior_prob is None for tr in transitions):
+        raise ValueError("dataset lacks behavior probabilities")
+    bp = np.array([tr.behavior_prob for tr in transitions])
     if np.any(bp <= 0.0):
         raise ValueError("behavior probabilities must be positive")
     w = np.minimum(p / bp, cfg.cap)
     scores = ncis_from_weights(w, r)
-    idx = (list(range(dataset.m)) if cfg.score_responses is None
-           else list(cfg.score_responses))
     return {
-        "scores": {i: float(scores[i]) for i in idx},
+        "scores": {i: float(scores[i]) for i in range(dataset.m)},
         "mean_weight": float(w.mean()),
         "max_weight": float(w.max()),
         "ess": float(w.sum() ** 2 / np.sum(w * w)),
         "n": int(w.size),
     }
-
-
-def stochastic_prob_fn(policy: StochasticPolicy):
-    return lambda states: ap.forward(policy.spec, policy.params, states)

@@ -209,13 +209,11 @@ def inverse_cdf(p, u):
     return np.sum(cdf <= np.asarray(u)[..., None], axis=-1)
 
 
-def _transition(state, item, prob, response, next_state, done, n_items) -> Transition:
+def _transition(state, item, prob, response, next_state, done) -> Transition:
     """One logged step.  The terminal next_state is canonicalized to a zero
     feature vector (its value is never bootstrapped), which keeps the text
     format round trip exact."""
-    action = np.zeros(n_items)
-    action[item] = 1.0
-    return Transition(state=state, action=action, response=response,
+    return Transition(state=state, response=response,
                       next_state=terminal_state(state.features.size) if done else next_state,
                       done=done, action_index=item, behavior_prob=prob)
 
@@ -236,8 +234,7 @@ def run_episode(sim: SessionSimulator, select, episode_seed: int,
         if prob is not None and prob <= 0.0:
             raise ValueError(f"behavior policy assigned probability {prob} to item {item}")
         next_state, response, done = sim.step(item)
-        transitions.append(_transition(state, item, prob, response, next_state, done,
-                                       sim.config.n_items))
+        transitions.append(_transition(state, item, prob, response, next_state, done))
         state = next_state
     return Trajectory(transitions, session_id=session_id or f"ep-{episode_seed}")
 
@@ -285,7 +282,7 @@ def rollout(sim: SessionSimulator, probs, rng: np.random.Generator, episode_seed
             done = t + 1 == length_of[e]
             next_state = None if done else State(nxt[j])
             transitions[e].append(_transition(states[e], int(items[j]), chosen[j],
-                                              responses[j], next_state, done, n_items))
+                                              responses[j], next_state, done))
             states[e] = next_state
     return [Trajectory(tr, session_id=i) for tr, i in zip(transitions, ids)]
 
@@ -428,10 +425,8 @@ def _reviews_to_dataset(records, n_users, n_items, min_len, window) -> ReplayDat
             nxt = terminal_state(state_dim) if done else State(build_state(history))
             # responses are stored main-first: overall rating, then the aspects
             response = np.concatenate([[scores[-1]], scores[:-1]])
-            action = np.zeros(n_items)
-            action[h] = 1.0
             transitions.append(Transition(
-                state=State(feats), action=action, response=response,
+                state=State(feats), response=response,
                 next_state=nxt, done=done, action_index=h, behavior_prob=prob,
             ))
         trajectories.append(Trajectory(transitions, session_id=f"user-{u}"))

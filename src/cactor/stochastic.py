@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approximator as ap
-from .core import check_discounts
+from .core import check_discounts, td_target
 from .seeding import derive_seed, rng_for
 from .sim import SessionSimulator, inverse_cdf, rollout
 
@@ -27,6 +27,12 @@ from .sim import SessionSimulator, inverse_cdf, rollout
 class TrainingDiverged(RuntimeError):
     """Raised when a critic loss stays above the divergence threshold or
     turns non-finite."""
+
+
+def _check_critic_loss(loss: float, response: str, iteration: int):
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"critic for {response} diverged at iteration {iteration}: "
+                               f"loss {loss}")
 
 
 @dataclass
@@ -50,9 +56,6 @@ class StochasticPolicy:
         p = self.probs(features)
         item = int(inverse_cdf(p, rng.random()))
         return item, float(p[item])
-
-    def greedy(self, features) -> int:
-        return int(np.argmax(self.probs(features)))
 
 
 @dataclass
@@ -118,13 +121,16 @@ def build_policy_set(state_dim, n_items, m, lambdas, gammas, hidden, seed) -> Po
 # ---------------------------------------------------------------------------
 
 def batch_arrays(batch):
-    """Stack a list of Transitions into (S, a_idx, R, S_next, done) arrays."""
+    """Stack a list of Transitions into (S, a_idx, R, S_next, done) arrays;
+    a_idx is None when some transition has no action index."""
     if not batch:
         raise ValueError("empty batch")
-    s = np.stack([tr.state.features for tr in batch])
-    a = np.array([tr.action_index for tr in batch], dtype=np.intp)
-    r = np.stack([tr.response for tr in batch])
-    s2 = np.stack([tr.next_state.features for tr in batch])
+    # np.array copies a list of equal-length rows 3x faster than np.stack
+    s = np.array([tr.state.features for tr in batch])
+    actions = [tr.action_index for tr in batch]
+    a = None if None in actions else np.array(actions, dtype=np.intp)
+    r = np.array([tr.response for tr in batch])
+    s2 = np.array([tr.next_state.features for tr in batch])
     done = np.array([tr.done for tr in batch], dtype=bool)
     return s, a, r, s2, done
 
@@ -133,8 +139,19 @@ def td_errors(critic: CriticV, s, r_i, s2, done):
     """TD residuals with V(s') from the critic's current (frozen) parameters."""
     v = ap.forward(critic.spec, critic.params, s)[:, 0]
     v2 = ap.forward(critic.spec, critic.params, s2)[:, 0]
-    target = r_i + critic.gamma * np.where(done, 0.0, v2)
-    return v, target
+    return v, td_target(r_i, critic.gamma, v2, done)
+
+
+def critic_loss_grad(critic: CriticV, s, r_i, s2, done):
+    """Squared Bellman error of a batch and its parameter gradient, with V(s')
+    held fixed; the gradient is None when the loss is not finite."""
+    v, target = td_errors(critic, s, r_i, s2, done)
+    err = v - target
+    loss = float(np.mean(err * err))
+    if not np.isfinite(loss):
+        return loss, None
+    upstream = (2.0 * err / err.size)[:, None]
+    return loss, ap.gradient(critic.spec, critic.params, s, upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +163,9 @@ def critic_update(critic: CriticV, batch, opt: ap.OptState):
     frozen copy of the pre-update parameters.  A non-finite loss skips the
     step and is reported to the caller via the returned loss."""
     s, _, r, s2, done = batch_arrays(batch)
-    r_i = r[:, critic.response_index]
-    v, target = td_errors(critic, s, r_i, s2, done)
-    err = v - target
-    loss = float(np.mean(err * err))
-    if not np.isfinite(loss):
+    loss, grads = critic_loss_grad(critic, s, r[:, critic.response_index], s2, done)
+    if grads is None:
         return critic, opt, loss
-    upstream = (2.0 * err / err.size)[:, None]
-    grads = ap.gradient(critic.spec, critic.params, s, upstream)
     new_params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
     return CriticV(critic.spec, new_params, critic.response_index, critic.gamma), opt, loss
 
@@ -167,8 +179,7 @@ def _policy_loglik_grad(policy: StochasticPolicy, s, a_idx, weights):
     return ap.gradient(policy.spec, policy.params, s, upstream), chosen
 
 
-def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.OptState,
-                     normalize_advantages: bool = False):
+def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.OptState):
     """Ascent on mean(A_i * log pi(a|s)); the advantage comes from the current
     critic and is treated as a constant."""
     s, a_idx, r, s2, done = batch_arrays(batch)
@@ -179,8 +190,6 @@ def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.O
         s, a_idx, adv = s[keep], a_idx[keep], adv[keep]
         if a_idx.size == 0:
             return policy, opt, {"objective": float("nan"), "mean_adv": float("nan")}
-    if normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     grads, chosen = _policy_loglik_grad(policy, s, a_idx, adv)
     objective = float(np.mean(adv * np.log(chosen)))
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
@@ -188,42 +197,28 @@ def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.O
             {"objective": objective, "mean_adv": float(adv.mean())})
 
 
-def constrained_weight(aux_probs, cur_prob: float, lambdas, advantage: float,
-                       clip_max: float) -> float:
-    """Closed-form reweighting factor for one logged action:
+def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
+                              clip_max, floor=0.0) -> np.ndarray:
+    """Closed-form reweighting factor of each logged action in a batch:
 
         min(clip_max, prod_i (aux_i / cur) ** (lambda_i / sum(lambda))
                         * exp(advantage / sum(lambda)))
 
-    Requires sum(lambda) > 0; with lambda_i = 0 the factor is independent of
+    aux_probs has shape (n_aux, batch).  Requires sum(lambda) > 0 and
+    positive probabilities; with lambda_i = 0 the factor is independent of
     auxiliary i.  Computed in log space; always strictly positive.
-    """
-    aux_probs = np.asarray(aux_probs, dtype=np.float64)
-    lam = validate_lambdas(lambdas, aux_probs.size)
+    ``floor`` optionally raises tiny weights to a positive constant
+    (variance control; 0 disables it)."""
+    lam = validate_lambdas(lambdas, aux_probs.shape[0])
     total = lam.sum()
     if total <= 0.0:
         raise ValueError("sum of Lagrange multipliers must be positive; "
                          "use the unconstrained update when all are zero")
-    if cur_prob <= 0.0 or np.any(aux_probs <= 0.0):
+    if np.any(cur_probs <= 0.0) or np.any(aux_probs <= 0.0):
         raise ValueError("probabilities must be positive")
-    log_w = float(np.dot(lam / total, np.log(aux_probs) - np.log(cur_prob))
-                  + advantage / total)
-    if log_w > 700.0:  # exp would overflow; the clip binds anyway
-        return float(clip_max)
-    return float(min(np.exp(log_w), clip_max))
-
-
-def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
-                              clip_max, floor=0.0) -> np.ndarray:
-    """Vectorized constrained_weight over a batch; aux_probs has shape
-    (n_aux, batch).  ``floor`` optionally raises tiny weights to a positive
-    constant (variance control; 0 disables it)."""
-    lam = validate_lambdas(lambdas, aux_probs.shape[0])
-    total = lam.sum()
-    if total <= 0.0:
-        raise ValueError("sum of Lagrange multipliers must be positive")
     log_w = (lam / total) @ (np.log(aux_probs) - np.log(cur_probs)[None, :])
     log_w = log_w + advantages / total
+    # past 700 exp would overflow; the clip binds anyway
     w = np.minimum(np.exp(np.minimum(log_w, 700.0)), clip_max)
     if floor > 0.0:
         w = np.maximum(w, floor)
@@ -231,8 +226,7 @@ def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
 
 
 def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
-                      clip_max: float = 20.0, weight_floor: float = 0.0,
-                      normalize_advantages: bool = False):
+                      clip_max: float = 20.0, weight_floor: float = 0.0):
     """One constrained ascent step for the main policy.  Auxiliary policies
     are frozen; the current main probabilities enter the weights as constants."""
     policy, critic = policy_set.main
@@ -243,8 +237,6 @@ def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
     s, a_idx, adv = s[keep], a_idx[keep], adv[keep]
     if a_idx.size == 0:
         return policy, opt, {"objective": float("nan"), "mean_weight": float("nan")}
-    if normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     rows = np.arange(a_idx.size)
     cur = ap.forward(policy.spec, policy.params, s)[rows, a_idx]
@@ -281,8 +273,6 @@ class TwoStageConfig:
     hidden: tuple[int, ...] = (32,)
     clip_max: float = 20.0
     weight_floor: float = 0.05
-    entropy_coef: float = 0.0
-    normalize_advantages: bool = False
     divergence_threshold: float = 1e6
     divergence_patience: int = 20
 
@@ -303,14 +293,6 @@ def collect_batch(sim: SessionSimulator, policy: StochasticPolicy,
     for e, traj in enumerate(trajs):
         totals[e] = np.sum([tr.response for tr in traj.transitions], axis=0)
     return [tr for traj in trajs for tr in traj.transitions], totals.mean(axis=0)
-
-
-def _entropy_ascent(policy, s, coef, opt):
-    p = ap.forward(policy.spec, policy.params, s)
-    upstream = -coef * (np.log(p) + 1.0) / s.shape[0]
-    grads = ap.gradient(policy.spec, policy.params, s, upstream)
-    new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    return StochasticPolicy(policy.spec, new_params, policy.response_index), opt
 
 
 class _DivergenceWatch:
@@ -349,11 +331,7 @@ def train_stage_one(sim: SessionSimulator, response_index: int, gamma: float,
         for _ in range(cfg.critic_steps):
             critic, c_opt, loss = critic_update(critic, batch, c_opt)
         watch.check(loss, f"stage one (response {response_index})")
-        policy, a_opt, info = actor_update_aux(policy, critic, batch, a_opt,
-                                               cfg.normalize_advantages)
-        if cfg.entropy_coef > 0.0:
-            s = np.stack([tr.state.features for tr in batch])
-            policy, a_opt = _entropy_ascent(policy, s, cfg.entropy_coef, a_opt)
+        policy, a_opt, info = actor_update_aux(policy, critic, batch, a_opt)
         if metrics is not None:
             row = {"iteration": it, "stage": 1, "response": response_index,
                    "critic_loss": loss, "actor_objective": info["objective"],
@@ -408,8 +386,7 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
             pset.main = (pset.main[0], critic)
         watch.check(loss, "stage two")
         policy, a_opt, info = actor_update_main(pset, batch, a_opt,
-                                                cfg.clip_max, cfg.weight_floor,
-                                                cfg.normalize_advantages)
+                                                cfg.clip_max, cfg.weight_floor)
         pset.main = (policy, pset.main[1])
         if metrics is not None:
             s = np.stack([tr.state.features for tr in batch])

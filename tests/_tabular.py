@@ -60,10 +60,8 @@ class TabularMDP:
                 a = int(rng.choice(self.n_actions, p=behavior[s]))
                 s2 = int(rng.choice(self.n_states, p=self.P[s, a]))
                 done = t == length - 1
-                onehot = np.zeros(self.n_actions)
-                onehot[a] = 1.0
                 transitions.append(Transition(
-                    State(eye[s]), onehot, self.R[s, a].copy(),
+                    State(eye[s]), self.R[s, a].copy(),
                     terminal_state(self.n_states) if done else State(eye[s2]),
                     done, action_index=a, behavior_prob=float(behavior[s, a])))
                 s = s2

@@ -15,7 +15,7 @@ def make_traj(rewards, state_dim=3, session_id="s", behavior_prob=0.5):
     trs = []
     for t in range(n):
         trs.append(core.Transition(
-            state=states[t], action=np.array([1.0, 0.0]), response=rewards[t],
+            state=states[t], response=rewards[t],
             next_state=states[t + 1], done=t == n - 1, action_index=0,
             behavior_prob=behavior_prob))
     return core.Trajectory(trs, session_id=session_id)
@@ -121,14 +121,14 @@ class TestInvariants:
     def test_done_requires_terminal_next_state(self):
         s = core.State(np.zeros(2))
         with pytest.raises(ValueError, match="terminal"):
-            core.Transition(state=s, action=np.array([1.0]), response=np.array([0.0]),
+            core.Transition(state=s, response=np.array([0.0]),
                             next_state=core.State(np.zeros(2)), done=True)
 
     def test_broken_chain_rejected(self):
         s0, s1 = core.State(np.zeros(2)), core.State(np.ones(2))
-        tr0 = core.Transition(s0, np.array([1.0]), np.array([0.0]),
+        tr0 = core.Transition(s0, np.array([0.0]),
                               core.State(np.full(2, 9.0)), False)
-        tr1 = core.Transition(s1, np.array([1.0]), np.array([0.0]),
+        tr1 = core.Transition(s1, np.array([0.0]),
                               core.terminal_state(2), True)
         with pytest.raises(ValueError, match="chain"):
             core.Trajectory([tr0, tr1])
@@ -203,6 +203,15 @@ class TestDatasetIO:
         path = tmp_path / "bad.txt"
         path.write_text("# cactor-dataset 1\n# m=1 state_dim=2 n_items=2\ns0,0,1.0\n")
         with pytest.raises(ValueError, match=":3"):
+            core.load_dataset(path)
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_action_index_out_of_range_reports_line_number(self, tmp_path, index):
+        path = tmp_path / "bad.txt"
+        path.write_text("# cactor-dataset 1\n# m=1 state_dim=1 n_items=2\n"
+                        "s0,0,1.0,1,0.5,2.0,0\n"
+                        f"s0,1,3.0,{index},0.5,4.0,1\n")
+        with pytest.raises(ValueError, match=f":4: action index {index} outside"):
             core.load_dataset(path)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 def two_state_batch(r0=1.0, r1=2.0):
     s0, s1 = State(np.array([1.0, 0.0])), State(np.array([0.0, 1.0]))
     return [
-        Transition(s0, np.array([1.0, 0.0]), np.array([r0]), s1, False,
+        Transition(s0, np.array([r0]), s1, False,
                    action_index=0, behavior_prob=1.0),
-        Transition(s1, np.array([1.0, 0.0]), np.array([r1]), terminal_state(2), True,
+        Transition(s1, np.array([r1]), terminal_state(2), True,
                    action_index=0, behavior_prob=1.0),
     ]
 
@@ -61,7 +63,7 @@ class TestQCriticUpdate:
         critic = det.make_q_critic(2, 2, (4,), seed=3, response_index=0, gamma=0.0)
         s = np.eye(2)
         q = critic.q_value(s, items[[0, 0]])
-        batch = [Transition(State(s[k]), items[0], np.array([q[k]]),
+        batch = [Transition(State(s[k]), np.array([q[k]]),
                             terminal_state(2), True, action_index=0)
                  for k in range(2)]
         new_critic, _, loss, _ = det.q_critic_update(
@@ -98,7 +100,7 @@ class TestDDPGActorUpdate:
         policy = det.make_det_policy(3, 2, (4,), seed=9)
         critic = det.make_q_critic(3, 2, (), seed=10, response_index=0, gamma=0.0)
         s = rng.normal(size=(5, 3))
-        batch = [Transition(State(row), np.zeros(2), np.array([0.0]),
+        batch = [Transition(State(row), np.array([0.0]),
                             terminal_state(3), True, action_index=0)
                  for row in s]
 
@@ -181,7 +183,7 @@ class TestConstrainedDetObjective:
     def test_actor_update_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         s = rng.normal(size=(4, 2))
-        batch = [Transition(State(row), np.zeros(3), np.array([0.0]),
+        batch = [Transition(State(row), np.array([0.0]),
                             terminal_state(2), True, action_index=0)
                  for row in s]
         lam = np.array([0.6, 0.4])
@@ -228,8 +230,7 @@ class TestBehaviorClone:
         state = np.array([0.5, -0.5])
         batch = []
         for _ in range(8):
-            onehot = np.zeros(4); onehot[2] = 1.0
-            batch.append(Transition(State(state), onehot, np.array([0.0]),
+            batch.append(Transition(State(state), np.array([0.0]),
                                     terminal_state(2), True, action_index=2))
         opt = ap.init_opt_state(policy.params.size, step_size=5e-3)
         probs = [policy.probs(state)[2]]
@@ -246,8 +247,7 @@ class TestBehaviorClone:
         state = np.array([1.0, 1.0])
         batch = []
         for a in list(range(4)) * 6:
-            onehot = np.zeros(4); onehot[a] = 1.0
-            batch.append(Transition(State(state), onehot, np.array([0.0]),
+            batch.append(Transition(State(state), np.array([0.0]),
                                     terminal_state(2), True, action_index=a))
         opt = ap.init_opt_state(policy.params.size, step_size=1e-2)
         for _ in range(1500):
@@ -261,8 +261,7 @@ class TestBehaviorClone:
         batch = []
         for _ in range(10):
             a = int(rng.integers(5))
-            onehot = np.zeros(5); onehot[a] = 1.0
-            batch.append(Transition(State(rng.normal(size=3)), onehot, np.array([0.0]),
+            batch.append(Transition(State(rng.normal(size=3)), np.array([0.0]),
                                     terminal_state(3), True, action_index=a))
         _, _, loss = det.behavior_clone_update(
             policy, batch, ap.init_opt_state(policy.params.size))
@@ -312,6 +311,21 @@ class TestOfflineTrainers:
                                           cfg, master_seed=3, stage1_updates=20)
         stage2 = [r for r in pipe.metrics if r["stage"] == 2]
         assert stage2 and all(0.0 < r["mean_h"] <= 1.0 for r in stage2)
+
+    @pytest.mark.parametrize("trainer,where", [
+        ("constrained", "response 1 in stage 1"),
+        ("rcpo", "response 1 in stage 2"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_critic_loss_raises(self, dataset, trainer, where):
+        ds = copy.deepcopy(dataset)
+        for tr in ds.all_transitions():
+            tr.response[1] = 1e308
+        cfg = det.DDPGConfig(updates=5, batch_size=16)
+        train = det.train_constrained_ddpg if trainer == "constrained" else det.train_rcpo
+        with pytest.raises(stx.TrainingDiverged,
+                           match=f"critic for {where} diverged at iteration 0: loss inf"):
+            train(ds, np.full(7, 0.5), np.full(8, 0.9), cfg, master_seed=3)
 
     def test_exploration_noise_not_used_in_updates(self, dataset):
         # act() is noise-free; act_noisy draws from the supplied generator only

@@ -104,7 +104,7 @@ def hand_trajectory(seed, behavior_probs, session_id="h"):
     rng = np.random.default_rng(seed)
     n = len(behavior_probs)
     states = [State(f) for f in rng.normal(size=(n, 4))] + [terminal_state(4)]
-    return Trajectory([Transition(states[k], np.zeros(5), rng.normal(size=2), states[k + 1],
+    return Trajectory([Transition(states[k], rng.normal(size=2), states[k + 1],
                                   k == n - 1, action_index=int(rng.integers(5)),
                                   behavior_prob=bp)
                        for k, bp in enumerate(behavior_probs)], session_id=session_id)
@@ -265,7 +265,7 @@ def chain_dataset(n_copies=1):
         for t in range(3):
             done = t == 2
             resp = np.array([1.0 if t == 2 else 0.0, 1.0 if t == 0 else 0.0])
-            trs.append(Transition(State(eye[t]), np.array([1.0]), resp,
+            trs.append(Transition(State(eye[t]), resp,
                                   terminal_state(3) if done else State(eye[t + 1]),
                                   done, action_index=0, behavior_prob=1.0))
         trajs.append(Trajectory(trs, session_id=f"c{k}"))
@@ -288,9 +288,9 @@ class TestMultiCritic:
 
     def test_m1_separate_equals_single_summed(self):
         eye = np.eye(2)
-        trs = [Transition(State(eye[0]), np.array([1.0]), np.array([0.3]),
+        trs = [Transition(State(eye[0]), np.array([0.3]),
                           State(eye[1]), False, action_index=0),
-               Transition(State(eye[1]), np.array([1.0]), np.array([1.0]),
+               Transition(State(eye[1]), np.array([1.0]),
                           terminal_state(2), True, action_index=0)]
         ds = ReplayDataset([Trajectory(trs)], m=1, metadata={"state_dim": 2, "n_items": 1})
         cfg = off.MultiCriticConfig(iters=50, hidden=(4,))
@@ -298,6 +298,14 @@ class TestMultiCritic:
         single = off.multi_critic_train(ds, [0.95], "single_summed", cfg,
                                         master_seed=2, shared_gamma=0.95)
         assert np.array_equal(sep[0].params, single[0].params)
+
+    def test_critics_need_no_action_indices(self):
+        ds = chain_dataset()
+        for tr in ds.all_transitions():
+            tr.action_index = None
+        cfg = off.MultiCriticConfig(iters=5, hidden=(4,))
+        critics = off.multi_critic_train(ds, [0.9, 0.5], "separate", cfg, master_seed=6)
+        assert set(off.critic_return_correlation(critics, ds, [0.9, 0.5])) == {0, 1}
 
     def test_separate_mode_never_mixes_responses(self):
         ds_a = chain_dataset()
@@ -318,13 +326,16 @@ class TestMultiCritic:
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_loss_raises(self, mode, share_bottom, name):
-        ds = chain_dataset()
-        for tr in ds.trajectories[0].transitions:
-            tr.response[1] = 1e300  # squared TD error overflows to inf
-        cfg = off.MultiCriticConfig(iters=5, hidden=(4,), share_bottom=share_bottom)
-        with pytest.raises(stx.TrainingDiverged,
-                           match=f"critic for {name} diverged at iteration 0: loss inf"):
-            off.multi_critic_train(ds, [0.9, 0.5], mode, cfg, master_seed=5)
+        # 1e300: the squared TD error overflows to inf; 1e308: so does the
+        # gradient's upstream, which must not be reached
+        for big in (1e300, 1e308):
+            ds = chain_dataset()
+            for tr in ds.trajectories[0].transitions:
+                tr.response[1] = big
+            cfg = off.MultiCriticConfig(iters=5, hidden=(4,), share_bottom=share_bottom)
+            with pytest.raises(stx.TrainingDiverged,
+                               match=f"critic for {name} diverged at iteration 0: loss inf"):
+                off.multi_critic_train(ds, [0.9, 0.5], mode, cfg, master_seed=5)
 
     def test_share_bottom_keeps_first_layer_synchronized(self):
         ds = chain_dataset()
@@ -426,6 +437,17 @@ class TestNCIS:
         limit = mdp.ncis_limit(target, behavior, cap=10.0)
         for i in range(2):
             assert out["scores"][i] == pytest.approx(limit[i], rel=0.05)
+
+    @pytest.mark.parametrize("field,message", [
+        ("behavior_prob", "lacks behavior probabilities"),
+        ("action_index", "lacks action indices"),
+    ])
+    def test_missing_log_field_rejected(self, mdp, field, message):
+        behavior = np.full((4, 3), 1.0 / 3.0)
+        ds = mdp.log_dataset(behavior, 20, seed=14)
+        setattr(ds.trajectories[-1].transitions[-1], field, None)
+        with pytest.raises(ValueError, match=message):
+            off.ncis_evaluate(table_prob_fn(behavior), ds, off.NCISConfig())
 
     def test_empty_dataset_rejected(self):
         ds = ReplayDataset([], m=1, metadata={})

@@ -28,7 +28,6 @@ def assert_same_trajectories(got, want):
             assert np.array_equal(ta.state.features, tb.state.features)
             assert np.array_equal(ta.next_state.features, tb.next_state.features)
             assert np.array_equal(ta.response, tb.response)
-            assert np.array_equal(ta.action, tb.action)
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ def chain_batch(rewards, state_dim=None, m=1):
         nxt = terminal_state(state_dim) if done else State(feats[t + 1])
         resp = np.zeros(m)
         resp[0] = rewards[t]
-        batch.append(Transition(State(feats[t]), np.array([1.0]), resp, nxt,
+        batch.append(Transition(State(feats[t]), resp, nxt,
                                 done, action_index=0, behavior_prob=1.0))
     return batch
 
@@ -32,9 +32,7 @@ def single_state_batch(action_indices, responses, state, n_items, m=1):
     for a, r in zip(action_indices, responses):
         resp = np.zeros(m)
         resp[0] = r
-        onehot = np.zeros(n_items)
-        onehot[a] = 1.0
-        batch.append(Transition(State(state), onehot, resp, terminal_state(len(state)),
+        batch.append(Transition(State(state), resp, terminal_state(len(state)),
                                 True, action_index=a, behavior_prob=1.0 / n_items))
     return batch
 
@@ -112,52 +110,63 @@ class TestActorUpdateAux:
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
 
+def one_weight(aux_probs, cur_prob, lambdas, advantage, clip_max):
+    """constrained_weights_batch on a batch of one logged action."""
+    w = stx.constrained_weights_batch(np.array(aux_probs, dtype=np.float64)[:, None],
+                                      np.array([cur_prob]), np.array(lambdas),
+                                      np.array([advantage]), clip_max)
+    assert w.shape == (1,)
+    return w[0]
+
+
 class TestConstrainedWeight:
     def test_neutral_point_is_exactly_one(self):
-        w = stx.constrained_weight([0.3, 0.3], 0.3, [1.0, 1.0], 0.0, clip_max=20.0)
+        w = one_weight([0.3, 0.3], 0.3, [1.0, 1.0], 0.0, clip_max=20.0)
         assert w == pytest.approx(1.0, abs=1e-12)
 
     def test_exp_ln2_case(self):
-        w = stx.constrained_weight([0.4], 0.4, [1.0], math.log(2.0), clip_max=20.0)
+        w = one_weight([0.4], 0.4, [1.0], math.log(2.0), clip_max=20.0)
         assert w == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_multiplier_removes_the_constraint(self):
-        a = stx.constrained_weight([0.9, 0.2], 0.3, [0.0, 1.0], 0.5, clip_max=20.0)
-        b = stx.constrained_weight([0.0001, 0.2], 0.3, [0.0, 1.0], 0.5, clip_max=20.0)
+        a = one_weight([0.9, 0.2], 0.3, [0.0, 1.0], 0.5, clip_max=20.0)
+        b = one_weight([0.0001, 0.2], 0.3, [0.0, 1.0], 0.5, clip_max=20.0)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_clip_max_binds(self):
-        w = stx.constrained_weight([0.5], 0.5, [1.0], 100.0, clip_max=7.5)
+        w = one_weight([0.5], 0.5, [1.0], 100.0, clip_max=7.5)
         assert w == 7.5
 
     def test_all_zero_multipliers_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            stx.constrained_weight([0.5], 0.5, [0.0], 0.0, clip_max=20.0)
+            one_weight([0.5], 0.5, [0.0], 0.0, clip_max=20.0)
 
     def test_nonpositive_probability_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            stx.constrained_weight([0.0], 0.5, [1.0], 0.0, clip_max=20.0)
+        with pytest.raises(ValueError, match="probabilities must be positive"):
+            one_weight([0.0], 0.5, [1.0], 0.0, clip_max=20.0)
+        with pytest.raises(ValueError, match="probabilities must be positive"):
+            one_weight([0.5], 0.0, [1.0], 0.0, clip_max=20.0)
 
     @settings(max_examples=60, derandomize=True)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     def test_strictly_increasing_in_advantage(self, a1, a2):
-        if a1 == a2:
+        # closer advantages can move log_w by less than one ulp of it
+        if abs(a1 - a2) <= 1e-9:
             return
         lo, hi = sorted([a1, a2])
-        w_lo = stx.constrained_weight([0.2, 0.5], 0.4, [0.7, 0.3], lo, clip_max=1e9)
-        w_hi = stx.constrained_weight([0.2, 0.5], 0.4, [0.7, 0.3], hi, clip_max=1e9)
+        w_lo = one_weight([0.2, 0.5], 0.4, [0.7, 0.3], lo, clip_max=1e9)
+        w_hi = one_weight([0.2, 0.5], 0.4, [0.7, 0.3], hi, clip_max=1e9)
         assert w_lo < w_hi
 
     @settings(max_examples=60, derandomize=True)
     @given(st.floats(0.01, 100.0))
     def test_homogeneity_with_zero_advantage(self, c):
-        base = stx.constrained_weight([0.2, 0.5], 0.4, [0.7, 0.3], 0.0, clip_max=1e9)
-        scaled = stx.constrained_weight([0.2, 0.5], 0.4, [0.7 * c, 0.3 * c], 0.0,
-                                        clip_max=1e9)
+        base = one_weight([0.2, 0.5], 0.4, [0.7, 0.3], 0.0, clip_max=1e9)
+        scaled = one_weight([0.2, 0.5], 0.4, [0.7 * c, 0.3 * c], 0.0, clip_max=1e9)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_weight_is_positive_even_for_huge_negative_advantage(self):
-        w = stx.constrained_weight([0.5], 0.5, [1.0], -500.0, clip_max=20.0)
+        w = one_weight([0.5], 0.5, [1.0], -500.0, clip_max=20.0)
         assert w > 0.0
 
     def test_batch_floor_applies(self):
@@ -185,8 +194,7 @@ class TestActorUpdateMain:
         batch = []
         for k in range(5):
             a = int(rng.integers(3))
-            onehot = np.zeros(3); onehot[a] = 1.0
-            batch.append(Transition(State(s[k]), onehot, np.array([rng.normal(), 0.0]),
+            batch.append(Transition(State(s[k]), np.array([rng.normal(), 0.0]),
                                     terminal_state(2), True, action_index=a,
                                     behavior_prob=0.3))
         # expected: weights = exp(A / lambda) since the probability ratio is 1
