@@ -16,7 +16,7 @@ from .sim import (ReviewDatasetConfig, SessionSimulator, SimConfig,
                   run_episode)
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, TrainingDiverged,
                          TwoStageConfig, actor_update_aux, actor_update_main,
-                         build_policy_set, critic_update, train_two_stage)
+                         batch_arrays, build_policy_set, critic_update, train_two_stage)
 from .deterministic import (BCConfig, CriticQ, DDPGConfig, DeterministicPolicy,
                             behavior_clone_update, constrained_det_objective,
                             ddpg_actor_update, q_critic_update,

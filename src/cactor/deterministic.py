@@ -20,8 +20,8 @@ import numpy as np
 from . import approximator as ap
 from .core import ReplayDataset, check_discounts, td_target
 from .seeding import derive_seed
-from .stochastic import (StochasticPolicy, _check_critic_loss, _policy_loglik_grad,
-                         batch_arrays, make_policy, validate_lambdas)
+from .stochastic import (StochasticPolicy, _check_critic_loss, batch_arrays, gather,
+                         loglik_ascent, make_policy, validate_lambdas)
 
 
 @dataclass
@@ -87,12 +87,15 @@ def q_critic_update(critic: CriticQ, target_critic: CriticQ,
                     batch, opt: ap.OptState, reward_override=None):
     """One step on (r_i + gamma * Q_target(s', pi_target(s')) - Q(s, a))^2.
 
-    Logged actions are embedded through the item table; the returned
-    item-table gradient lets callers learn the table jointly with the critic.
-    ``reward_override`` substitutes a precomputed scalar reward per sample
-    (used for weighted-sum training).
+    ``batch`` is a ``batch_arrays`` tuple.  Logged actions are embedded
+    through the item table; the returned item-table gradient lets callers
+    learn the table jointly with the critic.  ``reward_override``
+    substitutes a precomputed scalar reward per sample (used for
+    weighted-sum training).
     """
-    s, a_idx, r, s2, done = batch_arrays(batch)
+    s, a_idx, r, s2, done = batch
+    if a_idx is None:
+        raise ValueError("batch lacks action indices")
     r_i = reward_override if reward_override is not None else r[:, critic.response_index]
     a_emb = items[a_idx]
     a2 = target_policy.act(s2)
@@ -115,11 +118,12 @@ def q_critic_update(critic: CriticQ, target_critic: CriticQ,
 
 def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
                       opt: ap.OptState, lambdas_for_extra=None, extra_critics=()):
-    """Ascent on mean_b Q(s_b, pi(s_b)) through the chain rule, critic frozen.
+    """Ascent on mean_b Q(s_b, pi(s_b)) over the states of ``batch``, a
+    ``batch_arrays`` tuple, through the chain rule, critic frozen.
 
     With ``extra_critics`` the objective becomes Q_0 + sum_i lambda_i * Q_i
     (the RCPO-style combination)."""
-    s, _, _, _, _ = batch_arrays(batch)
+    s = batch[0]
     a = policy.act(s)
     x = np.concatenate([s, a], axis=1)
     ones = np.full((s.shape[0], 1), 1.0 / s.shape[0])
@@ -155,13 +159,14 @@ def constrained_det_objective(features, policy: DeterministicPolicy,
 
 def constrained_det_actor_update(policy: DeterministicPolicy, aux_policies,
                                  critic: CriticQ, lambdas, batch, opt: ap.OptState):
-    """Gradient ascent on constrained_det_objective; auxiliary actors and the
-    critic are frozen."""
+    """Gradient ascent on constrained_det_objective over the states of
+    ``batch``, a ``batch_arrays`` tuple; auxiliary actors and the critic are
+    frozen."""
     lam = validate_lambdas(lambdas, len(aux_policies))
     total = lam.sum()
     if total <= 0.0:
         raise ValueError("sum of Lagrange multipliers must be positive")
-    s, _, _, _, _ = batch_arrays(batch)
+    s = batch[0]
     n = s.shape[0]
     a = policy.act(s)
     aux_actions = [aux.act(s) for aux in aux_policies]
@@ -195,12 +200,11 @@ def rcpo_combined_advantage(adv_per_response, lambdas) -> float:
 
 
 def behavior_clone_update(policy: StochasticPolicy, batch, opt: ap.OptState):
-    """One step minimizing mean negative log-likelihood of the logged actions."""
-    s, a_idx, _, _, _ = batch_arrays(batch)
-    grads, chosen = _policy_loglik_grad(policy, s, a_idx, np.ones(a_idx.size))
-    loss = float(-np.mean(np.log(chosen)))
-    new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    return replace(policy, params=new_params), opt, loss
+    """One step minimizing mean negative log-likelihood of the logged actions
+    of ``batch``, a ``batch_arrays`` tuple."""
+    s, a_idx = batch[0], batch[1]
+    policy, opt, objective, _ = loglik_ascent(policy, s, a_idx, np.ones(len(s)), opt)
+    return policy, opt, -objective
 
 
 def det_policy_item_probs(policy: DeterministicPolicy, items: np.ndarray,
@@ -236,18 +240,6 @@ class DDPGConfig:
     log_every: int = 50
 
 
-class _Sampler:
-    def __init__(self, dataset: ReplayDataset, seed: int):
-        self.transitions = dataset.all_transitions()
-        if not self.transitions:
-            raise ValueError("dataset has no transitions")
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-
-    def batch(self, size):
-        idx = self.rng.integers(len(self.transitions), size=size)
-        return [self.transitions[i] for i in idx]
-
-
 @dataclass
 class DDPGPipeline:
     """A trained deterministic pipeline: actor, critics, and the item table
@@ -259,21 +251,21 @@ class DDPGPipeline:
     metrics: list
 
 
-def _train_ddpg_core(dataset, gammas_per_critic, reward_fn, actor_grad_mode,
-                     cfg: DDPGConfig, master_seed, lambdas=None,
-                     aux_policies=None, stage_label=2, response_label=0,
-                     items=None):
-    """Shared loop for the DDPG-family trainers.
+def _train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg: DDPGConfig,
+                     master_seed, lambdas=None, aux_policies=None, stage_label=2,
+                     response_label=0, items=None):
+    """Shared loop for the DDPG-family trainers on ``data``, the
+    ``batch_arrays`` tuple of a whole dataset; each update gathers one
+    uniform minibatch from it.
 
-    actor_grad_mode: "single" (plain DDPG on critic 0), "rcpo" (weighted sum
-    of all critics), or "constrained" (kernel pull toward aux_policies).
+    With ``aux_policies`` the actor takes the constrained step (kernel pull
+    toward them); otherwise it ascends Q_0 + sum_j lambdas_j * Q_j over the
+    other critics (plain DDPG with one critic, RCPO with several).
     reward_fn maps the (batch, m) response matrix to the scalar reward for
     critic j, or None to use response j directly.  A non-finite critic loss
-    raises TrainingDiverged naming the response, the stage and the update
-    step.
+    raises TrainingDiverged naming the response, the stage and the step.
     """
-    state_dim = dataset.trajectories[0].transitions[0].state.features.size
-    n_items = int(dataset.metadata["n_items"])
+    state_dim = data[0].shape[1]
     if items is None:
         items = init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
     items_opt = ap.init_opt_state(items.size, cfg.items_lr)
@@ -293,14 +285,15 @@ def _train_ddpg_core(dataset, gammas_per_critic, reward_fn, actor_grad_mode,
     target_critics = [replace(c) for c in critics]
     c_opts = [ap.init_opt_state(c.params.size, cfg.critic_lr) for c in critics]
     a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
-    sampler = _Sampler(dataset, derive_seed(master_seed, "ddpg-batches", response_label))
+    rng = np.random.Generator(np.random.PCG64(
+        derive_seed(master_seed, "ddpg-batches", response_label)))
 
     metrics = []
     for step in range(cfg.updates):
-        batch = sampler.batch(cfg.batch_size)
+        batch = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
         losses = []
         for j, critic in enumerate(critics):
-            override = reward_fn(np.stack([tr.response for tr in batch]), j) if reward_fn else None
+            override = reward_fn(batch[2], j) if reward_fn else None
             critic, c_opts[j], loss, item_grad = q_critic_update(
                 critic, target_critics[j], target_policy, items, batch, c_opts[j],
                 reward_override=override)
@@ -311,32 +304,24 @@ def _train_ddpg_core(dataset, gammas_per_critic, reward_fn, actor_grad_mode,
                                                 items_opt, "minimize")
             items = flat.reshape(items.shape)
 
-        info = {}
-        if actor_grad_mode == "single":
-            policy, a_opt, mean_q = ddpg_actor_update(policy, critics[0], batch, a_opt)
-            info = {"mean_q": mean_q}
-        elif actor_grad_mode == "rcpo":
-            policy, a_opt, mean_q = ddpg_actor_update(
-                policy, critics[0], batch, a_opt,
-                lambdas_for_extra=lambdas, extra_critics=critics[1:])
-            info = {"mean_q": mean_q}
-        elif actor_grad_mode == "constrained":
+        if aux_policies is not None:
             policy, a_opt, info = constrained_det_actor_update(
                 policy, aux_policies, critics[0], lambdas, batch, a_opt)
         else:
-            raise ValueError(actor_grad_mode)
+            policy, a_opt, mean_q = ddpg_actor_update(policy, critics[0], batch, a_opt,
+                                                      lambdas, critics[1:])
+            info = {"mean_q": mean_q}
 
         if step % cfg.target_refresh == cfg.target_refresh - 1:
             target_policy = replace(policy)
             target_critics = [replace(c) for c in critics]
 
         if step % cfg.log_every == cfg.log_every - 1:
-            resp = np.stack([tr.response for tr in batch])
             row = {"iteration": step, "stage": stage_label, "response": response_label,
                    "critic_loss": float(np.mean(losses)),
                    "mean_q": info.get("mean_q", ""), "mean_h": info.get("mean_h", "")}
-            for i in range(dataset.m):
-                row[f"reward_{i}"] = float(resp[:, i].mean())
+            for i in range(batch[2].shape[1]):
+                row[f"reward_{i}"] = float(batch[2][:, i].mean())
             metrics.append(row)
     return DDPGPipeline(policy, critics, items, metrics)
 
@@ -348,8 +333,9 @@ def train_ddpg_weighted(dataset: ReplayDataset, weights, gamma: float,
     if weights.size != dataset.m:
         raise ValueError("need one reward weight per response")
     check_discounts([gamma], 1)
-    return _train_ddpg_core(dataset, [gamma], lambda r, j: r @ weights,
-                            "single", cfg, master_seed)
+    return _train_ddpg_core(batch_arrays(dataset.all_transitions()),
+                            int(dataset.metadata["n_items"]), [gamma],
+                            lambda r, j: r @ weights, cfg, master_seed)
 
 
 def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
@@ -357,7 +343,8 @@ def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
     """One critic per response; the actor ascends Q_0 + sum_i lambda_i Q_i."""
     gammas = check_discounts(gammas, dataset.m)
     lam = validate_lambdas(lambdas, dataset.m - 1)
-    return _train_ddpg_core(dataset, list(gammas), None, "rcpo", cfg,
+    return _train_ddpg_core(batch_arrays(dataset.all_transitions()),
+                            int(dataset.metadata["n_items"]), list(gammas), None, cfg,
                             master_seed, lambdas=lam)
 
 
@@ -375,20 +362,20 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
     lam = validate_lambdas(lambdas, dataset.m - 1)
     s1_cfg = cfg if stage1_updates is None else replace(cfg, updates=stage1_updates)
 
+    data = batch_arrays(dataset.all_transitions())
+    n_items = int(dataset.metadata["n_items"])
     metrics = []
     aux_policies = []
-    items = init_item_table(int(dataset.metadata["n_items"]), cfg.embed_dim,
-                            derive_seed(master_seed, "items"))
+    items = init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
     for i in range(1, dataset.m):
-        pipe = _train_ddpg_core(dataset, [gammas[i]], lambda r, j, i=i: r[:, i],
-                                "single", s1_cfg, master_seed,
-                                stage_label=1, response_label=i, items=items.copy())
+        pipe = _train_ddpg_core(data, n_items, [gammas[i]], lambda r, j, i=i: r[:, i],
+                                s1_cfg, master_seed, stage_label=1, response_label=i,
+                                items=items.copy())
         aux_policies.append(pipe.policy)
         metrics.extend(pipe.metrics)
 
-    pipe = _train_ddpg_core(dataset, [gammas[0]], None, "constrained", cfg,
-                            master_seed, lambdas=lam, aux_policies=aux_policies,
-                            items=items.copy())
+    pipe = _train_ddpg_core(data, n_items, [gammas[0]], None, cfg, master_seed,
+                            lambdas=lam, aux_policies=aux_policies, items=items.copy())
     metrics.extend(pipe.metrics)
     return DDPGPipeline(pipe.policy, pipe.critics, pipe.items, metrics)
 
@@ -404,14 +391,15 @@ class BCConfig:
 
 def train_behavior_clone(dataset: ReplayDataset, cfg: BCConfig,
                          master_seed: int) -> tuple[StochasticPolicy, list]:
-    state_dim = dataset.trajectories[0].transitions[0].state.features.size
-    n_items = int(dataset.metadata["n_items"])
-    policy = make_policy(state_dim, n_items, cfg.hidden, derive_seed(master_seed, "bc"))
+    data = batch_arrays(dataset.all_transitions())
+    policy = make_policy(data[0].shape[1], int(dataset.metadata["n_items"]), cfg.hidden,
+                         derive_seed(master_seed, "bc"))
     opt = ap.init_opt_state(policy.params.size, cfg.lr)
-    sampler = _Sampler(dataset, derive_seed(master_seed, "bc-batches"))
+    rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "bc-batches")))
     metrics = []
     for step in range(cfg.updates):
-        policy, opt, loss = behavior_clone_update(policy, sampler.batch(cfg.batch_size), opt)
+        batch = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
+        policy, opt, loss = behavior_clone_update(policy, batch, opt)
         if step % cfg.log_every == cfg.log_every - 1:
             metrics.append({"iteration": step, "stage": 0, "response": -1,
                             "critic_loss": loss})

@@ -18,8 +18,8 @@ from . import approximator as ap
 from .core import ReplayDataset, Trajectory, check_discounts, discounted_returns
 from .seeding import derive_seed
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
-                         _policy_loglik_grad, batch_arrays, constrained_weights_batch,
-                         critic_loss_grad, make_critic, td_errors)
+                         _logged_probs, batch_arrays, constrained_weights_batch,
+                         critic_loss_grad, gather, loglik_ascent, make_critic, td_errors)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def _ratios(batch_refs, policy: StochasticPolicy, cfg: ISConfig) -> np.ndarray:
     bp = np.array([tr.behavior_prob for tr in rows], dtype=np.float64)  # None -> nan
     if np.any(step != ts) or np.any(np.isnan(bp) | (bp < cfg.min_behavior_prob)):
         _raise_first_bad_ref(batch_refs, cfg)
-    x = np.stack([tr.state.features for tr in rows])
+    x = np.array([tr.state.features for tr in rows])
     a = np.array([tr.action_index for tr in rows], dtype=np.intp)
     ratio = ap.forward_rows(policy.spec, policy.params, x)[np.arange(a.size), a] / bp
     if full:
@@ -128,17 +128,8 @@ def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_re
     ratios = _ratios(batch_refs, policy, is_cfg)
     s, a_idx, r, s2, done = batch_arrays([traj.transitions[t] for traj, t in batch_refs])
     v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
-    adv = target - v
-    w = ratios * adv
-    keep = np.isfinite(w)
-    s, a_idx, w = s[keep], a_idx[keep], w[keep]
-    if a_idx.size == 0:
-        return policy, opt, {"objective": float("nan")}
-    grads, chosen = _policy_loglik_grad(policy, s, a_idx, w)
-    new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    info = {"objective": float(np.mean(w * np.log(chosen))),
-            "mean_ratio": float(ratios.mean())}
-    return StochasticPolicy(policy.spec, new_params, policy.response_index), opt, info
+    policy, opt, objective, _ = loglik_ascent(policy, s, a_idx, ratios * (target - v), opt)
+    return policy, opt, {"objective": objective, "mean_ratio": float(ratios.mean())}
 
 
 def offline_actor_update_main(policy_set: PolicySet, batch_refs, is_cfg: ISConfig,
@@ -153,22 +144,12 @@ def offline_actor_update_main(policy_set: PolicySet, batch_refs, is_cfg: ISConfi
     trs = [traj.transitions[t] for traj, t in batch_refs]
     s, a_idx, r, s2, done = batch_arrays(trs)
     v, target = td_errors(critic, s, r[:, 0], s2, done)
-    adv = target - v
     bp = np.array([_behavior_prob(tr, is_cfg) for tr in trs])
-    rows = np.arange(a_idx.size)
-    aux = np.stack([ap.forward(p.spec, p.params, s)[rows, a_idx]
-                    for p, _ in policy_set.auxiliaries])
-    w = constrained_weights_batch(aux, bp, policy_set.lambdas, adv,
+    aux = _logged_probs([p for p, _ in policy_set.auxiliaries], s, a_idx)
+    w = constrained_weights_batch(aux, bp, policy_set.lambdas, target - v,
                                   clip_max, weight_floor)
-    keep = np.isfinite(w)
-    s, a_idx, w = s[keep], a_idx[keep], w[keep]
-    if a_idx.size == 0:
-        return policy, opt, {"objective": float("nan")}
-    grads, chosen = _policy_loglik_grad(policy, s, a_idx, w)
-    new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    info = {"objective": float(np.mean(w * np.log(chosen))),
-            "mean_weight": float(w.mean())}
-    return StochasticPolicy(policy.spec, new_params, 0), opt, info
+    policy, opt, objective, mean_weight = loglik_ascent(policy, s, a_idx, w, opt)
+    return policy, opt, {"objective": objective, "mean_weight": mean_weight}
 
 
 # ---------------------------------------------------------------------------
@@ -202,69 +183,43 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
     transitions = dataset.all_transitions()
     if not transitions:
         raise ValueError("dataset has no transitions")
-    state_dim = transitions[0].state.features.size
-    s_all, _, r_all, s2_all, done_all = batch_arrays(transitions)
+    data = batch_arrays(transitions)
+    state_dim = data[0].shape[1]
     rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "mc-batches")))
 
     if mode == "single_summed":
         check_discounts([shared_gamma], 1)
-        critic = make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", 0),
-                             -1, shared_gamma)
-        opt = ap.init_opt_state(critic.params.size, cfg.lr)
-        for it in range(cfg.iters):
-            idx = rng.integers(len(transitions), size=cfg.batch_size)
-            loss, grads = critic_loss_grad(critic, s_all[idx], r_all[idx].sum(axis=1),
-                                           s2_all[idx], done_all[idx])
-            _check_critic_loss(loss, "the summed response", it)
-            params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
-            critic = CriticV(critic.spec, params, -1, critic.gamma)
-        return [critic]
-
-    gammas = check_discounts(gammas, dataset.m)
-    critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", i),
-                           i, gammas[i])
-               for i in range(dataset.m)]
+        critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", 0),
+                               -1, shared_gamma)]
+        names = ["the summed response"]
+    else:
+        gammas = check_discounts(gammas, dataset.m)
+        critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", i),
+                               i, gammas[i])
+                   for i in range(dataset.m)]
+        names = [f"response {i}" for i in range(dataset.m)]
     opts = [ap.init_opt_state(c.params.size, cfg.lr) for c in critics]
-
-    fl = ap.first_layer_size(critics[0].spec)
-    if cfg.share_bottom:
-        # one owner for the first layer: critic 0's block, updated on the
-        # summed first-layer gradient with its own optimizer state
-        shared = critics[0].params[:fl].copy()
-        for i, c in enumerate(critics):
-            params = c.params.copy()
-            params[:fl] = shared
-            critics[i] = CriticV(c.spec, params, c.response_index, c.gamma)
-        shared_opt = ap.init_opt_state(fl, cfg.lr)
-        opts = [ap.init_opt_state(c.params.size - fl, cfg.lr) for c in critics]
+    # share_bottom: every critic starts from critic 0's first layer and steps
+    # it on the gradient summed over critics; Adam is elementwise, so the
+    # copies stay equal bit for bit
+    fl = ap.first_layer_size(critics[0].spec) if cfg.share_bottom else 0
+    for c in critics[1:]:
+        c.params[:fl] = critics[0].params[:fl]
 
     for it in range(cfg.iters):
-        idx = rng.integers(len(transitions), size=cfg.batch_size)
-        s, r, s2, done = s_all[idx], r_all[idx], s2_all[idx], done_all[idx]
-        if not cfg.share_bottom:
-            for i, critic in enumerate(critics):
-                loss, grads = critic_loss_grad(critic, s, r[:, i], s2, done)
-                _check_critic_loss(loss, f"response {i}", it)
-                params, opts[i] = ap.optimizer_step(critic.params, grads, opts[i],
-                                                    "minimize")
-                critics[i] = CriticV(critic.spec, params, i, critic.gamma)
-        else:
-            shared_grad = np.zeros(fl)
-            for i, critic in enumerate(critics):
-                loss, grads = critic_loss_grad(critic, s, r[:, i], s2, done)
-                _check_critic_loss(loss, f"response {i}", it)
-                shared_grad += grads[:fl]
-                tail, opts[i] = ap.optimizer_step(critic.params[fl:], grads[fl:],
-                                                  opts[i], "minimize")
-                critics[i] = CriticV(critic.spec,
-                                     np.concatenate([critic.params[:fl], tail]),
-                                     i, critic.gamma)
-            shared, shared_opt = ap.optimizer_step(critics[0].params[:fl], shared_grad,
-                                                   shared_opt, "minimize")
-            for i, critic in enumerate(critics):
-                params = critic.params.copy()
-                params[:fl] = shared
-                critics[i] = CriticV(critic.spec, params, i, critic.gamma)
+        s, _, r, s2, done = gather(data, rng.integers(len(transitions), size=cfg.batch_size))
+        if mode == "single_summed":
+            r = r.sum(axis=1)[:, None]
+        grads = []
+        for i, critic in enumerate(critics):
+            loss, g = critic_loss_grad(critic, s, r[:, i], s2, done)
+            _check_critic_loss(loss, names[i], it)
+            grads.append(g)
+        shared = sum((g[:fl] for g in grads), np.zeros(fl))
+        for i, (critic, g) in enumerate(zip(critics, grads)):
+            g[:fl] = shared
+            params, opts[i] = ap.optimizer_step(critic.params, g, opts[i], "minimize")
+            critics[i] = replace(critic, params=params)
     return critics
 
 

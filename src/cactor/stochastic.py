@@ -14,7 +14,7 @@ taken on the weighted log-likelihood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,8 +121,8 @@ def build_policy_set(state_dim, n_items, m, lambdas, gammas, hidden, seed) -> Po
 # ---------------------------------------------------------------------------
 
 def batch_arrays(batch):
-    """Stack a list of Transitions into (S, a_idx, R, S_next, done) arrays;
-    a_idx is None when some transition has no action index."""
+    """Stack Transitions into the (S, a_idx, R, S_next, done) tuple every
+    update takes; a_idx is None when some transition has no action index."""
     if not batch:
         raise ValueError("empty batch")
     # np.array copies a list of equal-length rows 3x faster than np.stack
@@ -133,6 +133,11 @@ def batch_arrays(batch):
     s2 = np.array([tr.next_state.features for tr in batch])
     done = np.array([tr.done for tr in batch], dtype=bool)
     return s, a, r, s2, done
+
+
+def gather(data, idx):
+    """Rows ``idx`` of every array of a ``batch_arrays`` tuple (None stays None)."""
+    return tuple(None if x is None else x[idx] for x in data)
 
 
 def td_errors(critic: CriticV, s, r_i, s2, done):
@@ -154,20 +159,28 @@ def critic_loss_grad(critic: CriticV, s, r_i, s2, done):
     return loss, ap.gradient(critic.spec, critic.params, s, upstream)
 
 
+def _logged_probs(policies, s, a_idx) -> np.ndarray:
+    """(len(policies), batch) probabilities each policy gives the logged actions."""
+    if a_idx is None:
+        raise ValueError("batch lacks action indices")
+    rows = np.arange(a_idx.size)
+    return np.stack([ap.forward(p.spec, p.params, s)[rows, a_idx] for p in policies])
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 def critic_update(critic: CriticV, batch, opt: ap.OptState):
-    """One step on the squared Bellman error; V(s') is bootstrapped from a
-    frozen copy of the pre-update parameters.  A non-finite loss skips the
-    step and is reported to the caller via the returned loss."""
-    s, _, r, s2, done = batch_arrays(batch)
+    """One step on the squared Bellman error of ``batch`` (a ``batch_arrays``
+    tuple) with V(s') from the pre-update parameters.  A non-finite loss
+    skips the step and is reported to the caller via the returned loss."""
+    s, _, r, s2, done = batch
     loss, grads = critic_loss_grad(critic, s, r[:, critic.response_index], s2, done)
     if grads is None:
         return critic, opt, loss
     new_params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
-    return CriticV(critic.spec, new_params, critic.response_index, critic.gamma), opt, loss
+    return replace(critic, params=new_params), opt, loss
 
 
 def _policy_loglik_grad(policy: StochasticPolicy, s, a_idx, weights):
@@ -179,22 +192,32 @@ def _policy_loglik_grad(policy: StochasticPolicy, s, a_idx, weights):
     return ap.gradient(policy.spec, policy.params, s, upstream), chosen
 
 
-def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.OptState):
-    """Ascent on mean(A_i * log pi(a|s)); the advantage comes from the current
-    critic and is treated as a constant."""
-    s, a_idx, r, s2, done = batch_arrays(batch)
-    v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
-    adv = target - v
-    keep = np.isfinite(adv)
+def loglik_ascent(policy: StochasticPolicy, s, a_idx, w, opt: ap.OptState):
+    """One Adam ascent step on mean_b w_b * log pi(a_b | s_b), the actor step
+    of every weighted log-likelihood update.  Rows with a non-finite weight
+    are dropped first.  Returns the new policy, the optimizer state, the
+    objective and the mean kept weight (both nan when no row is left)."""
+    if a_idx is None:
+        raise ValueError("batch lacks action indices")
+    keep = np.isfinite(w)
     if not np.all(keep):
-        s, a_idx, adv = s[keep], a_idx[keep], adv[keep]
-        if a_idx.size == 0:
-            return policy, opt, {"objective": float("nan"), "mean_adv": float("nan")}
-    grads, chosen = _policy_loglik_grad(policy, s, a_idx, adv)
-    objective = float(np.mean(adv * np.log(chosen)))
+        s, a_idx, w = gather((s, a_idx, w), keep)
+    if a_idx.size == 0:
+        return policy, opt, float("nan"), float("nan")
+    grads, chosen = _policy_loglik_grad(policy, s, a_idx, w)
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    return (StochasticPolicy(policy.spec, new_params, policy.response_index), opt,
-            {"objective": objective, "mean_adv": float(adv.mean())})
+    return (replace(policy, params=new_params), opt,
+            float(np.mean(w * np.log(chosen))), float(w.mean()))
+
+
+def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.OptState):
+    """Ascent on mean(A_i * log pi(a|s)) over ``batch``, a ``batch_arrays``
+    tuple; the advantage comes from the current critic and is treated as a
+    constant."""
+    s, a_idx, r, s2, done = batch
+    v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
+    policy, opt, objective, mean_adv = loglik_ascent(policy, s, a_idx, target - v, opt)
+    return policy, opt, {"objective": objective, "mean_adv": mean_adv}
 
 
 def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
@@ -227,28 +250,20 @@ def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
 
 def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
                       clip_max: float = 20.0, weight_floor: float = 0.0):
-    """One constrained ascent step for the main policy.  Auxiliary policies
-    are frozen; the current main probabilities enter the weights as constants."""
+    """One constrained ascent step for the main policy over ``batch`` (a
+    ``batch_arrays`` tuple); auxiliaries and the current main probabilities
+    are constants.  Rows with a non-finite advantage are dropped first."""
     policy, critic = policy_set.main
-    s, a_idx, r, s2, done = batch_arrays(batch)
+    s, a_idx, r, s2, done = batch
     v, target = td_errors(critic, s, r[:, 0], s2, done)
     adv = target - v
     keep = np.isfinite(adv)
-    s, a_idx, adv = s[keep], a_idx[keep], adv[keep]
-    if a_idx.size == 0:
-        return policy, opt, {"objective": float("nan"), "mean_weight": float("nan")}
-
-    rows = np.arange(a_idx.size)
-    cur = ap.forward(policy.spec, policy.params, s)[rows, a_idx]
-    aux = np.stack([ap.forward(p.spec, p.params, s)[rows, a_idx]
-                    for p, _ in policy_set.auxiliaries])
-    w = constrained_weights_batch(aux, cur, policy_set.lambdas, adv, clip_max, weight_floor)
-
-    grads, chosen = _policy_loglik_grad(policy, s, a_idx, w)
-    objective = float(np.mean(w * np.log(chosen)))
-    new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    return (StochasticPolicy(policy.spec, new_params, 0), opt,
-            {"objective": objective, "mean_weight": float(w.mean())})
+    if not np.all(keep):
+        s, a_idx, adv = gather((s, a_idx, adv), keep)
+    p = _logged_probs([policy] + [aux for aux, _ in policy_set.auxiliaries], s, a_idx)
+    w = constrained_weights_batch(p[1:], p[0], policy_set.lambdas, adv, clip_max, weight_floor)
+    policy, opt, objective, mean_weight = loglik_ascent(policy, s, a_idx, w, opt)
+    return policy, opt, {"objective": objective, "mean_weight": mean_weight}
 
 
 def policy_kl(p_policy: StochasticPolicy, q_policy: StochasticPolicy, states) -> float:
@@ -326,7 +341,8 @@ def train_stage_one(sim: SessionSimulator, response_index: int, gamma: float,
     for it in range(cfg.stage1_iters):
         seeds = [derive_seed(master_seed, "s1-ep", response_index, it, e)
                  for e in range(cfg.episodes_per_iter)]
-        batch, mean_rewards = collect_batch(sim, policy, rng, cfg.episodes_per_iter, seeds)
+        trs, mean_rewards = collect_batch(sim, policy, rng, cfg.episodes_per_iter, seeds)
+        batch = batch_arrays(trs)
         loss = float("nan")
         for _ in range(cfg.critic_steps):
             critic, c_opt, loss = critic_update(critic, batch, c_opt)
@@ -378,8 +394,9 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
     for it in range(cfg.stage2_iters):
         seeds = [derive_seed(master_seed, "s2-ep", it, e)
                  for e in range(cfg.episodes_per_iter)]
-        batch, mean_rewards = collect_batch(sim, pset.main[0], rng,
-                                            cfg.episodes_per_iter, seeds)
+        trs, mean_rewards = collect_batch(sim, pset.main[0], rng,
+                                          cfg.episodes_per_iter, seeds)
+        batch = batch_arrays(trs)
         loss = float("nan")
         for _ in range(cfg.critic_steps):
             critic, c_opt, loss = critic_update(pset.main[1], batch, c_opt)
@@ -389,13 +406,12 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
                                                 cfg.clip_max, cfg.weight_floor)
         pset.main = (policy, pset.main[1])
         if metrics is not None:
-            s = np.stack([tr.state.features for tr in batch])
             row = {"iteration": it, "stage": 2, "response": 0,
                    "critic_loss": loss, "actor_objective": info["objective"],
                    "mean_weight": info["mean_weight"]}
             for i in range(c.m):
                 row[f"reward_{i}"] = mean_rewards[i]
             for j, (aux_p, _) in enumerate(pset.auxiliaries, start=1):
-                row[f"kl_aux_{j}"] = policy_kl(policy, aux_p, s)
+                row[f"kl_aux_{j}"] = policy_kl(policy, aux_p, batch[0])
             metrics.append(row)
     return pset

@@ -7,6 +7,7 @@ from cactor import approximator as ap
 from cactor import deterministic as det
 from cactor import stochastic as stx
 from cactor.core import State, Transition, terminal_state
+from cactor.seeding import derive_seed
 from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 
 
@@ -48,7 +49,7 @@ class TestQCriticUpdate:
         critic = det.make_q_critic(2, 2, (), seed=1, response_index=0, gamma=0.9)
         target = critic
         opt = ap.init_opt_state(critic.params.size, step_size=1e-2)
-        batch = two_state_batch()
+        batch = stx.batch_arrays(two_state_batch())
         for step in range(4000):
             critic, opt, loss, _ = det.q_critic_update(critic, target, policy,
                                                        items, batch, opt)
@@ -67,7 +68,7 @@ class TestQCriticUpdate:
                             terminal_state(2), True, action_index=0)
                  for k in range(2)]
         new_critic, _, loss, _ = det.q_critic_update(
-            critic, critic, policy, items, batch,
+            critic, critic, policy, items, stx.batch_arrays(batch),
             ap.init_opt_state(critic.params.size))
         assert loss == 0.0
         assert np.array_equal(new_critic.params, critic.params)
@@ -77,7 +78,7 @@ class TestQCriticUpdate:
         policy = det.make_det_policy(2, 3, (), seed=4)
         critic = det.make_q_critic(2, 3, (), seed=5, response_index=0, gamma=0.0)
         opt = ap.init_opt_state(critic.params.size, step_size=2e-2)
-        batch = two_state_batch(r0=0.4, r1=0.4)
+        batch = stx.batch_arrays(two_state_batch(r0=0.4, r1=0.4))
         for _ in range(1500):
             critic, opt, _, _ = det.q_critic_update(critic, critic, policy,
                                                     items, batch, opt)
@@ -90,7 +91,7 @@ class TestDDPGActorUpdate:
         policy = det.make_det_policy(2, 2, (4,), seed=6)
         critic = det.make_q_critic(2, 2, (), seed=7, response_index=0, gamma=0.0)
         critic.params[2:4] = 0.0  # zero the action-input weights
-        batch = two_state_batch()
+        batch = stx.batch_arrays(two_state_batch())
         new_policy, _, _ = det.ddpg_actor_update(policy, critic, batch,
                                                  ap.init_opt_state(policy.params.size))
         assert np.array_equal(new_policy.params, policy.params)
@@ -117,7 +118,7 @@ class TestDDPGActorUpdate:
         expected, _ = ap.optimizer_step(policy.params, numeric,
                                         ap.init_opt_state(policy.params.size),
                                         "maximize")
-        new_policy, _, _ = det.ddpg_actor_update(policy, critic, batch,
+        new_policy, _, _ = det.ddpg_actor_update(policy, critic, stx.batch_arrays(batch),
                                                  ap.init_opt_state(policy.params.size))
         denom = np.maximum(np.abs(expected - policy.params), 1e-9)
         assert np.max(np.abs(new_policy.params - expected) / denom) < 1e-3
@@ -125,7 +126,7 @@ class TestDDPGActorUpdate:
     def test_update_is_deterministic(self):
         policy = det.make_det_policy(2, 2, (4,), seed=11)
         critic = det.make_q_critic(2, 2, (3,), seed=12, response_index=0, gamma=0.0)
-        batch = two_state_batch()
+        batch = stx.batch_arrays(two_state_batch())
         a, _, _ = det.ddpg_actor_update(policy, critic, batch,
                                         ap.init_opt_state(policy.params.size))
         b, _, _ = det.ddpg_actor_update(policy, critic, batch,
@@ -202,7 +203,7 @@ class TestConstrainedDetObjective:
                                         ap.init_opt_state(self.policy.params.size),
                                         "maximize")
         new_policy, _, info = det.constrained_det_actor_update(
-            self.policy, self.aux, self.critic, lam, batch,
+            self.policy, self.aux, self.critic, lam, stx.batch_arrays(batch),
             ap.init_opt_state(self.policy.params.size))
         denom = np.maximum(np.abs(expected - self.policy.params), 1e-9)
         assert np.max(np.abs(new_policy.params - expected) / denom) < 1e-3
@@ -232,6 +233,7 @@ class TestBehaviorClone:
         for _ in range(8):
             batch.append(Transition(State(state), np.array([0.0]),
                                     terminal_state(2), True, action_index=2))
+        batch = stx.batch_arrays(batch)
         opt = ap.init_opt_state(policy.params.size, step_size=5e-3)
         probs = [policy.probs(state)[2]]
         for step in range(450):
@@ -249,6 +251,7 @@ class TestBehaviorClone:
         for a in list(range(4)) * 6:
             batch.append(Transition(State(state), np.array([0.0]),
                                     terminal_state(2), True, action_index=a))
+        batch = stx.batch_arrays(batch)
         opt = ap.init_opt_state(policy.params.size, step_size=1e-2)
         for _ in range(1500):
             policy, opt, _ = det.behavior_clone_update(policy, batch, opt)
@@ -264,7 +267,7 @@ class TestBehaviorClone:
             batch.append(Transition(State(rng.normal(size=3)), np.array([0.0]),
                                     terminal_state(3), True, action_index=a))
         _, _, loss = det.behavior_clone_update(
-            policy, batch, ap.init_opt_state(policy.params.size))
+            policy, stx.batch_arrays(batch), ap.init_opt_state(policy.params.size))
         expected = -np.mean([np.log(policy.probs(tr.state.features)[tr.action_index])
                              for tr in batch])
         assert loss == pytest.approx(float(expected), rel=1e-10)
@@ -298,6 +301,24 @@ class TestOfflineTrainers:
         assert np.array_equal(a.policy.params, b.policy.params)
         assert np.array_equal(a.items, b.items)
         assert a.metrics and "mean_q" in a.metrics[0]
+
+    def test_behavior_clone_matches_per_transition_sampling(self, dataset):
+        cfg = det.BCConfig(updates=30, batch_size=16, log_every=10)
+        got, metrics = det.train_behavior_clone(dataset, cfg, master_seed=9)
+        # the loop as it ran before minibatches were one gather of stacked arrays
+        transitions = dataset.all_transitions()
+        policy = stx.make_policy(transitions[0].state.features.size,
+                                 int(dataset.metadata["n_items"]), cfg.hidden,
+                                 derive_seed(9, "bc"))
+        opt = ap.init_opt_state(policy.params.size, cfg.lr)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(9, "bc-batches")))
+        losses = []
+        for _ in range(cfg.updates):
+            batch = [transitions[i] for i in rng.integers(len(transitions), size=cfg.batch_size)]
+            policy, opt, loss = det.behavior_clone_update(policy, stx.batch_arrays(batch), opt)
+            losses.append(loss)
+        assert np.array_equal(got.params, policy.params)
+        assert [row["critic_loss"] for row in metrics] == losses[cfg.log_every - 1::cfg.log_every]
 
     def test_rcpo_trains_m_critics(self, dataset):
         cfg = det.DDPGConfig(updates=30, batch_size=16)

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactor import approximator as ap
+from cactor import deterministic as det
 from cactor import offline as off
 from cactor import stochastic as stx
 from cactor.core import (ReplayDataset, State, Trajectory, Transition,
                          discounted_returns, terminal_state)
-from cactor.seeding import rng_for
+from cactor.seeding import derive_seed, rng_for
+from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 from cactor.sim import SessionSimulator, SimConfig, run_episode
 
 from _tabular import TabularMDP, skewed_policy, table_prob_fn
@@ -196,7 +198,7 @@ class TestOfflineUpdates:
     def test_aux_update_reduces_to_online_on_policy(self, sim, policy):
         critic = stx.make_critic(6, (8,), seed=42, response_index=1, gamma=0.0)
         traj = logged_trajectory(policy, sim, 7, rng_for(8, "a"))
-        batch = traj.transitions
+        batch = stx.batch_arrays(traj.transitions)
         refs = [(traj, t) for t in range(len(traj))]
         online, _, _ = stx.actor_update_aux(
             policy, critic, batch, ap.init_opt_state(policy.params.size))
@@ -210,7 +212,7 @@ class TestOfflineUpdates:
         traj = logged_trajectory(pset.main[0], sim, 8, rng_for(9, "a"))
         refs = [(traj, t) for t in range(len(traj))]
         online, _, oinfo = stx.actor_update_main(
-            pset, traj.transitions, ap.init_opt_state(pset.main[0].params.size))
+            pset, stx.batch_arrays(traj.transitions), ap.init_opt_state(pset.main[0].params.size))
         offline, _, finfo = off.offline_actor_update_main(
             pset, refs, off.ISConfig(), ap.init_opt_state(pset.main[0].params.size))
         assert np.max(np.abs(online.params - offline.params)) < 1e-10
@@ -344,6 +346,96 @@ class TestMultiCritic:
         fl = ap.first_layer_size(critics[0].spec)
         assert np.array_equal(critics[0].params[:fl], critics[1].params[:fl])
         assert not np.array_equal(critics[0].params[fl:], critics[1].params[fl:])
+
+
+def review_dataset():
+    return generate_review_dataset(ReviewDatasetConfig(n_users=6, n_items=5, n_reviews=120,
+                                                       min_trajectory_length=6, seed=31))
+
+
+class TestMergedCriticLoop:
+    """multi_critic_train's one loop against the per-mode loops it replaced."""
+
+    def test_share_bottom_matches_a_separate_shared_block_optimizer(self):
+        ds = review_dataset()
+        gammas = np.linspace(0.5, 0.95, ds.m)
+        cfg = off.MultiCriticConfig(iters=40, batch_size=16, hidden=(6,), share_bottom=True)
+        got = off.multi_critic_train(ds, gammas, "separate", cfg, master_seed=7)
+
+        s, _, r, s2, done = stx.batch_arrays(ds.all_transitions())
+        rng = np.random.Generator(np.random.PCG64(derive_seed(7, "mc-batches")))
+        critics = [stx.make_critic(s.shape[1], cfg.hidden, derive_seed(7, "mc", i), i, g)
+                   for i, g in enumerate(gammas)]
+        fl = ap.first_layer_size(critics[0].spec)
+        for c in critics[1:]:
+            c.params[:fl] = critics[0].params[:fl]
+        # critic 0's first layer is owned by one optimizer on the summed gradient
+        shared_opt = ap.init_opt_state(fl, cfg.lr)
+        tail_opts = [ap.init_opt_state(c.params.size - fl, cfg.lr) for c in critics]
+        for _ in range(cfg.iters):
+            idx = rng.integers(len(s), size=cfg.batch_size)
+            shared_grad = np.zeros(fl)
+            for i, c in enumerate(critics):
+                _, g = stx.critic_loss_grad(c, s[idx], r[idx][:, i], s2[idx], done[idx])
+                shared_grad += g[:fl]
+                tail, tail_opts[i] = ap.optimizer_step(c.params[fl:], g[fl:], tail_opts[i],
+                                                       "minimize")
+                c.params = np.concatenate([c.params[:fl], tail])
+            shared, shared_opt = ap.optimizer_step(critics[0].params[:fl], shared_grad,
+                                                   shared_opt, "minimize")
+            for c in critics:
+                c.params[:fl] = shared
+        for a, b in zip(got, critics):
+            assert np.array_equal(a.params, b.params)
+
+    def test_single_summed_matches_the_summed_loop(self):
+        ds = review_dataset()
+        cfg = off.MultiCriticConfig(iters=40, batch_size=16, hidden=(6,))
+        got = off.multi_critic_train(ds, None, "single_summed", cfg, master_seed=8,
+                                     shared_gamma=0.8)
+
+        s, _, r, s2, done = stx.batch_arrays(ds.all_transitions())
+        rng = np.random.Generator(np.random.PCG64(derive_seed(8, "mc-batches")))
+        critic = stx.make_critic(s.shape[1], cfg.hidden, derive_seed(8, "mc", 0), -1, 0.8)
+        opt = ap.init_opt_state(critic.params.size, cfg.lr)
+        for _ in range(cfg.iters):
+            idx = rng.integers(len(s), size=cfg.batch_size)
+            _, g = stx.critic_loss_grad(critic, s[idx], r[idx].sum(axis=1), s2[idx], done[idx])
+            critic.params, opt = ap.optimizer_step(critic.params, g, opt, "minimize")
+        assert len(got) == 1
+        assert np.array_equal(got[0].params, critic.params)
+
+
+def no_action_case(update):
+    """Run ``update`` on the chain dataset with its action indices removed."""
+    ds = chain_dataset()
+    traj = ds.trajectories[0]
+    for tr in traj.transitions:
+        tr.action_index = None
+    batch = stx.batch_arrays(traj.transitions)
+    policy = stx.make_policy(3, 1, (), seed=0)
+    opt = ap.init_opt_state(policy.params.size)
+    if update == "behavior_clone_update":
+        det.behavior_clone_update(policy, batch, opt)
+    elif update == "actor_update_aux":
+        critic = stx.make_critic(3, (), seed=1, response_index=1, gamma=0.5)
+        stx.actor_update_aux(policy, critic, batch, opt)
+    elif update == "offline_actor_update_main":
+        pset = stx.build_policy_set(3, 1, 2, [1.0], [0.9, 0.5], (), seed=2)
+        off.offline_actor_update_main(pset, [(traj, t) for t in range(len(traj))],
+                                      off.ISConfig(), opt)
+    else:
+        actor = det.make_det_policy(3, 2, (), seed=3)
+        critic = det.make_q_critic(3, 2, (), seed=4, response_index=0, gamma=0.9)
+        det.q_critic_update(critic, critic, actor, np.zeros((1, 2)), batch,
+                            ap.init_opt_state(critic.params.size))
+
+
+@pytest.mark.parametrize("update", ["behavior_clone_update", "actor_update_aux",
+                                    "offline_actor_update_main", "q_critic_update"])
+def test_missing_action_index_is_a_named_error(update):
+    with pytest.raises(ValueError, match="batch lacks action indices"):
+        no_action_case(update)
 
 
 class TestCorrelation:

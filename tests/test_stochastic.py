@@ -46,7 +46,7 @@ class TestCriticUpdate:
     def test_bellman_fixed_point_leaves_params(self):
         critic = stx.make_critic(3, (), seed=0, response_index=0, gamma=0.0)
         critic.params[:] = 0.0
-        batch = chain_batch([0.0, 0.0, 0.0])
+        batch = stx.batch_arrays(chain_batch([0.0, 0.0, 0.0]))
         opt = ap.init_opt_state(critic.params.size)
         new_critic, _, loss = stx.critic_update(critic, batch, opt)
         assert loss == 0.0
@@ -55,7 +55,7 @@ class TestCriticUpdate:
     def test_chain_converges_to_linear_system_solution(self):
         critic = stx.make_critic(3, (), seed=1, response_index=0, gamma=0.9)
         opt = ap.init_opt_state(critic.params.size, step_size=1e-2)
-        batch = chain_batch([0.0, 0.0, 1.0])
+        batch = stx.batch_arrays(chain_batch([0.0, 0.0, 1.0]))
         for _ in range(4000):
             critic, opt, _ = stx.critic_update(critic, batch, opt)
         v = ap.forward(critic.spec, critic.params, np.eye(3))[:, 0]
@@ -64,7 +64,7 @@ class TestCriticUpdate:
     def test_zero_gamma_regresses_to_constant_reward(self):
         critic = stx.make_critic(2, (), seed=2, response_index=0, gamma=0.0)
         opt = ap.init_opt_state(critic.params.size, step_size=2e-2)
-        batch = chain_batch([0.7, 0.7], state_dim=2)
+        batch = stx.batch_arrays(chain_batch([0.7, 0.7], state_dim=2))
         for _ in range(2000):
             critic, opt, _ = stx.critic_update(critic, batch, opt)
         v = ap.forward(critic.spec, critic.params, np.eye(2))[:, 0]
@@ -76,7 +76,7 @@ class TestActorUpdateAux:
         policy = stx.make_policy(2, 3, (4,), seed=3)
         critic = stx.make_critic(2, (), seed=4, response_index=0, gamma=0.0)
         critic.params[:] = 0.0  # V == 0 everywhere
-        batch = single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], [1.0, -1.0], 3)
+        batch = stx.batch_arrays(single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], [1.0, -1.0], 3))
         new_policy, _, _ = stx.actor_update_aux(
             policy, critic, batch, ap.init_opt_state(policy.params.size))
         assert np.array_equal(new_policy.params, policy.params)
@@ -86,7 +86,7 @@ class TestActorUpdateAux:
         critic = stx.make_critic(2, (), seed=6, response_index=0, gamma=0.0)
         critic.params[:] = 0.0
         state = np.array([1.0, 0.5])
-        batch = single_state_batch([0], [1.0], state, 2)  # advantage = +1
+        batch = stx.batch_arrays(single_state_batch([0], [1.0], state, 2))  # advantage = +1
         before = policy.probs(state)[0]
         new_policy, _, _ = stx.actor_update_aux(
             policy, critic, batch, ap.init_opt_state(policy.params.size))
@@ -208,7 +208,7 @@ class TestActorUpdateMain:
             policy.params, grads, ap.init_opt_state(policy.params.size), "maximize")
 
         new_policy, _, info = stx.actor_update_main(
-            pset, batch, ap.init_opt_state(policy.params.size), clip_max=20.0)
+            pset, stx.batch_arrays(batch), ap.init_opt_state(policy.params.size), clip_max=20.0)
         assert np.allclose(new_policy.params, expected_params, atol=1e-12)
         assert info["mean_weight"] == pytest.approx(float(expected_w.mean()), rel=1e-12)
 
@@ -217,7 +217,7 @@ class TestActorUpdateMain:
         # critic == 0 and zero rewards -> advantage 0; aux == main -> ratio 1
         pset.main[1].params[:] = 0.0
         state = np.array([0.3, -0.8])
-        batch = single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], state, 3, m=2)
+        batch = stx.batch_arrays(single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], state, 3, m=2))
         _, _, info = stx.actor_update_main(pset, batch,
                                            ap.init_opt_state(pset.main[0].params.size))
         assert info["mean_weight"] == pytest.approx(1.0, abs=1e-12)
@@ -225,7 +225,7 @@ class TestActorUpdateMain:
     def test_zero_lambda_perturbation_independence(self):
         pset = small_policy_set(seed=4, lambdas=(1.0, 0.0), m=3)
         state = np.array([0.5, 0.5])
-        batch = single_state_batch([1], [1.0], state, 3, m=3)
+        batch = stx.batch_arrays(single_state_batch([1], [1.0], state, 3, m=3))
         opt = ap.init_opt_state(pset.main[0].params.size)
         a, _, _ = stx.actor_update_main(pset, batch, opt)
         # perturb the lambda=0 auxiliary policy arbitrarily
@@ -239,8 +239,8 @@ class TestActorUpdateMain:
         opt = ap.init_opt_state(pset.main[0].params.size)
         for _ in range(20):
             state = rng.normal(size=2)
-            batch = single_state_batch([int(rng.integers(3))], [rng.normal()],
-                                       state, 3, m=2)
+            batch = stx.batch_arrays(single_state_batch([int(rng.integers(3))], [rng.normal()],
+                                                        state, 3, m=2))
             policy, opt, _ = stx.actor_update_main(pset, batch, opt)
             pset.main = (policy, pset.main[1])
             p = policy.probs(rng.normal(size=2))
