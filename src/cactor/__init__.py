@@ -19,8 +19,7 @@ from .stochastic import (CriticV, PolicySet, StochasticPolicy, TrainingDiverged,
                          batch_arrays, build_policy_set, critic_update, train_two_stage)
 from .deterministic import (BCConfig, CriticQ, DDPGConfig, DeterministicPolicy,
                             behavior_clone_update, constrained_det_objective,
-                            ddpg_actor_update, q_critic_update,
-                            rcpo_combined_advantage, train_behavior_clone,
+                            ddpg_actor_update, q_critic_update, train_behavior_clone,
                             train_constrained_ddpg, train_ddpg_weighted, train_rcpo)
 
 __version__ = "0.1.0"

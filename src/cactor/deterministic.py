@@ -20,8 +20,9 @@ import numpy as np
 from . import approximator as ap
 from .core import ReplayDataset, check_discounts, td_target
 from .seeding import derive_seed
-from .stochastic import (StochasticPolicy, _check_critic_loss, batch_arrays, gather,
-                         loglik_ascent, make_policy, validate_lambdas)
+from .stochastic import (StochasticPolicy, _check_critic_loss, gather, loglik_ascent,
+                         make_policy, validate_lambdas)
+from .stochastic import batch_arrays  # noqa: F401  (a binding bench/tracer.py wraps)
 
 
 @dataclass
@@ -192,13 +193,6 @@ def constrained_det_actor_update(policy: DeterministicPolicy, aux_policies,
     return replace(policy, params=new_params), opt, info
 
 
-def rcpo_combined_advantage(adv_per_response, lambdas) -> float:
-    """adv[0] + sum_i lambda_i * adv[i] (multiplier-weighted linear combination)."""
-    adv = np.asarray(adv_per_response, dtype=np.float64)
-    lam = validate_lambdas(lambdas, adv.size - 1)
-    return float(adv[0] + lam @ adv[1:])
-
-
 def behavior_clone_update(policy: StochasticPolicy, batch, opt: ap.OptState):
     """One step minimizing mean negative log-likelihood of the logged actions
     of ``batch``, a ``batch_arrays`` tuple."""
@@ -333,7 +327,7 @@ def train_ddpg_weighted(dataset: ReplayDataset, weights, gamma: float,
     if weights.size != dataset.m:
         raise ValueError("need one reward weight per response")
     check_discounts([gamma], 1)
-    return _train_ddpg_core(batch_arrays(dataset.all_transitions()),
+    return _train_ddpg_core(dataset.arrays(),
                             int(dataset.metadata["n_items"]), [gamma],
                             lambda r, j: r @ weights, cfg, master_seed)
 
@@ -343,7 +337,7 @@ def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
     """One critic per response; the actor ascends Q_0 + sum_i lambda_i Q_i."""
     gammas = check_discounts(gammas, dataset.m)
     lam = validate_lambdas(lambdas, dataset.m - 1)
-    return _train_ddpg_core(batch_arrays(dataset.all_transitions()),
+    return _train_ddpg_core(dataset.arrays(),
                             int(dataset.metadata["n_items"]), list(gammas), None, cfg,
                             master_seed, lambdas=lam)
 
@@ -362,7 +356,7 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
     lam = validate_lambdas(lambdas, dataset.m - 1)
     s1_cfg = cfg if stage1_updates is None else replace(cfg, updates=stage1_updates)
 
-    data = batch_arrays(dataset.all_transitions())
+    data = dataset.arrays()
     n_items = int(dataset.metadata["n_items"])
     metrics = []
     aux_policies = []
@@ -391,7 +385,7 @@ class BCConfig:
 
 def train_behavior_clone(dataset: ReplayDataset, cfg: BCConfig,
                          master_seed: int) -> tuple[StochasticPolicy, list]:
-    data = batch_arrays(dataset.all_transitions())
+    data = dataset.arrays()
     policy = make_policy(data[0].shape[1], int(dataset.metadata["n_items"]), cfg.hidden,
                          derive_seed(master_seed, "bc"))
     opt = ap.init_opt_state(policy.params.size, cfg.lr)

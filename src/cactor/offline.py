@@ -15,11 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approximator as ap
-from .core import ReplayDataset, Trajectory, check_discounts, discounted_returns
+from .core import (ReplayDataset, Trajectory, _session_columns, _Store, check_discounts,
+                   discounted_returns)
 from .seeding import derive_seed
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
-                         _logged_probs, batch_arrays, constrained_weights_batch,
-                         critic_loss_grad, gather, loglik_ascent, make_critic, td_errors)
+                         actor_update_main, critic_loss_grad, gather, loglik_ascent,
+                         make_critic, td_errors)
+from .stochastic import constrained_weights_batch  # noqa: F401  (bench/tracer.py wraps it)
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,13 @@ class NCISConfig:
             raise ValueError("cap must be positive")
 
 
-def _behavior_prob(tr, cfg: ISConfig) -> float:
-    if tr.behavior_prob is None:
+def _check_behavior_prob(p: float, cfg: ISConfig) -> None:
+    """A logged probability (nan when unknown) that debiased learning may use."""
+    if p != p:
         raise ValueError("transition is missing behavior_prob; debiased learning "
                          "requires logged action probabilities")
-    if tr.behavior_prob < cfg.min_behavior_prob:
-        raise ValueError(f"behavior_prob {tr.behavior_prob} below the "
-                         f"{cfg.min_behavior_prob} floor")
-    return tr.behavior_prob
+    if p < cfg.min_behavior_prob:
+        raise ValueError(f"behavior_prob {p} below the {cfg.min_behavior_prob} floor")
 
 
 def full_trajectory_ratio(traj: Trajectory, t: int, policy: StochasticPolicy,
@@ -64,60 +65,92 @@ def full_trajectory_ratio(traj: Trajectory, t: int, policy: StochasticPolicy,
 
 def first_order_ratio(transition, policy: StochasticPolicy, cfg: ISConfig) -> float:
     """Single-step pi(a|s)/pi_beta(a|s), clipped."""
-    return float(_ratios([(Trajectory([transition]), 0)], policy, cfg)[0])
+    return float(_ratios([transition._ref()], policy, replace(cfg, mode="first_order"))[0])
 
 
-def _raise_first_bad_ref(batch_refs, cfg: ISConfig):
-    """Raise the ValueError of the first bad (traj, t) in batch order: t out
-    of range, or a step whose behavior_prob is missing or below the floor."""
-    for traj, t in batch_refs:
-        if not (0 <= t < len(traj)):
-            raise ValueError(f"step {t} outside trajectory of length {len(traj)}")
-        lo = 0 if cfg.mode == "full_product" else t
-        for tr in traj.transitions[lo: t + 1]:
-            _behavior_prob(tr, cfg)
+def _locate(batch_refs):
+    """The store holding the sessions of ``batch_refs`` (Trajectory, t), and
+    per ref its session's first row, its session's length and t.  Refs into
+    several stores are served from one merged copy of their sessions."""
+    if not batch_refs:
+        raise ValueError("empty batch")
+    store = batch_refs[0][0]._store
+    ts = np.array([t for _, t in batch_refs], dtype=np.intp)
+    if all(traj._store is store for traj, _ in batch_refs):
+        lo = np.array([traj._lo for traj, _ in batch_refs], dtype=np.intp)
+        n = np.array([traj._hi for traj, _ in batch_refs], dtype=np.intp) - lo
+        return store, lo, n, ts
+    trajs = list({id(traj): traj for traj, _ in batch_refs}.values())
+    store = _Store(**_session_columns(trajs, store.states.shape[1], store.m))
+    first = {id(traj): k for k, traj in enumerate(trajs)}
+    k = np.array([first[id(traj)] for traj, _ in batch_refs])
+    return store, store.offsets[k], np.diff(store.offsets)[k], ts
+
+
+def _raise_first_bad_ref(store, lo, n, ts, full: bool, cfg: ISConfig):
+    """Raise the ValueError of the first bad ref in batch order: t out of
+    range, or a row its ratio reads whose behavior_prob is missing or below
+    the floor."""
+    for lo_k, n_k, t in zip(lo.tolist(), n.tolist(), ts.tolist()):
+        if not (0 <= t < n_k):
+            raise ValueError(f"step {t} outside trajectory of length {n_k}")
+        for p in store.behavior_prob[lo_k if full else lo_k + t: lo_k + t + 1].tolist():
+            _check_behavior_prob(p, cfg)
+
+
+def _ref_rows(batch_refs, cfg: ISConfig):
+    """The rows the importance ratios of ``batch_refs`` read, checked.
+
+    Returns the store, the rows, each ref's position ``at`` in them (so
+    ``rows[at]`` are the refs' own rows), and for full_product the segment
+    bounds of each distinct session's prefix, steps 0 up to the largest t
+    asked of it (None for first_order, which reads step t alone)."""
+    store, lo, n, ts = _locate(batch_refs)
+    # clipped into range so every ref can be gathered; bad refs are named below
+    step = np.clip(ts, 0, n - 1)
+    full = cfg.mode == "full_product"
+    if full:
+        heads, seg = np.unique(lo, return_inverse=True)
+        upto = np.zeros(heads.size, dtype=np.intp)
+        np.maximum.at(upto, seg, step)
+        starts = np.concatenate([[0], np.cumsum(upto + 1)])
+        rows = np.repeat(heads - starts[:-1], upto + 1) + np.arange(starts[-1])
+        at = starts[seg] + step
+    else:
+        starts = None
+        rows = lo + step
+        at = np.arange(rows.size)
+    bp = store.behavior_prob[rows]
+    if np.any(step != ts) or np.any(np.isnan(bp) | (bp < cfg.min_behavior_prob)):
+        _raise_first_bad_ref(store, lo, n, ts, full, cfg)
+    return store, rows, at, starts
+
+
+def _ratios_at(policy: StochasticPolicy, cfg: ISConfig, store, rows, at, starts):
+    a = store.action_index[rows]
+    if np.any(a < 0):
+        raise ValueError("batch lacks action indices")
+    p = ap.forward_rows(policy.spec, policy.params, store.states[rows])
+    ratio = p[np.arange(a.size), a] / store.behavior_prob[rows]
+    if starts is not None:
+        with np.errstate(over="ignore"):  # an overflowed product is clipped below
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                ratio[lo:hi] = np.multiply.accumulate(ratio[lo:hi])
+    return np.minimum(ratio[at], cfg.ratio_clip)
 
 
 def _ratios(batch_refs, policy: StochasticPolicy, cfg: ISConfig) -> np.ndarray:
     """Clipped importance ratios of (Trajectory, t) refs from one net pass.
 
     first_order evaluates each ref's step t.  full_product evaluates each
-    distinct trajectory's prefix once, up to the largest t asked of it, and
+    distinct session's prefix once, up to the largest t asked of it, and
     takes every ref's product from a left-to-right ``multiply.accumulate``
     over that prefix: the same multiplications, in the same order, as a
     scalar ``prod *= p / bp`` loop, so the ratios equal that loop's bit for
     bit (a cumulative sum of log-ratios would not).  ``forward_rows`` keeps
     each probability equal to a one-row ``forward``.
     """
-    if not batch_refs:
-        raise ValueError("empty batch")
-    ts = np.array([t for _, t in batch_refs], dtype=np.intp)
-    # clipped into range so every ref can be gathered; bad refs are named below
-    step = np.clip(ts, 0, np.array([len(traj) for traj, _ in batch_refs]) - 1)
-    full = cfg.mode == "full_product"
-    if full:
-        seg_of: dict[int, int] = {}
-        seg = np.array([seg_of.setdefault(id(traj), len(seg_of)) for traj, _ in batch_refs])
-        heads = np.unique(seg, return_index=True)[1]  # each segment's first ref
-        upto = np.zeros(heads.size, dtype=np.intp)
-        np.maximum.at(upto, seg, step)
-        starts = np.concatenate([[0], np.cumsum(upto + 1)])
-        rows = [tr for k, u in zip(heads, upto) for tr in batch_refs[k][0].transitions[: u + 1]]
-        at = starts[seg] + step
-    else:
-        rows = [traj.transitions[k] for (traj, _), k in zip(batch_refs, step)]
-        at = np.arange(len(rows))
-    bp = np.array([tr.behavior_prob for tr in rows], dtype=np.float64)  # None -> nan
-    if np.any(step != ts) or np.any(np.isnan(bp) | (bp < cfg.min_behavior_prob)):
-        _raise_first_bad_ref(batch_refs, cfg)
-    x = np.array([tr.state.features for tr in rows])
-    a = np.array([tr.action_index for tr in rows], dtype=np.intp)
-    ratio = ap.forward_rows(policy.spec, policy.params, x)[np.arange(a.size), a] / bp
-    if full:
-        with np.errstate(over="ignore"):  # an overflowed product is clipped below
-            for lo, hi in zip(starts[:-1], starts[1:]):
-                ratio[lo:hi] = np.multiply.accumulate(ratio[lo:hi])
-    return np.minimum(ratio[at], cfg.ratio_clip)
+    return _ratios_at(policy, cfg, *_ref_rows(batch_refs, cfg))
 
 
 def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_refs,
@@ -125,8 +158,9 @@ def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_re
     """Ascent on mean(ratio * A_i * log pi(a|s)).  With behavior equal to the
     current policy the ratios are exactly 1 and this reproduces the online
     update bit for bit."""
-    ratios = _ratios(batch_refs, policy, is_cfg)
-    s, a_idx, r, s2, done = batch_arrays([traj.transitions[t] for traj, t in batch_refs])
+    store, rows, at, starts = _ref_rows(batch_refs, is_cfg)
+    ratios = _ratios_at(policy, is_cfg, store, rows, at, starts)
+    s, a_idx, r, s2, done = store.arrays(rows[at])
     v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
     policy, opt, objective, _ = loglik_ascent(policy, s, a_idx, ratios * (target - v), opt)
     return policy, opt, {"objective": objective, "mean_ratio": float(ratios.mean())}
@@ -139,17 +173,11 @@ def offline_actor_update_main(policy_set: PolicySet, batch_refs, is_cfg: ISConfi
     the current-policy probability in the ratio product,
 
         prod_i (pi_aux_i(a|s) / pi_beta(a|s)) ** (lambda_i/sum) * exp(A_0/sum).
-    """
-    policy, critic = policy_set.main
-    trs = [traj.transitions[t] for traj, t in batch_refs]
-    s, a_idx, r, s2, done = batch_arrays(trs)
-    v, target = td_errors(critic, s, r[:, 0], s2, done)
-    bp = np.array([_behavior_prob(tr, is_cfg) for tr in trs])
-    aux = _logged_probs([p for p, _ in policy_set.auxiliaries], s, a_idx)
-    w = constrained_weights_batch(aux, bp, policy_set.lambdas, target - v,
-                                  clip_max, weight_floor)
-    policy, opt, objective, mean_weight = loglik_ascent(policy, s, a_idx, w, opt)
-    return policy, opt, {"objective": objective, "mean_weight": mean_weight}
+
+    Rows with a non-finite advantage are dropped first, as online."""
+    store, rows, _, _ = _ref_rows(batch_refs, replace(is_cfg, mode="first_order"))
+    return actor_update_main(policy_set, store.arrays(rows), opt, clip_max, weight_floor,
+                             behavior_prob=store.behavior_prob[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +208,9 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
     """
     if mode not in ("separate", "single_summed"):
         raise ValueError(f"unknown mode {mode!r}")
-    transitions = dataset.all_transitions()
-    if not transitions:
+    if not dataset.n_transitions:
         raise ValueError("dataset has no transitions")
-    data = batch_arrays(transitions)
+    data = dataset.arrays()
     state_dim = data[0].shape[1]
     rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "mc-batches")))
 
@@ -207,7 +234,7 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         c.params[:fl] = critics[0].params[:fl]
 
     for it in range(cfg.iters):
-        s, _, r, s2, done = gather(data, rng.integers(len(transitions), size=cfg.batch_size))
+        s, _, r, s2, done = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
         if mode == "single_summed":
             r = r.sum(axis=1)[:, None]
         grads = []
@@ -245,8 +272,8 @@ def critic_return_correlation(critics, dataset: ReplayDataset, discounts,
     """
     gammas = check_discounts(discounts, dataset.m)
     responses = list(range(dataset.m)) if responses is None else list(responses)
-    s = batch_arrays(dataset.all_transitions())[0]
-    ret = np.vstack([discounted_returns(traj, gammas) for traj in dataset.trajectories])
+    s = dataset.states
+    ret = discounted_returns(dataset, gammas)
 
     single = isinstance(critics, CriticV)
     out = {}
@@ -261,9 +288,8 @@ def summed_value_correlation(critics, dataset: ReplayDataset, discounts) -> floa
     """Correlation of the summed separate-critic prediction (V_sep = sum_i V_i)
     with the Monte Carlo return of the summed reward."""
     gammas = check_discounts(discounts, dataset.m)
-    s = batch_arrays(dataset.all_transitions())[0]
-    mc = np.concatenate([discounted_returns(traj, gammas).sum(axis=1)
-                         for traj in dataset.trajectories])
+    s = dataset.states
+    mc = discounted_returns(dataset, gammas).sum(axis=1)
     pred = np.zeros(s.shape[0])
     for critic in critics:
         pred += ap.forward(critic.spec, critic.params, s)[:, 0]
@@ -287,21 +313,26 @@ def ncis_from_weights(weights, rewards) -> np.ndarray:
 def ncis_evaluate(prob_fn, dataset: ReplayDataset, cfg: NCISConfig) -> dict:
     """Normalized capped importance sampling over all logged transitions.
 
+    Each row is one sample, weighted by its one-step ratio
+    min(pi(a|s) / pi_beta(a|s), cap), so the scores estimate the per-step
+    mean reward under the evaluated policy's action choice at the logged
+    states, not a session return: no ratio product over a session's earlier
+    steps and no discounting.
+
     prob_fn(states) -> (batch, n_actions) action probabilities of the policy
     under evaluation; behavior probabilities come from the log.  Returns
     per-response scores plus weight diagnostics (mean, max, effective
     sample size).
     """
-    transitions = dataset.all_transitions()
-    if not transitions:
+    if not dataset.n_transitions:
         raise ValueError("cannot evaluate on an empty dataset")
-    s, a, r, _, _ = batch_arrays(transitions)
+    s, a, r, _, _ = dataset.arrays()
     if a is None:
         raise ValueError("dataset lacks action indices")
     p = np.asarray(prob_fn(s))[np.arange(a.size), a]
-    if any(tr.behavior_prob is None for tr in transitions):
+    bp = dataset.behavior_prob
+    if np.any(np.isnan(bp)):
         raise ValueError("dataset lacks behavior probabilities")
-    bp = np.array([tr.behavior_prob for tr in transitions])
     if np.any(bp <= 0.0):
         raise ValueError("behavior probabilities must be positive")
     w = np.minimum(p / bp, cfg.cap)

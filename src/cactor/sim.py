@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReplayDataset, State, Trajectory, Transition, terminal_state
+from .core import (ReplayDataset, State, Trajectory, Transition, _parse_dims,
+                   terminal_state)
 from .seeding import derive_seed
 
 REVIEW_M = 8
@@ -240,8 +241,9 @@ def run_episode(sim: SessionSimulator, select, episode_seed: int,
 
 
 def rollout(sim: SessionSimulator, probs, rng: np.random.Generator, episode_seeds,
-            session_ids=None) -> list[Trajectory]:
-    """Roll one session per episode seed, all sessions in lockstep.
+            session_ids=None) -> ReplayDataset:
+    """Roll one session per episode seed, all sessions in lockstep, writing
+    the dataset's columns directly.
 
     ``probs(features)`` maps the (k, state_dim) features of the k sessions
     still running to their (k, n_items) action probabilities; row i must not
@@ -253,38 +255,44 @@ def rollout(sim: SessionSimulator, probs, rng: np.random.Generator, episode_seed
     session, and session e's step t takes draw offset_e + t, where offset_e
     is the summed length of the sessions before e: the order of rolling the
     sessions one after another with ``choice(n, p=p)`` on ``rng``.  So the
-    trajectories, and the state of ``rng`` afterwards, are bit-identical to
-    that sequential run.  Session ids default to ``ep-<seed>``.
+    dataset, and the state of ``rng`` afterwards, are bit-identical to that
+    sequential run.  Session ids default to ``ep-<seed>``.
     """
-    n_items = sim.config.n_items
+    c = sim.config
     seeds = list(episode_seeds)
     ids = [f"ep-{s}" for s in seeds] if session_ids is None else list(session_ids)
     starts = [sim._start(s) for s in seeds]
     rngs = [r for r, _, _ in starts]
-    lengths = np.array([length for _, length, _ in starts], dtype=np.int64)
-    length_of = lengths.tolist()
-    states = [State(f.copy()) for _, _, f in starts]
-    features = np.array([f for _, _, f in starts]).reshape(len(seeds), sim.config.state_dim)
-    offsets = np.cumsum(lengths) - lengths
-    uniforms = rng.random(int(lengths.sum()))
-    transitions = [[] for _ in seeds]
+    lengths = np.array([length for _, length, _ in starts], dtype=np.intp)
+    features = np.array([f for _, _, f in starts]).reshape(len(seeds), c.state_dim)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    n = int(offsets[-1])
+    uniforms = rng.random(n)
+    states, next_states = np.empty((n, c.state_dim)), np.zeros((n, c.state_dim))
+    responses, behavior_prob = np.empty((n, c.m)), np.empty(n)
+    action_index = np.empty(n, dtype=np.intp)
     for t in range(int(lengths.max(initial=0))):
         live = np.flatnonzero(lengths > t)
+        rows = offsets[live] + t
         p = np.asarray(probs(features[live]), dtype=np.float64)
-        if p.shape != (live.size, n_items):
-            raise ValueError(f"probs returned shape {p.shape}, expected ({live.size}, {n_items})")
-        items = inverse_cdf(p, uniforms[offsets[live] + t])
-        chosen = p[np.arange(live.size), items].tolist()
-        responses, nxt = sim._advance(features[live], items, [rngs[e] for e in live],
-                                      t + 1, lengths[live])
-        features[live] = nxt
-        for j, e in enumerate(live.tolist()):
-            done = t + 1 == length_of[e]
-            next_state = None if done else State(nxt[j])
-            transitions[e].append(_transition(states[e], int(items[j]), chosen[j],
-                                              responses[j], next_state, done))
-            states[e] = next_state
-    return [Trajectory(tr, session_id=i) for tr, i in zip(transitions, ids)]
+        if p.shape != (live.size, c.n_items):
+            raise ValueError(f"probs returned shape {p.shape}, expected ({live.size}, {c.n_items})")
+        items = inverse_cdf(p, uniforms[rows])
+        states[rows] = features[live]
+        action_index[rows] = items
+        behavior_prob[rows] = p[np.arange(live.size), items]
+        responses[rows], features[live] = sim._advance(features[live], items,
+                                                       [rngs[e] for e in live],
+                                                       t + 1, lengths[live])
+        next_states[rows] = features[live]
+    done = np.zeros(n, dtype=bool)
+    done[offsets[1:] - 1] = True
+    next_states[done] = 0.0  # the terminal next_state is canonicalized to zeros
+    return ReplayDataset.from_columns(
+        states=states, next_states=next_states, next_terminal=done,
+        action_index=action_index, behavior_prob=behavior_prob, responses=responses,
+        done=done, offsets=offsets, session_ids=ids, m=c.m,
+        metadata={"state_dim": c.state_dim, "n_items": c.n_items})
 
 
 def generate_offline_dataset(config, behavior=None, n_trajectories: int = 0) -> ReplayDataset:
@@ -312,10 +320,10 @@ def generate_offline_dataset(config, behavior=None, n_trajectories: int = 0) -> 
             raise ValueError(f"behavior policy assigns zero probability to item {bad}")
         return p
 
-    trajectories = rollout(sim, probs, action_rng, range(n_trajectories),
-                           [f"sim-{k}" for k in range(n_trajectories)])
-    meta = {"state_dim": config.state_dim, "n_items": config.n_items, "source": "sim"}
-    return ReplayDataset(trajectories, m=config.m, metadata=meta)
+    dataset = rollout(sim, probs, action_rng, range(n_trajectories),
+                      [f"sim-{k}" for k in range(n_trajectories)])
+    dataset.metadata["source"] = "sim"
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -381,59 +389,62 @@ def generate_reviews(config: ReviewDatasetConfig) -> list[tuple[int, int, np.nda
 
 
 def save_review_file(path, config: ReviewDatasetConfig,
-                     records: list[tuple[int, int, np.ndarray, float]]) -> None:
+                     records: list[tuple[int, int, np.ndarray, float | None]]) -> None:
+    """Write records in the format ``load_review_dataset`` reads; a record
+    whose probability is None gets the 2+M-field form without one."""
     lines = [_REVIEW_HEADER, f"# n_users={config.n_users} n_items={config.n_items}"]
     for u, h, scores, prob in records:
         s = ",".join(f"{v:.17g}" for v in scores)
-        lines.append(f"{u},{h},{s},{prob:.17g}")
+        lines.append(f"{u},{h},{s}" if prob is None else f"{u},{h},{s},{prob:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _reviews_to_dataset(records, n_users, n_items, min_len, window) -> ReplayDataset:
-    by_user: dict[int, list] = {}
-    order = []
-    for rec in records:
-        if rec[0] not in by_user:
-            by_user[rec[0]] = []
-            order.append(rec[0])
-        by_user[rec[0]].append(rec)
+    """One session per user with at least ``min_len`` records, in order of
+    each user's first record.  The state of step t holds the user id and the
+    last ``window`` reviewed items with their scores (oldest in slot 0)."""
+    users = np.array([rec[0] for rec in records], dtype=np.intp)
+    index: dict[int, int] = {}
+    session = np.array([index.setdefault(u, len(index)) for u in users.tolist()],
+                       dtype=np.intp)
+    counts = np.bincount(session, minlength=len(index))
+    kept = counts[session] >= min_len
+    order = np.flatnonzero(kept)[np.argsort(session[kept], kind="stable")]
+    lengths = counts[counts >= min_len]
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+    n = int(offsets[-1])
+    items = np.array([records[k][1] for k in order], dtype=np.intp)
+    scores = np.array([records[k][2] for k in order], dtype=np.float64).reshape(n, REVIEW_M)
+    probs = np.array([np.nan if records[k][3] is None else records[k][3] for k in order],
+                     dtype=np.float64)
+    lo = np.repeat(offsets[:-1], lengths)
+    step = np.arange(n) - lo
 
     state_dim = 1 + window * (1 + REVIEW_M)
-    trajectories = []
-    for u in order:
-        recs = by_user[u]
-        if len(recs) < min_len:
-            continue
-        # state: user id plus the last `window` reviewed items and their scores
-        history: list[tuple[int, np.ndarray]] = []
-
-        def build_state(hist):
-            feats = np.zeros(state_dim)
-            feats[0] = u / n_users
-            for slot, (iid, sc) in enumerate(hist[-window:]):
-                off = 1 + slot * (1 + REVIEW_M)
-                feats[off] = iid / n_items
-                feats[off + 1 : off + 1 + REVIEW_M] = sc / 5.0
-            return feats
-
-        transitions = []
-        for t, (_, h, scores, prob) in enumerate(recs):
-            feats = build_state(history)
-            history.append((h, scores))
-            done = t == len(recs) - 1
-            nxt = terminal_state(state_dim) if done else State(build_state(history))
-            # responses are stored main-first: overall rating, then the aspects
-            response = np.concatenate([[scores[-1]], scores[:-1]])
-            transitions.append(Transition(
-                state=State(feats), response=response,
-                next_state=nxt, done=done, action_index=h, behavior_prob=prob,
-            ))
-        trajectories.append(Trajectory(transitions, session_id=f"user-{u}"))
+    states = np.zeros((n, state_dim))
+    states[:, 0] = users[order] / n_users
+    for slot in range(window):
+        # slot j holds review max(0, t - window) + j of the session, once t > j
+        has = step > slot
+        src = (lo + np.maximum(step - window, 0) + slot)[has]
+        off = 1 + slot * (1 + REVIEW_M)
+        states[has, off] = items[src] / n_items
+        states[has, off + 1: off + 1 + REVIEW_M] = scores[src] / 5.0
+    done = np.zeros(n, dtype=bool)
+    done[offsets[1:] - 1] = True
+    next_states = np.zeros_like(states)
+    next_states[:-1][~done[:-1]] = states[1:][~done[:-1]]
+    # responses are stored main-first: overall rating, then the aspects
+    responses = np.concatenate([scores[:, -1:], scores[:, :-1]], axis=1)
+    kept_users = [u for u, k in index.items() if counts[k] >= min_len]
     meta = {"state_dim": state_dim, "n_items": n_items, "n_users": n_users,
             "source": "reviews",
             "response_names": "overall," + ",".join(REVIEW_ASPECTS[:-1])}
-    return ReplayDataset(trajectories, m=REVIEW_M, metadata=meta)
+    return ReplayDataset.from_columns(
+        states=states, next_states=next_states, next_terminal=done, action_index=items,
+        behavior_prob=probs, responses=responses, done=done, offsets=offsets,
+        session_ids=[f"user-{u}" for u in kept_users], m=REVIEW_M, metadata=meta)
 
 
 def generate_review_dataset(config: ReviewDatasetConfig) -> ReplayDataset:
@@ -448,8 +459,11 @@ def load_review_dataset(path, min_trajectory_length: int = 20,
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != _REVIEW_HEADER:
         raise ValueError(f"{path}: missing review-file header")
-    fields = dict(part.split("=", 1) for part in lines[1].lstrip("# ").split())
-    n_users, n_items = int(fields["n_users"]), int(fields["n_items"])
+    if len(lines) < 2:
+        raise ValueError(f"{path}:1: the header is not followed by "
+                         "'# n_users=<int> n_items=<int>'")
+    dims = _parse_dims(2, lines[1], path, ("n_users", "n_items"))
+    n_users, n_items = dims["n_users"], dims["n_items"]
 
     records = []
     for lineno, ln in enumerate(lines[2:], start=3):

@@ -249,19 +249,29 @@ def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
 
 
 def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
-                      clip_max: float = 20.0, weight_floor: float = 0.0):
+                      clip_max: float = 20.0, weight_floor: float = 0.0,
+                      behavior_prob=None):
     """One constrained ascent step for the main policy over ``batch`` (a
-    ``batch_arrays`` tuple); auxiliaries and the current main probabilities
-    are constants.  Rows with a non-finite advantage are dropped first."""
+    ``batch_arrays`` tuple), the actor step of both stage-two updates.
+
+    The ratio's denominator is the current main probability, or the logged
+    ``behavior_prob`` of each row (the debiased offline update).  Rows with a
+    non-finite advantage are dropped first.  Auxiliaries, the critic and the
+    denominator are constants."""
     policy, critic = policy_set.main
     s, a_idx, r, s2, done = batch
     v, target = td_errors(critic, s, r[:, 0], s2, done)
     adv = target - v
     keep = np.isfinite(adv)
     if not np.all(keep):
-        s, a_idx, adv = gather((s, a_idx, adv), keep)
-    p = _logged_probs([policy] + [aux for aux, _ in policy_set.auxiliaries], s, a_idx)
-    w = constrained_weights_batch(p[1:], p[0], policy_set.lambdas, adv, clip_max, weight_floor)
+        s, a_idx, adv, behavior_prob = gather((s, a_idx, adv, behavior_prob), keep)
+    aux = [p for p, _ in policy_set.auxiliaries]
+    if behavior_prob is None:
+        p = _logged_probs([policy] + aux, s, a_idx)
+        cur, aux_p = p[0], p[1:]
+    else:
+        cur, aux_p = behavior_prob, _logged_probs(aux, s, a_idx)
+    w = constrained_weights_batch(aux_p, cur, policy_set.lambdas, adv, clip_max, weight_floor)
     policy, opt, objective, mean_weight = loglik_ascent(policy, s, a_idx, w, opt)
     return policy, opt, {"objective": objective, "mean_weight": mean_weight}
 
@@ -294,20 +304,21 @@ class TwoStageConfig:
 
 def collect_batch(sim: SessionSimulator, policy: StochasticPolicy,
                   rng: np.random.Generator, n_episodes: int,
-                  episode_seeds) -> tuple[list, np.ndarray]:
-    """Fresh on-policy episodes, rolled in lockstep; returns transitions
-    plus the mean over episodes of the cumulative reward vectors.
+                  episode_seeds) -> tuple[tuple, np.ndarray]:
+    """Fresh on-policy episodes, rolled in lockstep; returns their
+    ``batch_arrays`` tuple (views of the rollout's columns) plus the mean
+    over episodes of the cumulative reward vectors.
 
     RNG contract (``sim.rollout``): each episode draws from its own stream,
     and ``rng`` serves the actions in episode order, so the result is
     bit-identical to running the episodes one after another with
     ``policy.sample(features, rng)``."""
-    trajs = rollout(sim, lambda f: ap.forward_rows(policy.spec, policy.params, f), rng,
-                    [episode_seeds[e] for e in range(n_episodes)])
+    data = rollout(sim, lambda f: ap.forward_rows(policy.spec, policy.params, f), rng,
+                   [episode_seeds[e] for e in range(n_episodes)])
     totals = np.zeros((n_episodes, sim.config.m))
-    for e, traj in enumerate(trajs):
-        totals[e] = np.sum([tr.response for tr in traj.transitions], axis=0)
-    return [tr for traj in trajs for tr in traj.transitions], totals.mean(axis=0)
+    for e, (lo, hi) in enumerate(zip(data.offsets[:-1], data.offsets[1:])):
+        totals[e] = data.responses[lo:hi].sum(axis=0)
+    return data.arrays(), totals.mean(axis=0)
 
 
 class _DivergenceWatch:
@@ -341,8 +352,7 @@ def train_stage_one(sim: SessionSimulator, response_index: int, gamma: float,
     for it in range(cfg.stage1_iters):
         seeds = [derive_seed(master_seed, "s1-ep", response_index, it, e)
                  for e in range(cfg.episodes_per_iter)]
-        trs, mean_rewards = collect_batch(sim, policy, rng, cfg.episodes_per_iter, seeds)
-        batch = batch_arrays(trs)
+        batch, mean_rewards = collect_batch(sim, policy, rng, cfg.episodes_per_iter, seeds)
         loss = float("nan")
         for _ in range(cfg.critic_steps):
             critic, c_opt, loss = critic_update(critic, batch, c_opt)
@@ -394,9 +404,8 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
     for it in range(cfg.stage2_iters):
         seeds = [derive_seed(master_seed, "s2-ep", it, e)
                  for e in range(cfg.episodes_per_iter)]
-        trs, mean_rewards = collect_batch(sim, pset.main[0], rng,
-                                          cfg.episodes_per_iter, seeds)
-        batch = batch_arrays(trs)
+        batch, mean_rewards = collect_batch(sim, pset.main[0], rng,
+                                            cfg.episodes_per_iter, seeds)
         loss = float("nan")
         for _ in range(cfg.critic_steps):
             critic, c_opt, loss = critic_update(pset.main[1], batch, c_opt)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,7 +178,11 @@ class TestDatasetIO:
         rng = np.random.default_rng(5)
         rewards = rng.normal(size=(4, 2)) * 10.0 ** rng.integers(-300, 300, size=(4, 2))
         traj = make_traj(rewards, session_id="s3", behavior_prob=1.0 / 3.0)
-        traj.transitions[1].state.features[:] = [-0.0, 5e-324, np.finfo(float).max]
+        # states and next_states are separate columns: edit the state of step 1
+        # in both, as the state shared by steps 0 and 1 used to be edited once
+        edge = [-0.0, 5e-324, np.finfo(float).max]
+        traj.transitions[1].state.features[:] = edge
+        traj.transitions[0].next_state.features[:] = edge
         ds = core.ReplayDataset([traj], m=2, metadata={"state_dim": 3, "n_items": 2})
         path = tmp_path / "d.txt"
         core.save_dataset(path, ds)
@@ -188,15 +194,17 @@ class TestDatasetIO:
             assert line == f"s3,{t},{feats},0,{tr.behavior_prob:.17g},{resp},{int(tr.done)}"
 
     def test_row_length_disagreeing_with_header_rejected(self, tmp_path):
+        # a row of the wrong width cannot enter the store: the assignment that
+        # would make one is where it is rejected, and nothing of it lands
         path = tmp_path / "d.txt"
         ds = core.ReplayDataset([make_traj([[1.0, 2.0]] * 3, session_id="s7")], m=2)
-        ds.trajectories[0].transitions[2].response = np.array([1.0])
         with pytest.raises(ValueError, match="session s7 step 2"):
-            core.save_dataset(path, ds)
+            ds.trajectories[0].transitions[2].response = np.array([1.0])
+        assert np.array_equal(ds.responses, [[1.0, 2.0]] * 3)
         ds = core.ReplayDataset([make_traj([[1.0]] * 3, session_id="s8")], m=1)
-        ds.trajectories[0].transitions[1].state = core.State(np.ones(4))
         with pytest.raises(ValueError, match="session s8 step 1: 4 features"):
-            core.save_dataset(path, ds)
+            ds.trajectories[0].transitions[1].state = core.State(np.ones(4))
+        assert np.array_equal(ds.trajectories[0].transitions[1].state.features, np.ones(3))
         assert not path.exists()
 
     def test_malformed_line_reports_line_number(self, tmp_path):
@@ -219,3 +227,192 @@ class TestDatasetIO:
         path.write_text("nope\n")
         with pytest.raises(ValueError, match="header"):
             core.load_dataset(path)
+
+
+def write_dataset(path, body, dims="m=1 state_dim=1 n_items=2"):
+    path.write_text(f"# cactor-dataset 1\n# {dims}\n" + "".join(ln + "\n" for ln in body))
+    return path
+
+
+class TestBadDatasetFiles:
+    """Every malformed file fails with a ValueError naming {path}:{lineno}."""
+
+    @pytest.mark.parametrize("text,where,message", [
+        ("# cactor-dataset 1\n", 1, "the header is not followed by '# m=<int>"),
+        ("# cactor-dataset 1\n# m=1 state_dim n_items=2\n", 2, "'state_dim' is not <key>=<int>"),
+        ("# cactor-dataset 1\n# m=1 n_items=2\n", 2, "missing state_dim=<int>"),
+        ("# cactor-dataset 1\n# m=x state_dim=1 n_items=2\n", 2, "m=x is not an integer"),
+        ("# cactor-dataset 1\n# m=1 state_dim=-1 n_items=2\n", 2, "state_dim=-1 is negative"),
+    ], ids=["header-only", "token-without-equals", "missing-state_dim", "m=x", "negative"])
+    def test_bad_dims_line(self, tmp_path, text, where, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{where}: {message}")):
+            core.load_dataset(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("s0,0,nan,1,0.5,2.0,1", "non-finite state features"),
+        ("s0,0,inf,1,0.5,2.0,1", "non-finite state features"),
+        ("s0,0,1.0,1,0.5,-inf,1", "non-finite response values"),
+        ("s0,0,1.0,1,1.5,2.0,1", "behavior_prob 1.5 outside (0, 1]"),
+        ("s0,0,1.0,1,0,2.0,1", "behavior_prob 0.0 outside (0, 1]"),
+        ("s0,0,1.0,1,0.5,2.0,2", "done field 2 is not 0 or 1"),
+        ("s0,0,1.0,1.5,0.5,2.0,1", "action index 1.5 outside [0, 2)"),
+        ("s0,1,1.0,1,0.5,2.0,1", "step index 1 out of order for session s0"),
+        ("s0,0,1.0,1,nan,2.0,1", "'nan' to float64"),
+        ("s0,0,1.0,1,0.5,x,1", "'x' to float64"),
+    ], ids=["nan-feature", "inf-feature", "inf-response", "prob-1.5", "prob-0", "done-2",
+            "fractional-action", "step-order", "nan-prob-is-not-missing", "not-a-number"])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = write_dataset(tmp_path / "bad.txt", ["s1,0,3.0,0,0.5,1.0,1", row])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ") + ".*"
+                           + re.escape(message)):
+            core.load_dataset(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = write_dataset(tmp_path / "bad.txt", ["", "s0,0,1.0,1,0.5,2.0,2"])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: done field 2")):
+            core.load_dataset(path)
+
+    def test_done_before_the_last_row_names_its_line(self, tmp_path):
+        path = write_dataset(tmp_path / "bad.txt", ["s0,0,1.0,1,0.5,2.0,1", "s1,0,0.0,1,0.5,2.0,1",
+                                                    "s0,1,0.0,1,0.5,2.0,1"])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:3: only the last transition may be terminal")):
+            core.load_dataset(path)
+
+
+# each value that a text round trip most easily gets wrong, plus ordinary ones
+EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                          np.finfo(float).max, -np.finfo(float).max, 0.1,
+                                          1.0 / 3.0]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+MAYBE_PROB = st.one_of(st.none(), st.sampled_from([5e-324, 1.0, 0.1]),
+                       st.floats(min_value=5e-324, max_value=1.0))
+
+
+@st.composite
+def stores(draw):
+    """A dataset drawn column by column, and an interleaving of its sessions'
+    rows in the file."""
+    state_dim, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = sum(lengths)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    states = np.array(draw(st.lists(EDGE_FLOATS, min_size=n * state_dim,
+                                    max_size=n * state_dim))).reshape(n, state_dim)
+    responses = np.array(draw(st.lists(EDGE_FLOATS, min_size=n * m,
+                                       max_size=n * m))).reshape(n, m)
+    actions = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=n, max_size=n))
+    probs = draw(st.lists(MAYBE_PROB, min_size=n, max_size=n))
+    done = np.zeros(n, dtype=bool)
+    ends = offsets[1:] - 1
+    done[ends] = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    next_states = np.zeros_like(states)
+    next_states[:-1] = states[1:]
+    next_states[ends] = 0.0
+    ds = core.ReplayDataset.from_columns(
+        states=states, next_states=next_states, next_terminal=done,
+        action_index=[-1 if a is None else a for a in actions],
+        behavior_prob=[np.nan if p is None else p for p in probs], responses=responses,
+        done=done, offsets=offsets, session_ids=[f"s{k}" for k in range(len(lengths))],
+        m=m, metadata={"n_items": 5, "note": "x"})
+    file_order = draw(st.permutations([k for k, n_k in enumerate(lengths) for _ in range(n_k)]))
+    return ds, file_order
+
+
+def assert_same_columns(a, b):
+    """Every column equal, floats bit for bit (sign of zero, subnormals, nan)."""
+    for name in core._COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        if x.dtype == np.float64:
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+        assert np.array_equal(x, y, equal_nan=x.dtype == np.float64), name
+    assert np.array_equal(a.offsets, b.offsets)
+    assert a.session_ids == b.session_ids and a.m == b.m
+
+
+class TestStoreRoundTrip:
+    @given(drawn=stores())
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_keeps_every_column(self, tmp_path_factory, drawn):
+        ds, file_order = drawn
+        path = tmp_path_factory.mktemp("rt") / "d.txt"
+        core.save_dataset(path, ds)
+        loaded = core.load_dataset(path)
+        assert_same_columns(loaded, ds)
+        assert loaded.metadata == {"state_dim": ds.states.shape[1], "n_items": 5, "note": "x"}
+        # the same rows with the sessions interleaved load into the same store
+        lines = path.read_text().splitlines()
+        head, body = lines[:3], lines[3:]
+        by_session = [iter(body[lo:hi]) for lo, hi in zip(ds.offsets[:-1], ds.offsets[1:])]
+        path.write_text("\n".join(head + [next(by_session[k]) for k in file_order]) + "\n")
+        # sessions come in order of their first row in the file
+        first_seen = list(dict.fromkeys(file_order))
+        want = core.ReplayDataset([ds.trajectories[k] for k in first_seen], m=ds.m)
+        assert_same_columns(core.load_dataset(path), want)
+
+    def test_edge_values_keep_their_bits(self, tmp_path):
+        edge = [-0.0, 5e-324, np.finfo(float).max]
+        traj = core.Trajectory([core.Transition(core.State(edge), [-0.0, 5e-324],
+                                                core.terminal_state(3), True)], "e")
+        ds = core.ReplayDataset([traj], m=2)
+        core.save_dataset(tmp_path / "d.txt", ds)
+        loaded = core.load_dataset(tmp_path / "d.txt")
+        assert np.signbit(loaded.states[0, 0]) and np.signbit(loaded.responses[0, 0])
+        assert loaded.trajectories[0].transitions[0].action_index is None
+        assert loaded.trajectories[0].transitions[0].behavior_prob is None
+        assert_same_columns(loaded, ds)
+
+
+class TestViews:
+    def test_rows_are_views_of_the_columns(self):
+        ds = core.ReplayDataset([make_traj([[1.0, 2.0], [3.0, 4.0]], session_id="a"),
+                                 make_traj([[5.0, 6.0]], session_id="b")], m=2)
+        tr = ds.trajectories[1].transitions[0]
+        assert np.shares_memory(tr.response, ds.responses)
+        assert np.shares_memory(tr.state.features, ds.states)
+        assert ds.trajectories[1].transitions[0] is tr
+        assert [t.session_id for t in ds.trajectories] == ds.session_ids == ["a", "b"]
+        assert ds.offsets.tolist() == [0, 2, 3]
+
+    def test_constructors_adopt_free_objects_and_copy_owned_ones(self):
+        trs = make_traj([[1.0], [2.0]]).transitions
+        free = core.Transition(core.State(np.zeros(3)), [1.0], core.terminal_state(3), True,
+                               action_index=0, behavior_prob=0.5)
+        traj = core.Trajectory([free], session_id="f")
+        assert traj.transitions[0] is free
+        free.behavior_prob = 0.25
+        ds = core.ReplayDataset([traj], m=1)
+        assert ds.trajectories[0] is traj and ds.behavior_prob[0] == 0.25
+        free.behavior_prob = 0.125
+        assert ds.behavior_prob[0] == 0.125
+        # a row of another store is copied; the original stays in its store
+        other = core.Trajectory([trs[0]], session_id="c")
+        other.transitions[0].behavior_prob = 0.75
+        assert trs[0].behavior_prob == 0.5
+        copy = core.ReplayDataset([traj], m=1)
+        assert copy.trajectories[0] is not traj
+        copy.trajectories[0].transitions[0].behavior_prob = 1.0
+        assert ds.behavior_prob[0] == 0.125
+
+    def test_attribute_writes_are_checked_and_leave_nothing_behind(self):
+        ds = core.ReplayDataset([make_traj([[1.0], [2.0]], session_id="w")], m=1)
+        tr = ds.trajectories[0].transitions[0]
+        with pytest.raises(ValueError, match=r"session w step 0: behavior_prob 1.5 outside"):
+            tr.behavior_prob = 1.5
+        with pytest.raises(ValueError, match="session w step 0: non-finite response"):
+            tr.response = [np.nan]
+        with pytest.raises(ValueError, match="session w step 1: done transition must lead"):
+            ds.trajectories[0].transitions[1].next_state = core.State(np.zeros(3))
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            tr.action_index = -1
+        with pytest.raises(AttributeError):
+            tr.done = True
+        assert tr.behavior_prob == 0.5 and tr.response.tolist() == [1.0]
+        assert ds.next_terminal.tolist() == [False, True]
+        tr.behavior_prob = None
+        tr.action_index = None
+        assert np.isnan(ds.behavior_prob[0]) and ds.action_index[0] == -1
+        assert tr.behavior_prob is None and tr.action_index is None

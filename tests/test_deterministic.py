@@ -210,21 +210,6 @@ class TestConstrainedDetObjective:
         assert 0.0 < info["mean_h"] <= 1.0
 
 
-class TestRcpoCombination:
-    def test_zero_lambdas_keep_main(self):
-        assert det.rcpo_combined_advantage([3.0, 1.0, 2.0], [0.0, 0.0]) == 3.0
-
-    def test_simple_arithmetic(self):
-        assert det.rcpo_combined_advantage([1.0, 2.0], [0.5]) == 2.0
-
-    def test_matches_dot_product(self):
-        rng = np.random.default_rng(18)
-        adv = rng.normal(size=5)
-        lam = rng.uniform(0, 2, size=4)
-        expected = adv[0] + float(np.dot(lam, adv[1:]))
-        assert det.rcpo_combined_advantage(adv, lam) == pytest.approx(expected)
-
-
 class TestBehaviorClone:
     def test_degenerate_target_probability_monotone(self):
         policy = stx.make_policy(2, 4, (), seed=19)

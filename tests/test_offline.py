@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactor import approximator as ap
+from cactor import core
 from cactor import deterministic as det
 from cactor import offline as off
 from cactor import stochastic as stx
@@ -257,6 +258,42 @@ class TestOfflineUpdates:
         expected = (aux_p / 0.25) ** 1.0 * np.exp(tr.response[0] / 2.0)
         assert info["mean_weight"] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_main_update_skips_rows_with_infinite_advantage(self, sim):
+        pset = stx.build_policy_set(6, 6, 2, np.array([1.0]), np.array([0.9, 0.0]),
+                                    (8,), seed=48)
+        traj = logged_trajectory(pset.main[0], sim, 11, rng_for(13, "a"))
+        refs = [(traj, t) for t in range(3)]
+        pset.main[1].params[:] = -1e308
+        s, _, r, s2, done = stx.batch_arrays(traj.transitions[:3])
+        v, target = stx.td_errors(pset.main[1], s, r[:, 0], s2, done)
+        assert np.isinf(target - v).any() and not np.isfinite(target - v).any()
+        new, _, info = off.offline_actor_update_main(
+            pset, refs, off.ISConfig(), ap.init_opt_state(pset.main[0].params.size),
+            clip_max=20.0)
+        assert info["mean_weight"] != 20.0 and np.isnan(info["mean_weight"])
+        assert np.array_equal(new.params, pset.main[0].params)
+
+    def test_logged_denominator_drops_the_rows_the_online_update_drops(self):
+        # critic V == 0 and gamma 0: the advantage is the reward, inf on row 1
+        pset = stx.build_policy_set(2, 3, 2, np.array([1.0]), np.array([0.0, 0.0]), (),
+                                    seed=49)
+        pset.main[1].params[:] = 0.0
+        s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        a = np.array([0, 1, 2])
+        r = np.array([[0.5, 0.0], [np.inf, 0.0], [-0.5, 0.0]])
+        done = np.ones(3, dtype=bool)
+        bp = np.array([0.2, 0.3, 0.4])
+        opt = ap.init_opt_state(pset.main[0].params.size)
+        got, _, info = stx.actor_update_main(pset, (s, a, r, s, done), opt, 20.0,
+                                             behavior_prob=bp)
+        keep = [0, 2]
+        want, _, want_info = stx.actor_update_main(
+            pset, (s[keep], a[keep], r[keep], s[keep], done[keep]), opt, 20.0,
+            behavior_prob=bp[keep])
+        assert np.array_equal(got.params, want.params)
+        assert info == want_info and info["mean_weight"] < 20.0
+
 
 def chain_dataset(n_copies=1):
     """3-state deterministic chain, rewards r0=(0,0,1), r1=(1,0,0)."""
@@ -351,6 +388,58 @@ class TestMultiCritic:
 def review_dataset():
     return generate_review_dataset(ReviewDatasetConfig(n_users=6, n_items=5, n_reviews=120,
                                                        min_trajectory_length=6, seed=31))
+
+
+class TestWriteThrough:
+    """An edit through dataset.trajectories[i].transitions[t], by attribute
+    or in place, reaches every later pass over the dataset."""
+
+    @staticmethod
+    def edit(ds, how):
+        tr = ds.trajectories[1].transitions[0]
+        if how == "attribute":
+            tr.behavior_prob = 0.5
+            tr.response = tr.response + 1.0
+            tr.state = State(tr.state.features + 0.25)
+        else:
+            tr.response[:] += 1.0
+            tr.state.features[:] += 0.25
+
+    @staticmethod
+    def oracle(ds, how):
+        """The same edit made to copies of the columns, built afresh."""
+        cols = {name: getattr(ds, name).copy() for name in core._COLUMNS}
+        row = int(ds.offsets[1])
+        if how == "attribute":
+            cols["behavior_prob"][row] = 0.5
+        cols["responses"][row] += 1.0
+        cols["states"][row] += 0.25
+        return ReplayDataset.from_columns(**cols, offsets=ds.offsets,
+                                          session_ids=list(ds.session_ids), m=ds.m,
+                                          metadata=dict(ds.metadata))
+
+    @staticmethod
+    def passes(ds, tmp_path):
+        policy = stx.make_policy(ds.states.shape[1], int(ds.metadata["n_items"]), (6,), seed=5)
+        trs = ds.all_transitions()
+        ncis = off.ncis_evaluate(policy.probs, ds, off.NCISConfig())
+        critics = off.multi_critic_train(ds, np.full(ds.m, 0.9), "separate",
+                                         off.MultiCriticConfig(iters=20, hidden=(4,)), 3)
+        core.save_dataset(tmp_path / "d.txt", ds)
+        return ([(tr.behavior_prob, tr.response.tolist(), tr.state.features.tolist())
+                 for tr in trs],
+                ncis, [c.params.tolist() for c in critics], (tmp_path / "d.txt").read_text())
+
+    @pytest.mark.parametrize("how", ["attribute", "in_place"])
+    def test_edit_is_seen_by_every_pass(self, how, tmp_path):
+        ds = review_dataset()
+        before = self.passes(ds, tmp_path)
+        want = self.passes(self.oracle(ds, how), tmp_path)
+        self.edit(ds, how)
+        got = self.passes(ds, tmp_path)
+        assert got == want
+        for g, b in zip(got, before):
+            assert g != b
 
 
 class TestMergedCriticLoop:

@@ -148,8 +148,33 @@ class TestRollout:
         want = [sm.run_episode(sim, select, s) for s in seeds]
         rng = np.random.default_rng(cfg.seed)
         got = sm.rollout(sim, lambda f: ap.forward_rows(spec, params, f), rng, seeds)
-        assert_same_trajectories(got, want)
+        assert_same_trajectories(got.trajectories, want)
         assert rng.random() == seq_rng.random()
+
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_columns_equal_run_episode_oracle_bit_for_bit(self, cfg):
+        sim = sm.SessionSimulator(cfg)
+        spec = ap.ApproxSpec(cfg.state_dim, (16,), cfg.n_items, "softmax", seed=cfg.seed)
+        params = ap.init_params(spec) * 3.0
+        seeds = [3, 1, 4, 1, 5]
+        seq_rng = np.random.default_rng(cfg.seed)
+
+        def select(features):
+            p = ap.forward(spec, params, features)
+            item = int(seq_rng.choice(cfg.n_items, p=p))
+            return item, float(p[item])
+
+        want = sm.ReplayDataset([sm.run_episode(sim, select, s) for s in seeds], m=cfg.m)
+        got = sm.rollout(sim, lambda f: ap.forward_rows(spec, params, f),
+                         np.random.default_rng(cfg.seed), seeds)
+        for name in ("states", "next_states", "next_terminal", "action_index",
+                     "behavior_prob", "responses", "done", "offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            if a.dtype == np.float64:
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+        assert got.session_ids == want.session_ids == [f"ep-{s}" for s in seeds]
+        assert got.metadata == {"state_dim": cfg.state_dim, "n_items": cfg.n_items}
 
     def test_probs_of_wrong_shape_rejected(self, cfg):
         with pytest.raises(ValueError, match="shape"):
@@ -297,6 +322,61 @@ class TestReviewData:
                 assert np.array_equal(ta.response, tb.response)
                 assert ta.action_index == tb.action_index
                 assert ta.behavior_prob == pytest.approx(tb.behavior_prob, abs=0)
+
+    def test_columns_equal_the_per_review_history_loop(self):
+        cfg = sm.ReviewDatasetConfig(n_users=7, n_items=6, n_reviews=300, seed=12,
+                                     min_trajectory_length=45, history_window=4)
+        records = sm.generate_reviews(cfg)
+        ds = sm.generate_review_dataset(cfg)
+        # the per-review loop: state t holds the user and the last `window`
+        # reviews, oldest first
+        window, m = cfg.history_window, sm.REVIEW_M
+        by_user = {}
+        for rec in records:
+            by_user.setdefault(rec[0], []).append(rec)
+        kept = [u for u, recs in by_user.items() if len(recs) >= cfg.min_trajectory_length]
+        assert 0 < len(kept) < len(by_user)
+        states, responses, items, probs = [], [], [], []
+        for u in kept:
+            for t, (_, h, scores, prob) in enumerate(by_user[u]):
+                feats = np.zeros(sm.review_state_dim(cfg))
+                feats[0] = u / cfg.n_users
+                for slot, (_, iid, sc, _) in enumerate(by_user[u][:t][-window:]):
+                    off = 1 + slot * (1 + m)
+                    feats[off] = iid / cfg.n_items
+                    feats[off + 1: off + 1 + m] = sc / 5.0
+                states.append(feats)
+                responses.append(np.concatenate([[scores[-1]], scores[:-1]]))
+                items.append(h)
+                probs.append(prob)
+        assert ds.session_ids == [f"user-{u}" for u in kept]
+        assert np.array_equal(ds.states.view(np.uint64), np.array(states).view(np.uint64))
+        assert np.array_equal(ds.responses, np.array(responses))
+        assert ds.action_index.tolist() == items and ds.behavior_prob.tolist() == probs
+        last = ds.offsets[1:] - 1
+        assert np.array_equal(np.flatnonzero(ds.done), last)
+        inner = np.setdiff1d(np.arange(ds.n_transitions), last)
+        assert np.array_equal(ds.next_states[inner], ds.states[inner + 1])
+        assert not ds.next_states[last].any()
+
+    def test_records_without_probability_round_trip(self, tmp_path):
+        cfg = sm.ReviewDatasetConfig(n_users=2, n_items=4, n_reviews=60, seed=5,
+                                     min_trajectory_length=3)
+        records = sm.generate_reviews(cfg)
+        records = [(u, h, sc, None if k % 3 == 0 else p)
+                   for k, (u, h, sc, p) in enumerate(records)]
+        path = tmp_path / "reviews.txt"
+        sm.save_review_file(path, cfg, records)
+        body = path.read_text().splitlines()[2:]
+        assert [len(ln.split(",")) for ln in body[:3]] == [2 + sm.REVIEW_M, 3 + sm.REVIEW_M,
+                                                           3 + sm.REVIEW_M]
+        loaded = sm.load_review_dataset(path, 3, cfg.history_window)
+        direct = sm._reviews_to_dataset(records, cfg.n_users, cfg.n_items, 3,
+                                        cfg.history_window)
+        for name in ("states", "responses", "action_index", "behavior_prob", "done"):
+            assert np.array_equal(getattr(loaded, name), getattr(direct, name),
+                                  equal_nan=name == "behavior_prob"), name
+        assert np.isnan(loaded.behavior_prob).sum() == 20
 
     def test_state_layout(self):
         cfg = sm.ReviewDatasetConfig(n_users=6, n_items=4, n_reviews=260, seed=9,

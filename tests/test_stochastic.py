@@ -272,14 +272,10 @@ class TestCollectBatch:
         want = [tr for t in trajs for tr in t.transitions]
         rng = np.random.default_rng(cfg.seed)
         got, mean_totals = stx.collect_batch(sim, policy, rng, len(seeds), seeds)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.action_index == b.action_index
-            assert a.behavior_prob == b.behavior_prob
-            assert a.done is b.done
-            assert np.array_equal(a.state.features, b.state.features)
-            assert np.array_equal(a.next_state.features, b.next_state.features)
-            assert np.array_equal(a.response, b.response)
+        # the batch_arrays tuple: states, action indices, responses, next states, done
+        for a, b in zip(got, stx.batch_arrays(want)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
         totals = [np.sum([tr.response for tr in t.transitions], axis=0) for t in trajs]
         assert np.array_equal(mean_totals, np.mean(totals, axis=0))
         assert rng.random() == seq_rng.random()
