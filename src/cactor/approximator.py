@@ -3,14 +3,16 @@
 Every actor and critic in this package is built on these functions: a
 feed-forward net with tanh hidden units and a linear, softmax, or tanh
 output head.  Parameters live in a single flat float64 array whose layout
-is derived from the spec, gradients are computed by hand-rolled backprop
-(checkable against finite differences), and updates use an Adam-style
-first-order optimizer.  No hidden state anywhere: callers own the arrays.
+is derived from the spec, and updates use an Adam-style optimizer.
+``forward_pullback`` runs the net once and returns its output with a
+pullback: hand-rolled backprop (checkable against finite differences) that
+maps an upstream gradient to the parameter gradient and, if asked, the
+input gradient in one sweep.  No hidden state anywhere: callers own the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +20,9 @@ import numpy as np
 ACTIVATIONS = ("linear", "softmax", "tanh")
 
 _HEADER = "cactor-approx 1"
+_FIELDS = (("input_dim", int),
+           ("hidden_layers", lambda v: tuple(int(h) for h in v.split(",") if h)),
+           ("output_dim", int), ("output_activation", str), ("seed", int), ("n_params", int))
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -98,7 +103,7 @@ def _check_input(spec: ApproxSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"input has trailing dim {x.shape[-1]}, spec requires {spec.input_dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite entries in input")
     return x, single
 
@@ -116,8 +121,8 @@ def _apply_output_activation(kind: str, z: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
-    """Returns (output, hidden activations list) for an input batch whose
-    last axis holds the features."""
+    """Returns (output, hidden activations list, per-layer (W, b)) for an
+    input batch whose last axis holds the features."""
     layers = unpack_params(spec, params)
     hidden = []
     h = x
@@ -126,14 +131,12 @@ def _forward_pass(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
         hidden.append(h)
     w, b = layers[-1]
     out = _apply_output_activation(spec.output_activation, h @ w + b)
-    return out, hidden
+    return out, hidden, layers
 
 
 def forward(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the net.  Accepts a single input vector or a (batch, input_dim) matrix."""
-    x, single = _check_input(spec, x)
-    out, _ = _forward_pass(spec, params, x)
-    return out[0] if single else out
+    return forward_pullback(spec, params, x)[0]
 
 
 def forward_rows(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -147,7 +150,7 @@ def forward_rows(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
     depend on how many rows are evaluated together (lockstep rollouts).
     """
     x, _ = _check_input(spec, x)
-    out, _ = _forward_pass(spec, params, x[:, None, :])
+    out, _, _ = _forward_pass(spec, params, x[:, None, :])
     return out[:, 0]
 
 
@@ -161,36 +164,38 @@ def _output_delta(kind: str, y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return y * (upstream - np.sum(y * upstream, axis=1, keepdims=True))
 
 
-def _backward(spec, params, x, upstream, want_input_grad):
+def forward_pullback(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
+    """``forward`` plus its pullback: returns ``(out, pullback)``.
+
+    ``pullback(upstream, want_input=False)`` returns the flat parameter
+    gradient of upstream . out (summed over rows) and, when ``want_input``,
+    its gradient with respect to x in x's shape (else None), in one backward
+    sweep over this call's activations; no second forward runs.
+    """
     x, single = _check_input(spec, x)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if single and upstream.ndim == 1:
-        upstream = upstream[None, :]
-    if upstream.shape != (x.shape[0], spec.output_dim):
-        raise ValueError(
-            f"upstream has shape {upstream.shape}, expected ({x.shape[0]}, {spec.output_dim})"
-        )
-    if not np.all(np.isfinite(upstream)):
-        raise ValueError("non-finite entries in upstream")
+    out, hidden, layers = _forward_pass(spec, params, x)
 
-    out, hidden = _forward_pass(spec, params, x)
-    layers = unpack_params(spec, params)
-    acts = [x] + hidden  # inputs to each layer
+    def pullback(upstream, want_input=False):
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if single and upstream.ndim == 1:
+            upstream = upstream[None, :]
+        if upstream.shape != out.shape:
+            raise ValueError(f"upstream has shape {upstream.shape}, expected {out.shape}")
+        if not np.isfinite(upstream).all():
+            raise ValueError("non-finite entries in upstream")
+        acts = [x] + hidden  # inputs to each layer
+        delta = _output_delta(spec.output_activation, out, upstream)
+        grads = []  # per layer from the last: b, then W
+        for i in range(len(layers) - 1, -1, -1):
+            grads += [delta.sum(axis=0), (acts[i].T @ delta).ravel()]
+            if i > 0 or want_input:
+                delta = delta @ layers[i][0].T
+                if i > 0:
+                    delta = delta * (1.0 - acts[i] * acts[i])
+        input_grad = (delta[0] if single else delta) if want_input else None
+        return np.concatenate(grads[::-1]), input_grad
 
-    delta = _output_delta(spec.output_activation, out, upstream)
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
-        if i > 0 or want_input_grad:
-            delta = delta @ w.T
-            if i > 0:
-                delta = delta * (1.0 - acts[i] * acts[i])
-
-    if want_input_grad:
-        return delta[0] if single else delta
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return flat
+    return (out[0] if single else out), pullback
 
 
 def gradient(spec: ApproxSpec, params: np.ndarray, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -199,12 +204,12 @@ def gradient(spec: ApproxSpec, params: np.ndarray, x: np.ndarray, upstream: np.n
     For a batch the result is the sum over rows of the per-sample gradients,
     so per-sample weights and 1/batch factors fold into ``upstream``.
     """
-    return _backward(spec, params, x, upstream, want_input_grad=False)
+    return forward_pullback(spec, params, x)[1](upstream)[0]
 
 
 def input_gradient(spec: ApproxSpec, params: np.ndarray, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient of upstream . forward(x) with respect to the input, same shape as x."""
-    return _backward(spec, params, x, upstream, want_input_grad=True)
+    return forward_pullback(spec, params, x)[1](upstream, want_input=True)[1]
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,7 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, opt: OptState,
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape or opt.first_moment.shape != params.shape:
         raise ValueError("params, grads and optimizer moments must share one shape")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient entries")
     if direction == "maximize":
         grads = -grads
@@ -260,7 +265,7 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, opt: OptState,
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
     new_params = params - opt.step_size * m_hat / (np.sqrt(v_hat) + opt.epsilon)
-    return new_params, replace(opt, step_count=t, first_moment=m, second_moment=v)
+    return new_params, OptState(t, m, v, opt.step_size, opt.moment_decays, opt.epsilon)
 
 
 def save_params(path, spec: ApproxSpec, params: np.ndarray) -> None:
@@ -283,24 +288,29 @@ def save_params(path, spec: ApproxSpec, params: np.ndarray) -> None:
 
 
 def load_params(path) -> tuple[ApproxSpec, np.ndarray]:
+    """Inverse of ``save_params``.  A bad file raises ValueError naming
+    ``{path}:{lineno}``; non-finite parameters are rejected."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _HEADER:
-        raise ValueError(f"{path}: not a parameter file (bad header)")
+        raise ValueError(f"{path}:1: not a parameter file (bad header)")
     fields = {}
-    for ln in lines[1:7]:
-        key, _, val = ln.partition("=")
-        fields[key] = val
-    hidden = tuple(int(h) for h in fields["hidden_layers"].split(",") if h)
-    spec = ApproxSpec(
-        input_dim=int(fields["input_dim"]),
-        hidden_layers=hidden,
-        output_dim=int(fields["output_dim"]),
-        output_activation=fields["output_activation"],
-        seed=int(fields["seed"]),
-    )
-    n = int(fields["n_params"])
-    values = np.array([float(v) for v in lines[7 : 7 + n]], dtype=np.float64)
-    if values.size != n or n != spec.param_count:
-        raise ValueError(f"{path}: parameter count mismatch")
+    try:
+        for lineno, (key, parse) in enumerate(_FIELDS, start=2):
+            name, eq, val = (lines[lineno - 1] if lineno <= len(lines) else "").partition("=")
+            if name != key or not eq:
+                raise ValueError(f"expected '{key}=<value>'")
+            fields[key] = parse(val)
+        n, lineno = fields.pop("n_params"), 2  # a bad spec is named at its first field
+        spec, lineno = ApproxSpec(**fields), 7
+        if n != spec.param_count or len(lines) != 7 + n:
+            raise ValueError(f"n_params={n}, but {len(lines) - 7} values follow "
+                             f"and the spec requires {spec.param_count}")
+        values = np.empty(n)
+        for lineno, ln in enumerate(lines[7:], start=8):
+            values[lineno - 8] = float(ln)
+            if not np.isfinite(values[lineno - 8]):
+                raise ValueError(f"non-finite parameter {ln!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return spec, values

@@ -102,15 +102,13 @@ def q_critic_update(critic: CriticQ, target_critic: CriticQ,
     a2 = target_policy.act(s2)
     q2 = target_critic.q_value(s2, a2)
     y = td_target(r_i, critic.gamma, q2, done)
-    x = np.concatenate([s, a_emb], axis=1)
-    q = ap.forward(critic.spec, critic.params, x)[:, 0]
-    err = q - y
+    q, pullback = ap.forward_pullback(critic.spec, critic.params,
+                                      np.concatenate([s, a_emb], axis=1))
+    err = q[:, 0] - y
     loss = float(np.mean(err * err))
     if not np.isfinite(loss):
         return critic, opt, loss, np.zeros_like(items)
-    upstream = (2.0 * err / err.size)[:, None]
-    grads = ap.gradient(critic.spec, critic.params, x, upstream)
-    in_grad = ap.input_gradient(critic.spec, critic.params, x, upstream)
+    grads, in_grad = pullback((2.0 * err / err.size)[:, None], want_input=True)
     item_grad = np.zeros_like(items)
     np.add.at(item_grad, a_idx, in_grad[:, s.shape[1]:])
     new_params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
@@ -125,16 +123,17 @@ def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
     With ``extra_critics`` the objective becomes Q_0 + sum_i lambda_i * Q_i
     (the RCPO-style combination)."""
     s = batch[0]
-    a = policy.act(s)
+    a, policy_pullback = ap.forward_pullback(policy.spec, policy.params, s)
     x = np.concatenate([s, a], axis=1)
     ones = np.full((s.shape[0], 1), 1.0 / s.shape[0])
-    dq_da = ap.input_gradient(critic.spec, critic.params, x, ones)[:, s.shape[1]:]
-    mean_q = float(np.mean(ap.forward(critic.spec, critic.params, x)[:, 0]))
+    q, critic_pullback = ap.forward_pullback(critic.spec, critic.params, x)
+    dq_da = critic_pullback(ones, want_input=True)[1][:, s.shape[1]:]
+    mean_q = float(np.mean(q[:, 0]))
     if extra_critics:
         lam = validate_lambdas(lambdas_for_extra, len(extra_critics))
         for lam_i, extra in zip(lam, extra_critics):
             dq_da += lam_i * ap.input_gradient(extra.spec, extra.params, x, ones)[:, s.shape[1]:]
-    grads = ap.gradient(policy.spec, policy.params, s, dq_da)
+    grads = policy_pullback(dq_da)[0]
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
     return replace(policy, params=new_params), opt, mean_q
 
@@ -169,7 +168,7 @@ def constrained_det_actor_update(policy: DeterministicPolicy, aux_policies,
         raise ValueError("sum of Lagrange multipliers must be positive")
     s = batch[0]
     n = s.shape[0]
-    a = policy.act(s)
+    a, policy_pullback = ap.forward_pullback(policy.spec, policy.params, s)
     aux_actions = [aux.act(s) for aux in aux_policies]
     log_h = np.zeros(n)
     pull = np.zeros_like(a)  # sum_i w_i * (a - a_i), the gradient of -log H
@@ -180,13 +179,13 @@ def constrained_det_actor_update(policy: DeterministicPolicy, aux_policies,
         pull += w_i * d
     h = np.exp(log_h)
 
-    x = np.concatenate([s, a], axis=1)
-    q = ap.forward(critic.spec, critic.params, x)[:, 0]
-    ones = np.full((n, 1), 1.0)
-    dq_da = ap.input_gradient(critic.spec, critic.params, x, ones)[:, s.shape[1]:]
+    q, critic_pullback = ap.forward_pullback(critic.spec, critic.params,
+                                             np.concatenate([s, a], axis=1))
+    q = q[:, 0]
+    dq_da = critic_pullback(np.full((n, 1), 1.0), want_input=True)[1][:, s.shape[1]:]
     # d/da of h(a)*q(a)/total, averaged over the batch
     d_obj_da = (h / total)[:, None] * (dq_da - q[:, None] * pull) / n
-    grads = ap.gradient(policy.spec, policy.params, s, d_obj_da)
+    grads = policy_pullback(d_obj_da)[0]
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
     info = {"mean_h": float(h.mean()), "mean_q": float(q.mean()),
             "objective": float(np.mean(h * q / total))}

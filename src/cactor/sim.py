@@ -456,17 +456,17 @@ def load_review_dataset(path, min_trajectory_length: int = 20,
                         history_window: int = 3) -> ReplayDataset:
     """Parse a review file and assemble trajectories, dropping short ones."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _REVIEW_HEADER:
+        numbered = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, start=1) if ln.strip()]
+    if not numbered or numbered[0][1] != _REVIEW_HEADER:
         raise ValueError(f"{path}: missing review-file header")
-    if len(lines) < 2:
-        raise ValueError(f"{path}:1: the header is not followed by "
+    if len(numbered) < 2:
+        raise ValueError(f"{path}:{numbered[0][0]}: the header is not followed by "
                          "'# n_users=<int> n_items=<int>'")
-    dims = _parse_dims(2, lines[1], path, ("n_users", "n_items"))
+    dims = _parse_dims(*numbered[1], path, ("n_users", "n_items"))
     n_users, n_items = dims["n_users"], dims["n_items"]
 
     records = []
-    for lineno, ln in enumerate(lines[2:], start=3):
+    for lineno, ln in numbered[2:]:
         parts = ln.split(",")
         if len(parts) not in (2 + REVIEW_M, 3 + REVIEW_M):
             raise ValueError(f"{path}:{lineno}: got {len(parts)} fields, "

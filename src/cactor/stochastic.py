@@ -150,13 +150,13 @@ def td_errors(critic: CriticV, s, r_i, s2, done):
 def critic_loss_grad(critic: CriticV, s, r_i, s2, done):
     """Squared Bellman error of a batch and its parameter gradient, with V(s')
     held fixed; the gradient is None when the loss is not finite."""
-    v, target = td_errors(critic, s, r_i, s2, done)
-    err = v - target
+    v, pullback = ap.forward_pullback(critic.spec, critic.params, s)
+    v2 = ap.forward(critic.spec, critic.params, s2)[:, 0]
+    err = v[:, 0] - td_target(r_i, critic.gamma, v2, done)
     loss = float(np.mean(err * err))
     if not np.isfinite(loss):
         return loss, None
-    upstream = (2.0 * err / err.size)[:, None]
-    return loss, ap.gradient(critic.spec, critic.params, s, upstream)
+    return loss, pullback((2.0 * err / err.size)[:, None])[0]
 
 
 def _logged_probs(policies, s, a_idx) -> np.ndarray:
@@ -185,11 +185,11 @@ def critic_update(critic: CriticV, batch, opt: ap.OptState):
 
 def _policy_loglik_grad(policy: StochasticPolicy, s, a_idx, weights):
     """Gradient of mean_b weights_b * log pi(a_b | s_b) wrt policy params."""
-    p = ap.forward(policy.spec, policy.params, s)
+    p, pullback = ap.forward_pullback(policy.spec, policy.params, s)
     chosen = p[np.arange(a_idx.size), a_idx]
     upstream = np.zeros_like(p)
     upstream[np.arange(a_idx.size), a_idx] = weights / (a_idx.size * chosen)
-    return ap.gradient(policy.spec, policy.params, s, upstream), chosen
+    return pullback(upstream)[0], chosen
 
 
 def loglik_ascent(policy: StochasticPolicy, s, a_idx, w, opt: ap.OptState):

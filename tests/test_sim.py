@@ -414,6 +414,19 @@ class TestReviewData:
         with pytest.raises(ValueError, match=":3"):
             sm.load_review_dataset(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ("\n# cactor-reviews 1\n\n# n_users=2 n_items=2\n\n0,1,3\n", ":6:"),
+        ("# cactor-reviews 1\n\n# n_users=2 n_items=x\n", ":3:"),
+        ("# cactor-reviews 1\n# n_users=2 n_items=2\n\n" + "0,1" + ",3" * 8 + "\n"
+         + "0,1" + ",3" * 7 + ",bad\n", ":5:"),
+        ("\n\n# cactor-reviews 1\n\n", ":3:"),
+    ], ids=["field-count", "dims", "value", "header-only"])
+    def test_errors_count_blank_lines(self, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path.name}{where} "):
+            sm.load_review_dataset(path)
+
     def test_paper_scale_metadata_constants(self):
         # reference corpus scale, for documentation only
         assert sm.REVIEW_M == 8
