@@ -8,11 +8,21 @@ is derived from the spec, and updates use an Adam-style optimizer.
 pullback: hand-rolled backprop (checkable against finite differences) that
 maps an upstream gradient to the parameter gradient and, if asked, the
 input gradient in one sweep.  No hidden state anywhere: callers own the arrays.
+
+Member axis: k independent nets of one architecture train as one *bank*
+whose params stack on a leading axis, shape (k, n_params) (``bank`` builds
+one).  ``forward_pullback`` then takes inputs of shape (batch, input_dim),
+shared by every member, or (k, batch, input_dim), one batch per member, and
+returns outputs (k, batch, output_dim); the pullback returns (k, n_params)
+parameter gradients and (k, batch, input_dim) input gradients.  Products
+broadcast through ``@``, so member i's results equal (==) those of a
+separate call on params[i]: numpy's stacked matmul runs the same BLAS kernel
+per member.  ``optimizer_step`` is elementwise and steps a bank as one array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -80,14 +90,34 @@ def init_params(spec: ApproxSpec) -> np.ndarray:
 
 
 def unpack_params(spec: ApproxSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into per-layer (W, b) views.  W has shape (fan_in, fan_out)."""
+    """Split a flat vector into per-layer (W, b) views.  W has shape
+    (fan_in, fan_out) and b (1, fan_out), a row that broadcasts over a
+    batch; params with leading member axes (..., n_params) give W
+    (..., fan_in, fan_out) and b (..., 1, fan_out)."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size != spec.param_count:
+    if params.ndim == 0 or params.shape[-1] != spec.param_count:
         raise ValueError(
-            f"parameter vector has size {params.size}, spec requires {spec.param_count}"
+            f"parameter vector has size {params.shape[-1] if params.ndim else 1}, "
+            f"spec requires {spec.param_count}"
         )
-    return [(params[w0:w1].reshape(fan_in, fan_out), params[w1:b1])
+    lead = params.shape[:-1]
+    return [(params[..., w0:w1].reshape(*lead, fan_in, fan_out), params[..., None, w1:b1])
             for w0, w1, b1, fan_in, fan_out in spec._layout]
+
+
+def bank(nets, **fields):
+    """One net standing for ``nets`` (objects with ``spec`` and ``params``,
+    e.g. policies or critics of one architecture): a copy of the first whose
+    params stack every member's on a leading member axis.  ``fields``
+    replace other attributes, e.g. a per-member discount column.  The bank
+    keeps the first member's spec; only its architecture is used."""
+    if not nets:
+        raise ValueError("a bank needs at least one member")
+    first = nets[0]
+    arch = (first.spec.layer_dims, first.spec.output_activation)
+    if any((n.spec.layer_dims, n.spec.output_activation) != arch for n in nets):
+        raise ValueError("the members of a bank must share one architecture")
+    return replace(first, params=np.stack([n.params for n in nets]), **fields)
 
 
 def first_layer_size(spec: ApproxSpec) -> int:
@@ -101,7 +131,7 @@ def _check_input(spec: ApproxSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ValueError(f"input has trailing dim {x.shape[-1]}, spec requires {spec.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite entries in input")
@@ -122,7 +152,8 @@ def _apply_output_activation(kind: str, z: np.ndarray) -> np.ndarray:
 
 def _forward_pass(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
     """Returns (output, hidden activations list, per-layer (W, b)) for an
-    input batch whose last axis holds the features."""
+    input batch whose last axis holds the features; leading member axes of
+    params and x broadcast."""
     layers = unpack_params(spec, params)
     hidden = []
     h = x
@@ -161,7 +192,7 @@ def _output_delta(kind: str, y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     if kind == "tanh":
         return upstream * (1.0 - y * y)
     # softmax: J^T u = y * (u - <y, u>)
-    return y * (upstream - np.sum(y * upstream, axis=1, keepdims=True))
+    return y * (upstream - np.sum(y * upstream, axis=-1, keepdims=True))
 
 
 def forward_pullback(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
@@ -169,33 +200,36 @@ def forward_pullback(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
 
     ``pullback(upstream, want_input=False)`` returns the flat parameter
     gradient of upstream . out (summed over rows) and, when ``want_input``,
-    its gradient with respect to x in x's shape (else None), in one backward
-    sweep over this call's activations; no second forward runs.
+    its gradient with respect to x (else None), in one backward sweep over
+    this call's activations; no second forward runs.  For a bank (params
+    (k, n)) both gradients are per member: (k, n) and (k, batch, input_dim),
+    also when x is shared.
     """
     x, single = _check_input(spec, x)
     out, hidden, layers = _forward_pass(spec, params, x)
 
     def pullback(upstream, want_input=False):
         upstream = np.asarray(upstream, dtype=np.float64)
-        if single and upstream.ndim == 1:
-            upstream = upstream[None, :]
+        if single and upstream.ndim == out.ndim - 1:
+            upstream = upstream[..., None, :]
         if upstream.shape != out.shape:
             raise ValueError(f"upstream has shape {upstream.shape}, expected {out.shape}")
         if not np.isfinite(upstream).all():
             raise ValueError("non-finite entries in upstream")
         acts = [x] + hidden  # inputs to each layer
         delta = _output_delta(spec.output_activation, out, upstream)
+        flat = out.shape[:-2] + (-1,)  # member axes, then one flat axis
         grads = []  # per layer from the last: b, then W
         for i in range(len(layers) - 1, -1, -1):
-            grads += [delta.sum(axis=0), (acts[i].T @ delta).ravel()]
+            grads += [delta.sum(axis=-2), (acts[i].swapaxes(-1, -2) @ delta).reshape(flat)]
             if i > 0 or want_input:
-                delta = delta @ layers[i][0].T
+                delta = delta @ layers[i][0].swapaxes(-1, -2)
                 if i > 0:
                     delta = delta * (1.0 - acts[i] * acts[i])
-        input_grad = (delta[0] if single else delta) if want_input else None
-        return np.concatenate(grads[::-1]), input_grad
+        input_grad = (delta[..., 0, :] if single else delta) if want_input else None
+        return np.concatenate(grads[::-1], axis=-1), input_grad
 
-    return (out[0] if single else out), pullback
+    return (out[..., 0, :] if single else out), pullback
 
 
 def gradient(spec: ApproxSpec, params: np.ndarray, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -231,13 +265,14 @@ class OptState:
             raise ValueError("step_size and epsilon must be positive")
 
 
-def init_opt_state(n_params: int, step_size: float = 1e-3,
+def init_opt_state(shape, step_size: float = 1e-3,
                    moment_decays: tuple[float, float] = (0.9, 0.999),
                    epsilon: float = 1e-8) -> OptState:
+    """Zero moments for params of ``shape``: n_params, or (k, n_params) for a bank."""
     return OptState(
         step_count=0,
-        first_moment=np.zeros(n_params),
-        second_moment=np.zeros(n_params),
+        first_moment=np.zeros(shape),
+        second_moment=np.zeros(shape),
         step_size=step_size,
         moment_decays=moment_decays,
         epsilon=epsilon,
@@ -246,7 +281,9 @@ def init_opt_state(n_params: int, step_size: float = 1e-3,
 
 def optimizer_step(params: np.ndarray, grads: np.ndarray, opt: OptState,
                    direction: str = "minimize") -> tuple[np.ndarray, OptState]:
-    """One bias-corrected Adam step.  direction='maximize' negates the gradient."""
+    """One bias-corrected Adam step.  direction='maximize' negates the gradient.
+    Elementwise, so a bank's (k, n) params step as one array, each member
+    exactly as alone."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape or opt.first_moment.shape != params.shape:

@@ -476,8 +476,11 @@ def td_target(response_i, gamma_i: float, v_next, done):
     """response_i + gamma_i * V(s'), bootstrapping 0 past the end of a session.
 
     Elementwise over a batch of rewards, next values and done flags, or on
-    scalars."""
-    if not (0.0 <= gamma_i < 1.0):
+    scalars.  ``gamma_i`` may be an array that broadcasts against them, e.g.
+    a (k, 1) column of per-member discounts for (k, batch) rows; every entry
+    must lie in [0, 1)."""
+    in_range = (0.0 <= gamma_i) & (gamma_i < 1.0)
+    if in_range is not True and not np.all(in_range):  # np.all only for arrays
         raise ValueError("gamma must lie in [0, 1)")
     return response_i + gamma_i * np.where(done, 0.0, v_next)
 

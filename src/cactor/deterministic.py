@@ -9,6 +9,10 @@ Actors emit action embeddings in (-1, 1)^d through a tanh head; embeddings
 map to items with core.rank_items against a per-pipeline item-embedding
 table that is learned jointly with the critics.  The closeness kernel is
 h(a, b) = exp(-||a - b||^2 / 2), so h(a, a) = 1 and 0 < h <= 1.
+
+The updates also take a bank of pipelines (``approximator.bank``): params,
+optimizer moments, item tables and batches carry a leading member axis,
+and losses and diagnostics come back as one float per member.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class DeterministicPolicy:
 @dataclass
 class CriticQ:
     """Q(s, a): input is the concatenation of state features and the action
-    embedding."""
+    embedding.  A bank's gamma is a (k, 1) column, one discount per member."""
 
     spec: ap.ApproxSpec
     params: np.ndarray
@@ -52,8 +56,8 @@ class CriticQ:
     gamma: float
 
     def q_value(self, features, actions) -> np.ndarray:
-        x = np.concatenate([np.atleast_2d(features), np.atleast_2d(actions)], axis=1)
-        return ap.forward(self.spec, self.params, x)[:, 0]
+        x = np.concatenate([np.atleast_2d(features), np.atleast_2d(actions)], axis=-1)
+        return ap.forward(self.spec, self.params, x)[..., 0]
 
 
 def make_det_policy(state_dim, embed_dim, hidden, seed, noise_std=0.1,
@@ -97,22 +101,23 @@ def q_critic_update(critic: CriticQ, target_critic: CriticQ,
     s, a_idx, r, s2, done = batch
     if a_idx is None:
         raise ValueError("batch lacks action indices")
-    r_i = reward_override if reward_override is not None else r[:, critic.response_index]
-    a_emb = items[a_idx]
+    r_i = reward_override if reward_override is not None else r[..., critic.response_index]
+    # the rows of each member's own item table that its logged actions name
+    rows = (*np.indices(a_idx.shape, sparse=True)[:-1], a_idx)
     a2 = target_policy.act(s2)
     q2 = target_critic.q_value(s2, a2)
     y = td_target(r_i, critic.gamma, q2, done)
     q, pullback = ap.forward_pullback(critic.spec, critic.params,
-                                      np.concatenate([s, a_emb], axis=1))
-    err = q[:, 0] - y
-    loss = float(np.mean(err * err))
-    if not np.isfinite(loss):
-        return critic, opt, loss, np.zeros_like(items)
-    grads, in_grad = pullback((2.0 * err / err.size)[:, None], want_input=True)
+                                      np.concatenate([s, items[rows]], axis=-1))
+    err = q[..., 0] - y
+    loss = np.mean(err * err, axis=-1)
+    if not np.isfinite(loss).all():
+        return critic, opt, loss.tolist(), np.zeros_like(items)
+    grads, in_grad = pullback((2.0 * err / err.shape[-1])[..., None], want_input=True)
     item_grad = np.zeros_like(items)
-    np.add.at(item_grad, a_idx, in_grad[:, s.shape[1]:])
+    np.add.at(item_grad, rows, in_grad[..., s.shape[-1]:])
     new_params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
-    return replace(critic, params=new_params), opt, loss, item_grad
+    return replace(critic, params=new_params), opt, loss.tolist(), item_grad
 
 
 def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
@@ -123,16 +128,17 @@ def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
     With ``extra_critics`` the objective becomes Q_0 + sum_i lambda_i * Q_i
     (the RCPO-style combination)."""
     s = batch[0]
+    d = s.shape[-1]
     a, policy_pullback = ap.forward_pullback(policy.spec, policy.params, s)
-    x = np.concatenate([s, a], axis=1)
-    ones = np.full((s.shape[0], 1), 1.0 / s.shape[0])
+    x = np.concatenate([s, a], axis=-1)
+    ones = np.full((*s.shape[:-1], 1), 1.0 / s.shape[-2])
     q, critic_pullback = ap.forward_pullback(critic.spec, critic.params, x)
-    dq_da = critic_pullback(ones, want_input=True)[1][:, s.shape[1]:]
-    mean_q = float(np.mean(q[:, 0]))
+    dq_da = critic_pullback(ones, want_input=True)[1][..., d:]
+    mean_q = np.mean(q[..., 0], axis=-1).tolist()
     if extra_critics:
         lam = validate_lambdas(lambdas_for_extra, len(extra_critics))
         for lam_i, extra in zip(lam, extra_critics):
-            dq_da += lam_i * ap.input_gradient(extra.spec, extra.params, x, ones)[:, s.shape[1]:]
+            dq_da += lam_i * ap.input_gradient(extra.spec, extra.params, x, ones)[..., d:]
     grads = policy_pullback(dq_da)[0]
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
     return replace(policy, params=new_params), opt, mean_q
@@ -161,34 +167,37 @@ def constrained_det_actor_update(policy: DeterministicPolicy, aux_policies,
                                  critic: CriticQ, lambdas, batch, opt: ap.OptState):
     """Gradient ascent on constrained_det_objective over the states of
     ``batch``, a ``batch_arrays`` tuple; auxiliary actors and the critic are
-    frozen."""
+    frozen.  The auxiliary actions come from one stacked pass."""
     lam = validate_lambdas(lambdas, len(aux_policies))
     total = lam.sum()
     if total <= 0.0:
         raise ValueError("sum of Lagrange multipliers must be positive")
     s = batch[0]
-    n = s.shape[0]
+    n = s.shape[-2]
     a, policy_pullback = ap.forward_pullback(policy.spec, policy.params, s)
-    aux_actions = [aux.act(s) for aux in aux_policies]
-    log_h = np.zeros(n)
+    aux = ap.bank(aux_policies)
+    # auxiliary axis first, then the member axes of s: (n_aux, ..., batch, embed)
+    aux_actions = ap.forward(aux.spec, np.expand_dims(aux.params, tuple(range(1, s.ndim - 1))),
+                             s)
+    log_h = np.zeros(a.shape[:-1])
     pull = np.zeros_like(a)  # sum_i w_i * (a - a_i), the gradient of -log H
     for lam_i, a_i in zip(lam, aux_actions):
         d = a - a_i
         w_i = lam_i / total
-        log_h += w_i * (-0.5 * np.sum(d * d, axis=1))
+        log_h += w_i * (-0.5 * np.sum(d * d, axis=-1))
         pull += w_i * d
     h = np.exp(log_h)
 
     q, critic_pullback = ap.forward_pullback(critic.spec, critic.params,
-                                             np.concatenate([s, a], axis=1))
-    q = q[:, 0]
-    dq_da = critic_pullback(np.full((n, 1), 1.0), want_input=True)[1][:, s.shape[1]:]
+                                             np.concatenate([s, a], axis=-1))
+    q = q[..., 0]
+    dq_da = critic_pullback(np.ones((*q.shape, 1)), want_input=True)[1][..., s.shape[-1]:]
     # d/da of h(a)*q(a)/total, averaged over the batch
-    d_obj_da = (h / total)[:, None] * (dq_da - q[:, None] * pull) / n
+    d_obj_da = (h / total)[..., None] * (dq_da - q[..., None] * pull) / n
     grads = policy_pullback(d_obj_da)[0]
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    info = {"mean_h": float(h.mean()), "mean_q": float(q.mean()),
-            "objective": float(np.mean(h * q / total))}
+    info = {"mean_h": np.mean(h, axis=-1).tolist(), "mean_q": np.mean(q, axis=-1).tolist(),
+            "objective": np.mean(h * q / total, axis=-1).tolist()}
     return replace(policy, params=new_params), opt, info
 
 
@@ -244,79 +253,101 @@ class DDPGPipeline:
     metrics: list
 
 
-def _train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg: DDPGConfig,
-                     master_seed, lambdas=None, aux_policies=None, stage_label=2,
-                     response_label=0, items=None):
-    """Shared loop for the DDPG-family trainers on ``data``, the
-    ``batch_arrays`` tuple of a whole dataset; each update gathers one
-    uniform minibatch from it.
+def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_seed,
+                     labels, stage_label=2, lambdas=None, aux_policies=None, items=None):
+    """Shared loop of the DDPG-family trainers on ``data``, the
+    ``batch_arrays`` tuple of a whole dataset.  Trains one pipeline per
+    entry of ``labels`` (the response each is named for) as one bank: each
+    step updates every member in one call per critic and one actor call,
+    each member on its own uniform minibatch.  Returns one DDPGPipeline per
+    member.
 
-    With ``aux_policies`` the actor takes the constrained step (kernel pull
-    toward them); otherwise it ascends Q_0 + sum_j lambdas_j * Q_j over the
-    other critics (plain DDPG with one critic, RCPO with several).
-    reward_fn maps the (batch, m) response matrix to the scalar reward for
-    critic j, or None to use response j directly.  A non-finite critic loss
-    raises TrainingDiverged naming the response, the stage and the step.
+    ``gammas[i][j]`` is member i's discount for critic j.  ``reward_fn``
+    maps the (k, batch, m) responses and a critic index j to critic j's
+    (k, batch) rewards; by default critic j learns response j, or a lone
+    critic its member's own.  With ``aux_policies`` the actor takes the
+    constrained step (kernel pull toward them); otherwise it ascends
+    Q_0 + sum_j lambdas_j * Q_j over the other critics (plain DDPG with one
+    critic, RCPO with several).
+
+    Each member keeps its own seeds, minibatch stream, copy of ``items``
+    (else a fresh table), targets and metric rows, so it ends as if trained
+    alone.  A non-finite critic loss raises TrainingDiverged naming the
+    response, the stage and the step; when several members diverge, the
+    earliest step is named, and on a tie the first member.
     """
+    k, n_critics = len(labels), len(gammas[0])
     state_dim = data[0].shape[1]
     if items is None:
         items = init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
-    items_opt = ap.init_opt_state(items.size, cfg.items_lr)
+    items = np.stack([items] * k)
+    items_opt = ap.init_opt_state((k, items[0].size), cfg.items_lr)
 
-    policy = make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
-                             derive_seed(master_seed, "actor", response_label),
-                             cfg.exploration_noise_std, response_label)
-    critics = [make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
-                             derive_seed(master_seed, "critic", response_label, j),
-                             j, g)
-               for j, g in enumerate(gammas_per_critic)]
-    # a diverged critic is named by its response: rcpo's critic j learns
-    # response j, a lone critic the pipeline's own
-    names = [f"response {j if len(critics) > 1 else response_label} in stage {stage_label}"
-             for j in range(len(critics))]
+    policies = [make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
+                                derive_seed(master_seed, "actor", label),
+                                cfg.exploration_noise_std, label)
+                for label in labels]
+    critics = [[make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
+                              derive_seed(master_seed, "critic", label, j), j, g)
+                for j, g in enumerate(member_gammas)]
+               for label, member_gammas in zip(labels, gammas)]
+    # the response each critic learns, which also names it when it diverges
+    responses = np.array([[j if n_critics > 1 else label for j in range(n_critics)]
+                          for label in labels])
+    policy = ap.bank(policies)
+    banks = [ap.bank(cs, gamma=np.array([[c.gamma] for c in cs])) for cs in zip(*critics)]
     target_policy = replace(policy)
-    target_critics = [replace(c) for c in critics]
-    c_opts = [ap.init_opt_state(c.params.size, cfg.critic_lr) for c in critics]
-    a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
-    rng = np.random.Generator(np.random.PCG64(
-        derive_seed(master_seed, "ddpg-batches", response_label)))
+    target_banks = [replace(c) for c in banks]
+    c_opts = [ap.init_opt_state(c.params.shape, cfg.critic_lr) for c in banks]
+    a_opt = ap.init_opt_state(policy.params.shape, cfg.actor_lr)
+    rngs = [np.random.Generator(np.random.PCG64(derive_seed(master_seed, "ddpg-batches", label)))
+            for label in labels]
+    members = np.arange(k)
 
-    metrics = []
+    metrics = [[] for _ in labels]
     for step in range(cfg.updates):
-        batch = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
+        batch = gather(data, np.stack([rng.integers(len(data[0]), size=cfg.batch_size)
+                                       for rng in rngs]))
         losses = []
-        for j, critic in enumerate(critics):
-            override = reward_fn(batch[2], j) if reward_fn else None
-            critic, c_opts[j], loss, item_grad = q_critic_update(
-                critic, target_critics[j], target_policy, items, batch, c_opts[j],
-                reward_override=override)
-            _check_critic_loss(loss, names[j], step)
-            critics[j] = critic
+        for j, critic in enumerate(banks):
+            rewards = (reward_fn(batch[2], j) if reward_fn
+                       else batch[2][members, :, responses[:, j]])
+            banks[j], c_opts[j], loss, item_grad = q_critic_update(
+                critic, target_banks[j], target_policy, items, batch, c_opts[j],
+                reward_override=rewards)
+            for i, loss_i in enumerate(loss):
+                _check_critic_loss(loss_i, f"response {responses[i, j]} in stage {stage_label}",
+                                   step)
             losses.append(loss)
-            flat, items_opt = ap.optimizer_step(items.ravel(), item_grad.ravel(),
+            flat, items_opt = ap.optimizer_step(items.reshape(k, -1), item_grad.reshape(k, -1),
                                                 items_opt, "minimize")
             items = flat.reshape(items.shape)
 
         if aux_policies is not None:
             policy, a_opt, info = constrained_det_actor_update(
-                policy, aux_policies, critics[0], lambdas, batch, a_opt)
+                policy, aux_policies, banks[0], lambdas, batch, a_opt)
         else:
-            policy, a_opt, mean_q = ddpg_actor_update(policy, critics[0], batch, a_opt,
-                                                      lambdas, critics[1:])
+            policy, a_opt, mean_q = ddpg_actor_update(policy, banks[0], batch, a_opt,
+                                                      lambdas, banks[1:])
             info = {"mean_q": mean_q}
 
         if step % cfg.target_refresh == cfg.target_refresh - 1:
             target_policy = replace(policy)
-            target_critics = [replace(c) for c in critics]
+            target_banks = [replace(c) for c in banks]
 
         if step % cfg.log_every == cfg.log_every - 1:
-            row = {"iteration": step, "stage": stage_label, "response": response_label,
-                   "critic_loss": float(np.mean(losses)),
-                   "mean_q": info.get("mean_q", ""), "mean_h": info.get("mean_h", "")}
-            for i in range(batch[2].shape[1]):
-                row[f"reward_{i}"] = float(batch[2][:, i].mean())
-            metrics.append(row)
-    return DDPGPipeline(policy, critics, items, metrics)
+            for i, label in enumerate(labels):
+                row = {"iteration": step, "stage": stage_label, "response": label,
+                       "critic_loss": float(np.mean([loss[i] for loss in losses])),
+                       "mean_q": info["mean_q"][i] if "mean_q" in info else "",
+                       "mean_h": info["mean_h"][i] if "mean_h" in info else ""}
+                for c in range(batch[2].shape[-1]):
+                    row[f"reward_{c}"] = float(batch[2][i, :, c].mean())
+                metrics[i].append(row)
+    return [DDPGPipeline(replace(p, params=policy.params[i]),
+                         [replace(c, params=b.params[i]) for c, b in zip(critics[i], banks)],
+                         items[i], metrics[i])
+            for i, p in enumerate(policies)]
 
 
 def train_ddpg_weighted(dataset: ReplayDataset, weights, gamma: float,
@@ -326,9 +357,8 @@ def train_ddpg_weighted(dataset: ReplayDataset, weights, gamma: float,
     if weights.size != dataset.m:
         raise ValueError("need one reward weight per response")
     check_discounts([gamma], 1)
-    return _train_ddpg_core(dataset.arrays(),
-                            int(dataset.metadata["n_items"]), [gamma],
-                            lambda r, j: r @ weights, cfg, master_seed)
+    return _train_ddpg_core(dataset.arrays(), int(dataset.metadata["n_items"]), [[gamma]],
+                            lambda r, j: r @ weights, cfg, master_seed, [0])[0]
 
 
 def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
@@ -336,9 +366,8 @@ def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
     """One critic per response; the actor ascends Q_0 + sum_i lambda_i Q_i."""
     gammas = check_discounts(gammas, dataset.m)
     lam = validate_lambdas(lambdas, dataset.m - 1)
-    return _train_ddpg_core(dataset.arrays(),
-                            int(dataset.metadata["n_items"]), list(gammas), None, cfg,
-                            master_seed, lambdas=lam)
+    return _train_ddpg_core(dataset.arrays(), int(dataset.metadata["n_items"]), [gammas],
+                            None, cfg, master_seed, [0], lambdas=lam)[0]
 
 
 def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
@@ -347,9 +376,9 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
     """Two-stage deterministic variant.
 
     Stage one trains one DDPG pair per auxiliary response on its own reward
-    and discount.  Stage two trains the main critic and pulls the main actor
-    toward the frozen auxiliary actors through the closeness kernel, scaled
-    by the multipliers.
+    and discount, all of them as one bank.  Stage two trains the main critic
+    and pulls the main actor toward the frozen auxiliary actors through the
+    closeness kernel, scaled by the multipliers.
     """
     gammas = check_discounts(gammas, dataset.m)
     lam = validate_lambdas(lambdas, dataset.m - 1)
@@ -357,19 +386,14 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
 
     data = dataset.arrays()
     n_items = int(dataset.metadata["n_items"])
-    metrics = []
-    aux_policies = []
     items = init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
-    for i in range(1, dataset.m):
-        pipe = _train_ddpg_core(data, n_items, [gammas[i]], lambda r, j, i=i: r[:, i],
-                                s1_cfg, master_seed, stage_label=1, response_label=i,
-                                items=items.copy())
-        aux_policies.append(pipe.policy)
-        metrics.extend(pipe.metrics)
-
-    pipe = _train_ddpg_core(data, n_items, [gammas[0]], None, cfg, master_seed,
-                            lambdas=lam, aux_policies=aux_policies, items=items.copy())
-    metrics.extend(pipe.metrics)
+    stage_one = _train_ddpg_core(data, n_items, gammas[1:, None], None, s1_cfg, master_seed,
+                                 range(1, dataset.m), stage_label=1,
+                                 items=items) if dataset.m > 1 else []
+    pipe, = _train_ddpg_core(data, n_items, gammas[:1, None], None, cfg, master_seed, [0],
+                             lambdas=lam, aux_policies=[p.policy for p in stage_one],
+                             items=items)
+    metrics = [row for p in stage_one + [pipe] for row in p.metrics]
     return DDPGPipeline(pipe.policy, pipe.critics, pipe.items, metrics)
 
 

@@ -202,9 +202,10 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
     discount; zeroing response j's rewards provably touches only critic j
     (unless share_bottom couples their first layers).
     mode="single_summed": one critic on sum_i r_i with one shared discount.
-    Returns a list of critics (length m, or 1 for single_summed).  A
-    non-finite critic loss raises TrainingDiverged naming the response and
-    the iteration.
+    Returns a list of critics (length m, or 1 for single_summed).  The
+    critics step as one bank on each shared minibatch.  A non-finite critic
+    loss raises TrainingDiverged naming the response and the iteration (the
+    lowest response when several diverge at once).
     """
     if mode not in ("separate", "single_summed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -225,29 +226,26 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
                                i, gammas[i])
                    for i in range(dataset.m)]
         names = [f"response {i}" for i in range(dataset.m)]
-    opts = [ap.init_opt_state(c.params.size, cfg.lr) for c in critics]
+    bank = ap.bank(critics, gamma=np.array([[c.gamma] for c in critics]))
+    opt = ap.init_opt_state(bank.params.shape, cfg.lr)
     # share_bottom: every critic starts from critic 0's first layer and steps
     # it on the gradient summed over critics; Adam is elementwise, so the
     # copies stay equal bit for bit
-    fl = ap.first_layer_size(critics[0].spec) if cfg.share_bottom else 0
-    for c in critics[1:]:
-        c.params[:fl] = critics[0].params[:fl]
+    fl = ap.first_layer_size(bank.spec) if cfg.share_bottom else 0
+    bank.params[1:, :fl] = bank.params[0, :fl]
 
     for it in range(cfg.iters):
         s, _, r, s2, done = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
-        if mode == "single_summed":
-            r = r.sum(axis=1)[:, None]
-        grads = []
-        for i, critic in enumerate(critics):
-            loss, g = critic_loss_grad(critic, s, r[:, i], s2, done)
-            _check_critic_loss(loss, names[i], it)
-            grads.append(g)
-        shared = sum((g[:fl] for g in grads), np.zeros(fl))
-        for i, (critic, g) in enumerate(zip(critics, grads)):
-            g[:fl] = shared
-            params, opts[i] = ap.optimizer_step(critic.params, g, opts[i], "minimize")
-            critics[i] = replace(critic, params=params)
-    return critics
+        # one reward row per critic
+        r = r.sum(axis=1)[None, :] if mode == "single_summed" else r.T
+        losses, grads = critic_loss_grad(bank, s, r, s2, done)
+        for name, loss in zip(names, losses):
+            _check_critic_loss(loss, name, it)
+        if fl:
+            grads[:, :fl] = sum(grads[:, :fl], np.zeros(fl))  # left to right, from zeros
+        params, opt = ap.optimizer_step(bank.params, grads, opt, "minimize")
+        bank = replace(bank, params=params)
+    return [replace(c, params=bank.params[i]) for i, c in enumerate(critics)]
 
 
 def pearson(x, y) -> float | None:

@@ -149,22 +149,30 @@ def td_errors(critic: CriticV, s, r_i, s2, done):
 
 def critic_loss_grad(critic: CriticV, s, r_i, s2, done):
     """Squared Bellman error of a batch and its parameter gradient, with V(s')
-    held fixed; the gradient is None when the loss is not finite."""
+    held fixed; the gradient is None when the loss is not finite.
+
+    A bank of k critics (``approximator.bank``, gamma a (k, 1) column) takes
+    shared states and (k, batch) rewards, and returns one loss per member (a
+    list) and the (k, n) gradient, None when some loss is not finite."""
     v, pullback = ap.forward_pullback(critic.spec, critic.params, s)
-    v2 = ap.forward(critic.spec, critic.params, s2)[:, 0]
-    err = v[:, 0] - td_target(r_i, critic.gamma, v2, done)
-    loss = float(np.mean(err * err))
-    if not np.isfinite(loss):
-        return loss, None
-    return loss, pullback((2.0 * err / err.size)[:, None])[0]
+    v2 = ap.forward(critic.spec, critic.params, s2)[..., 0]
+    err = v[..., 0] - td_target(r_i, critic.gamma, v2, done)
+    loss = np.mean(err * err, axis=-1)
+    if not np.isfinite(loss).all():
+        return loss.tolist(), None
+    return loss.tolist(), pullback((2.0 * err / err.shape[-1])[..., None])[0]
 
 
 def _logged_probs(policies, s, a_idx) -> np.ndarray:
-    """(len(policies), batch) probabilities each policy gives the logged actions."""
+    """(len(policies), batch) probabilities each policy gives the logged
+    actions, from one stacked pass."""
     if a_idx is None:
         raise ValueError("batch lacks action indices")
-    rows = np.arange(a_idx.size)
-    return np.stack([ap.forward(p.spec, p.params, s)[rows, a_idx] for p in policies])
+    policies = ap.bank(policies)
+    p = ap.forward(policies.spec, policies.params, s)
+    # take_along_axis keeps the rows C-ordered; p[:, rows, a_idx] would not,
+    # and constrained_weights_batch's matmul sums in memory order
+    return np.take_along_axis(p, a_idx[None, :, None], axis=-1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +191,33 @@ def critic_update(critic: CriticV, batch, opt: ap.OptState):
     return replace(critic, params=new_params), opt, loss
 
 
-def _policy_loglik_grad(policy: StochasticPolicy, s, a_idx, weights):
-    """Gradient of mean_b weights_b * log pi(a_b | s_b) wrt policy params."""
-    p, pullback = ap.forward_pullback(policy.spec, policy.params, s)
+def _policy_loglik_grad(policy: StochasticPolicy, s, a_idx, weights, forward=None):
+    """Gradient of mean_b weights_b * log pi(a_b | s_b) wrt policy params,
+    from ``forward`` (the policy's ``forward_pullback`` on s) if given."""
+    p, pullback = forward or ap.forward_pullback(policy.spec, policy.params, s)
     chosen = p[np.arange(a_idx.size), a_idx]
     upstream = np.zeros_like(p)
     upstream[np.arange(a_idx.size), a_idx] = weights / (a_idx.size * chosen)
     return pullback(upstream)[0], chosen
 
 
-def loglik_ascent(policy: StochasticPolicy, s, a_idx, w, opt: ap.OptState):
+def loglik_ascent(policy: StochasticPolicy, s, a_idx, w, opt: ap.OptState, forward=None):
     """One Adam ascent step on mean_b w_b * log pi(a_b | s_b), the actor step
     of every weighted log-likelihood update.  Rows with a non-finite weight
     are dropped first.  Returns the new policy, the optimizer state, the
-    objective and the mean kept weight (both nan when no row is left)."""
+    objective and the mean kept weight (both nan when no row is left).
+
+    ``forward`` is the policy's ``forward_pullback`` on ``s`` when the caller
+    has run it already; it is used unless rows are dropped."""
     if a_idx is None:
         raise ValueError("batch lacks action indices")
     keep = np.isfinite(w)
     if not np.all(keep):
         s, a_idx, w = gather((s, a_idx, w), keep)
+        forward = None
     if a_idx.size == 0:
         return policy, opt, float("nan"), float("nan")
-    grads, chosen = _policy_loglik_grad(policy, s, a_idx, w)
+    grads, chosen = _policy_loglik_grad(policy, s, a_idx, w, forward)
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
     return (replace(policy, params=new_params), opt,
             float(np.mean(w * np.log(chosen))), float(w.mean()))
@@ -257,7 +270,8 @@ def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
     The ratio's denominator is the current main probability, or the logged
     ``behavior_prob`` of each row (the debiased offline update).  Rows with a
     non-finite advantage are dropped first.  Auxiliaries, the critic and the
-    denominator are constants."""
+    denominator are constants.  The main policy runs once, for both the
+    denominator and the ascent step, and the auxiliaries as one stacked pass."""
     policy, critic = policy_set.main
     s, a_idx, r, s2, done = batch
     v, target = td_errors(critic, s, r[:, 0], s2, done)
@@ -265,22 +279,21 @@ def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
     keep = np.isfinite(adv)
     if not np.all(keep):
         s, a_idx, adv, behavior_prob = gather((s, a_idx, adv, behavior_prob), keep)
-    aux = [p for p, _ in policy_set.auxiliaries]
-    if behavior_prob is None:
-        p = _logged_probs([policy] + aux, s, a_idx)
-        cur, aux_p = p[0], p[1:]
-    else:
-        cur, aux_p = behavior_prob, _logged_probs(aux, s, a_idx)
+    aux_p = _logged_probs([p for p, _ in policy_set.auxiliaries], s, a_idx)
+    forward = ap.forward_pullback(policy.spec, policy.params, s)
+    cur = forward[0][np.arange(a_idx.size), a_idx] if behavior_prob is None else behavior_prob
     w = constrained_weights_batch(aux_p, cur, policy_set.lambdas, adv, clip_max, weight_floor)
-    policy, opt, objective, mean_weight = loglik_ascent(policy, s, a_idx, w, opt)
+    policy, opt, objective, mean_weight = loglik_ascent(policy, s, a_idx, w, opt, forward)
     return policy, opt, {"objective": objective, "mean_weight": mean_weight}
 
 
-def policy_kl(p_policy: StochasticPolicy, q_policy: StochasticPolicy, states) -> float:
-    """Mean over states of KL(p || q), computed exactly per state."""
+def policy_kl(p_policy: StochasticPolicy, q_policy: StochasticPolicy, states):
+    """Mean over states of KL(p || q), computed exactly per state.  A bank
+    of q policies (``approximator.bank``) gives one KL per member, as a
+    list, from one pass of p and one stacked pass of q."""
     p = ap.forward(p_policy.spec, p_policy.params, states)
     q = ap.forward(q_policy.spec, q_policy.params, states)
-    return float(np.mean(np.sum(p * (np.log(p) - np.log(q)), axis=1)))
+    return np.mean(np.sum(p * (np.log(p) - np.log(q)), axis=-1), axis=-1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +409,7 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
     critic = make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s2-critic"),
                          0, gammas[0])
     pset = PolicySet((policy, critic), aux_pairs, lam, gammas)
+    aux_bank = ap.bank([p for p, _ in aux_pairs])
     a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
     c_opt = ap.init_opt_state(critic.params.size, cfg.critic_lr)
     rng = rng_for(master_seed, "s2-actions")
@@ -420,7 +434,7 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
                    "mean_weight": info["mean_weight"]}
             for i in range(c.m):
                 row[f"reward_{i}"] = mean_rewards[i]
-            for j, (aux_p, _) in enumerate(pset.auxiliaries, start=1):
-                row[f"kl_aux_{j}"] = policy_kl(policy, aux_p, batch[0])
+            for j, kl in enumerate(policy_kl(policy, aux_bank, batch[0]), start=1):
+                row[f"kl_aux_{j}"] = kl
             metrics.append(row)
     return pset

@@ -368,11 +368,12 @@ def test_ddpg_actor_update_makes_two_passes_plus_one_per_extra_critic(passes, n_
 
 
 @pytest.mark.parametrize("n_aux", [1, 2])
-def test_constrained_det_actor_update_makes_two_passes_plus_one_per_aux(passes, n_aux):
+def test_constrained_det_actor_update_makes_three_passes(passes, n_aux):
+    # the actor, the critic, and one stacked pass of every auxiliary
     policy, critics, aux, _, batch = det_setup(0)
     opt = ap.init_opt_state(policy.params.size)
     assert passes(det.constrained_det_actor_update, policy, aux[:n_aux], critics[0],
-                  np.ones(n_aux), batch, opt) == 2 + n_aux
+                  np.ones(n_aux), batch, opt) == 3
 
 
 def test_critic_loss_grad_makes_two_passes(passes):
@@ -385,3 +386,18 @@ def test_loglik_ascent_makes_one_pass(passes):
     rng, policy, _, s, a_idx = stoch_setup(0)
     opt = ap.init_opt_state(policy.params.size)
     assert passes(stx.loglik_ascent, policy, s, a_idx, rng.random(len(s)), opt) == 1
+
+
+@pytest.mark.parametrize("behavior", [False, True])
+@pytest.mark.parametrize("n_aux", [2, 7])
+def test_actor_update_main_makes_four_passes(passes, behavior, n_aux):
+    # V(s) and V(s'), the main policy once (ratio denominator and ascent
+    # step), and one stacked pass of every auxiliary
+    rng, _, _, s, a_idx = stoch_setup(0)
+    pset = stx.build_policy_set(STATE_DIM, N_ITEMS, n_aux + 1, np.ones(n_aux),
+                                np.full(n_aux + 1, 0.9), (6,), seed=1)
+    batch = (s, a_idx, rng.normal(size=(len(s), n_aux + 1)), rng.normal(size=s.shape),
+             np.zeros(len(s), dtype=bool))
+    bp = rng.uniform(0.1, 1.0, size=len(s)) if behavior else None
+    opt = ap.init_opt_state(pset.main[0].params.size)
+    assert passes(stx.actor_update_main, pset, batch, opt, behavior_prob=bp) == 4
