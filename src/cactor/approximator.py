@@ -150,18 +150,23 @@ def _apply_output_activation(kind: str, z: np.ndarray) -> np.ndarray:
     return np.maximum(e / e.sum(axis=-1, keepdims=True), _TINY)
 
 
-def _forward_pass(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
-    """Returns (output, hidden activations list, per-layer (W, b)) for an
-    input batch whose last axis holds the features; leading member axes of
-    params and x broadcast."""
-    layers = unpack_params(spec, params)
+def _forward_layers(kind: str, layers, x: np.ndarray):
+    """(output, hidden activations list) of unpacked ``layers`` on x."""
     hidden = []
     h = x
     for w, b in layers[:-1]:
         h = np.tanh(h @ w + b)
         hidden.append(h)
     w, b = layers[-1]
-    out = _apply_output_activation(spec.output_activation, h @ w + b)
+    return _apply_output_activation(kind, h @ w + b), hidden
+
+
+def _forward_pass(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
+    """Returns (output, hidden activations list, per-layer (W, b)) for an
+    input batch whose last axis holds the features; leading member axes of
+    params and x broadcast."""
+    layers = unpack_params(spec, params)
+    out, hidden = _forward_layers(spec.output_activation, layers, x)
     return out, hidden, layers
 
 
@@ -180,9 +185,22 @@ def forward_rows(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
     than one gemm on large batches, so use this only where results must not
     depend on how many rows are evaluated together (lockstep rollouts).
     """
-    x, _ = _check_input(spec, x)
-    out, _, _ = _forward_pass(spec, params, x[:, None, :])
-    return out[:, 0]
+    return row_evaluator(spec, params)(x)
+
+
+def row_evaluator(spec: ApproxSpec, params: np.ndarray):
+    """``forward_rows`` with the params unpacked once: returns ``rows(x)``,
+    for a caller that evaluates one net on many batches (a rollout step by
+    step).  For a bank (params (k, n_params)) x has shape (k, batch,
+    input_dim) and member i evaluates x[i], row by row, with the same bits
+    as ``forward_rows(spec, params[i], x[i])``.  The params must not change
+    while ``rows`` is in use."""
+    layers = unpack_params(spec, np.asarray(params, dtype=np.float64)[..., None, :])
+
+    def rows(x):
+        x, _ = _check_input(spec, x)
+        return _forward_layers(spec.output_activation, layers, x[..., None, :])[0][..., 0, :]
+    return rows
 
 
 def _output_delta(kind: str, y: np.ndarray, upstream: np.ndarray) -> np.ndarray:

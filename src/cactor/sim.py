@@ -73,8 +73,10 @@ class SessionSimulator:
     length, the initial core features, then per step the dense noise and the
     m-1 sparse uniforms.  An episode's trajectory therefore depends only on
     that pair and on the items chosen, never on which sessions step beside
-    it.  reset/step keep one session's state on the instance; the tables are
-    read-only after construction."""
+    it, nor on which member of a multi-member ``rollout`` owns it (two
+    sessions with one episode seed draw the same values from separate
+    generators).  reset/step keep one session's state on the instance; the
+    tables are read-only after construction."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -93,9 +95,12 @@ class SessionSimulator:
         self.quality = np.tanh(-rho * z + np.sqrt(max(1.0 - rho * rho, 0.0)) * noise)
         self.fold_map = rng.normal(size=(k, c.embed_dim)) / np.sqrt(c.embed_dim)
         self.fold_resp = rng.normal(scale=1.0, size=k)
-        # per-item constants of the dynamics: the affinity bias of each
-        # response, and each item's push on the core features
-        self._bias = np.vstack([self.appeal, self.sparse_bias])
+        # per-item constants of the dynamics, item first so that a step
+        # gathers each with one index: the affinity bias of each response
+        # (n_items, m), the embeddings (n_items, m, embed_dim), and each
+        # item's push on the core features
+        self._bias_rows = np.ascontiguousarray(np.vstack([self.appeal, self.sparse_bias]).T)
+        self._embed_rows = np.ascontiguousarray(self.item_embed.transpose(1, 0, 2))
         fold = 0.4 * self.fold_map
         self._fold_push = np.stack([fold @ self.item_embed[0, j] for j in range(c.n_items)])
 
@@ -129,31 +134,41 @@ class SessionSimulator:
         if not (0 <= item < cfg.n_items):
             raise ValueError(f"item index {item} out of range [0, {cfg.n_items})")
         self._t += 1
-        response, features = self._advance(self._features[None], np.array([item]),
-                                           [self._episode_rng], self._t,
-                                           np.array([self._length]))
+        noise, fire = np.zeros(1), np.empty((1, cfg.m - 1))
+        self._draw([self._episode_rng], noise, fire)
+        response, features = self._advance(self._features[None], np.array([item]), noise,
+                                           fire, self._t, np.array([self._length]))
         done = self._t >= self._length
         self._features = features[0]
         return State(self._features.copy(), terminal=done), response[0], done
 
-    def _advance(self, features, items, rngs, t, lengths) -> tuple[np.ndarray, np.ndarray]:
+    def _draw(self, rngs, noise, fire) -> None:
+        """One step's draws of each row, from its episode generator in the
+        contract's order: the dense noise into ``noise`` (k,) (left as it is
+        when dense_noise_std is 0) and the m-1 sparse uniforms into ``fire``
+        (k, m-1)."""
+        std = self.config.dense_noise_std
+        for i, (r, row) in enumerate(zip(rngs, fire)):
+            if std > 0:
+                noise[i] = r.normal(0.0, std)
+            r.random(out=row)
+
+    def _advance(self, features, items, noise, fire, t, lengths) -> tuple[np.ndarray, np.ndarray]:
         """One step of every row: ``features`` (k, state_dim), the items
-        shown, each row's episode generator, the step count after this step
+        shown, each row's draws (``_draw``), the step count after this step
         and the session lengths.  Returns responses (k, m) and the next
         features (k, state_dim)."""
         cfg = self.config
         affinity, sparse_p = self._response_terms(features, items)
-        noise = (np.array([r.normal(0.0, cfg.dense_noise_std) for r in rngs])
-                 if cfg.dense_noise_std > 0 else 0.0)
-        uniforms = np.array([r.random(cfg.m - 1) for r in rngs])
         g = features[:, -2]
         level = cfg.dense_base + affinity + noise
         dense = g * np.where(level > 0.0, level, 0.0)
-        response = np.concatenate([dense[:, None], (uniforms < sparse_p).astype(np.float64)],
+        response = np.concatenate([dense[:, None], (fire < sparse_p).astype(np.float64)],
                                   axis=1)
         new_core = np.tanh(0.85 * features[:, :self._core_dim] + self._fold_push[items]
                            + (0.1 * response.sum(axis=1))[:, None] * self.fold_resp)
-        new_g = np.clip(g + cfg.engagement_gain * self.quality[items], 0.25, 2.0)
+        # np.clip's bits, without its wrapper's cost
+        new_g = np.minimum(np.maximum(g + cfg.engagement_gain * self.quality[items], 0.25), 2.0)
         progress = t / lengths
         return response, np.concatenate([new_core, new_g[:, None], progress[:, None]], axis=1)
 
@@ -164,9 +179,9 @@ class SessionSimulator:
         row's (state, item).  Every product is stacked so that each row and
         response runs the one-row kernels (gemv, then dot)."""
         cfg = self.config
-        pref = (self.pref_maps[None] @ features[:, None, :, None])[..., 0]
-        embed = self.item_embed[:, items].transpose(1, 0, 2)
-        x = np.tanh((pref[..., None, :] @ embed[..., None])[..., 0, 0] + self._bias[:, items].T)
+        pref = self.pref_maps @ features[:, None, :, None]  # (k, m, embed_dim, 1)
+        x = np.tanh((pref.swapaxes(-1, -2) @ self._embed_rows[items][..., None])[..., 0, 0]
+                    + self._bias_rows[items])
         sparse = cfg.sparse_prob_scale * _sigmoid(cfg.sparse_slope * x[:, 1:] - cfg.sparse_offset)
         return x[:, 0], sparse
 
@@ -194,20 +209,28 @@ def inverse_cdf(p, u):
 
     ``p`` is one distribution with a scalar ``u``, or a stack of rows with
     one draw per row.  Raises ValueError where choice does: on NaN, on a
-    negative entry, or on a sum more than sqrt(eps) away from 1.
+    negative entry, or on a sum more than sqrt(eps) away from 1 (checked in
+    that order, see ``_reject``).
     """
     p = np.asarray(p, dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # inf - inf: reported as NaN below
+    # one pass decides validity: NaN fails both comparisons, and with no
+    # negative entry the sum cannot meet inf - inf
+    if not ((p >= 0.0).all() and (abs(p.sum(axis=-1) - 1.0) <= _SUM_TOL).all()):
+        _reject(p)
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+
+
+def _reject(p):
+    """Raise choice's error for probabilities ``inverse_cdf`` found invalid."""
+    with np.errstate(invalid="ignore"):  # inf - inf: reported as NaN
         total = p.sum(axis=-1)
     if np.any(np.isnan(total)):
         raise ValueError("probabilities contain NaN")
     if np.any(p < 0.0):
         raise ValueError("probabilities are not non-negative")
-    if np.any(np.abs(total - 1.0) > _SUM_TOL):
-        raise ValueError(f"probabilities do not sum to 1 (sums {total})")
-    cdf = p.cumsum(axis=-1)
-    cdf /= cdf[..., -1:]
-    return np.sum(cdf <= np.asarray(u)[..., None], axis=-1)
+    raise ValueError(f"probabilities do not sum to 1 (sums {total})")
 
 
 def _transition(state, item, prob, response, next_state, done) -> Transition:
@@ -240,51 +263,72 @@ def run_episode(sim: SessionSimulator, select, episode_seed: int,
     return Trajectory(transitions, session_id=session_id or f"ep-{episode_seed}")
 
 
-def rollout(sim: SessionSimulator, probs, rng: np.random.Generator, episode_seeds,
+def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
             session_ids=None) -> ReplayDataset:
-    """Roll one session per episode seed, all sessions in lockstep, writing
-    the dataset's columns directly.
+    """Roll the sessions of k members in lockstep, one session per episode
+    seed, writing the dataset's columns directly.
 
-    ``probs(features)`` maps the (k, state_dim) features of the k sessions
-    still running to their (k, n_items) action probabilities; row i must not
-    depend on the other rows (see ``approximator.forward_rows``).  Each
-    session's item is drawn by ``inverse_cdf`` from one uniform of ``rng``.
+    Member j has its own action generator ``rngs[j]`` and episode seeds
+    ``episode_seeds[j]``; every member rolls the same number E of sessions.
+    Sessions are laid out member-major: member j's sessions are sessions
+    j*E .. (j+1)*E - 1 of the dataset, in seed order, so its rows are one
+    contiguous block.  ``probs(features, live)`` takes the (k, E, state_dim)
+    features of every session (a finished one keeps its last features) and
+    the flat indices of the sessions still running, and returns their
+    (len(live), n_items) action probabilities; a row must depend only on its
+    own session's features and member (``approximator.row_evaluator``).  Each
+    session's item is drawn by ``inverse_cdf`` from one uniform of its
+    member's generator.
 
-    RNG contract: each session draws from its own episode stream, as in
-    ``run_episode``.  ``rng`` is drawn once, one uniform per step of every
-    session, and session e's step t takes draw offset_e + t, where offset_e
-    is the summed length of the sessions before e: the order of rolling the
-    sessions one after another with ``choice(n, p=p)`` on ``rng``.  So the
-    dataset, and the state of ``rng`` afterwards, are bit-identical to that
-    sequential run.  Session ids default to ``ep-<seed>``.
+    RNG contract: each session draws from its own episode stream (see
+    SessionSimulator).  ``rngs[j]`` is drawn once, one uniform per step of
+    each of member j's sessions, and session e's step t takes draw
+    offset_e + t, where offset_e is the summed length of member j's sessions
+    before e: the order of rolling that member's sessions one after another
+    with ``choice(n, p=p)`` on ``rngs[j]``.  So each member's rows, and the
+    state of its generator afterwards, are bit-identical to that sequential
+    run, whatever the other members do.  Session ids default to ``ep-<seed>``.
     """
     c = sim.config
-    seeds = list(episode_seeds)
-    ids = [f"ep-{s}" for s in seeds] if session_ids is None else list(session_ids)
-    starts = [sim._start(s) for s in seeds]
-    rngs = [r for r, _, _ in starts]
+    seeds = [list(member) for member in episode_seeds]
+    k, width = len(seeds), len(seeds[0]) if seeds else 0
+    if len(rngs) != k or any(len(member) != width for member in seeds):
+        raise ValueError("rollout needs one action generator per member and the same "
+                         "number of episode seeds for every member")
+    flat = [s for member in seeds for s in member]
+    ids = [f"ep-{s}" for s in flat] if session_ids is None else list(session_ids)
+    starts = [sim._start(s) for s in flat]
+    episode_rngs = [r for r, _, _ in starts]
     lengths = np.array([length for _, length, _ in starts], dtype=np.intp)
-    features = np.array([f for _, _, f in starts]).reshape(len(seeds), c.state_dim)
+    features = np.array([f for _, _, f in starts]).reshape(k, width, c.state_dim)
+    current = features.reshape(-1, c.state_dim)  # a view: one row per session
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     n = int(offsets[-1])
-    uniforms = rng.random(n)
+    uniforms = np.empty(n)
+    bounds = offsets[np.arange(k + 1) * width]  # member j's rows: bounds[j]:bounds[j + 1]
+    for r, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
+        r.random(out=uniforms[lo:hi])
     states, next_states = np.empty((n, c.state_dim)), np.zeros((n, c.state_dim))
     responses, behavior_prob = np.empty((n, c.m)), np.empty(n)
     action_index = np.empty(n, dtype=np.intp)
+    noise, fire = np.zeros(len(flat)), np.empty((len(flat), c.m - 1))
+    every = np.arange(len(flat))
     for t in range(int(lengths.max(initial=0))):
         live = np.flatnonzero(lengths > t)
+        f = current[live]
         rows = offsets[live] + t
-        p = np.asarray(probs(features[live]), dtype=np.float64)
+        p = np.asarray(probs(features, live), dtype=np.float64)
         if p.shape != (live.size, c.n_items):
             raise ValueError(f"probs returned shape {p.shape}, expected ({live.size}, {c.n_items})")
         items = inverse_cdf(p, uniforms[rows])
-        states[rows] = features[live]
+        states[rows] = f
         action_index[rows] = items
-        behavior_prob[rows] = p[np.arange(live.size), items]
-        responses[rows], features[live] = sim._advance(features[live], items,
-                                                       [rngs[e] for e in live],
-                                                       t + 1, lengths[live])
-        next_states[rows] = features[live]
+        behavior_prob[rows] = p[every[:live.size], items]
+        sim._draw([episode_rngs[e] for e in live], noise, fire)
+        responses[rows], f = sim._advance(f, items, noise[:live.size], fire[:live.size],
+                                          t + 1, lengths[live])
+        current[live] = f
+        next_states[rows] = f
     done = np.zeros(n, dtype=bool)
     done[offsets[1:] - 1] = True
     next_states[done] = 0.0  # the terminal next_state is canonicalized to zeros
@@ -312,15 +356,15 @@ def generate_offline_dataset(config, behavior=None, n_trajectories: int = 0) -> 
     sim = SessionSimulator(config)
     action_rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "behavior-actions")))
 
-    def probs(features):
-        p = np.array([behavior.probs(f) for f in features])
+    def probs(features, live):
+        p = np.array([behavior.probs(f) for f in features.reshape(-1, config.state_dim)[live]])
         zero = np.any(p <= 0.0, axis=1)
         if np.any(zero):
             bad = int(np.argmin(p[zero][0]))
             raise ValueError(f"behavior policy assigns zero probability to item {bad}")
         return p
 
-    dataset = rollout(sim, probs, action_rng, range(n_trajectories),
+    dataset = rollout(sim, probs, [action_rng], [range(n_trajectories)],
                       [f"sim-{k}" for k in range(n_trajectories)])
     dataset.metadata["source"] = "sim"
     return dataset
@@ -412,7 +456,7 @@ def _reviews_to_dataset(records, n_users, n_items, min_len, window) -> ReplayDat
     kept = counts[session] >= min_len
     order = np.flatnonzero(kept)[np.argsort(session[kept], kind="stable")]
     lengths = counts[counts >= min_len]
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
     n = int(offsets[-1])
     items = np.array([records[k][1] for k in order], dtype=np.intp)
     scores = np.array([records[k][2] for k in order], dtype=np.float64).reshape(n, REVIEW_M)
@@ -479,6 +523,14 @@ def load_review_dataset(path, min_trajectory_length: int = 20,
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if not (0 <= u < n_users and 0 <= h < n_items):
             raise ValueError(f"{path}:{lineno}: user or item id out of range")
+        if not np.isfinite(scores).all():
+            raise ValueError(f"{path}:{lineno}: non-finite score")
+        if prob is not None and prob != prob:
+            raise ValueError(f"{path}:{lineno}: probability {parts[-1]!r} is not a number; "
+                             f"an unknown probability is written as the {2 + REVIEW_M}-field "
+                             "form without one")
+        if prob is not None and not 0.0 < prob <= 1.0:
+            raise ValueError(f"{path}:{lineno}: probability {prob} outside (0, 1]")
         records.append((u, h, scores, prob))
     return _reviews_to_dataset(records, n_users, n_items,
                                min_trajectory_length, history_window)

@@ -314,24 +314,64 @@ class TwoStageConfig:
     divergence_threshold: float = 1e6
     divergence_patience: int = 20
 
+    def __post_init__(self):
+        # written so that NaN fails every rule
+        for name, ok in (
+                ("stage1_iters must be >= 0", self.stage1_iters >= 0),
+                ("stage2_iters must be >= 0", self.stage2_iters >= 0),
+                ("episodes_per_iter must be >= 1", self.episodes_per_iter >= 1),
+                ("critic_steps must be >= 1", self.critic_steps >= 1),
+                ("divergence_patience must be >= 1", self.divergence_patience >= 1),
+                ("actor_lr must be > 0", self.actor_lr > 0),
+                ("critic_lr must be > 0", self.critic_lr > 0),
+                ("clip_max must be > 0", self.clip_max > 0),
+                ("weight_floor must lie in [0, clip_max]",
+                 0 <= self.weight_floor <= self.clip_max)):
+            if not ok:
+                raise ValueError(name)
+
+
+def _bank_probs(policies):
+    """``rollout``'s probs for a bank of same-shape policies: member j's
+    sessions draw from policies[j], row by row, from one stacked pass per
+    step over every session (``approximator.row_evaluator``, unpacked once)."""
+    policies = ap.bank(policies)
+    rows = ap.row_evaluator(policies.spec, policies.params)
+    n = policies.spec.output_dim
+    return lambda features, live: rows(features).reshape(-1, n)[live]
+
+
+def _member_batches(data, k: int):
+    """Each member's ``batch_arrays`` tuple (views of its contiguous rows)
+    and mean over its episodes of the cumulative reward vectors, from a
+    k-member ``rollout``."""
+    width = len(data.session_ids) // k
+    out = []
+    for j in range(k):
+        bounds = data.offsets[j * width:(j + 1) * width + 1]
+        totals = np.zeros((width, data.m))
+        for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            totals[e] = data.responses[lo:hi].sum(axis=0)
+        out.append((data.arrays(slice(bounds[0], bounds[-1])), totals.mean(axis=0)))
+    return out
+
 
 def collect_batch(sim: SessionSimulator, policy: StochasticPolicy,
                   rng: np.random.Generator, n_episodes: int,
                   episode_seeds) -> tuple[tuple, np.ndarray]:
-    """Fresh on-policy episodes, rolled in lockstep; returns their
-    ``batch_arrays`` tuple (views of the rollout's columns) plus the mean
-    over episodes of the cumulative reward vectors.
+    """Fresh on-policy episodes, rolled in lockstep as a bank of one;
+    returns their ``batch_arrays`` tuple (views of the rollout's columns)
+    plus the mean over episodes of the cumulative reward vectors.
 
     RNG contract (``sim.rollout``): each episode draws from its own stream,
     and ``rng`` serves the actions in episode order, so the result is
     bit-identical to running the episodes one after another with
-    ``policy.sample(features, rng)``."""
-    data = rollout(sim, lambda f: ap.forward_rows(policy.spec, policy.params, f), rng,
-                   [episode_seeds[e] for e in range(n_episodes)])
-    totals = np.zeros((n_episodes, sim.config.m))
-    for e, (lo, hi) in enumerate(zip(data.offsets[:-1], data.offsets[1:])):
-        totals[e] = data.responses[lo:hi].sum(axis=0)
-    return data.arrays(), totals.mean(axis=0)
+    ``policy.sample(features, rng)``.  Stage one rolls its auxiliaries as one
+    bank under the same contract, each on its own generator, so every
+    member's batch equals a ``collect_batch`` of that member alone."""
+    data = rollout(sim, _bank_probs([policy]), [rng],
+                   [[episode_seeds[e] for e in range(n_episodes)]])
+    return _member_batches(data, 1)[0]
 
 
 class _DivergenceWatch:
@@ -346,39 +386,53 @@ class _DivergenceWatch:
                 f"iterations during {where} (last loss {loss})")
 
 
-def train_stage_one(sim: SessionSimulator, response_index: int, gamma: float,
-                    cfg: TwoStageConfig, master_seed: int,
-                    metrics: list | None = None):
-    """Advantage actor-critic for one auxiliary response.  Returns the trained
-    (policy, critic) pair."""
+def _metric_row(it, stage, response, loss, objective, mean_weight, mean_rewards) -> dict:
+    row = {"iteration": it, "stage": stage, "response": response, "critic_loss": loss,
+           "actor_objective": objective, "mean_weight": mean_weight}
+    row.update((f"reward_{i}", r) for i, r in enumerate(mean_rewards))
+    return row
+
+
+def _train_stage_one(sim: SessionSimulator, responses, gammas, cfg: TwoStageConfig,
+                     master_seed: int, metrics: list | None):
+    """Independent advantage actor-critics, one per response in
+    ``responses``; returns their (policy, critic) pairs.
+
+    The members share one lockstep ``rollout`` per iteration, each with its
+    own action stream and episode seeds, so every member's batch is the one
+    it would collect alone.  Each member then runs its own critic steps,
+    actor step, divergence watch and metric row on its rows (the batches
+    differ in length, so the updates stay per member).  Rows come out
+    iteration-major: iteration 0 of every response in ``responses`` order,
+    then iteration 1.  A diverging member raises TrainingDiverged naming its
+    response and iteration; the earliest iteration wins, then the lowest
+    response."""
     c = sim.config
-    policy = make_policy(c.state_dim, c.n_items, cfg.hidden,
-                         derive_seed(master_seed, "s1-actor", response_index), response_index)
-    critic = make_critic(c.state_dim, cfg.hidden,
-                         derive_seed(master_seed, "s1-critic", response_index),
-                         response_index, gamma)
-    a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
-    c_opt = ap.init_opt_state(critic.params.size, cfg.critic_lr)
-    rng = rng_for(master_seed, "s1-actions", response_index)
-    watch = _DivergenceWatch(cfg.divergence_threshold, cfg.divergence_patience)
+    policies = [make_policy(c.state_dim, c.n_items, cfg.hidden,
+                            derive_seed(master_seed, "s1-actor", i), i) for i in responses]
+    critics = [make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s1-critic", i),
+                           i, gammas[i]) for i in responses]
+    a_opts = [ap.init_opt_state(p.params.size, cfg.actor_lr) for p in policies]
+    c_opts = [ap.init_opt_state(v.params.size, cfg.critic_lr) for v in critics]
+    rngs = [rng_for(master_seed, "s1-actions", i) for i in responses]
+    watches = [_DivergenceWatch(cfg.divergence_threshold, cfg.divergence_patience)
+               for _ in responses]
 
     for it in range(cfg.stage1_iters):
-        seeds = [derive_seed(master_seed, "s1-ep", response_index, it, e)
-                 for e in range(cfg.episodes_per_iter)]
-        batch, mean_rewards = collect_batch(sim, policy, rng, cfg.episodes_per_iter, seeds)
-        loss = float("nan")
-        for _ in range(cfg.critic_steps):
-            critic, c_opt, loss = critic_update(critic, batch, c_opt)
-        watch.check(loss, f"stage one (response {response_index})")
-        policy, a_opt, info = actor_update_aux(policy, critic, batch, a_opt)
-        if metrics is not None:
-            row = {"iteration": it, "stage": 1, "response": response_index,
-                   "critic_loss": loss, "actor_objective": info["objective"],
-                   "mean_weight": ""}
-            for i in range(c.m):
-                row[f"reward_{i}"] = mean_rewards[i]
-            metrics.append(row)
-    return policy, critic
+        seeds = [[derive_seed(master_seed, "s1-ep", i, it, e)
+                  for e in range(cfg.episodes_per_iter)] for i in responses]
+        data = rollout(sim, _bank_probs(policies), rngs, seeds)
+        for j, (batch, mean_rewards) in enumerate(_member_batches(data, len(responses))):
+            loss = float("nan")
+            for _ in range(cfg.critic_steps):
+                critics[j], c_opts[j], loss = critic_update(critics[j], batch, c_opts[j])
+            watches[j].check(loss, f"stage one (response {responses[j]}, iteration {it})")
+            policies[j], a_opts[j], info = actor_update_aux(policies[j], critics[j], batch,
+                                                            a_opts[j])
+            if metrics is not None:
+                metrics.append(_metric_row(it, 1, responses[j], loss, info["objective"], "",
+                                           mean_rewards))
+    return list(zip(policies, critics))
 
 
 def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
@@ -386,19 +440,23 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
                     metrics: list | None = None) -> PolicySet:
     """Full two-stage run on a simulator.
 
-    Stage one fits one actor-critic pair per auxiliary response (skipped if
+    Stage one fits one actor-critic pair per auxiliary response, all
+    auxiliaries rolled together (``_train_stage_one``; skipped if
     ``pretrained_aux`` supplies them, e.g. when sweeping multipliers that
     only affect stage two).  Stage two trains the main pair with auxiliaries
     frozen, logging per-iteration rewards, losses, mean constrained weight,
     and the KL from the main policy to each auxiliary.
+
+    ``metrics`` receives one row per auxiliary and stage-one iteration,
+    iteration-major (every auxiliary's row of iteration 0 in response order,
+    then iteration 1, ...), then one row per stage-two iteration.
     """
     c = sim.config
     gammas = check_discounts(gammas, c.m)
     lam = validate_lambdas(lambdas, c.m - 1)
 
     if pretrained_aux is None:
-        aux_pairs = [train_stage_one(sim, i, gammas[i], cfg, master_seed, metrics)
-                     for i in range(1, c.m)]
+        aux_pairs = _train_stage_one(sim, range(1, c.m), gammas, cfg, master_seed, metrics)
     else:
         if len(pretrained_aux) != c.m - 1:
             raise ValueError("pretrained_aux must supply one pair per auxiliary response")
@@ -424,16 +482,13 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
         for _ in range(cfg.critic_steps):
             critic, c_opt, loss = critic_update(pset.main[1], batch, c_opt)
             pset.main = (pset.main[0], critic)
-        watch.check(loss, "stage two")
+        watch.check(loss, f"stage two (iteration {it})")
         policy, a_opt, info = actor_update_main(pset, batch, a_opt,
                                                 cfg.clip_max, cfg.weight_floor)
         pset.main = (policy, pset.main[1])
         if metrics is not None:
-            row = {"iteration": it, "stage": 2, "response": 0,
-                   "critic_loss": loss, "actor_objective": info["objective"],
-                   "mean_weight": info["mean_weight"]}
-            for i in range(c.m):
-                row[f"reward_{i}"] = mean_rewards[i]
+            row = _metric_row(it, 2, 0, loss, info["objective"], info["mean_weight"],
+                              mean_rewards)
             for j, kl in enumerate(policy_kl(policy, aux_bank, batch[0]), start=1):
                 row[f"kl_aux_{j}"] = kl
             metrics.append(row)

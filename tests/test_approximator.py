@@ -94,6 +94,25 @@ def test_forward_rows_matches_one_row_forward_bit_for_bit(seed, head, depth, bat
         assert np.array_equal(rows[k], ap.forward(spec, params, xs[k]))
 
 
+@settings(max_examples=25, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ap.ACTIVATIONS), st.integers(0, 2),
+       st.integers(1, 4), st.integers(1, 12))
+def test_row_evaluator_bank_equals_forward_rows_per_member(seed, head, depth, k, batch):
+    rng = np.random.default_rng(seed)
+    hidden = tuple(int(rng.integers(1, 40)) for _ in range(depth))
+    spec = ap.ApproxSpec(int(rng.integers(1, 20)), hidden, int(rng.integers(1, 40)), head,
+                         seed=seed)
+    params = np.stack([ap.init_params(spec) * rng.uniform(0.5, 3.0) for _ in range(k)])
+    xs = rng.normal(size=(k, batch, spec.input_dim)) * 2
+    rows = ap.row_evaluator(spec, params)
+    for _ in range(2):  # the unpacked bank is reused
+        out = rows(xs)
+        assert out.shape == (k, batch, spec.output_dim)
+        for i in range(k):
+            assert np.array_equal(out[i], ap.forward_rows(spec, params[i], xs[i]))
+        xs = xs[:, ::-1].copy()
+
+
 class TestGradient:
     def test_zero_upstream_gives_zero_gradient(self):
         spec = ap.ApproxSpec(3, (4,), 2, "tanh", seed=5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,11 @@ def assert_same_trajectories(got, want):
             assert np.array_equal(ta.state.features, tb.state.features)
             assert np.array_equal(ta.next_state.features, tb.next_state.features)
             assert np.array_equal(ta.response, tb.response)
+
+
+def one_net(spec, params):
+    """``rollout`` probs of one net, evaluated row by row on the live sessions."""
+    return lambda f, live: ap.forward_rows(spec, params, f.reshape(-1, f.shape[-1])[live])
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +154,7 @@ class TestRollout:
         seq_rng = np.random.default_rng(cfg.seed)
         want = [sm.run_episode(sim, select, s) for s in seeds]
         rng = np.random.default_rng(cfg.seed)
-        got = sm.rollout(sim, lambda f: ap.forward_rows(spec, params, f), rng, seeds)
+        got = sm.rollout(sim, one_net(spec, params), [rng], [seeds])
         assert_same_trajectories(got.trajectories, want)
         assert rng.random() == seq_rng.random()
 
@@ -165,8 +172,8 @@ class TestRollout:
             return item, float(p[item])
 
         want = sm.ReplayDataset([sm.run_episode(sim, select, s) for s in seeds], m=cfg.m)
-        got = sm.rollout(sim, lambda f: ap.forward_rows(spec, params, f),
-                         np.random.default_rng(cfg.seed), seeds)
+        got = sm.rollout(sim, one_net(spec, params), [np.random.default_rng(cfg.seed)],
+                         [seeds])
         for name in ("states", "next_states", "next_terminal", "action_index",
                      "behavior_prob", "responses", "done", "offsets"):
             a, b = getattr(got, name), getattr(want, name)
@@ -178,8 +185,49 @@ class TestRollout:
 
     def test_probs_of_wrong_shape_rejected(self, cfg):
         with pytest.raises(ValueError, match="shape"):
-            sm.rollout(sm.SessionSimulator(cfg), lambda f: np.full((len(f), 3), 1 / 3),
-                       np.random.default_rng(0), [1, 2])
+            sm.rollout(sm.SessionSimulator(cfg), lambda f, live: np.full((live.size, 3), 1 / 3),
+                       [np.random.default_rng(0)], [[1, 2]])
+
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_members_equal_separate_single_member_rollouts(self, cfg):
+        """A 3-member rollout against one rollout per member, column for
+        column, and each member's generator left where its own run leaves it."""
+        sim = sm.SessionSimulator(cfg)
+        nets = [ap.ApproxSpec(cfg.state_dim, (16,), cfg.n_items, "softmax", seed=cfg.seed + j)
+                for j in range(3)]
+        params = np.stack([ap.init_params(spec) * 3.0 for spec in nets])
+        rows = ap.row_evaluator(nets[0], params)
+        seeds = [[7, 123, 5, 40], [41, 9, 2, 11], [7, 8, 1000, 3]]  # 7 twice: own streams
+        rngs = [np.random.default_rng(100 + j) for j in range(3)]
+        got = sm.rollout(sim, lambda f, live: rows(f).reshape(-1, cfg.n_items)[live], rngs,
+                         seeds)
+        wants = [sm.rollout(sim, one_net(nets[0], params[j]), [np.random.default_rng(100 + j)],
+                            [seeds[j]]) for j in range(3)]
+        lo = 0
+        for j, want in enumerate(wants):
+            hi = lo + want.n_transitions
+            assert np.array_equal(got.offsets[4 * j:4 * j + 5] - lo, want.offsets)
+            for name in ("states", "next_states", "next_terminal", "action_index",
+                         "behavior_prob", "responses", "done"):
+                a, b = getattr(got, name)[lo:hi], getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (j, name)
+            lo = hi
+        assert got.session_ids == [f"ep-{s}" for member in seeds for s in member]
+        for j in range(3):
+            want_rng = np.random.default_rng(100 + j)
+            want_rng.random(wants[j].n_transitions)
+            assert rngs[j].random() == want_rng.random()
+
+    def test_members_need_one_generator_and_equal_episode_counts(self, cfg):
+        sim, rng = sm.SessionSimulator(cfg), np.random.default_rng(0)
+        uniform = sm.UniformRandomPolicy(cfg.n_items)
+
+        def probs(f, live):
+            return np.array([uniform.probs(x) for x in f.reshape(-1, cfg.state_dim)[live]])
+        with pytest.raises(ValueError, match="one action generator per member"):
+            sm.rollout(sim, probs, [rng], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="same number of episode seeds"):
+            sm.rollout(sim, probs, [rng, rng], [[1, 2], [3]])
 
 
 class TestInverseCdf:
@@ -208,6 +256,37 @@ class TestInverseCdf:
             sm.inverse_cdf(p, 0.5)
         with pytest.raises(ValueError, match="probabilities"):
             sm.inverse_cdf(np.stack([np.full(p.size, 1.0 / p.size), p]), [0.5, 0.5])
+
+    def test_invalid_rows_raise_the_old_checks_messages_in_their_order(self):
+        """Against the checks as they ran before the one-pass test, on random
+        stacks that break one, two or all three rules."""
+        def old_checks(p):
+            with np.errstate(invalid="ignore"):
+                total = p.sum(axis=-1)
+            if np.any(np.isnan(total)):
+                return "probabilities contain NaN"
+            if np.any(p < 0.0):
+                return "probabilities are not non-negative"
+            if np.any(np.abs(total - 1.0) > sm._SUM_TOL):
+                return f"probabilities do not sum to 1 (sums {total})"
+            return None
+
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(400):
+            p = rng.dirichlet(np.ones(5), size=int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(1, 4))):
+                row, col = int(rng.integers(len(p))), int(rng.integers(5))
+                p[row, col] = rng.choice([np.nan, np.inf, -np.inf, -0.2, 0.3, 1e-7, -1e-12])
+            for stack in (p, p[0]):  # a stack of rows and one distribution
+                want = old_checks(stack)
+                if want is None:
+                    continue
+                seen.add(want[:24])
+                with pytest.raises(ValueError) as err:
+                    sm.inverse_cdf(stack, np.full(stack.shape[:-1], 0.5))
+                assert str(err.value) == want
+        assert len(seen) == 3  # each message was drawn
 
     def test_sum_within_tolerance_accepted_like_choice(self):
         p = np.array([0.25, 0.75 + 1e-9])
@@ -426,6 +505,21 @@ class TestReviewData:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"{path.name}{where} "):
             sm.load_review_dataset(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ("3," * 7 + "3,nan", "probability 'nan' is not a number"),
+        ("3," * 7 + "3,0", "probability 0.0 outside (0, 1]"),
+        ("3," * 7 + "3,1.5", "probability 1.5 outside (0, 1]"),
+        ("3," * 7 + "3,-inf", "probability -inf outside (0, 1]"),
+        ("3," * 7 + "inf,0.5", "non-finite score"),
+        ("3," * 6 + "nan,3", "non-finite score"),
+    ], ids=["nan-prob", "zero-prob", "prob-above-one", "inf-prob", "inf-score", "nan-score"])
+    def test_bad_values_are_named_by_file_line(self, tmp_path, fields, message):
+        path = tmp_path / "bad.txt"
+        good = "0,1," + "3," * 7 + "3,0.5"
+        path.write_text(f"# cactor-reviews 1\n# n_users=2 n_items=2\n{good}\n\n0,1,{fields}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path.name}:5: {message}")):
+            sm.load_review_dataset(path, min_trajectory_length=1)
 
     def test_paper_scale_metadata_constants(self):
         # reference corpus scale, for documentation only
