@@ -439,6 +439,19 @@ class ReplayDataset:
         return self._store.arrays(rows)
 
 
+def check_config(cfg, iterations=(), counts=(), positive=(), rules=()) -> None:
+    """Raise ValueError naming the first field of ``cfg`` that breaks its
+    rule: ``iterations`` must be >= 0, ``counts`` >= 1 and ``positive``
+    > 0; ``rules`` adds (message, holds) pairs.  Every rule is written so
+    that NaN fails it."""
+    checks = [(f"{f} must be >= 0", getattr(cfg, f) >= 0) for f in iterations]
+    checks += [(f"{f} must be >= 1", getattr(cfg, f) >= 1) for f in counts]
+    checks += [(f"{f} must be > 0", getattr(cfg, f) > 0) for f in positive]
+    for message, holds in [*checks, *rules]:
+        if not holds:
+            raise ValueError(message)
+
+
 def check_discounts(gammas, m: int | None = None) -> np.ndarray:
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.ndim != 1:
@@ -508,12 +521,13 @@ def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
 # Header lines:
 #   # cactor-dataset 1
 #   # m=<int> state_dim=<int> n_items=<int>
-#   # meta <key>=<value>            (zero or more)
+#   # meta <key>=<value>            (zero or more; no "=" in a key)
 # Transition lines, comma-separated, in this fixed order:
 #   session_id, t, <state_dim state features>, action_index, behavior_prob,
 #   <m response values>, done
-# action_index and behavior_prob are "-" when unknown; done is 0 or 1.
-# A session's rows may interleave with other sessions' but keep step order.
+# action_index and behavior_prob are "-" when unknown; done is 0 or 1.  A
+# session id holds no comma or line break, and a meta line no line break.  A
+# session's rows may interleave with other sessions' but keep step order.
 # The state of step t+1 is the next_state of step t.  The next_state of a
 # session's last row is stored as a zero feature vector, terminal when the
 # row is done.  A session whose last row is not done (a truncated session)
@@ -550,11 +564,18 @@ def save_dataset(path, dataset: ReplayDataset) -> None:
     d = dataset
     state_dim = d.states.shape[1]
     n_items = int(d.metadata.get("n_items", 0))
+    bad = [sid for sid in map(str, d.session_ids) if "," in sid or "\n" in sid or "\r" in sid]
+    if bad:
+        raise ValueError(f"session id {bad[0]!r} must not contain ',' or a line break")
     lines = [_DATASET_HEADER, f"# m={d.m} state_dim={state_dim} n_items={n_items}"]
     for key in sorted(d.metadata):
         if key in ("state_dim", "n_items"):
             continue
-        lines.append(f"# meta {key}={d.metadata[key]}")
+        line = f"{key}={d.metadata[key]}"
+        if "=" in str(key) or "\n" in line or "\r" in line:
+            raise ValueError(f"metadata {key!r}: a key must not contain '=', and neither a "
+                             "key nor a value a line break")
+        lines.append(f"# meta {line}")
     # 17 significant digits round-trip every float64; one % per row and column
     # block, each value followed by its comma so that an empty block adds none
     feats_fmt = "%.17g," * state_dim

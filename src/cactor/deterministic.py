@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approximator as ap
-from .core import ReplayDataset, check_discounts, td_target
+from .core import ReplayDataset, check_config, check_discounts, td_target
 from .seeding import derive_seed
 from .stochastic import (StochasticPolicy, _check_critic_loss, gather, loglik_ascent,
                          make_policy, validate_lambdas)
@@ -33,16 +33,10 @@ from .stochastic import batch_arrays  # noqa: F401  (a binding bench/tracer.py w
 class DeterministicPolicy:
     spec: ap.ApproxSpec
     params: np.ndarray
-    exploration_noise_std: float = 0.1
     response_index: int = 0
 
     def act(self, features) -> np.ndarray:
         return ap.forward(self.spec, self.params, features)
-
-    def act_noisy(self, features, rng: np.random.Generator) -> np.ndarray:
-        """Exploration noise is for data collection only, never for updates."""
-        a = self.act(features)
-        return a + rng.normal(0.0, self.exploration_noise_std, size=a.shape)
 
 
 @dataclass
@@ -60,10 +54,9 @@ class CriticQ:
         return ap.forward(self.spec, self.params, x)[..., 0]
 
 
-def make_det_policy(state_dim, embed_dim, hidden, seed, noise_std=0.1,
-                    response_index=0) -> DeterministicPolicy:
+def make_det_policy(state_dim, embed_dim, hidden, seed, response_index=0) -> DeterministicPolicy:
     spec = ap.ApproxSpec(state_dim, tuple(hidden), embed_dim, "tanh", seed)
-    return DeterministicPolicy(spec, ap.init_params(spec), noise_std, response_index)
+    return DeterministicPolicy(spec, ap.init_params(spec), response_index)
 
 
 def make_q_critic(state_dim, embed_dim, hidden, seed, response_index, gamma) -> CriticQ:
@@ -238,8 +231,12 @@ class DDPGConfig:
     hidden: tuple[int, ...] = (32,)
     embed_dim: int = 6
     target_refresh: int = 100
-    exploration_noise_std: float = 0.1
     log_every: int = 50
+
+    def __post_init__(self):
+        check_config(self, iterations=("updates",),
+                     counts=("batch_size", "embed_dim", "target_refresh", "log_every"),
+                     positive=("actor_lr", "critic_lr", "items_lr"))
 
 
 @dataclass
@@ -284,8 +281,7 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
     items_opt = ap.init_opt_state((k, items[0].size), cfg.items_lr)
 
     policies = [make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
-                                derive_seed(master_seed, "actor", label),
-                                cfg.exploration_noise_std, label)
+                                derive_seed(master_seed, "actor", label), label)
                 for label in labels]
     critics = [[make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
                               derive_seed(master_seed, "critic", label, j), j, g)
@@ -404,6 +400,10 @@ class BCConfig:
     lr: float = 5e-3
     hidden: tuple[int, ...] = (32,)
     log_every: int = 50
+
+    def __post_init__(self):
+        check_config(self, iterations=("updates",), counts=("batch_size", "log_every"),
+                     positive=("lr",))
 
 
 def train_behavior_clone(dataset: ReplayDataset, cfg: BCConfig,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approximator as ap
-from .core import (ReplayDataset, Trajectory, _session_columns, _Store, check_discounts,
-                   discounted_returns)
+from .core import (ReplayDataset, Trajectory, _session_columns, _Store, check_config,
+                   check_discounts, discounted_returns)
 from .seeding import derive_seed
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
                          actor_update_main, critic_loss_grad, gather, loglik_ascent,
@@ -31,12 +31,11 @@ class ISConfig:
     min_behavior_prob: float = 1e-6
 
     def __post_init__(self):
-        if self.mode not in ("first_order", "full_product"):
-            raise ValueError(f"unknown importance-sampling mode {self.mode!r}")
-        if self.ratio_clip < 1.0:
-            raise ValueError("ratio_clip must be >= 1")
-        if not (0.0 < self.min_behavior_prob <= 1.0):
-            raise ValueError("min_behavior_prob must lie in (0, 1]")
+        check_config(self, rules=(
+            (f"unknown importance-sampling mode {self.mode!r}",
+             self.mode in ("first_order", "full_product")),
+            ("ratio_clip must be >= 1", self.ratio_clip >= 1.0),
+            ("min_behavior_prob must lie in (0, 1]", 0.0 < self.min_behavior_prob <= 1.0)))
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,7 @@ class NCISConfig:
     cap: float = 10.0
 
     def __post_init__(self):
-        if self.cap <= 0.0:
-            raise ValueError("cap must be positive")
+        check_config(self, positive=("cap",))
 
 
 def _check_behavior_prob(p: float, cfg: ISConfig) -> None:
@@ -192,6 +190,9 @@ class MultiCriticConfig:
     hidden: tuple[int, ...] = (32,)
     share_bottom: bool = False
 
+    def __post_init__(self):
+        check_config(self, iterations=("iters",), counts=("batch_size",), positive=("lr",))
+
 
 def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
                        cfg: MultiCriticConfig, master_seed: int,
@@ -327,7 +328,16 @@ def ncis_evaluate(prob_fn, dataset: ReplayDataset, cfg: NCISConfig) -> dict:
     s, a, r, _, _ = dataset.arrays()
     if a is None:
         raise ValueError("dataset lacks action indices")
-    p = np.asarray(prob_fn(s))[np.arange(a.size), a]
+    p = np.asarray(prob_fn(s), dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] != a.size or p.shape[1] <= a.max(initial=0):
+        raise ValueError(f"prob_fn returned shape {p.shape}, expected ({a.size}, n_items) "
+                         f"with n_items > {a.max(initial=0)}")
+    bad = ~(np.isfinite(p) & (p >= 0.0)).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{dataset._store.where(row)}prob_fn returned {p[row].tolist()} at "
+                         f"row {row}; probabilities must be finite and nonnegative")
+    p = p[np.arange(a.size), a]
     bp = dataset.behavior_prob
     if np.any(np.isnan(bp)):
         raise ValueError("dataset lacks behavior probabilities")

@@ -11,10 +11,13 @@ learner or logging run serves that learner's episodes in episode order,
 every step of episode e before any step of episode e+1.  Stepping the
 sessions of an iteration in lockstep therefore gives the same bits as
 rolling them one after another.  The same holds when several learners share
-one rollout (online stage one rolls every auxiliary together): each keeps
-its own action stream, (master seed, "s1-actions", response), drawn only
-for its own episodes, so each learner's episodes and the state of its
-stream afterwards are those of a rollout of that learner alone.
+one rollout (``stochastic.collect_batch``): each keeps its own action stream,
+drawn only for its own episodes, so each learner's episodes and the state of
+its stream afterwards are those of a rollout of that learner alone.  In the
+online loop (``stochastic._actor_critic``), auxiliary i's streams are (master
+seed, "s1-actor" | "s1-critic" | "s1-actions", i) and episode e of iteration
+it is (master seed, "s1-ep", i, it, e); the main pair's are the same without
+i, under "s2-".
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ReplayDataset, State, Trajectory, Transition, _parse_dims,
+from .core import (ReplayDataset, State, Trajectory, Transition, _parse_dims, check_config,
                    terminal_state)
 from .seeding import derive_seed
 
@@ -50,17 +50,13 @@ class SimConfig:
     appeal_quality_tradeoff: float = 0.8
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("need at least one auxiliary response (m >= 2)")
-        if not (0.0 < self.sparse_prob_scale <= 1.0):
-            raise ValueError("sparse_prob_scale must lie in (0, 1]")
         lo, hi = self.session_length_range
-        if not (0 < lo <= hi):
-            raise ValueError("session_length_range must satisfy 0 < min <= max")
-        if self.state_dim < 4:
-            raise ValueError("state_dim must be at least 4")
-        if self.dense_noise_std < 0:
-            raise ValueError("dense_noise_std must be nonnegative")
+        check_config(self, counts=("n_items",), rules=(
+            ("need at least one auxiliary response (m >= 2)", self.m >= 2),
+            ("sparse_prob_scale must lie in (0, 1]", 0.0 < self.sparse_prob_scale <= 1.0),
+            ("session_length_range must satisfy 0 < min <= max", 0 < lo <= hi),
+            ("state_dim must be at least 4", self.state_dim >= 4),
+            ("dense_noise_std must be nonnegative", self.dense_noise_std >= 0)))
 
 
 class SessionSimulator:
@@ -384,10 +380,8 @@ class ReviewDatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_users, self.n_items, self.n_reviews) < 1:
-            raise ValueError("n_users, n_items and n_reviews must be positive")
-        if self.min_trajectory_length < 1 or self.history_window < 1:
-            raise ValueError("min_trajectory_length and history_window must be positive")
+        check_config(self, counts=("n_users", "n_items", "n_reviews", "min_trajectory_length",
+                                   "history_window"))
 
 
 def review_state_dim(config: ReviewDatasetConfig) -> int:

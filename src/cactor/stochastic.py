@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approximator as ap
-from .core import check_discounts, td_target
+from .core import check_config, check_discounts, td_target
 from .seeding import derive_seed, rng_for
 from .sim import SessionSimulator, inverse_cdf, rollout
 
@@ -44,15 +44,11 @@ class StochasticPolicy:
     params: np.ndarray
     response_index: int = 0
 
-    @property
-    def n_items(self) -> int:
-        return self.spec.output_dim
-
     def probs(self, features) -> np.ndarray:
         return ap.forward(self.spec, self.params, features)
 
     def sample(self, features, rng: np.random.Generator) -> tuple[int, float]:
-        """The item ``rng.choice(n_items, p=probs)`` would draw, and its probability."""
+        """The item ``rng.choice(len(probs), p=probs)`` would draw, and its probability."""
         p = self.probs(features)
         item = int(inverse_cdf(p, rng.random()))
         return item, float(p[item])
@@ -64,10 +60,6 @@ class CriticV:
     params: np.ndarray
     response_index: int
     gamma: float
-
-    def value(self, features):
-        out = ap.forward(self.spec, self.params, features)
-        return out[..., 0] if out.ndim > 1 else float(out[0])
 
 
 def make_policy(state_dim, n_items, hidden, seed, response_index=0) -> StochasticPolicy:
@@ -315,63 +307,38 @@ class TwoStageConfig:
     divergence_patience: int = 20
 
     def __post_init__(self):
-        # written so that NaN fails every rule
-        for name, ok in (
-                ("stage1_iters must be >= 0", self.stage1_iters >= 0),
-                ("stage2_iters must be >= 0", self.stage2_iters >= 0),
-                ("episodes_per_iter must be >= 1", self.episodes_per_iter >= 1),
-                ("critic_steps must be >= 1", self.critic_steps >= 1),
-                ("divergence_patience must be >= 1", self.divergence_patience >= 1),
-                ("actor_lr must be > 0", self.actor_lr > 0),
-                ("critic_lr must be > 0", self.critic_lr > 0),
-                ("clip_max must be > 0", self.clip_max > 0),
-                ("weight_floor must lie in [0, clip_max]",
-                 0 <= self.weight_floor <= self.clip_max)):
-            if not ok:
-                raise ValueError(name)
+        check_config(self, iterations=("stage1_iters", "stage2_iters"),
+                     counts=("episodes_per_iter", "critic_steps", "divergence_patience"),
+                     positive=("actor_lr", "critic_lr", "clip_max", "divergence_threshold"),
+                     rules=(("weight_floor must lie in [0, clip_max]",
+                             0 <= self.weight_floor <= self.clip_max),))
 
 
-def _bank_probs(policies):
-    """``rollout``'s probs for a bank of same-shape policies: member j's
-    sessions draw from policies[j], row by row, from one stacked pass per
-    step over every session (``approximator.row_evaluator``, unpacked once)."""
-    policies = ap.bank(policies)
-    rows = ap.row_evaluator(policies.spec, policies.params)
-    n = policies.spec.output_dim
-    return lambda features, live: rows(features).reshape(-1, n)[live]
-
-
-def _member_batches(data, k: int):
-    """Each member's ``batch_arrays`` tuple (views of its contiguous rows)
-    and mean over its episodes of the cumulative reward vectors, from a
-    k-member ``rollout``."""
-    width = len(data.session_ids) // k
-    out = []
-    for j in range(k):
-        bounds = data.offsets[j * width:(j + 1) * width + 1]
-        totals = np.zeros((width, data.m))
-        for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            totals[e] = data.responses[lo:hi].sum(axis=0)
-        out.append((data.arrays(slice(bounds[0], bounds[-1])), totals.mean(axis=0)))
-    return out
-
-
-def collect_batch(sim: SessionSimulator, policy: StochasticPolicy,
-                  rng: np.random.Generator, n_episodes: int,
-                  episode_seeds) -> tuple[tuple, np.ndarray]:
-    """Fresh on-policy episodes, rolled in lockstep as a bank of one;
-    returns their ``batch_arrays`` tuple (views of the rollout's columns)
-    plus the mean over episodes of the cumulative reward vectors.
+def collect_batch(sim: SessionSimulator, policies, rngs, episode_seeds) -> list:
+    """Fresh on-policy episodes for a bank of same-shape policies, rolled in
+    lockstep: member j rolls one episode per seed in ``episode_seeds[j]``,
+    drawing its actions from ``rngs[j]``.  Returns one ``(batch,
+    mean_rewards)`` per member: its ``batch_arrays`` tuple (views of the
+    rollout's columns) and the mean over its episodes of the cumulative
+    reward vectors.
 
     RNG contract (``sim.rollout``): each episode draws from its own stream,
-    and ``rng`` serves the actions in episode order, so the result is
-    bit-identical to running the episodes one after another with
-    ``policy.sample(features, rng)``.  Stage one rolls its auxiliaries as one
-    bank under the same contract, each on its own generator, so every
-    member's batch equals a ``collect_batch`` of that member alone."""
-    data = rollout(sim, _bank_probs([policy]), [rng],
-                   [[episode_seeds[e] for e in range(n_episodes)]])
-    return _member_batches(data, 1)[0]
+    and ``rngs[j]`` serves member j's actions in episode order, so each
+    member's batch, and the state of its generator afterwards, are
+    bit-identical to running its episodes one after another with
+    ``policy.sample(features, rngs[j])``, whatever the other members do."""
+    bank = ap.bank(policies)
+    rows = ap.row_evaluator(bank.spec, bank.params)  # one stacked pass per step
+    n = bank.spec.output_dim
+    data = rollout(sim, lambda features, live: rows(features).reshape(-1, n)[live],
+                   rngs, episode_seeds)
+    width = len(data.session_ids) // len(policies)
+    out = []
+    for j in range(len(policies)):
+        bounds = data.offsets[j * width:(j + 1) * width + 1]
+        totals = [data.responses[lo:hi].sum(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        out.append((data.arrays(slice(bounds[0], bounds[-1])), np.mean(totals, axis=0)))
+    return out
 
 
 class _DivergenceWatch:
@@ -386,110 +353,114 @@ class _DivergenceWatch:
                 f"iterations during {where} (last loss {loss})")
 
 
-def _metric_row(it, stage, response, loss, objective, mean_weight, mean_rewards) -> dict:
-    row = {"iteration": it, "stage": stage, "response": response, "critic_loss": loss,
-           "actor_objective": objective, "mean_weight": mean_weight}
-    row.update((f"reward_{i}", r) for i, r in enumerate(mean_rewards))
-    return row
+def _actor_critic(sim: SessionSimulator, stage: int, responses, gammas, iters: int,
+                  cfg: TwoStageConfig, master_seed: int, actor_step, metrics: list | None):
+    """The on-policy actor-critic loop of both stages, for a bank of
+    independent learners, one per entry of ``responses`` (seed streams as
+    ``seeding`` names them); returns their trained (policy, critic) pairs.
 
-
-def _train_stage_one(sim: SessionSimulator, responses, gammas, cfg: TwoStageConfig,
-                     master_seed: int, metrics: list | None):
-    """Independent advantage actor-critics, one per response in
-    ``responses``; returns their (policy, critic) pairs.
-
-    The members share one lockstep ``rollout`` per iteration, each with its
-    own action stream and episode seeds, so every member's batch is the one
-    it would collect alone.  Each member then runs its own critic steps,
-    actor step, divergence watch and metric row on its rows (the batches
-    differ in length, so the updates stay per member).  Rows come out
-    iteration-major: iteration 0 of every response in ``responses`` order,
-    then iteration 1.  A diverging member raises TrainingDiverged naming its
-    response and iteration; the earliest iteration wins, then the lowest
-    response."""
-    c = sim.config
+    Each iteration rolls every member's episodes in one ``collect_batch``.
+    Then each member in turn, on its own batch (the batches differ in
+    length, so the updates stay per member), takes ``cfg.critic_steps``
+    critic steps, checks its divergence watch, takes the actor step
+    ``actor_step(policy, critic, batch, opt) -> (policy, opt, fields)`` and
+    appends its metric row, with ``fields`` after the critic loss.  A
+    diverging member raises TrainingDiverged naming its response and
+    iteration; the earliest iteration wins, then the first member."""
+    c, s, name = sim.config, f"s{stage}", ("one", "two")[stage - 1]
+    paths = [(i,) if i else () for i in responses]
     policies = [make_policy(c.state_dim, c.n_items, cfg.hidden,
-                            derive_seed(master_seed, "s1-actor", i), i) for i in responses]
-    critics = [make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s1-critic", i),
-                           i, gammas[i]) for i in responses]
+                            derive_seed(master_seed, f"{s}-actor", *path), i)
+                for path, i in zip(paths, responses)]
+    critics = [make_critic(c.state_dim, cfg.hidden,
+                           derive_seed(master_seed, f"{s}-critic", *path), i, gammas[i])
+               for path, i in zip(paths, responses)]
     a_opts = [ap.init_opt_state(p.params.size, cfg.actor_lr) for p in policies]
     c_opts = [ap.init_opt_state(v.params.size, cfg.critic_lr) for v in critics]
-    rngs = [rng_for(master_seed, "s1-actions", i) for i in responses]
+    rngs = [rng_for(master_seed, f"{s}-actions", *path) for path in paths]
     watches = [_DivergenceWatch(cfg.divergence_threshold, cfg.divergence_patience)
-               for _ in responses]
+               for _ in paths]
 
-    for it in range(cfg.stage1_iters):
-        seeds = [[derive_seed(master_seed, "s1-ep", i, it, e)
-                  for e in range(cfg.episodes_per_iter)] for i in responses]
-        data = rollout(sim, _bank_probs(policies), rngs, seeds)
-        for j, (batch, mean_rewards) in enumerate(_member_batches(data, len(responses))):
+    for it in range(iters):
+        seeds = [[derive_seed(master_seed, f"{s}-ep", *path, it, e)
+                  for e in range(cfg.episodes_per_iter)] for path in paths]
+        for j, (batch, mean_rewards) in enumerate(collect_batch(sim, policies, rngs, seeds)):
             loss = float("nan")
             for _ in range(cfg.critic_steps):
                 critics[j], c_opts[j], loss = critic_update(critics[j], batch, c_opts[j])
-            watches[j].check(loss, f"stage one (response {responses[j]}, iteration {it})")
-            policies[j], a_opts[j], info = actor_update_aux(policies[j], critics[j], batch,
-                                                            a_opts[j])
+            where = ", ".join([f"response {i}" for i in paths[j]] + [f"iteration {it}"])
+            watches[j].check(loss, f"stage {name} ({where})")
+            policies[j], a_opts[j], fields = actor_step(policies[j], critics[j], batch,
+                                                        a_opts[j])
             if metrics is not None:
-                metrics.append(_metric_row(it, 1, responses[j], loss, info["objective"], "",
-                                           mean_rewards))
+                row = {"iteration": it, "stage": stage, "response": responses[j],
+                       "critic_loss": loss, **fields}
+                row.update((f"reward_{r}", x) for r, x in enumerate(mean_rewards))
+                metrics.append(row)
     return list(zip(policies, critics))
+
+
+def _aux_step(policy, critic, batch, opt):
+    """Stage one's actor step: ``actor_update_aux``, with its row fields."""
+    policy, opt, info = actor_update_aux(policy, critic, batch, opt)
+    return policy, opt, {"actor_objective": info["objective"], "mean_weight": ""}
+
+
+def _check_pretrained_aux(pairs, c) -> list:
+    """``pretrained_aux`` as a list, checked against the simulator: pair j
+    must be response j + 1's, with nets that fit its state and item counts."""
+    pairs = list(pairs)
+    if len(pairs) != c.m - 1:
+        raise ValueError("pretrained_aux must supply one pair per auxiliary response")
+    for j, (policy, critic) in enumerate(pairs):
+        got = (policy.response_index, critic.response_index, policy.spec.input_dim,
+               policy.spec.output_dim, critic.spec.input_dim)
+        want = (j + 1, j + 1, c.state_dim, c.n_items, c.state_dim)
+        if got != want:
+            raise ValueError(f"pretrained_aux[{j}]: (policy response, critic response, policy "
+                             f"features, items, critic features) is {got}, expected {want}")
+    return pairs
 
 
 def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
                     master_seed: int, pretrained_aux=None,
                     metrics: list | None = None) -> PolicySet:
-    """Full two-stage run on a simulator.
+    """Full two-stage run on a simulator, both stages on one actor-critic
+    loop (``_actor_critic``).
 
-    Stage one fits one actor-critic pair per auxiliary response, all
-    auxiliaries rolled together (``_train_stage_one``; skipped if
-    ``pretrained_aux`` supplies them, e.g. when sweeping multipliers that
-    only affect stage two).  Stage two trains the main pair with auxiliaries
-    frozen, logging per-iteration rewards, losses, mean constrained weight,
-    and the KL from the main policy to each auxiliary.
+    Stage one fits one actor-critic pair per auxiliary response, as one bank
+    whose actor step is ``actor_update_aux``; it is skipped if
+    ``pretrained_aux`` supplies the pairs (response 1's first), e.g. when
+    sweeping multipliers that only affect stage two.  Stage two trains the
+    main pair as a bank of one whose actor step is ``actor_update_main``
+    against the frozen auxiliaries.
 
     ``metrics`` receives one row per auxiliary and stage-one iteration,
     iteration-major (every auxiliary's row of iteration 0 in response order,
-    then iteration 1, ...), then one row per stage-two iteration.
+    then iteration 1, ...), then one row per stage-two iteration, which adds
+    the mean constrained weight and the KL from the main policy to each
+    auxiliary (``kl_aux_<j>``).
     """
     c = sim.config
     gammas = check_discounts(gammas, c.m)
     lam = validate_lambdas(lambdas, c.m - 1)
 
     if pretrained_aux is None:
-        aux_pairs = _train_stage_one(sim, range(1, c.m), gammas, cfg, master_seed, metrics)
+        aux_pairs = _actor_critic(sim, 1, range(1, c.m), gammas, cfg.stage1_iters, cfg,
+                                  master_seed, _aux_step, metrics)
     else:
-        if len(pretrained_aux) != c.m - 1:
-            raise ValueError("pretrained_aux must supply one pair per auxiliary response")
-        aux_pairs = list(pretrained_aux)
-
-    policy = make_policy(c.state_dim, c.n_items, cfg.hidden,
-                         derive_seed(master_seed, "s2-actor"), 0)
-    critic = make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s2-critic"),
-                         0, gammas[0])
-    pset = PolicySet((policy, critic), aux_pairs, lam, gammas)
+        aux_pairs = _check_pretrained_aux(pretrained_aux, c)
     aux_bank = ap.bank([p for p, _ in aux_pairs])
-    a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
-    c_opt = ap.init_opt_state(critic.params.size, cfg.critic_lr)
-    rng = rng_for(master_seed, "s2-actions")
-    watch = _DivergenceWatch(cfg.divergence_threshold, cfg.divergence_patience)
 
-    for it in range(cfg.stage2_iters):
-        seeds = [derive_seed(master_seed, "s2-ep", it, e)
-                 for e in range(cfg.episodes_per_iter)]
-        batch, mean_rewards = collect_batch(sim, pset.main[0], rng,
-                                            cfg.episodes_per_iter, seeds)
-        loss = float("nan")
-        for _ in range(cfg.critic_steps):
-            critic, c_opt, loss = critic_update(pset.main[1], batch, c_opt)
-            pset.main = (pset.main[0], critic)
-        watch.check(loss, f"stage two (iteration {it})")
-        policy, a_opt, info = actor_update_main(pset, batch, a_opt,
-                                                cfg.clip_max, cfg.weight_floor)
-        pset.main = (policy, pset.main[1])
+    def constrained_step(policy, critic, batch, opt):
+        pset = PolicySet((policy, critic), aux_pairs, lam, gammas)
+        policy, opt, info = actor_update_main(pset, batch, opt, cfg.clip_max, cfg.weight_floor)
+        fields = {"actor_objective": info["objective"], "mean_weight": info["mean_weight"]}
         if metrics is not None:
-            row = _metric_row(it, 2, 0, loss, info["objective"], info["mean_weight"],
-                              mean_rewards)
-            for j, kl in enumerate(policy_kl(policy, aux_bank, batch[0]), start=1):
-                row[f"kl_aux_{j}"] = kl
-            metrics.append(row)
-    return pset
+            kls = policy_kl(policy, aux_bank, batch[0])
+            fields.update((f"kl_aux_{j}", kl) for j, kl in enumerate(kls, start=1))
+        return policy, opt, fields
+
+    main, = _actor_critic(sim, 2, [0], gammas, cfg.stage2_iters, cfg, master_seed,
+                          constrained_step, metrics)
+    return PolicySet(main, aux_pairs, lam, gammas)

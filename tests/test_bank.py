@@ -38,7 +38,7 @@ def ref_train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg, master
 
     policy = det.make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
                                  derive_seed(master_seed, "actor", response_label),
-                                 cfg.exploration_noise_std, response_label)
+                                 response_label)
     critics = [det.make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
                                  derive_seed(master_seed, "critic", response_label, j),
                                  j, g)

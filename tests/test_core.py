@@ -365,6 +365,32 @@ class TestStoreRoundTrip:
         assert loaded.trajectories[0].transitions[0].behavior_prob is None
         assert_same_columns(loaded, ds)
 
+    @pytest.mark.parametrize("metadata", [
+        {"a=b": "c"},
+        {"note": "two\nlines"},
+        {"note": "carriage\rreturn"},
+        {"two\nlines": "x"},
+    ], ids=["equals-in-key", "newline-in-value", "return-in-value", "newline-in-key"])
+    def test_metadata_that_would_not_load_back_is_rejected_before_writing(self, tmp_path,
+                                                                          metadata):
+        ds = core.ReplayDataset([make_traj([[1.0, 0.0]])], m=2, metadata=metadata)
+        with pytest.raises(ValueError, match=re.escape(f"metadata {next(iter(metadata))!r}")):
+            core.save_dataset(tmp_path / "d.txt", ds)
+        assert not (tmp_path / "d.txt").exists()
+
+    @pytest.mark.parametrize("sid", ["a,b", "two\nlines", "carriage\rreturn"])
+    def test_session_id_that_would_not_load_back_is_rejected_before_writing(self, tmp_path,
+                                                                            sid):
+        ds = core.ReplayDataset([make_traj([[1.0, 0.0]], session_id=sid)], m=2)
+        with pytest.raises(ValueError, match=re.escape(f"session id {sid!r} must not")):
+            core.save_dataset(tmp_path / "d.txt", ds)
+        assert not (tmp_path / "d.txt").exists()
+
+    def test_metadata_value_with_equals_round_trips(self, tmp_path):
+        ds = core.ReplayDataset([make_traj([[1.0, 0.0]])], m=2, metadata={"a": "b=c"})
+        core.save_dataset(tmp_path / "d.txt", ds)
+        assert core.load_dataset(tmp_path / "d.txt").metadata["a"] == "b=c"
+
 
 class TestViews:
     def test_rows_are_views_of_the_columns(self):

@@ -332,11 +332,3 @@ class TestOfflineTrainers:
         with pytest.raises(stx.TrainingDiverged,
                            match=f"critic for {where} diverged at iteration 0: loss inf"):
             train(ds, np.full(7, 0.5), np.full(8, 0.9), cfg, master_seed=3)
-
-    def test_exploration_noise_not_used_in_updates(self, dataset):
-        # act() is noise-free; act_noisy draws from the supplied generator only
-        policy = det.make_det_policy(4, 2, (), seed=26, noise_std=0.5)
-        f = np.zeros(4)
-        assert np.array_equal(policy.act(f), policy.act(f))
-        rng = np.random.default_rng(0)
-        assert not np.array_equal(policy.act_noisy(f, rng), policy.act(f))

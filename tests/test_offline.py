@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -630,10 +632,74 @@ class TestNCIS:
         with pytest.raises(ValueError, match=message):
             off.ncis_evaluate(table_prob_fn(behavior), ds, off.NCISConfig())
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, r"prob_fn returned \[nan, .*\] at row 7; "),
+        (-0.25, r"prob_fn returned \[-0.25, .*\] at row 7; "),
+        (np.inf, r"prob_fn returned \[inf, .*\] at row 7; "),
+    ], ids=["nan", "negative", "inf"])
+    def test_bad_probabilities_name_the_first_bad_row(self, mdp, bad, message):
+        behavior = np.full((4, 3), 1.0 / 3.0)
+        ds = mdp.log_dataset(behavior, 20, seed=14)
+
+        def prob_fn(states):
+            p = table_prob_fn(behavior)(states)
+            p[[7, 9], 0] = bad
+            return p
+        k = int(np.searchsorted(ds.offsets, 7, side="right")) - 1
+        with pytest.raises(ValueError, match=message) as err:
+            off.ncis_evaluate(prob_fn, ds, off.NCISConfig())
+        assert str(err.value).startswith(f"session {ds.session_ids[k]} step "
+                                         f"{7 - ds.offsets[k]}: ")
+
+    @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n - 1, 3),
+                                       lambda n: (n, 3, 1), lambda n: (n, 1)],
+                             ids=["1-D", "short", "3-D", "narrow"])
+    def test_prob_fn_of_the_wrong_shape_is_rejected(self, mdp, shape):
+        ds = mdp.log_dataset(np.full((4, 3), 1.0 / 3.0), 20, seed=14)
+        want = shape(ds.n_transitions)
+        with pytest.raises(ValueError, match=re.escape(f"prob_fn returned shape {want}")):
+            off.ncis_evaluate(lambda s: np.full(want, 0.5), ds, off.NCISConfig())
+
     def test_empty_dataset_rejected(self):
         ds = ReplayDataset([], m=1, metadata={})
         with pytest.raises(ValueError, match="empty"):
             off.ncis_evaluate(lambda s: s, ds, off.NCISConfig())
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (det.DDPGConfig, "updates", -1),
+    (det.DDPGConfig, "batch_size", 0),
+    (det.DDPGConfig, "embed_dim", 0),
+    (det.DDPGConfig, "target_refresh", 0),
+    (det.DDPGConfig, "log_every", 0),
+    (det.DDPGConfig, "actor_lr", 0.0),
+    (det.DDPGConfig, "critic_lr", -1e-3),
+    (det.DDPGConfig, "items_lr", float("nan")),
+    (det.BCConfig, "updates", -1),
+    (det.BCConfig, "batch_size", 0),
+    (det.BCConfig, "log_every", 0),
+    (det.BCConfig, "lr", 0.0),
+    (off.MultiCriticConfig, "iters", -1),
+    (off.MultiCriticConfig, "batch_size", 0),
+    (off.MultiCriticConfig, "lr", float("nan")),
+    (stx.TwoStageConfig, "divergence_threshold", 0.0),
+    (stx.TwoStageConfig, "divergence_threshold", float("nan")),
+    (off.ISConfig, "ratio_clip", float("nan")),
+    (off.NCISConfig, "cap", float("nan")),
+    (SimConfig, "dense_noise_std", float("nan")),
+    (SimConfig, "n_items", 0),
+    (ReviewDatasetConfig, "history_window", 0),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_configs_reject_values_that_would_run_silently_wrong(config, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        config(**{field: value})
+
+
+def test_configs_accept_their_bounds():
+    det.DDPGConfig(updates=0, batch_size=1, embed_dim=1, target_refresh=1, log_every=1)
+    det.BCConfig(updates=0, batch_size=1, log_every=1)
+    off.MultiCriticConfig(iters=0, batch_size=1)
+    stx.TwoStageConfig(divergence_threshold=1e-300)
 
 
 class TestConfigValidation:

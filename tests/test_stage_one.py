@@ -1,6 +1,7 @@
-"""Online stage one as one bank: the auxiliaries share one lockstep rollout
-per iteration.  Checked against the sequential loop it replaced, with every
-episode rolled one row at a time by ``policy.sample``."""
+"""Both online stages on one actor-critic loop.  Stage one, the auxiliaries
+as one bank sharing one lockstep rollout per iteration, and stage two, the
+main pair as a bank of one, are checked against the loops they replaced,
+with every episode rolled one row at a time by ``policy.sample``."""
 
 import re
 from collections import Counter
@@ -88,6 +89,123 @@ def test_banked_stage_one_equals_the_sequential_loop(sim_cfg, iters, monkeypatch
     # the documented order: iteration-major, responses ascending
     assert [(r["iteration"], r["response"]) for r in rows] == [
         (it, i) for it in range(iters) for i in range(1, m)]
+
+
+def sequential_stage_two(sim, aux_pairs, lambdas, gammas, cfg, master_seed, metrics):
+    """Stage two as its own loop ran it before both stages shared one;
+    returns the main pair and its action generator."""
+    c = sim.config
+    policy = stx.make_policy(c.state_dim, c.n_items, cfg.hidden,
+                             derive_seed(master_seed, "s2-actor"), 0)
+    critic = stx.make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s2-critic"),
+                             0, gammas[0])
+    pset = stx.PolicySet((policy, critic), aux_pairs, lambdas, gammas)
+    aux_bank = ap.bank([p for p, _ in aux_pairs])
+    a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
+    c_opt = ap.init_opt_state(critic.params.size, cfg.critic_lr)
+    rng = rng_for(master_seed, "s2-actions")
+    watch = stx._DivergenceWatch(cfg.divergence_threshold, cfg.divergence_patience)
+    for it in range(cfg.stage2_iters):
+        seeds = [derive_seed(master_seed, "s2-ep", it, e) for e in range(cfg.episodes_per_iter)]
+        trajs = [run_episode(sim, lambda f: pset.main[0].sample(f, rng), s) for s in seeds]
+        batch = stx.batch_arrays([tr for t in trajs for tr in t.transitions])
+        totals = [np.sum([tr.response for tr in t.transitions], axis=0) for t in trajs]
+        mean_rewards = np.mean(totals, axis=0)
+        loss = float("nan")
+        for _ in range(cfg.critic_steps):
+            critic, c_opt, loss = stx.critic_update(pset.main[1], batch, c_opt)
+            pset.main = (pset.main[0], critic)
+        watch.check(loss, f"stage two (iteration {it})")
+        policy, a_opt, info = stx.actor_update_main(pset, batch, a_opt,
+                                                    cfg.clip_max, cfg.weight_floor)
+        pset.main = (policy, pset.main[1])
+        row = {"iteration": it, "stage": 2, "response": 0, "critic_loss": loss,
+               "actor_objective": info["objective"], "mean_weight": info["mean_weight"]}
+        for r in range(c.m):
+            row[f"reward_{r}"] = mean_rewards[r]
+        for j, kl in enumerate(stx.policy_kl(policy, aux_bank, batch[0]), start=1):
+            row[f"kl_aux_{j}"] = kl
+        metrics.append(row)
+    return pset.main, rng
+
+
+@pytest.mark.parametrize("iters", [0, 1, 3])
+@pytest.mark.parametrize("sim_cfg", CONFIGS, ids=lambda c: f"m{c.m}-seed{c.seed}")
+def test_stage_two_equals_its_own_loop(sim_cfg, iters, monkeypatch):
+    sim = SessionSimulator(sim_cfg)
+    m = sim_cfg.m
+    gammas = np.linspace(0.9, 0.5, m)
+    lambdas = np.linspace(0.5, 2.0, m - 1)  # one multiplier per auxiliary, so mixing shows
+    cfg = stx.TwoStageConfig(stage1_iters=1, stage2_iters=iters, episodes_per_iter=3,
+                             hidden=(16,))
+    made = {}
+
+    def recording(master, *path):
+        made[path] = rng_for(master, *path)
+        return made[path]
+    monkeypatch.setattr(stx, "rng_for", recording)
+    rows = []
+    pset = stx.train_two_stage(sim, lambdas, gammas, cfg, 5, metrics=rows)
+
+    want_rows = []
+    (policy, critic), rng = sequential_stage_two(sim, pset.auxiliaries, lambdas, gammas, cfg,
+                                                 5, want_rows)
+    got_policy, got_critic = pset.main
+    assert got_policy.response_index == got_critic.response_index == 0
+    assert np.array_equal(got_policy.params, policy.params)
+    assert np.array_equal(got_critic.params, critic.params)
+    assert got_critic.gamma == critic.gamma
+    assert made[("s2-actions",)].random() == rng.random()
+    assert [r for r in rows if r["stage"] == 2] == want_rows
+    assert [r["stage"] for r in rows] == [1] * (m - 1) + [2] * iters
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    sim = SessionSimulator(SimConfig(m=4, state_dim=5, n_items=7, seed=11))
+    cfg = stx.TwoStageConfig(stage1_iters=2, stage2_iters=3, episodes_per_iter=3,
+                             hidden=(8,))
+    rows = []
+    pset = stx.train_two_stage(sim, [1.0, 0.5, 2.0], [0.9, 0.8, 0.7, 0.6], cfg, 4,
+                               metrics=rows)
+    return sim, cfg, pset, rows
+
+
+def test_pretrained_aux_gives_the_full_runs_stage_two(full_run):
+    sim, cfg, full, rows = full_run
+    again_rows = []
+    again = stx.train_two_stage(sim, [1.0, 0.5, 2.0], [0.9, 0.8, 0.7, 0.6], cfg, 4,
+                                pretrained_aux=full.auxiliaries, metrics=again_rows)
+    assert np.array_equal(again.main[0].params, full.main[0].params)
+    assert np.array_equal(again.main[1].params, full.main[1].params)
+    assert again.auxiliaries == full.auxiliaries
+    assert again_rows == [r for r in rows if r["stage"] == 2] != []
+
+
+def _resized(pair, state_dim, n_items):
+    policy, critic = pair
+    return (stx.make_policy(state_dim, n_items, (8,), 1, policy.response_index),
+            stx.make_critic(state_dim, (8,), 2, critic.response_index, critic.gamma))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda aux: aux[:2], "one pair per auxiliary response"),
+    (lambda aux: aux[::-1], "pretrained_aux[0]: (policy response, critic response, policy "
+                            "features, items, critic features) is (3, 3, 5, 7, 5), "
+                            "expected (1, 1, 5, 7, 5)"),
+    (lambda aux: [aux[0], (aux[1][0], aux[2][1]), aux[2]],
+     "pretrained_aux[1]: (policy response, critic response, policy features, items, critic "
+     "features) is (2, 3, 5, 7, 5), expected (2, 2, 5, 7, 5)"),
+    (lambda aux: [aux[0], _resized(aux[1], 5, 8), aux[2]], "is (2, 2, 5, 8, 5), expected"),
+    (lambda aux: [aux[0], aux[1], _resized(aux[2], 6, 7)], "is (3, 3, 6, 7, 6), expected"),
+    (lambda aux: [(aux[0][0], _resized(aux[0], 6, 7)[1]), aux[1], aux[2]],
+     "is (1, 1, 5, 7, 6), expected"),
+], ids=["count", "reversed", "mixed-pair", "items", "features", "critic-features"])
+def test_pretrained_aux_is_checked_against_the_simulator(full_run, edit, message):
+    sim, cfg, full, _ = full_run
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stx.train_two_stage(sim, [1.0, 0.5, 2.0], [0.9, 0.8, 0.7, 0.6], cfg, 4,
+                            pretrained_aux=edit(full.auxiliaries))
 
 
 @pytest.mark.parametrize("poison, named", [

@@ -271,7 +271,7 @@ class TestCollectBatch:
         trajs = [run_episode(sim, lambda f: policy.sample(f, seq_rng), s) for s in seeds]
         want = [tr for t in trajs for tr in t.transitions]
         rng = np.random.default_rng(cfg.seed)
-        got, mean_totals = stx.collect_batch(sim, policy, rng, len(seeds), seeds)
+        (got, mean_totals), = stx.collect_batch(sim, [policy], [rng], [seeds])
         # the batch_arrays tuple: states, action indices, responses, next states, done
         for a, b in zip(got, stx.batch_arrays(want)):
             assert a.dtype == b.dtype
