@@ -526,7 +526,8 @@ def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
 #   session_id, t, <state_dim state features>, action_index, behavior_prob,
 #   <m response values>, done
 # action_index and behavior_prob are "-" when unknown; done is 0 or 1.  A
-# session id holds no comma or line break, and a meta line no line break.  A
+# session id holds no comma or line break and does not start with '#' (its
+# rows could read as header lines), and a meta line holds no line break.  A
 # session's rows may interleave with other sessions' but keep step order.
 # The state of step t+1 is the next_state of step t.  The next_state of a
 # session's last row is stored as a zero feature vector, terminal when the
@@ -560,13 +561,38 @@ def _parse_dims(lineno: int, line: str, path, keys) -> dict[str, int]:
     return dims
 
 
+def _value_texts(block: np.ndarray) -> np.ndarray:
+    """The '%.17g,' text of each value of the float64 array ``block``, as an
+    object array of its shape.  Each distinct bit pattern is formatted once
+    (logged columns often hold few distinct values); bits, not values, keep
+    -0.0 apart from 0.0, and flattening first gives the inverse one shape on
+    every numpy."""
+    bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    texts = ("%.17g,\n" * len(values) % tuple(values)).split("\n")[:-1]
+    return np.array(texts, dtype=object)[inverse].reshape(block.shape)
+
+
 def save_dataset(path, dataset: ReplayDataset) -> None:
+    """Write ``dataset`` to ``path`` in the text format above.
+
+    Every float is written as its ``%.17g`` text, which reads back to the
+    same bits (-0.0 and subnormals included).  Each distinct value of a
+    column block is formatted once and its text reused, which gives the
+    same bytes as formatting each value in turn.
+
+    Raises ValueError, before the file is opened, for a session id that
+    contains ',' or a line break or starts with '#', a metadata key that
+    contains '=', and a metadata key or value with a line break: each would
+    write a file that does not load back into the same dataset."""
     d = dataset
     state_dim = d.states.shape[1]
     n_items = int(d.metadata.get("n_items", 0))
-    bad = [sid for sid in map(str, d.session_ids) if "," in sid or "\n" in sid or "\r" in sid]
+    bad = [sid for sid in map(str, d.session_ids)
+           if "," in sid or "\n" in sid or "\r" in sid or sid.startswith("#")]
     if bad:
-        raise ValueError(f"session id {bad[0]!r} must not contain ',' or a line break")
+        raise ValueError(f"session id {bad[0]!r} must not contain ',' or a line break, "
+                         "or start with '#'")
     lines = [_DATASET_HEADER, f"# m={d.m} state_dim={state_dim} n_items={n_items}"]
     for key in sorted(d.metadata):
         if key in ("state_dim", "n_items"):
@@ -576,20 +602,19 @@ def save_dataset(path, dataset: ReplayDataset) -> None:
             raise ValueError(f"metadata {key!r}: a key must not contain '=', and neither a "
                              "key nor a value a line break")
         lines.append(f"# meta {line}")
-    # 17 significant digits round-trip every float64; one % per row and column
-    # block, each value followed by its comma so that an empty block adds none
-    feats_fmt = "%.17g," * state_dim
-    resp_fmt = "%.17g," * d.m
+    # 17 significant digits round-trip every float64; each value is followed
+    # by its comma, so that an empty block adds none
     lengths = np.diff(d.offsets)
     sids = [sid for sid, n in zip(d.session_ids, lengths.tolist()) for _ in range(n)]
     steps = (np.arange(d.n_transitions) - np.repeat(d.offsets[:-1], lengths)).tolist()
-    feats = [feats_fmt % tuple(row) for row in d.states.tolist()]
+    feats = ["".join(row) for row in _value_texts(d.states).tolist()]
     acts = ["-" if a < 0 else str(a) for a in d.action_index.tolist()]
-    bps = ["-" if p != p else f"{p:.17g}" for p in d.behavior_prob.tolist()]
-    resps = [resp_fmt % tuple(row) for row in d.responses.tolist()]
+    bps = _value_texts(d.behavior_prob)
+    bps[np.isnan(d.behavior_prob)] = "-,"
+    resps = ["".join(row) for row in _value_texts(d.responses).tolist()]
     dones = d.done.astype(np.int8).tolist()
-    lines.extend(f"{sid},{t},{f}{a},{bp},{r}{dn}"
-                 for sid, t, f, a, bp, r, dn in zip(sids, steps, feats, acts, bps, resps, dones))
+    lines.extend(f"{sid},{t},{f}{a},{bp}{r}{dn}" for sid, t, f, a, bp, r, dn
+                 in zip(sids, steps, feats, acts, bps.tolist(), resps, dones))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -30,6 +30,8 @@ class TrainingDiverged(RuntimeError):
 
 
 def _check_critic_loss(loss: float, response: str, iteration: int):
+    """The offline divergence rule: raise at the first non-finite critic
+    loss.  Online training waits instead (``_DivergenceWatch`` says why)."""
     if not np.isfinite(loss):
         raise TrainingDiverged(f"critic for {response} diverged at iteration {iteration}: "
                                f"loss {loss}")
@@ -342,6 +344,20 @@ def collect_batch(sim: SessionSimulator, policies, rngs, episode_seeds) -> list:
 
 
 class _DivergenceWatch:
+    """The online divergence rule: raise once the critic loss has been above
+    ``threshold``, or non-finite, for ``patience`` iterations in a row.
+
+    The two rules differ because their losses do.  Online, each iteration's
+    loss is taken on a fresh on-policy batch whose states and rewards move
+    with the policy, so one large loss may be a batch of rare large returns
+    that the critic then fits; only a run of them marks divergence, and the
+    scale that counts as large is a config field.  Offline
+    (``_check_critic_loss``), every minibatch comes from one fixed logged
+    dataset, so no threshold on the loss's size holds across datasets, and
+    the one loss that cannot recover is a non-finite one: it reaches the
+    parameters at the next step.  Waiting would only spend updates, so the
+    offline rule raises at once, naming the response and step."""
+
     def __init__(self, threshold, patience):
         self.threshold, self.patience, self.run = threshold, patience, 0
 

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cactor import core
@@ -291,32 +291,41 @@ MAYBE_PROB = st.one_of(st.none(), st.sampled_from([5e-324, 1.0, 0.1]),
                        st.floats(min_value=5e-324, max_value=1.0))
 
 
-@st.composite
-def stores(draw):
-    """A dataset drawn column by column, and an interleaving of its sessions'
-    rows in the file."""
-    state_dim, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
-    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def column_store(lengths, states, responses, actions, probs, done_ends):
+    """A dataset of sessions of ``lengths`` from its row values; None marks a
+    missing action or behavior_prob, and ``done_ends`` says which sessions
+    end done."""
     n = sum(lengths)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    states = np.array(draw(st.lists(EDGE_FLOATS, min_size=n * state_dim,
-                                    max_size=n * state_dim))).reshape(n, state_dim)
-    responses = np.array(draw(st.lists(EDGE_FLOATS, min_size=n * m,
-                                       max_size=n * m))).reshape(n, m)
-    actions = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=n, max_size=n))
-    probs = draw(st.lists(MAYBE_PROB, min_size=n, max_size=n))
+    states = np.array(states, dtype=float).reshape(n, len(states) // n)
     done = np.zeros(n, dtype=bool)
     ends = offsets[1:] - 1
-    done[ends] = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    done[ends] = done_ends
     next_states = np.zeros_like(states)
     next_states[:-1] = states[1:]
     next_states[ends] = 0.0
-    ds = core.ReplayDataset.from_columns(
+    return core.ReplayDataset.from_columns(
         states=states, next_states=next_states, next_terminal=done,
         action_index=[-1 if a is None else a for a in actions],
-        behavior_prob=[np.nan if p is None else p for p in probs], responses=responses,
-        done=done, offsets=offsets, session_ids=[f"s{k}" for k in range(len(lengths))],
-        m=m, metadata={"n_items": 5, "note": "x"})
+        behavior_prob=[np.nan if p is None else p for p in probs],
+        responses=np.array(responses, dtype=float).reshape(n, len(responses) // n), done=done,
+        offsets=offsets, session_ids=[f"s{k}" for k in range(len(lengths))],
+        m=len(responses) // n, metadata={"n_items": 5, "note": "x"})
+
+
+@st.composite
+def stores(draw, values=EDGE_FLOATS):
+    """A dataset drawn column by column from ``values``, and an interleaving
+    of its sessions' rows in the file."""
+    state_dim, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = sum(lengths)
+    ds = column_store(
+        lengths, draw(st.lists(values, min_size=n * state_dim, max_size=n * state_dim)),
+        draw(st.lists(values, min_size=n * m, max_size=n * m)),
+        draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=n, max_size=n)),
+        draw(st.lists(MAYBE_PROB, min_size=n, max_size=n)),
+        draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths))))
     file_order = draw(st.permutations([k for k, n_k in enumerate(lengths) for _ in range(n_k)]))
     return ds, file_order
 
@@ -378,7 +387,7 @@ class TestStoreRoundTrip:
             core.save_dataset(tmp_path / "d.txt", ds)
         assert not (tmp_path / "d.txt").exists()
 
-    @pytest.mark.parametrize("sid", ["a,b", "two\nlines", "carriage\rreturn"])
+    @pytest.mark.parametrize("sid", ["a,b", "two\nlines", "carriage\rreturn", "# meta a", "#s"])
     def test_session_id_that_would_not_load_back_is_rejected_before_writing(self, tmp_path,
                                                                             sid):
         ds = core.ReplayDataset([make_traj([[1.0, 0.0]], session_id=sid)], m=2)
@@ -390,6 +399,49 @@ class TestStoreRoundTrip:
         ds = core.ReplayDataset([make_traj([[1.0, 0.0]])], m=2, metadata={"a": "b=c"})
         core.save_dataset(tmp_path / "d.txt", ds)
         assert core.load_dataset(tmp_path / "d.txt").metadata["a"] == "b=c"
+
+
+def reference_save_dataset(path, dataset):
+    """The per-row writer that ``core.save_dataset`` replaced, kept as its
+    byte reference: one ``%`` call per row and column block."""
+    d = dataset
+    n_items = int(d.metadata.get("n_items", 0))
+    lines = [core._DATASET_HEADER, f"# m={d.m} state_dim={d.states.shape[1]} n_items={n_items}"]
+    lines += [f"# meta {key}={d.metadata[key]}" for key in sorted(d.metadata)
+              if key not in ("state_dim", "n_items")]
+    feats_fmt = "%.17g," * d.states.shape[1]
+    resp_fmt = "%.17g," * d.m
+    lengths = np.diff(d.offsets)
+    sids = [sid for sid, n in zip(d.session_ids, lengths.tolist()) for _ in range(n)]
+    steps = (np.arange(d.n_transitions) - np.repeat(d.offsets[:-1], lengths)).tolist()
+    feats = [feats_fmt % tuple(row) for row in d.states.tolist()]
+    acts = ["-" if a < 0 else str(a) for a in d.action_index.tolist()]
+    bps = ["-" if p != p else f"{p:.17g}" for p in d.behavior_prob.tolist()]
+    resps = [resp_fmt % tuple(row) for row in d.responses.tolist()]
+    dones = d.done.astype(np.int8).tolist()
+    lines.extend(f"{sid},{t},{f}{a},{bp},{r}{dn}"
+                 for sid, t, f, a, bp, r, dn in zip(sids, steps, feats, acts, bps, resps, dones))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# few distinct values, each repeated: -0.0 and 0.0 compare equal but are
+# written differently, so only their bits tell them apart
+POOL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, np.finfo(float).max, 1.0 / 3.0])
+CONTINUOUS_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSaveMatchesReferenceWriter:
+    @given(ds=st.one_of(stores(POOL_FLOATS), stores(CONTINUOUS_FLOATS)).map(lambda d: d[0]))
+    @example(ds=column_store([2, 1], [-0.0, 0.0, -0.0], [0.0, 1.0 / 3.0, -0.0], [None, 1, 2],
+                             [0.5, None, 5e-324], [False, True]))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_and_bit_exact_round_trip(self, tmp_path_factory, ds):
+        out = tmp_path_factory.mktemp("bytes")
+        core.save_dataset(out / "new.txt", ds)
+        reference_save_dataset(out / "ref.txt", ds)
+        assert (out / "new.txt").read_bytes() == (out / "ref.txt").read_bytes()
+        assert_same_columns(core.load_dataset(out / "new.txt"), ds)
 
 
 class TestViews:
