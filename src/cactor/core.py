@@ -521,7 +521,8 @@ def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
 # Header lines:
 #   # cactor-dataset 1
 #   # m=<int> state_dim=<int> n_items=<int>
-#   # meta <key>=<value>            (zero or more; no "=" in a key)
+#   # meta <key>=<value>            (zero or more; no "=" in a key, and a
+#                                    "# meta " line without "=" is an error)
 # Transition lines, comma-separated, in this fixed order:
 #   session_id, t, <state_dim state features>, action_index, behavior_prob,
 #   <m response values>, done
@@ -628,9 +629,12 @@ def _parse_header(numbered, path):
     dims = _parse_dims(*numbered[1], path, ("m", "state_dim", "n_items"))
     metadata = {"state_dim": dims["state_dim"], "n_items": dims["n_items"]}
     body_start = 2
-    for _, ln in numbered[2:]:
+    for lineno, ln in numbered[2:]:
         if ln.startswith("# meta "):
-            key, _, val = ln[len("# meta "):].partition("=")
+            key, eq, val = ln[len("# meta "):].partition("=")
+            if not eq:
+                raise ValueError(f"{path}:{lineno}: meta line {ln!r} is not "
+                                 "'# meta <key>=<value>'")
             metadata[key] = val
             body_start += 1
         else:

@@ -4,10 +4,14 @@ All randomness in the package flows from a master seed through this one
 function: every stage, episode, and sweep point names its stream with a
 string path, and the derived 64-bit seed feeds a fresh PCG64 generator.
 
-Simulator rollouts keep one contract (``sim.SessionSimulator``,
+Simulator rollouts keep one contract (v2; ``sim.SessionSimulator``,
 ``sim.rollout``): each episode draws from its own stream, named by
-(simulator seed, "episode", episode_seed), and the action stream of each
-learner or logging run serves that learner's episodes in episode order,
+(simulator seed, "episode", episode_seed), and makes all its draws when it
+starts, one call per kind in this order: the session length, the initial
+core features, the (length,) block of dense noise (only when the noise is
+on) and the (length, m-1) block of sparse uniforms.  A rollout starts each
+distinct episode seed once and shares its blocks.  The action stream of
+each learner or logging run serves that learner's episodes in episode order,
 every step of episode e before any step of episode e+1.  Stepping the
 sessions of an iteration in lockstep therefore gives the same bits as
 rolling them one after another.  The same holds when several learners share
@@ -15,9 +19,10 @@ one rollout (``stochastic.collect_batch``): each keeps its own action stream,
 drawn only for its own episodes, so each learner's episodes and the state of
 its stream afterwards are those of a rollout of that learner alone.  In the
 online loop (``stochastic._actor_critic``), auxiliary i's streams are (master
-seed, "s1-actor" | "s1-critic" | "s1-actions", i) and episode e of iteration
-it is (master seed, "s1-ep", i, it, e); the main pair's are the same without
-i, under "s2-".
+seed, "s1-actor" | "s1-critic" | "s1-actions", i), and episode e of
+iteration it is (master seed, "s1-ep", it, e) for every auxiliary: all of
+them roll the same episodes, each with its own actions.  The main pair's
+streams are the same without i, under "s2-".
 """
 
 from __future__ import annotations

@@ -64,15 +64,17 @@ class SessionSimulator:
     steps many together and runs the same arithmetic (``step`` is its
     one-row case), so both give bit-identical trajectories.
 
-    RNG contract: every draw of an episode comes from its own stream, named
-    by (config.seed, "episode", episode_seed), in a fixed order: the session
-    length, the initial core features, then per step the dense noise and the
-    m-1 sparse uniforms.  An episode's trajectory therefore depends only on
-    that pair and on the items chosen, never on which sessions step beside
-    it, nor on which member of a multi-member ``rollout`` owns it (two
-    sessions with one episode seed draw the same values from separate
-    generators).  reset/step keep one session's state on the instance; the
-    tables are read-only after construction."""
+    RNG contract (v2): every draw of an episode comes from its own stream,
+    named by (config.seed, "episode", episode_seed), and all of them are made
+    when the episode starts (``_start``), one call per kind in this order:
+    the session length, the initial core features, the whole (length,)
+    block of dense noise (drawn only when dense_noise_std > 0, else zeros)
+    and the whole (length, m-1) block of sparse uniforms.  Step t reads row
+    t of each block.  An episode's trajectory therefore depends only on that
+    pair and on the items chosen, never on which sessions step beside it,
+    nor on which member of a multi-member ``rollout`` owns it (members that
+    share an episode seed share its blocks).  reset/step keep one session's
+    state on the instance; the tables are read-only after construction."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -100,24 +102,29 @@ class SessionSimulator:
         fold = 0.4 * self.fold_map
         self._fold_push = np.stack([fold @ self.item_embed[0, j] for j in range(c.n_items)])
 
-        self._episode_rng = None
+        self._noise = self._fire = None
         self._features = None
         self._t = 0
         self._length = 0
 
     # -- episode control ---------------------------------------------------
 
-    def _start(self, episode_seed: int) -> tuple[np.random.Generator, int, np.ndarray]:
-        """The episode's generator, its length and its initial features."""
+    def _start(self, episode_seed: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """The episode's length, its initial features, its dense noise
+        (length,) and its sparse uniforms (length, m-1), drawn in the
+        contract's order."""
         cfg = self.config
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "episode", episode_seed)))
         lo, hi = cfg.session_length_range
         length = int(rng.integers(lo, hi + 1))
         core = rng.normal(size=self._core_dim)
-        return rng, length, np.concatenate([core, [1.0], [0.0]])
+        std = cfg.dense_noise_std
+        noise = rng.normal(0.0, std, size=length) if std > 0 else np.zeros(length)
+        fire = rng.random((length, cfg.m - 1))
+        return length, np.concatenate([core, [1.0], [0.0]]), noise, fire
 
     def reset(self, episode_seed: int) -> State:
-        self._episode_rng, self._length, self._features = self._start(episode_seed)
+        self._length, self._features, self._noise, self._fire = self._start(episode_seed)
         self._t = 0
         return State(self._features.copy())
 
@@ -129,31 +136,20 @@ class SessionSimulator:
             raise RuntimeError("stepping a terminal state")
         if not (0 <= item < cfg.n_items):
             raise ValueError(f"item index {item} out of range [0, {cfg.n_items})")
+        t = self._t
         self._t += 1
-        noise, fire = np.zeros(1), np.empty((1, cfg.m - 1))
-        self._draw([self._episode_rng], noise, fire)
-        response, features = self._advance(self._features[None], np.array([item]), noise,
-                                           fire, self._t, np.array([self._length]))
+        response, features = self._advance(self._features[None], np.array([item]),
+                                           self._noise[t:t + 1], self._fire[t:t + 1], self._t,
+                                           np.array([self._length]))
         done = self._t >= self._length
         self._features = features[0]
         return State(self._features.copy(), terminal=done), response[0], done
 
-    def _draw(self, rngs, noise, fire) -> None:
-        """One step's draws of each row, from its episode generator in the
-        contract's order: the dense noise into ``noise`` (k,) (left as it is
-        when dense_noise_std is 0) and the m-1 sparse uniforms into ``fire``
-        (k, m-1)."""
-        std = self.config.dense_noise_std
-        for i, (r, row) in enumerate(zip(rngs, fire)):
-            if std > 0:
-                noise[i] = r.normal(0.0, std)
-            r.random(out=row)
-
     def _advance(self, features, items, noise, fire, t, lengths) -> tuple[np.ndarray, np.ndarray]:
         """One step of every row: ``features`` (k, state_dim), the items
-        shown, each row's draws (``_draw``), the step count after this step
-        and the session lengths.  Returns responses (k, m) and the next
-        features (k, state_dim)."""
+        shown, each row's dense noise (k,) and sparse uniforms (k, m-1) for
+        this step, the step count after this step and the session lengths.
+        Returns responses (k, m) and the next features (k, state_dim)."""
         cfg = self.config
         affinity, sparse_p = self._response_terms(features, items)
         g = features[:, -2]
@@ -277,11 +273,14 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
     member's generator.
 
     RNG contract: each session draws from its own episode stream (see
-    SessionSimulator).  ``rngs[j]`` is drawn once, one uniform per step of
-    each of member j's sessions, and session e's step t takes draw
-    offset_e + t, where offset_e is the summed length of member j's sessions
-    before e: the order of rolling that member's sessions one after another
-    with ``choice(n, p=p)`` on ``rngs[j]``.  So each member's rows, and the
+    SessionSimulator): ``sim._start`` runs once per distinct episode seed,
+    so members that share a seed share its draws (common random numbers),
+    and each session's noise and uniform blocks are laid out at its dataset
+    rows once, before the first step.  ``rngs[j]`` is drawn once, one
+    uniform per step of each of member j's sessions, and session e's step t
+    takes draw offset_e + t, where offset_e is the summed length of member
+    j's sessions before e: the order of rolling that member's sessions one
+    after another with ``choice(n, p=p)`` on ``rngs[j]``.  So each member's rows, and the
     state of its generator afterwards, are bit-identical to that sequential
     run, whatever the other members do.  Session ids default to ``ep-<seed>``.
     """
@@ -293,13 +292,16 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
                          "number of episode seeds for every member")
     flat = [s for member in seeds for s in member]
     ids = [f"ep-{s}" for s in flat] if session_ids is None else list(session_ids)
-    starts = [sim._start(s) for s in flat]
-    episode_rngs = [r for r, _, _ in starts]
-    lengths = np.array([length for _, length, _ in starts], dtype=np.intp)
-    features = np.array([f for _, _, f in starts]).reshape(k, width, c.state_dim)
+    starts = {s: sim._start(s) for s in dict.fromkeys(flat)}  # one per distinct seed
+    sessions = [starts[s] for s in flat]
+    lengths = np.array([length for length, _, _, _ in sessions], dtype=np.intp)
+    features = np.array([f for _, f, _, _ in sessions]).reshape(k, width, c.state_dim)
     current = features.reshape(-1, c.state_dim)  # a view: one row per session
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     n = int(offsets[-1])
+    # each session's draws at its dataset rows: step t of session e reads row offsets[e] + t
+    noise = np.concatenate([np.empty(0)] + [x for _, _, x, _ in sessions])
+    fire = np.concatenate([np.empty((0, c.m - 1))] + [u for _, _, _, u in sessions])
     uniforms = np.empty(n)
     bounds = offsets[np.arange(k + 1) * width]  # member j's rows: bounds[j]:bounds[j + 1]
     for r, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
@@ -307,7 +309,6 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
     states, next_states = np.empty((n, c.state_dim)), np.zeros((n, c.state_dim))
     responses, behavior_prob = np.empty((n, c.m)), np.empty(n)
     action_index = np.empty(n, dtype=np.intp)
-    noise, fire = np.zeros(len(flat)), np.empty((len(flat), c.m - 1))
     every = np.arange(len(flat))
     for t in range(int(lengths.max(initial=0))):
         live = np.flatnonzero(lengths > t)
@@ -320,9 +321,8 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
         states[rows] = f
         action_index[rows] = items
         behavior_prob[rows] = p[every[:live.size], items]
-        sim._draw([episode_rngs[e] for e in live], noise, fire)
-        responses[rows], f = sim._advance(f, items, noise[:live.size], fire[:live.size],
-                                          t + 1, lengths[live])
+        responses[rows], f = sim._advance(f, items, noise[rows], fire[rows], t + 1,
+                                          lengths[live])
         current[live] = f
         next_states[rows] = f
     done = np.zeros(n, dtype=bool)

@@ -324,9 +324,12 @@ def collect_batch(sim: SessionSimulator, policies, rngs, episode_seeds) -> list:
     rollout's columns) and the mean over its episodes of the cumulative
     reward vectors.
 
-    RNG contract (``sim.rollout``): each episode draws from its own stream,
-    and ``rngs[j]`` serves member j's actions in episode order, so each
-    member's batch, and the state of its generator afterwards, are
+    RNG contract (``sim.rollout``): each episode draws, from its own stream
+    and when it starts, its length, its initial features, its dense-noise
+    block and its sparse-uniform block, once per distinct seed, so members
+    given the same seeds (as stage one's auxiliaries are) roll the same
+    episodes.  ``rngs[j]`` serves member j's actions in episode order, so
+    each member's batch, and the state of its generator afterwards, are
     bit-identical to running its episodes one after another with
     ``policy.sample(features, rngs[j])``, whatever the other members do."""
     bank = ap.bank(policies)
@@ -375,14 +378,16 @@ def _actor_critic(sim: SessionSimulator, stage: int, responses, gammas, iters: i
     independent learners, one per entry of ``responses`` (seed streams as
     ``seeding`` names them); returns their trained (policy, critic) pairs.
 
-    Each iteration rolls every member's episodes in one ``collect_batch``.
-    Then each member in turn, on its own batch (the batches differ in
-    length, so the updates stay per member), takes ``cfg.critic_steps``
-    critic steps, checks its divergence watch, takes the actor step
-    ``actor_step(policy, critic, batch, opt) -> (policy, opt, fields)`` and
-    appends its metric row, with ``fields`` after the critic loss.  A
-    diverging member raises TrainingDiverged naming its response and
-    iteration; the earliest iteration wins, then the first member."""
+    Each iteration rolls one set of episodes, named without the response
+    and shared by every member (common random numbers: equal batch lengths
+    and first states), in one ``collect_batch``; each member draws its
+    actions from its own stream.  Then each member in turn, on its own
+    batch, takes ``cfg.critic_steps`` critic steps, checks its divergence
+    watch, takes the actor step ``actor_step(policy, critic, batch, opt) ->
+    (policy, opt, fields)`` and appends its metric row, with ``fields``
+    after the critic loss.  A diverging member raises TrainingDiverged
+    naming its response and iteration; the earliest iteration wins, then
+    the first member."""
     c, s, name = sim.config, f"s{stage}", ("one", "two")[stage - 1]
     paths = [(i,) if i else () for i in responses]
     policies = [make_policy(c.state_dim, c.n_items, cfg.hidden,
@@ -398,9 +403,10 @@ def _actor_critic(sim: SessionSimulator, stage: int, responses, gammas, iters: i
                for _ in paths]
 
     for it in range(iters):
-        seeds = [[derive_seed(master_seed, f"{s}-ep", *path, it, e)
-                  for e in range(cfg.episodes_per_iter)] for path in paths]
-        for j, (batch, mean_rewards) in enumerate(collect_batch(sim, policies, rngs, seeds)):
+        episodes = [derive_seed(master_seed, f"{s}-ep", it, e)
+                    for e in range(cfg.episodes_per_iter)]
+        batches = collect_batch(sim, policies, rngs, [episodes] * len(paths))
+        for j, (batch, mean_rewards) in enumerate(batches):
             loss = float("nan")
             for _ in range(cfg.critic_steps):
                 critics[j], c_opts[j], loss = critic_update(critics[j], batch, c_opts[j])

@@ -269,6 +269,16 @@ class TestBadDatasetFiles:
                            + re.escape(message)):
             core.load_dataset(path)
 
+    def test_meta_line_without_equals_names_its_line(self, tmp_path):
+        """A row whose session id starts with '# meta ' is not read as a
+        metadata key (it was, dropping the row)."""
+        path = write_dataset(tmp_path / "bad.txt", ["# meta s0,0,1.0,1,0.5,2.0,1",
+                                                    "s1,0,1.0,1,0.5,2.0,1"])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: meta line '# meta s0,0,1.0,1,0.5,2.0,1' is not "
+                "'# meta <key>=<value>'")):
+            core.load_dataset(path)
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = write_dataset(tmp_path / "bad.txt", ["", "s0,0,1.0,1,0.5,2.0,2"])
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: done field 2")):

@@ -218,6 +218,40 @@ class TestRollout:
             want_rng.random(wants[j].n_transitions)
             assert rngs[j].random() == want_rng.random()
 
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_shared_episode_seeds_start_once_and_keep_each_members_rows(self, cfg,
+                                                                        monkeypatch):
+        """Members that share episode seeds: one ``_start`` per distinct
+        seed, and each member's columns, and its generator's next draw,
+        equal those of a rollout of that member alone."""
+        sim = sm.SessionSimulator(cfg)
+        spec = ap.ApproxSpec(cfg.state_dim, (16,), cfg.n_items, "softmax", seed=cfg.seed)
+        params = np.stack([ap.init_params(spec) * (1.0 + j) for j in range(3)])
+        rows = ap.row_evaluator(spec, params)
+        seeds = [[7, 123, 5], [7, 123, 5], [5, 9, 7]]
+        started = []
+        start = sm.SessionSimulator._start
+
+        def counting(self, seed):
+            started.append(seed)
+            return start(self, seed)
+        monkeypatch.setattr(sm.SessionSimulator, "_start", counting)
+        rngs = [np.random.default_rng(50 + j) for j in range(3)]
+        got = sm.rollout(sim, lambda f, live: rows(f).reshape(-1, cfg.n_items)[live], rngs,
+                         seeds)
+        assert sorted(started) == [5, 7, 9, 123]
+        lo = 0
+        for j in range(3):
+            alone_rng = np.random.default_rng(50 + j)
+            want = sm.rollout(sim, one_net(spec, params[j]), [alone_rng], [seeds[j]])
+            hi = lo + want.n_transitions
+            assert np.array_equal(got.offsets[3 * j:3 * j + 4] - lo, want.offsets)
+            for name in ("states", "next_states", "next_terminal", "action_index",
+                         "behavior_prob", "responses", "done"):
+                assert np.array_equal(getattr(got, name)[lo:hi], getattr(want, name)), (j, name)
+            assert rngs[j].random() == alone_rng.random()
+            lo = hi
+
     def test_members_need_one_generator_and_equal_episode_counts(self, cfg):
         sim, rng = sm.SessionSimulator(cfg), np.random.default_rng(0)
         uniform = sm.UniformRandomPolicy(cfg.n_items)
@@ -228,6 +262,58 @@ class TestRollout:
             sm.rollout(sim, probs, [rng], [[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="same number of episode seeds"):
             sm.rollout(sim, probs, [rng, rng], [[1, 2], [3]])
+
+
+def v1_episode(sim, select, episode_seed):
+    """One session under the first RNG contract, kept as a reference: the
+    episode stream draws the length and the initial core features, then, per
+    step, the dense noise (when it is on) and the m-1 sparse uniforms.
+    Returns the initial features and the (length, m) responses."""
+    c = sim.config
+    rng = np.random.Generator(np.random.PCG64(sm.derive_seed(c.seed, "episode", episode_seed)))
+    lo, hi = c.session_length_range
+    length = int(rng.integers(lo, hi + 1))
+    first = np.concatenate([rng.normal(size=c.state_dim - 2), [1.0, 0.0]])
+    features, responses = first[None], []
+    for t in range(1, length + 1):
+        item = select(features[0])
+        noise = np.array([rng.normal(0.0, c.dense_noise_std) if c.dense_noise_std > 0 else 0.0])
+        fire = rng.random((1, c.m - 1))
+        response, features = sim._advance(features, np.array([item]), noise, fire, t,
+                                          np.array([length]))
+        responses.append(response[0])
+    return first, np.array(responses)
+
+
+class TestAgainstContractV1:
+    """The block draws of each episode (v2) against the per-step draws of
+    the first contract, under a uniform behavior fed one action stream."""
+
+    @pytest.mark.parametrize("cfg", [sm.SimConfig(), sm.SimConfig(dense_noise_std=0.0)],
+                             ids=["noise", "no-noise"])
+    def test_same_starts_and_returns_within_their_errors(self, cfg):
+        sim, n = sm.SessionSimulator(cfg), 400
+        uniform = sm.UniformRandomPolicy(cfg.n_items)
+        action_rng = np.random.default_rng(31)
+
+        def select(features):
+            return int(sm.inverse_cdf(uniform.probs(features), action_rng.random()))
+
+        v1 = [v1_episode(sim, select, s) for s in range(n)]
+        v2 = sm.rollout(sim, lambda f, live: np.full((live.size, cfg.n_items), 1 / cfg.n_items),
+                        [np.random.default_rng(31)], [range(n)])
+        # both contracts draw the length and the initial features first
+        assert np.diff(v2.offsets).tolist() == [len(r) for _, r in v1]
+        assert np.array_equal(v2.states[v2.offsets[:-1]], np.array([f for f, _ in v1]))
+        # without noise, v1's per-step uniforms are v2's block read row by row
+        same = np.array_equal(v2.responses, np.concatenate([r for _, r in v1]))
+        assert same == (cfg.dense_noise_std == 0)
+        returns = [np.array([r.sum(axis=0) for _, r in v1]),
+                   np.array([v2.responses[lo:hi].sum(axis=0)
+                             for lo, hi in zip(v2.offsets[:-1], v2.offsets[1:])])]
+        means = [r.mean(axis=0) for r in returns]
+        se = np.sqrt(sum(r.var(axis=0, ddof=1) / n for r in returns))
+        assert np.all(np.abs(means[0] - means[1]) <= 4.0 * se)
 
 
 class TestInverseCdf:

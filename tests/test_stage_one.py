@@ -37,7 +37,7 @@ def sequential_stage_one(sim, i, gamma, cfg, master_seed, metrics):
     rng = rng_for(master_seed, "s1-actions", i)
     watch = stx._DivergenceWatch(cfg.divergence_threshold, cfg.divergence_patience)
     for it in range(cfg.stage1_iters):
-        seeds = [derive_seed(master_seed, "s1-ep", i, it, e)
+        seeds = [derive_seed(master_seed, "s1-ep", it, e)
                  for e in range(cfg.episodes_per_iter)]
         trajs = [run_episode(sim, lambda f: policy.sample(f, rng), s) for s in seeds]
         batch = stx.batch_arrays([tr for t in trajs for tr in t.transitions])
@@ -89,6 +89,38 @@ def test_banked_stage_one_equals_the_sequential_loop(sim_cfg, iters, monkeypatch
     # the documented order: iteration-major, responses ascending
     assert [(r["iteration"], r["response"]) for r in rows] == [
         (it, i) for it in range(iters) for i in range(1, m)]
+
+
+def test_auxiliaries_share_episodes_and_draw_their_own_actions(monkeypatch):
+    """In one stage-one iteration every auxiliary's batch has the same
+    length, episode boundaries and first state of each episode, while its
+    actions come from its own policy and its own "s1-actions" stream."""
+    sim = SessionSimulator(SimConfig(seed=17))
+    c = sim.config
+    cfg = stx.TwoStageConfig(stage1_iters=1, stage2_iters=0, episodes_per_iter=4, hidden=(16,))
+    seen = []
+    real = stx.collect_batch
+
+    def recording(*args):
+        out = real(*args)
+        seen.append([batch for batch, _ in out])
+        return out
+    monkeypatch.setattr(stx, "collect_batch", recording)
+    stx.train_two_stage(sim, np.ones(c.m - 1), [0.9] * c.m, cfg, 8)
+
+    batches, = seen  # stage one's one iteration; stage two runs none
+    assert len(batches) == c.m - 1
+    s0, a0, _, _, done0 = batches[0]
+    starts = np.concatenate([[0], np.flatnonzero(done0)[:-1] + 1])
+    assert starts.size == cfg.episodes_per_iter
+    for i, (s, a, _, _, done) in enumerate(batches, start=1):
+        assert np.array_equal(done, done0)
+        assert np.array_equal(s[starts], s0[starts])
+        policy = stx.make_policy(c.state_dim, c.n_items, cfg.hidden,
+                                 derive_seed(8, "s1-actor", i), i)
+        rng = rng_for(8, "s1-actions", i)
+        assert a.tolist() == [policy.sample(f, rng)[0] for f in s]
+    assert not all(np.array_equal(a0, batch[1]) for batch in batches[1:])
 
 
 def sequential_stage_two(sim, aux_pairs, lambdas, gammas, cfg, master_seed, metrics):
