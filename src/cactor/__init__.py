@@ -3,13 +3,12 @@
 from .approximator import (ApproxSpec, OptState, forward, forward_rows, gradient,
                            init_opt_state, init_params, input_gradient, load_params,
                            optimizer_step, save_params)
-from .core import (ReplayDataset, State, Trajectory, Transition, advantage,
-                   discounted_returns, load_dataset, rank_items, save_dataset,
-                   td_target)
+from .core import (ReplayDataset, State, Trajectory, Transition, discounted_returns,
+                   load_dataset, rank_items, save_dataset, td_target)
 from .offline import (ISConfig, MultiCriticConfig, NCISConfig,
-                      critic_return_correlation, first_order_ratio,
-                      full_trajectory_ratio, multi_critic_train, ncis_evaluate,
-                      offline_actor_update_aux, offline_actor_update_main)
+                      critic_return_correlation, full_trajectory_ratio,
+                      multi_critic_train, ncis_evaluate, offline_actor_update_aux,
+                      offline_actor_update_main)
 from .sim import (ReviewDatasetConfig, SessionSimulator, SimConfig,
                   UniformRandomPolicy, generate_offline_dataset,
                   generate_review_dataset, load_review_dataset, rollout,

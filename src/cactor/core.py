@@ -25,22 +25,21 @@ leads to a terminal state and ends its session, no empty session, and
 ``next_states[k] == states[k + 1]`` inside each session.
 
 Views.  A Trajectory is a view of one session of a store and a Transition a
-view of one row; neither holds a copy.  Reading an attribute reads the
-store.  Assigning one (``tr.behavior_prob = p``, ``tr.response = r``,
-``tr.state = State(x)``, ``tr.next_state = ...``, ``tr.action_index = a``)
-checks the new value as a constructor would, then writes it into the store,
-so every later pass over the dataset sees it.  In-place edits of a row's
-arrays (``tr.response[1] = 0.0``, ``tr.state.features[:] = x``) and writes
-into the columns themselves reach the store directly and are not checked.
-``done`` is read-only: it fixes where a session ends.  states and
-next_states are separate columns, so editing one row's state does not move
-the previous row's next_state.
+view of one row; neither holds a copy, and reading an attribute reads the
+store.  Views are read-only: logged sessions are read, not edited, and a
+changed dataset is built with ``ReplayDataset.from_columns``, or its
+columns are written directly (``ds.responses[k, 1] = 0.0``).  One attribute
+stays writable, because the benchmark's round-trip check edits it through a
+row: ``tr.behavior_prob = p`` checks p as a store build would (in (0, 1],
+or None for unknown) and writes it into the store.  In-place edits of a
+row's arrays (``tr.response[1] = 0.0``, ``tr.state.features[:] = x``) and
+writes into the columns reach the store directly and are not checked.
+states and next_states are separate columns, so editing one row's state
+does not move the previous row's next_state.
 
-Adoption.  ``Trajectory(transitions)`` and ``ReplayDataset(trajectories)``
-copy the rows into a new store.  A Transition or Trajectory that still owns
-the store its constructor made is re-pointed into the new store, so edits
-through it stay visible there; one that is already part of another store is
-copied and left where it is.
+``Trajectory(transitions)`` and ``ReplayDataset(trajectories)`` copy the
+rows into a new store and return views of it; the objects passed in stay
+views of their own stores.
 """
 
 from __future__ import annotations
@@ -123,20 +122,18 @@ def _empty_columns(state_dim: int, m: int) -> dict:
             "responses": np.zeros((0, m)), "done": np.zeros(0, dtype=bool)}
 
 
-def _concat(parts, state_dim: int, m: int) -> dict:
-    """Columns of the row ranges ``parts`` = [(store, lo, hi), ...], in order."""
+def _concat(parts, state_dim: int, m: int, label) -> dict:
+    """Columns of the row ranges ``parts`` = [(store, lo, hi), ...], in order.
+    Every store must have ``state_dim`` and ``m``; ``label(j)`` names part j
+    in the error when one does not."""
+    for j, (st, _, _) in enumerate(parts):
+        if (st.states.shape[1], st.m) != (state_dim, m):
+            raise ValueError(f"{label(j)} has state_dim={st.states.shape[1]} and m={st.m}, "
+                             f"expected state_dim={state_dim} and m={m}")
     if not parts:
         return _empty_columns(state_dim, m)
     return {name: np.concatenate([getattr(st, name)[lo:hi] for st, lo, hi in parts])
             for name in _COLUMNS}
-
-
-def _session_columns(trajectories, state_dim: int, m: int) -> dict:
-    """``_Store`` arguments holding a copy of each trajectory's rows."""
-    lengths = [len(t) for t in trajectories]
-    return dict(_concat([(t._store, t._lo, t._hi) for t in trajectories], state_dim, m),
-                offsets=np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)]),
-                session_ids=[t.session_id for t in trajectories], m=m)
 
 
 class _Store:
@@ -194,7 +191,7 @@ class _Store:
 def _action_code(a) -> int:
     if a is None:
         return -1
-    if int(a) != a or a < 0:
+    if not (np.isfinite(a) and int(a) == a and a >= 0):
         raise ValueError(f"action index {a} is not a nonnegative integer")
     return int(a)
 
@@ -208,13 +205,14 @@ def _prob_code(p) -> float:
 
 
 class Transition:
-    """One logged step: a view of one row of a store (module docstring).
+    """One logged step: a read-only view of one row of a store (module
+    docstring), with behavior_prob the one writable attribute.
 
     behavior_prob is the probability the logging policy assigned to the
     action; it must be present on data fed to debiased offline updates and
     importance-ratio evaluators."""
 
-    __slots__ = ("_store", "_row", "_own")
+    __slots__ = ("_store", "_row")
 
     def __init__(self, state: State, response, next_state: State, done: bool,
                  action_index: int | None = None, behavior_prob: float | None = None):
@@ -228,62 +226,26 @@ class Transition:
             next_terminal=[next_state.terminal], action_index=[_action_code(action_index)],
             behavior_prob=[_prob_code(behavior_prob)], responses=response[None],
             done=[done], offsets=[0, 1], session_ids=[None], m=response.size)
-        self._row, self._own = 0, True
+        self._row = 0
 
     @classmethod
     def _view(cls, store: _Store, row: int) -> Transition:
         tr = object.__new__(cls)
-        tr._store, tr._row, tr._own = store, row, False
+        tr._store, tr._row = store, row
         return tr
-
-    def _ref(self) -> tuple[Trajectory, int]:
-        """This row's session and step."""
-        k = self._store.session_of(self._row)
-        return Trajectory._view(self._store, k), self._row - int(self._store.offsets[k])
-
-    def _write(self, **values):
-        """Check the row with ``values`` replaced, as a store build would,
-        then write them into the store."""
-        st, k = self._store, self._row
-        row = {name: getattr(st, name)[k:k + 1].copy() for name in _COLUMNS}
-        for name, v in values.items():
-            v = np.asarray(v, dtype=row[name].dtype)
-            if v.shape != row[name].shape[1:]:
-                what = ("responses", f"m={st.m}") if name == "responses" else \
-                    ("features", f"state_dim={st.states.shape[1]}")
-                raise ValueError(f"{st.where(k)}{v.size} {what[0]}, dataset has {what[1]}")
-            row[name][0] = v
-        _check_columns(row, np.array([0, 1]), lambda _: st.where(k))
-        for name in values:
-            getattr(st, name)[k] = row[name][0]
 
     @property
     def state(self) -> State:
         return State._view(self._store.states[self._row])
-
-    @state.setter
-    def state(self, value: State):
-        if value.terminal:
-            raise ValueError(f"{self._store.where(self._row)}a transition cannot start "
-                             "from a terminal state")
-        self._write(states=value.features)
 
     @property
     def next_state(self) -> State:
         st, k = self._store, self._row
         return State._view(st.next_states[k], bool(st.next_terminal[k]))
 
-    @next_state.setter
-    def next_state(self, value: State):
-        self._write(next_states=value.features, next_terminal=value.terminal)
-
     @property
     def response(self) -> np.ndarray:
         return self._store.responses[self._row]
-
-    @response.setter
-    def response(self, value):
-        self._write(responses=value)
 
     @property
     def done(self) -> bool:
@@ -294,10 +256,6 @@ class Transition:
         a = int(self._store.action_index[self._row])
         return None if a < 0 else a
 
-    @action_index.setter
-    def action_index(self, value):
-        self._write(action_index=_action_code(value))
-
     @property
     def behavior_prob(self) -> float | None:
         p = float(self._store.behavior_prob[self._row])
@@ -305,16 +263,21 @@ class Transition:
 
     @behavior_prob.setter
     def behavior_prob(self, value):
-        self._write(behavior_prob=_prob_code(value))
+        p = np.nan if value is None else float(value)
+        if value is not None and not 0.0 < p <= 1.0:  # NaN fails too
+            raise ValueError(f"{self._store.where(self._row)}behavior_prob {p} outside (0, 1]")
+        self._store.behavior_prob[self._row] = p
 
     def __repr__(self):
         return f"Transition({self._store.where(self._row)[:-2] or 'free row'})"
 
 
 class Trajectory:
-    """One session: a view of rows [lo, hi) of a store (module docstring)."""
+    """One session: a read-only view of rows [lo, hi) of a store (module
+    docstring).  ``Trajectory(transitions)`` copies the rows into a new
+    one-session store."""
 
-    __slots__ = ("_store", "_k", "_lo", "_hi", "_rows", "_own")
+    __slots__ = ("_store", "_k", "_lo", "_hi")
 
     def __init__(self, transitions, session_id: str = "session-0"):
         transitions = list(transitions)
@@ -322,16 +285,14 @@ class Trajectory:
             raise ValueError("empty trajectory")
         first = transitions[0]._store
         self._point(_Store(**_concat([(tr._store, tr._row, tr._row + 1) for tr in transitions],
-                                     first.states.shape[1], first.m),
+                                     first.states.shape[1], first.m, lambda t: f"step {t}"),
                            offsets=[0, len(transitions)], session_ids=[session_id],
                            m=first.m), 0)
-        self._rows, self._own = _adopt(transitions, self._store, 0), True
 
     @classmethod
     def _view(cls, store: _Store, k: int) -> Trajectory:
         traj = object.__new__(cls)
         traj._point(store, k)
-        traj._rows, traj._own = None, False
         return traj
 
     def _point(self, store: _Store, k: int):
@@ -342,15 +303,10 @@ class Trajectory:
     def session_id(self) -> str:
         return self._store.session_ids[self._k]
 
-    @session_id.setter
-    def session_id(self, value: str):
-        self._store.session_ids[self._k] = value
-
     @property
     def transitions(self) -> list[Transition]:
-        if self._rows is None:
-            self._rows = [Transition._view(self._store, k) for k in range(self._lo, self._hi)]
-        return self._rows
+        """A fresh view of each row, built on every read."""
+        return [Transition._view(self._store, k) for k in range(self._lo, self._hi)]
 
     @property
     def responses(self) -> np.ndarray:
@@ -367,45 +323,23 @@ class Trajectory:
         return f"Trajectory({self.session_id!r}, {len(self)} steps)"
 
 
-def _adopt(transitions, store: _Store, lo: int) -> list[Transition]:
-    """Row views of ``store`` from row ``lo`` on: the given transitions where
-    they still own the store their constructor made (re-pointed), new views
-    elsewhere."""
-    rows = []
-    for k, tr in enumerate(transitions, start=lo):
-        if tr._own:
-            tr._store, tr._row, tr._own = store, k, False
-        else:
-            tr = Transition._view(store, k)
-        rows.append(tr)
-    return rows
-
-
 class ReplayDataset:
     """Logged sessions in one columnar store (module docstring): the columns,
     ``offsets``, ``session_ids`` and ``m`` are read-through attributes of the
-    store, and ``trajectories`` lists one view per session.  Building a
-    dataset with different sessions means building a new one."""
+    store, and ``trajectories`` lists one view per session.
+    ``ReplayDataset(trajectories)`` copies their rows into a new store;
+    every trajectory must have ``m`` and the first one's state_dim."""
 
     def __init__(self, trajectories, m: int, metadata: dict | None = None):
         trajectories = list(trajectories)
-        for traj in trajectories:
-            if traj.m != m:
-                raise ValueError(f"trajectory {traj.session_id} has m={traj.m}, dataset m={m}")
         metadata = {} if metadata is None else metadata
         state_dim = (trajectories[0]._store.states.shape[1] if trajectories
                      else int(metadata.get("state_dim", 0)))
-        self._set(_Store(**_session_columns(trajectories, state_dim, m)), metadata)
-        self.trajectories = []
-        for k, traj in enumerate(trajectories):
-            if traj._own:
-                traj._point(self._store, k)
-                traj._own = False
-                for t, tr in enumerate(traj._rows or (), start=traj._lo):
-                    tr._store, tr._row = self._store, t
-            else:
-                traj = Trajectory._view(self._store, k)
-            self.trajectories.append(traj)
+        lengths = [len(t) for t in trajectories]
+        cols = _concat([(t._store, t._lo, t._hi) for t in trajectories], state_dim, m,
+                       lambda j: f"trajectory {trajectories[j].session_id}")
+        self._set(_Store(**cols, offsets=np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)]),
+                         session_ids=[t.session_id for t in trajectories], m=m), metadata)
 
     @classmethod
     def from_columns(cls, *, offsets, session_ids, m: int, metadata: dict | None = None,
@@ -418,14 +352,13 @@ class ReplayDataset:
         data = cls.__new__(cls)
         data._set(_Store(offsets=offsets, session_ids=session_ids, m=m, where=where,
                          **columns), {} if metadata is None else metadata)
-        data.trajectories = [Trajectory._view(data._store, k)
-                             for k in range(len(data.session_ids))]
         return data
 
     def _set(self, store: _Store, metadata: dict):
         self._store, self.metadata = store, metadata
         for name in _Store.__slots__:
             setattr(self, name, getattr(store, name))
+        self.trajectories = [Trajectory._view(store, k) for k in range(len(store.session_ids))]
 
     def all_transitions(self) -> list[Transition]:
         return [tr for traj in self.trajectories for tr in traj.transitions]
@@ -496,11 +429,6 @@ def td_target(response_i, gamma_i: float, v_next, done):
     if in_range is not True and not np.all(in_range):  # np.all only for arrays
         raise ValueError("gamma must lie in [0, 1)")
     return response_i + gamma_i * np.where(done, 0.0, v_next)
-
-
-def advantage(response_i: float, gamma_i: float, v_next: float, v_curr: float, done: bool) -> float:
-    """TD residual: td_target(...) - V(s)."""
-    return td_target(response_i, gamma_i, v_next, done) - float(v_curr)
 
 
 def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approximator as ap
-from .core import (ReplayDataset, Trajectory, _session_columns, _Store, check_config,
-                   check_discounts, discounted_returns)
+from .core import (ReplayDataset, Trajectory, check_config, check_discounts,
+                   discounted_returns)
 from .seeding import derive_seed
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
                          actor_update_main, critic_loss_grad, gather, loglik_ascent,
@@ -61,28 +61,19 @@ def full_trajectory_ratio(traj: Trajectory, t: int, policy: StochasticPolicy,
     return float(_ratios([(traj, t)], policy, replace(cfg, mode="full_product"))[0])
 
 
-def first_order_ratio(transition, policy: StochasticPolicy, cfg: ISConfig) -> float:
-    """Single-step pi(a|s)/pi_beta(a|s), clipped."""
-    return float(_ratios([transition._ref()], policy, replace(cfg, mode="first_order"))[0])
-
-
 def _locate(batch_refs):
     """The store holding the sessions of ``batch_refs`` (Trajectory, t), and
-    per ref its session's first row, its session's length and t.  Refs into
-    several stores are served from one merged copy of their sessions."""
+    per ref its session's first row, its session's length and t.  Every ref
+    must be a session of one dataset."""
     if not batch_refs:
         raise ValueError("empty batch")
     store = batch_refs[0][0]._store
-    ts = np.array([t for _, t in batch_refs], dtype=np.intp)
-    if all(traj._store is store for traj, _ in batch_refs):
-        lo = np.array([traj._lo for traj, _ in batch_refs], dtype=np.intp)
-        n = np.array([traj._hi for traj, _ in batch_refs], dtype=np.intp) - lo
-        return store, lo, n, ts
-    trajs = list({id(traj): traj for traj, _ in batch_refs}.values())
-    store = _Store(**_session_columns(trajs, store.states.shape[1], store.m))
-    first = {id(traj): k for k, traj in enumerate(trajs)}
-    k = np.array([first[id(traj)] for traj, _ in batch_refs])
-    return store, store.offsets[k], np.diff(store.offsets)[k], ts
+    if any(traj._store is not store for traj, _ in batch_refs):
+        raise ValueError("batch refs span several datasets; build one ReplayDataset of "
+                         "their trajectories and take the refs from its trajectories")
+    lo = np.array([traj._lo for traj, _ in batch_refs], dtype=np.intp)
+    n = np.array([traj._hi for traj, _ in batch_refs], dtype=np.intp) - lo
+    return store, lo, n, np.array([t for _, t in batch_refs], dtype=np.intp)
 
 
 def _raise_first_bad_ref(store, lo, n, ts, full: bool, cfg: ISConfig):

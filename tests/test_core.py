@@ -76,19 +76,12 @@ class TestTDAndAdvantage:
     def test_td_zero_discount(self):
         assert core.td_target(0.0, 0.0, 5.0, False) == 0.0
 
-    def test_advantage_fixed_point(self):
-        assert core.advantage(1.0, 0.9, 2.0, 2.8, False) == pytest.approx(0.0)
-
-    def test_advantage_myopic(self):
-        assert core.advantage(1.0, 0.0, 123.0, 0.0, False) == pytest.approx(1.0)
-
-    def test_advantage_recomposes_td(self):
+    def test_td_matches_formula_on_random_inputs(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            r, g, vn, vc = rng.normal(), rng.uniform(0, 0.999), rng.normal(), rng.normal()
+            r, g, vn = rng.normal(), rng.uniform(0, 0.999), rng.normal()
             done = bool(rng.integers(2))
-            assert core.advantage(r, g, vn, vc, done) == pytest.approx(
-                core.td_target(r, g, vn, done) - vc)
+            assert core.td_target(r, g, vn, done) == (r if done else r + g * vn)
 
 
 class TestRankItems:
@@ -145,6 +138,28 @@ class TestInvariants:
         with pytest.raises(ValueError, match="m="):
             core.ReplayDataset([make_traj([[1.0]]), make_traj([[1.0, 2.0]])], m=1)
 
+    @pytest.mark.parametrize("state_dim,m", [(2, 1), (3, 2)], ids=["state_dim", "m"])
+    def test_trajectory_of_rows_of_another_shape_names_the_step(self, state_dim, m):
+        rows = make_traj([[1.0]] * 2).transitions
+        odd = core.Transition(core.State(np.ones(state_dim)), np.ones(m),
+                              core.terminal_state(state_dim), True)
+        with pytest.raises(ValueError, match=re.escape(
+                f"step 2 has state_dim={state_dim} and m={m}, expected state_dim=3 and m=1")):
+            core.Trajectory([*rows, odd])
+
+    def test_dataset_of_sessions_of_another_state_dim_names_the_session(self):
+        trajs = [make_traj([[1.0]], session_id="a"), make_traj([[1.0]], 4, session_id="b")]
+        with pytest.raises(ValueError, match=re.escape(
+                "trajectory b has state_dim=4 and m=1, expected state_dim=3 and m=1")):
+            core.ReplayDataset(trajs, m=1)
+
+    @pytest.mark.parametrize("index", [-1, 1.5, float("inf"), float("nan")])
+    def test_bad_action_index_rejected(self, index):
+        with pytest.raises(ValueError, match=f"action index {index} is not a nonnegative "
+                                             "integer"):
+            core.Transition(core.State(np.zeros(2)), [0.0], core.terminal_state(2), True,
+                            action_index=index)
+
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
@@ -193,19 +208,17 @@ class TestDatasetIO:
             resp = ",".join(f"{v:.17g}" for v in tr.response)
             assert line == f"s3,{t},{feats},0,{tr.behavior_prob:.17g},{resp},{int(tr.done)}"
 
-    def test_row_length_disagreeing_with_header_rejected(self, tmp_path):
-        # a row of the wrong width cannot enter the store: the assignment that
-        # would make one is where it is rejected, and nothing of it lands
-        path = tmp_path / "d.txt"
+    def test_row_length_disagreeing_with_header_rejected(self):
+        # a row of the wrong width cannot enter the store: the build that
+        # would make one is where it is rejected
         ds = core.ReplayDataset([make_traj([[1.0, 2.0]] * 3, session_id="s7")], m=2)
-        with pytest.raises(ValueError, match="session s7 step 2"):
-            ds.trajectories[0].transitions[2].response = np.array([1.0])
-        assert np.array_equal(ds.responses, [[1.0, 2.0]] * 3)
-        ds = core.ReplayDataset([make_traj([[1.0]] * 3, session_id="s8")], m=1)
-        with pytest.raises(ValueError, match="session s8 step 1: 4 features"):
-            ds.trajectories[0].transitions[1].state = core.State(np.ones(4))
-        assert np.array_equal(ds.trajectories[0].transitions[1].state.features, np.ones(3))
-        assert not path.exists()
+        cols = {name: getattr(ds, name) for name in core._COLUMNS}
+        for name, wrong, want in [("responses", np.ones((3, 1)), "(3, 2)"),
+                                  ("next_states", np.ones((3, 4)), "(3, 3)")]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} has shape {wrong.shape}, expected {want}")):
+                core.ReplayDataset.from_columns(**{**cols, name: wrong}, offsets=ds.offsets,
+                                                session_ids=ds.session_ids, m=2)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -461,46 +474,46 @@ class TestViews:
         tr = ds.trajectories[1].transitions[0]
         assert np.shares_memory(tr.response, ds.responses)
         assert np.shares_memory(tr.state.features, ds.states)
-        assert ds.trajectories[1].transitions[0] is tr
+        assert tr.response.tolist() == ds.responses[2].tolist() == [5.0, 6.0]
         assert [t.session_id for t in ds.trajectories] == ds.session_ids == ["a", "b"]
         assert ds.offsets.tolist() == [0, 2, 3]
 
-    def test_constructors_adopt_free_objects_and_copy_owned_ones(self):
-        trs = make_traj([[1.0], [2.0]]).transitions
-        free = core.Transition(core.State(np.zeros(3)), [1.0], core.terminal_state(3), True,
-                               action_index=0, behavior_prob=0.5)
-        traj = core.Trajectory([free], session_id="f")
-        assert traj.transitions[0] is free
-        free.behavior_prob = 0.25
+    def test_constructors_copy_the_rows(self):
+        traj = make_traj([[1.0], [2.0]], session_id="c")
         ds = core.ReplayDataset([traj], m=1)
-        assert ds.trajectories[0] is traj and ds.behavior_prob[0] == 0.25
-        free.behavior_prob = 0.125
-        assert ds.behavior_prob[0] == 0.125
-        # a row of another store is copied; the original stays in its store
-        other = core.Trajectory([trs[0]], session_id="c")
-        other.transitions[0].behavior_prob = 0.75
-        assert trs[0].behavior_prob == 0.5
-        copy = core.ReplayDataset([traj], m=1)
-        assert copy.trajectories[0] is not traj
-        copy.trajectories[0].transitions[0].behavior_prob = 1.0
-        assert ds.behavior_prob[0] == 0.125
+        assert not np.shares_memory(ds.responses, traj.responses)
+        ds.responses[0, 0] = 9.0
+        assert traj.responses[:, 0].tolist() == [1.0, 2.0]
+        free = core.Transition(core.State(np.zeros(3)), [1.0], core.terminal_state(3), True)
+        core.Trajectory([free]).transitions[0].response[0] = 9.0
+        assert free.response.tolist() == [1.0]
+
+    @pytest.mark.parametrize("name,value", [
+        ("response", [1.0]), ("state", core.State(np.zeros(3))),
+        ("next_state", core.terminal_state(3)), ("action_index", 0), ("done", True),
+        ("session_id", "x"),
+    ])
+    def test_rows_are_read_only(self, name, value):
+        ds = core.ReplayDataset([make_traj([[1.0], [2.0]], session_id="w")], m=1)
+        row = ds.trajectories[0] if name == "session_id" else ds.trajectories[0].transitions[1]
+        before = [getattr(ds, col).copy() for col in core._COLUMNS]
+        with pytest.raises(AttributeError):
+            setattr(row, name, value)
+        for col, was in zip(core._COLUMNS, before):
+            assert np.array_equal(getattr(ds, col), was)
+        assert ds.session_ids == ["w"]
 
     def test_attribute_writes_are_checked_and_leave_nothing_behind(self):
         ds = core.ReplayDataset([make_traj([[1.0], [2.0]], session_id="w")], m=1)
         tr = ds.trajectories[0].transitions[0]
-        with pytest.raises(ValueError, match=r"session w step 0: behavior_prob 1.5 outside"):
-            tr.behavior_prob = 1.5
-        with pytest.raises(ValueError, match="session w step 0: non-finite response"):
-            tr.response = [np.nan]
-        with pytest.raises(ValueError, match="session w step 1: done transition must lead"):
-            ds.trajectories[0].transitions[1].next_state = core.State(np.zeros(3))
-        with pytest.raises(ValueError, match="not a nonnegative integer"):
-            tr.action_index = -1
+        for bad in (1.5, 0.0, -0.5, np.nan):
+            with pytest.raises(ValueError,
+                               match=rf"session w step 0: behavior_prob {bad} outside"):
+                tr.behavior_prob = bad
         with pytest.raises(AttributeError):
             tr.done = True
-        assert tr.behavior_prob == 0.5 and tr.response.tolist() == [1.0]
-        assert ds.next_terminal.tolist() == [False, True]
+        assert tr.behavior_prob == 0.5 and ds.behavior_prob.tolist() == [0.5, 0.5]
         tr.behavior_prob = None
-        tr.action_index = None
-        assert np.isnan(ds.behavior_prob[0]) and ds.action_index[0] == -1
-        assert tr.behavior_prob is None and tr.action_index is None
+        assert np.isnan(ds.behavior_prob[0]) and tr.behavior_prob is None
+        ds.trajectories[0].transitions[1].behavior_prob = 0.25
+        assert ds.behavior_prob[1] == 0.25

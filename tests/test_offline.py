@@ -23,6 +23,15 @@ def logged_trajectory(policy, sim, episode_seed, rng):
     return run_episode(sim, lambda f: policy.sample(f, rng), episode_seed)
 
 
+def relogged(traj, probs):
+    """``traj`` copied into a one-session dataset whose behavior_prob column
+    holds ``probs[t]`` (nan: unknown) at each step t in ``probs``."""
+    ds = ReplayDataset([traj], m=traj.m)
+    for t, p in probs.items():
+        ds.behavior_prob[t] = p
+    return ds.trajectories[0]
+
+
 @pytest.fixture
 def sim():
     return SessionSimulator(SimConfig(n_items=6, state_dim=6, m=2, seed=40,
@@ -46,8 +55,7 @@ class TestRatios:
         # halve / third the logged probabilities so per-step ratios are 2 and 3
         p0 = policy.probs(traj.transitions[0].state.features)[traj.transitions[0].action_index]
         p1 = policy.probs(traj.transitions[1].state.features)[traj.transitions[1].action_index]
-        traj.transitions[0].behavior_prob = float(p0) / 2.0
-        traj.transitions[1].behavior_prob = float(p1) / 3.0
+        traj = relogged(traj, {0: float(p0) / 2.0, 1: float(p1) / 3.0})
         assert off.full_trajectory_ratio(traj, 1, policy, off.ISConfig(ratio_clip=10.0)) \
             == pytest.approx(6.0, rel=1e-12)
         assert off.full_trajectory_ratio(traj, 1, policy, off.ISConfig(ratio_clip=5.0)) == 5.0
@@ -66,27 +74,28 @@ class TestRatios:
         traj = logged_trajectory(policy, sim, 3, rng_for(4, "a"))
         other = stx.make_policy(6, 6, (8,), seed=100)
         cfg = off.ISConfig()
-        assert off.first_order_ratio(traj.transitions[0], other, cfg) \
+        assert off._ratios([(traj, 0)], other, cfg)[0] \
             == off.full_trajectory_ratio(traj, 0, other, cfg)
 
     def test_single_step_arithmetic(self, sim, policy):
         traj = logged_trajectory(policy, sim, 4, rng_for(5, "a"))
         tr = traj.transitions[0]
         p = float(policy.probs(tr.state.features)[tr.action_index])
-        tr.behavior_prob = p / 2.0
-        assert off.first_order_ratio(tr, policy, off.ISConfig()) == pytest.approx(2.0, rel=1e-12)
+        traj = relogged(traj, {0: p / 2.0})
+        assert off._ratios([(traj, 0)], policy, off.ISConfig("first_order"))[0] \
+            == pytest.approx(2.0, rel=1e-12)
 
     def test_missing_behavior_prob_rejected(self, sim, policy):
         traj = logged_trajectory(policy, sim, 5, rng_for(6, "a"))
-        traj.transitions[0].behavior_prob = None
+        traj = relogged(traj, {0: np.nan})
         with pytest.raises(ValueError, match="missing behavior_prob"):
             off.full_trajectory_ratio(traj, 0, policy, off.ISConfig())
 
     def test_probability_floor_enforced(self, sim, policy):
         traj = logged_trajectory(policy, sim, 6, rng_for(7, "a"))
-        traj.transitions[0].behavior_prob = 1e-9
+        traj = relogged(traj, {0: 1e-9})
         with pytest.raises(ValueError, match="floor"):
-            off.first_order_ratio(traj.transitions[0], policy, off.ISConfig())
+            off._ratios([(traj, 0)], policy, off.ISConfig("first_order"))
 
 
 def scalar_ratios(batch_refs, policy, cfg):
@@ -115,6 +124,12 @@ def hand_trajectory(seed, behavior_probs, session_id="h"):
                        for k, bp in enumerate(behavior_probs)], session_id=session_id)
 
 
+def one_dataset(*trajs):
+    """The sessions of one dataset holding ``trajs``: a batch's refs must
+    all be sessions of one dataset."""
+    return ReplayDataset(trajs, m=2).trajectories
+
+
 # 1e-300 makes two-step products overflow to inf; 1e-3 makes clips bind
 LOGGED_PROBS = st.sampled_from([1e-300, 1e-3, 0.05, 0.2, 0.5, 1.0])
 
@@ -122,9 +137,9 @@ LOGGED_PROBS = st.sampled_from([1e-300, 1e-3, 0.05, 0.2, 0.5, 1.0])
 @st.composite
 def ratio_batches(draw):
     lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    trajs = [hand_trajectory(draw(st.integers(0, 2**16)),
-                             draw(st.lists(LOGGED_PROBS, min_size=n, max_size=n)))
-             for n in lengths]
+    trajs = one_dataset(*[hand_trajectory(draw(st.integers(0, 2**16)),
+                                          draw(st.lists(LOGGED_PROBS, min_size=n, max_size=n)))
+                          for n in lengths])
     # t = -1 stands for the last step; repeats of a trajectory and of a
     # (traj, t) pair are common with at most three trajectories
     picks = draw(st.lists(st.tuples(st.integers(0, len(trajs) - 1),
@@ -144,8 +159,8 @@ class TestBatchedRatios:
             == scalar_ratios(refs, RATIO_POLICY, cfg)
 
     def test_overflowing_product_clips(self):
-        long = hand_trajectory(1, [1e-300, 1e-300, 0.5], "long")
-        short = hand_trajectory(2, [0.5, 0.2], "short")
+        long, short = one_dataset(hand_trajectory(1, [1e-300, 1e-300, 0.5], "long"),
+                                  hand_trajectory(2, [0.5, 0.2], "short"))
         refs = [(long, 2), (short, 0), (long, 0), (long, 2), (short, 1), (long, 1)]
         cfg = off.ISConfig(mode="full_product", ratio_clip=50.0, min_behavior_prob=1e-300)
         assert scalar_ratios([(long, 2)], RATIO_POLICY,
@@ -157,13 +172,13 @@ class TestBatchedRatios:
     @pytest.mark.parametrize("mode", ["full_product", "first_order"])
     @pytest.mark.parametrize("t", [-1, 5])
     def test_step_outside_trajectory_rejected(self, mode, t):
-        good, bad = hand_trajectory(3, [0.5] * 5), hand_trajectory(4, [0.5] * 5)
+        good, bad = one_dataset(hand_trajectory(3, [0.5] * 5), hand_trajectory(4, [0.5] * 5))
         with pytest.raises(ValueError, match=f"step {t} outside trajectory of length 5"):
             off._ratios([(good, 4), (bad, t), (good, 0)], RATIO_POLICY, off.ISConfig(mode))
 
     def test_missing_prefix_behavior_prob_rejected(self):
-        good, bad = hand_trajectory(5, [0.5] * 5), hand_trajectory(6, [0.5] * 5)
-        bad.transitions[1].behavior_prob = None
+        good, bad = one_dataset(hand_trajectory(5, [0.5] * 5),
+                                hand_trajectory(6, [0.5, None, 0.5, 0.5, 0.5]))
         refs = [(good, 4), (bad, 0), (bad, 3)]
         with pytest.raises(ValueError, match="missing behavior_prob"):
             off._ratios(refs, RATIO_POLICY, off.ISConfig("full_product"))
@@ -174,10 +189,19 @@ class TestBatchedRatios:
 
     @pytest.mark.parametrize("mode", ["full_product", "first_order"])
     def test_behavior_prob_below_floor_rejected(self, mode):
-        good = hand_trajectory(7, [0.5] * 4)
-        bad = hand_trajectory(8, [0.5, 0.5, 1e-9, 0.5])
+        good, bad = one_dataset(hand_trajectory(7, [0.5] * 4),
+                                hand_trajectory(8, [0.5, 0.5, 1e-9, 0.5]))
         with pytest.raises(ValueError, match="behavior_prob 1e-09 below the 1e-06 floor"):
             off._ratios([(good, 3), (bad, 2)], RATIO_POLICY, off.ISConfig(mode))
+
+    @pytest.mark.parametrize("mode", ["full_product", "first_order"])
+    def test_refs_into_several_datasets_rejected(self, mode):
+        a, b = hand_trajectory(11, [0.5] * 2), hand_trajectory(12, [0.5] * 2)
+        with pytest.raises(ValueError, match="batch refs span several datasets"):
+            off._ratios([(a, 0), (b, 1)], RATIO_POLICY, off.ISConfig(mode))
+        # the same sessions copied into one dataset are one batch
+        a, b = one_dataset(a, b)
+        off._ratios([(a, 0), (b, 1)], RATIO_POLICY, off.ISConfig(mode))
 
     def test_first_bad_ref_in_batch_order_is_named(self):
         traj = hand_trajectory(9, [0.5, 0.5, 1e-9])
@@ -225,8 +249,7 @@ class TestOfflineUpdates:
         critic = stx.make_critic(6, (), seed=44, response_index=1, gamma=0.0)
         critic.params[:] = 0.0
         traj = logged_trajectory(policy, sim, 9, rng_for(10, "a"))
-        for tr in traj.transitions:
-            tr.response[1] = 0.0  # advantage = r - 0 = 0
+        traj.responses[:, 1] = 0.0  # advantage = r - 0 = 0
         refs = [(traj, t) for t in range(len(traj))]
         new, _, _ = off.offline_actor_update_aux(
             policy, critic, refs, off.ISConfig(), ap.init_opt_state(policy.params.size))
@@ -248,9 +271,8 @@ class TestOfflineUpdates:
     def test_main_weight_matches_hand_computation(self, sim):
         pset = stx.build_policy_set(6, 6, 2, np.array([2.0]), np.array([0.0, 0.0]),
                                     (8,), seed=47)
-        traj = logged_trajectory(pset.main[0], sim, 10, rng_for(12, "a"))
+        traj = relogged(logged_trajectory(pset.main[0], sim, 10, rng_for(12, "a")), {0: 0.25})
         tr = traj.transitions[0]
-        tr.behavior_prob = 0.25
         pset.main[1].params[:] = 0.0  # V == 0, gamma == 0: A = r_0
         refs = [(traj, 0)]
         _, _, info = off.offline_actor_update_main(
@@ -342,8 +364,7 @@ class TestMultiCritic:
 
     def test_critics_need_no_action_indices(self):
         ds = chain_dataset()
-        for tr in ds.all_transitions():
-            tr.action_index = None
+        ds.action_index[:] = -1  # unknown
         cfg = off.MultiCriticConfig(iters=5, hidden=(4,))
         critics = off.multi_critic_train(ds, [0.9, 0.5], "separate", cfg, master_seed=6)
         assert set(off.critic_return_correlation(critics, ds, [0.9, 0.5])) == {0, 1}
@@ -351,9 +372,7 @@ class TestMultiCritic:
     def test_separate_mode_never_mixes_responses(self):
         ds_a = chain_dataset()
         ds_b = chain_dataset()
-        for traj in ds_b.trajectories:
-            for tr in traj.transitions:
-                tr.response[1] = 0.0
+        ds_b.responses[:, 1] = 0.0
         cfg = off.MultiCriticConfig(iters=120, hidden=(4,))
         ca = off.multi_critic_train(ds_a, [0.9, 0.5], "separate", cfg, master_seed=3)
         cb = off.multi_critic_train(ds_b, [0.9, 0.5], "separate", cfg, master_seed=3)
@@ -371,8 +390,7 @@ class TestMultiCritic:
         # gradient's upstream, which must not be reached
         for big in (1e300, 1e308):
             ds = chain_dataset()
-            for tr in ds.trajectories[0].transitions:
-                tr.response[1] = big
+            ds.responses[:, 1] = big
             cfg = off.MultiCriticConfig(iters=5, hidden=(4,), share_bottom=share_bottom)
             with pytest.raises(stx.TrainingDiverged,
                                match=f"critic for {name} diverged at iteration 0: loss inf"):
@@ -393,27 +411,24 @@ def review_dataset():
 
 
 class TestWriteThrough:
-    """An edit through dataset.trajectories[i].transitions[t], by attribute
-    or in place, reaches every later pass over the dataset."""
+    """An in-place edit of a row's arrays, or of the columns themselves,
+    reaches every later pass over the dataset."""
 
     @staticmethod
     def edit(ds, how):
-        tr = ds.trajectories[1].transitions[0]
-        if how == "attribute":
-            tr.behavior_prob = 0.5
-            tr.response = tr.response + 1.0
-            tr.state = State(tr.state.features + 0.25)
-        else:
+        if how == "in_place":
+            tr = ds.trajectories[1].transitions[0]
             tr.response[:] += 1.0
             tr.state.features[:] += 0.25
+        else:
+            ds.responses[ds.offsets[1]] += 1.0
+            ds.states[ds.offsets[1]] += 0.25
 
     @staticmethod
-    def oracle(ds, how):
+    def oracle(ds):
         """The same edit made to copies of the columns, built afresh."""
         cols = {name: getattr(ds, name).copy() for name in core._COLUMNS}
         row = int(ds.offsets[1])
-        if how == "attribute":
-            cols["behavior_prob"][row] = 0.5
         cols["responses"][row] += 1.0
         cols["states"][row] += 0.25
         return ReplayDataset.from_columns(**cols, offsets=ds.offsets,
@@ -432,11 +447,11 @@ class TestWriteThrough:
                  for tr in trs],
                 ncis, [c.params.tolist() for c in critics], (tmp_path / "d.txt").read_text())
 
-    @pytest.mark.parametrize("how", ["attribute", "in_place"])
+    @pytest.mark.parametrize("how", ["in_place", "column"])
     def test_edit_is_seen_by_every_pass(self, how, tmp_path):
         ds = review_dataset()
         before = self.passes(ds, tmp_path)
-        want = self.passes(self.oracle(ds, how), tmp_path)
+        want = self.passes(self.oracle(ds), tmp_path)
         self.edit(ds, how)
         got = self.passes(ds, tmp_path)
         assert got == want
@@ -500,9 +515,8 @@ class TestMergedCriticLoop:
 def no_action_case(update):
     """Run ``update`` on the chain dataset with its action indices removed."""
     ds = chain_dataset()
+    ds.action_index[:] = -1  # unknown
     traj = ds.trajectories[0]
-    for tr in traj.transitions:
-        tr.action_index = None
     batch = stx.batch_arrays(traj.transitions)
     policy = stx.make_policy(3, 1, (), seed=0)
     opt = ap.init_opt_state(policy.params.size)
@@ -628,7 +642,7 @@ class TestNCIS:
     def test_missing_log_field_rejected(self, mdp, field, message):
         behavior = np.full((4, 3), 1.0 / 3.0)
         ds = mdp.log_dataset(behavior, 20, seed=14)
-        setattr(ds.trajectories[-1].transitions[-1], field, None)
+        getattr(ds, field)[-1] = {"behavior_prob": np.nan, "action_index": -1}[field]
         with pytest.raises(ValueError, match=message):
             off.ncis_evaluate(table_prob_fn(behavior), ds, off.NCISConfig())
 
