@@ -1,12 +1,12 @@
 """Vector-reward MDP vocabulary: states, transitions, trajectories, returns,
-and the columnar store that holds logged sessions.
+and the columnar dataset that holds logged sessions.
 
 Conventions used throughout the package:
   * rewards are length-m response vectors and element 0 is the main response;
   * each response i carries its own discount factor gamma_i in [0, 1);
   * terminal states bootstrap with value 0.
 
-The store.  A ReplayDataset is a struct of arrays with one row per logged
+The dataset.  A ReplayDataset is a struct of arrays with one row per logged
 step, each session's rows contiguous and in step order:
 
   states (n, state_dim)        next_states (n, state_dim)
@@ -17,29 +17,32 @@ step, each session's rows contiguous and in step order:
   offsets (n_sessions + 1,)    session k is rows offsets[k]:offsets[k + 1]
   session_ids                  one per session
 
-Every way of building a store (``ReplayDataset.from_columns``,
+Every way of building a dataset (``ReplayDataset.from_columns``,
 ``ReplayDataset(trajectories)``, ``Trajectory(transitions)``,
 ``Transition(...)``, ``load_dataset``, ``sim.rollout``) checks whole columns
 once: finite features and responses, behavior_prob in (0, 1], a done row
 leads to a terminal state and ends its session, no empty session, and
 ``next_states[k] == states[k + 1]`` inside each session.
 
-Views.  A Trajectory is a view of one session of a store and a Transition a
-view of one row; neither holds a copy, and reading an attribute reads the
-store.  Views are read-only: logged sessions are read, not edited, and a
-changed dataset is built with ``ReplayDataset.from_columns``, or its
-columns are written directly (``ds.responses[k, 1] = 0.0``).  One attribute
-stays writable, because the benchmark's round-trip check edits it through a
-row: ``tr.behavior_prob = p`` checks p as a store build would (in (0, 1],
-or None for unknown) and writes it into the store.  In-place edits of a
-row's arrays (``tr.response[1] = 0.0``, ``tr.state.features[:] = x``) and
-writes into the columns reach the store directly and are not checked.
-states and next_states are separate columns, so editing one row's state
-does not move the previous row's next_state.
+Views.  A Trajectory is a view of one session of a dataset and a Transition
+a view of one row (a Transition or Trajectory built on its own is a view of
+a new one-row or one-session dataset); neither holds a copy, and reading an
+attribute reads the columns.  A dataset holds no reference to its views, so
+it is freed as soon as it and the last of its views are dropped.  Views are
+read-only: logged sessions are read, not edited, and a changed dataset is
+built with ``ReplayDataset.from_columns``, or its columns are written
+directly (``ds.responses[k, 1] = 0.0``).  One attribute stays writable,
+because the benchmark's round-trip check edits it through a row:
+``tr.behavior_prob = p`` checks p as a dataset build would (in (0, 1], or
+None for unknown) and writes it into the column.  In-place edits of a row's
+arrays (``tr.response[1] = 0.0``, ``tr.state.features[:] = x``) and writes
+into the columns are not checked.  states and next_states are separate
+columns, so editing one row's state does not move the previous row's
+next_state.
 
 ``Trajectory(transitions)`` and ``ReplayDataset(trajectories)`` copy the
-rows into a new store and return views of it; the objects passed in stay
-views of their own stores.
+rows into a new dataset and return views of it; the objects passed in stay
+views of their own datasets.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class State:
 
     @classmethod
     def _view(cls, features: np.ndarray, terminal: bool = False) -> State:
-        """A State over one row of a checked store: no copy, no re-check."""
+        """A State over one row of a checked dataset: no copy, no re-check."""
         state = object.__new__(cls)
         object.__setattr__(state, "features", features)
         object.__setattr__(state, "terminal", terminal)
@@ -92,7 +95,7 @@ def _raise_first(checks, where):
 
 
 def _check_columns(cols: dict, offsets: np.ndarray, where):
-    """The store's invariants over whole columns (see the module docstring)."""
+    """The dataset's invariants over whole columns (see the module docstring)."""
     n = cols["done"].size
     last = np.zeros(n, dtype=bool)
     last[offsets[1:] - 1] = True
@@ -123,9 +126,9 @@ def _empty_columns(state_dim: int, m: int) -> dict:
 
 
 def _concat(parts, state_dim: int, m: int, label) -> dict:
-    """Columns of the row ranges ``parts`` = [(store, lo, hi), ...], in order.
-    Every store must have ``state_dim`` and ``m``; ``label(j)`` names part j
-    in the error when one does not."""
+    """Columns of the row ranges ``parts`` = [(dataset, lo, hi), ...], in
+    order.  Every dataset must have ``state_dim`` and ``m``; ``label(j)``
+    names part j in the error when one does not."""
     for j, (st, _, _) in enumerate(parts):
         if (st.states.shape[1], st.m) != (state_dim, m):
             raise ValueError(f"{label(j)} has state_dim={st.states.shape[1]} and m={st.m}, "
@@ -134,58 +137,6 @@ def _concat(parts, state_dim: int, m: int, label) -> dict:
         return _empty_columns(state_dim, m)
     return {name: np.concatenate([getattr(st, name)[lo:hi] for st, lo, hi in parts])
             for name in _COLUMNS}
-
-
-class _Store:
-    """The columns, offsets and session ids of logged sessions (module
-    docstring), checked when built.  It holds no reference to its views, so
-    a store and its views are freed as soon as the last of them is dropped."""
-
-    __slots__ = (*_COLUMNS, "offsets", "session_ids", "m")
-
-    def __init__(self, *, offsets, session_ids, m: int, where=None, **cols):
-        if set(cols) != set(_COLUMNS):
-            raise ValueError(f"columns {sorted(cols)}, expected {sorted(_COLUMNS)}")
-        dtypes = {"next_terminal": bool, "done": bool, "action_index": np.intp}
-        cols = {name: np.ascontiguousarray(cols[name], dtype=dtypes.get(name, np.float64))
-                for name in _COLUMNS}
-        n = cols["done"].size
-        dim = cols["states"].shape[-1] if cols["states"].ndim == 2 else "state_dim"
-        for name, col in cols.items():
-            want = {"states": (n, dim), "next_states": (n, dim), "responses": (n, m)}.get(
-                name, (n,))
-            if col.shape != want:
-                raise ValueError(f"{name} has shape {col.shape}, expected {want}")
-            setattr(self, name, col)
-        self.offsets = np.asarray(offsets, dtype=np.intp)
-        self.session_ids, self.m = list(session_ids), m
-        if (self.offsets.ndim != 1 or self.offsets.size != len(self.session_ids) + 1
-                or self.offsets[0] != 0 or self.offsets[-1] != n):
-            raise ValueError(f"offsets must run from 0 to {n} with one entry per session "
-                             "plus one")
-        empty = np.diff(self.offsets) <= 0
-        if empty.any():
-            raise ValueError(f"session {self.session_ids[int(np.argmax(empty))]}: "
-                             "empty trajectory")
-        _check_columns(cols, self.offsets, where or self.where)
-
-    def where(self, row: int) -> str:
-        """'session <id> step <t>: ', or '' for a row of no named session."""
-        k = self.session_of(row)
-        sid = self.session_ids[k]
-        return "" if sid is None else f"session {sid} step {row - int(self.offsets[k])}: "
-
-    def session_of(self, row: int) -> int:
-        return int(np.searchsorted(self.offsets, row, side="right")) - 1
-
-    def arrays(self, rows=slice(None)):
-        """The (S, a_idx, R, S_next, done) tuple every update takes, of
-        ``rows``: views of the columns for a slice (the default is every
-        row), copies for an index array.  a_idx is None when some row has
-        no action index."""
-        a = self.action_index[rows]
-        return (self.states[rows], None if np.any(a < 0) else a, self.responses[rows],
-                self.next_states[rows], self.done[rows])
 
 
 def _action_code(a) -> int:
@@ -205,7 +156,7 @@ def _prob_code(p) -> float:
 
 
 class Transition:
-    """One logged step: a read-only view of one row of a store (module
+    """One logged step: a read-only view of one row of a dataset (module
     docstring), with behavior_prob the one writable attribute.
 
     behavior_prob is the probability the logging policy assigned to the
@@ -221,7 +172,7 @@ class Transition:
         response = np.asarray(response, dtype=np.float64)
         if response.ndim != 1:
             raise ValueError("response must be a 1-D vector")
-        self._store = _Store(
+        self._store = ReplayDataset.from_columns(
             states=state.features[None], next_states=next_state.features[None],
             next_terminal=[next_state.terminal], action_index=[_action_code(action_index)],
             behavior_prob=[_prob_code(behavior_prob)], responses=response[None],
@@ -229,7 +180,7 @@ class Transition:
         self._row = 0
 
     @classmethod
-    def _view(cls, store: _Store, row: int) -> Transition:
+    def _view(cls, store: ReplayDataset, row: int) -> Transition:
         tr = object.__new__(cls)
         tr._store, tr._row = store, row
         return tr
@@ -273,9 +224,9 @@ class Transition:
 
 
 class Trajectory:
-    """One session: a read-only view of rows [lo, hi) of a store (module
+    """One session: a read-only view of rows [lo, hi) of a dataset (module
     docstring).  ``Trajectory(transitions)`` copies the rows into a new
-    one-session store."""
+    one-session dataset."""
 
     __slots__ = ("_store", "_k", "_lo", "_hi")
 
@@ -284,18 +235,18 @@ class Trajectory:
         if not transitions:
             raise ValueError("empty trajectory")
         first = transitions[0]._store
-        self._point(_Store(**_concat([(tr._store, tr._row, tr._row + 1) for tr in transitions],
-                                     first.states.shape[1], first.m, lambda t: f"step {t}"),
-                           offsets=[0, len(transitions)], session_ids=[session_id],
-                           m=first.m), 0)
+        cols = _concat([(tr._store, tr._row, tr._row + 1) for tr in transitions],
+                       first.states.shape[1], first.m, lambda t: f"step {t}")
+        self._point(ReplayDataset.from_columns(**cols, offsets=[0, len(transitions)],
+                                               session_ids=[session_id], m=first.m), 0)
 
     @classmethod
-    def _view(cls, store: _Store, k: int) -> Trajectory:
+    def _view(cls, store: ReplayDataset, k: int) -> Trajectory:
         traj = object.__new__(cls)
         traj._point(store, k)
         return traj
 
-    def _point(self, store: _Store, k: int):
+    def _point(self, store: ReplayDataset, k: int):
         self._store, self._k = store, k
         self._lo, self._hi = int(store.offsets[k]), int(store.offsets[k + 1])
 
@@ -324,11 +275,11 @@ class Trajectory:
 
 
 class ReplayDataset:
-    """Logged sessions in one columnar store (module docstring): the columns,
-    ``offsets``, ``session_ids`` and ``m`` are read-through attributes of the
-    store, and ``trajectories`` lists one view per session.
-    ``ReplayDataset(trajectories)`` copies their rows into a new store;
+    """Logged sessions as columns (module docstring), checked when built.
+    ``ReplayDataset(trajectories)`` copies their rows into a new dataset;
     every trajectory must have ``m`` and the first one's state_dim."""
+
+    __slots__ = (*_COLUMNS, "offsets", "session_ids", "m", "metadata", "__weakref__")
 
     def __init__(self, trajectories, m: int, metadata: dict | None = None):
         trajectories = list(trajectories)
@@ -338,38 +289,76 @@ class ReplayDataset:
         lengths = [len(t) for t in trajectories]
         cols = _concat([(t._store, t._lo, t._hi) for t in trajectories], state_dim, m,
                        lambda j: f"trajectory {trajectories[j].session_id}")
-        self._set(_Store(**cols, offsets=np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)]),
-                         session_ids=[t.session_id for t in trajectories], m=m), metadata)
+        self._build(cols, np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)]),
+                    [t.session_id for t in trajectories], m, metadata)
 
     @classmethod
     def from_columns(cls, *, offsets, session_ids, m: int, metadata: dict | None = None,
                      where=None, **columns) -> ReplayDataset:
-        """A dataset over ``columns``, one keyword per store column (module
+        """A dataset over ``columns``, one keyword per column (module
         docstring), checked once; a column that is already C-contiguous with
-        the store's dtype is not copied.  ``where(row)`` names a row in error
+        its dtype is not copied.  ``where(row)`` names a row in error
         messages, e.g. by file and line; by default rows are named by session
         and step."""
         data = cls.__new__(cls)
-        data._set(_Store(offsets=offsets, session_ids=session_ids, m=m, where=where,
-                         **columns), {} if metadata is None else metadata)
+        data._build(columns, offsets, session_ids, m, {} if metadata is None else metadata,
+                    where)
         return data
 
-    def _set(self, store: _Store, metadata: dict):
-        self._store, self.metadata = store, metadata
-        for name in _Store.__slots__:
-            setattr(self, name, getattr(store, name))
-        self.trajectories = [Trajectory._view(store, k) for k in range(len(store.session_ids))]
+    def _build(self, cols: dict, offsets, session_ids, m: int, metadata: dict, where=None):
+        if set(cols) != set(_COLUMNS):
+            raise ValueError(f"columns {sorted(cols)}, expected {sorted(_COLUMNS)}")
+        dtypes = {"next_terminal": bool, "done": bool, "action_index": np.intp}
+        cols = {name: np.ascontiguousarray(cols[name], dtype=dtypes.get(name, np.float64))
+                for name in _COLUMNS}
+        n = cols["done"].size
+        dim = cols["states"].shape[-1] if cols["states"].ndim == 2 else "state_dim"
+        for name, col in cols.items():
+            want = {"states": (n, dim), "next_states": (n, dim), "responses": (n, m)}.get(
+                name, (n,))
+            if col.shape != want:
+                raise ValueError(f"{name} has shape {col.shape}, expected {want}")
+            setattr(self, name, col)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.session_ids, self.m, self.metadata = list(session_ids), m, metadata
+        if (self.offsets.ndim != 1 or self.offsets.size != len(self.session_ids) + 1
+                or self.offsets[0] != 0 or self.offsets[-1] != n):
+            raise ValueError(f"offsets must run from 0 to {n} with one entry per session "
+                             "plus one")
+        empty = np.diff(self.offsets) <= 0
+        if empty.any():
+            raise ValueError(f"session {self.session_ids[int(np.argmax(empty))]}: "
+                             "empty trajectory")
+        _check_columns(cols, self.offsets, where or self.where)
+
+    def where(self, row: int) -> str:
+        """'session <id> step <t>: ', or '' for a row of no named session."""
+        k = int(np.searchsorted(self.offsets, row, side="right")) - 1
+        sid = self.session_ids[k]
+        return "" if sid is None else f"session {sid} step {row - int(self.offsets[k])}: "
+
+    @property
+    def trajectories(self) -> list[Trajectory]:
+        """A fresh view of each session, built on every read: the dataset
+        holds no reference to its views, so it is freed as soon as the last
+        of them is dropped."""
+        return [Trajectory._view(self, k) for k in range(len(self.session_ids))]
 
     def all_transitions(self) -> list[Transition]:
-        return [tr for traj in self.trajectories for tr in traj.transitions]
+        return [Transition._view(self, k) for k in range(self.n_transitions)]
 
     @property
     def n_transitions(self) -> int:
         return self.done.size
 
     def arrays(self, rows=slice(None)):
-        """The ``batch_arrays`` tuple of ``rows`` (see ``_Store.arrays``)."""
-        return self._store.arrays(rows)
+        """The (S, a_idx, R, S_next, done) tuple every update takes, of
+        ``rows``: views of the columns for a slice (the default is every
+        row), copies for an index array.  a_idx is None when some row has
+        no action index."""
+        a = self.action_index[rows]
+        return (self.states[rows], None if np.any(a < 0) else a, self.responses[rows],
+                self.next_states[rows], self.done[rows])
 
 
 def check_config(cfg, iterations=(), counts=(), positive=(), rules=()) -> None:
@@ -391,7 +380,7 @@ def check_discounts(gammas, m: int | None = None) -> np.ndarray:
         raise ValueError("discount vector must be 1-D")
     if m is not None and gammas.size != m:
         raise ValueError(f"discount vector has length {gammas.size}, expected {m}")
-    if np.any(gammas < 0.0) or np.any(gammas >= 1.0):
+    if not np.all((gammas >= 0.0) & (gammas < 1.0)):  # NaN fails too
         raise ValueError("every discount must lie in [0, 1)")
     return gammas
 

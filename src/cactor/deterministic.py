@@ -202,16 +202,20 @@ def behavior_clone_update(policy: StochasticPolicy, batch, opt: ap.OptState):
     return policy, opt, -objective
 
 
+_ITEM_BANDWIDTH = 0.5
+
+
 def det_policy_item_probs(policy: DeterministicPolicy, items: np.ndarray,
-                          features, bandwidth: float = 0.5) -> np.ndarray:
+                          features) -> np.ndarray:
     """Discrete action distribution induced by a deterministic policy: a
-    Gaussian kernel around pi(s), normalized over the item-embedding table.
-    Used by the off-policy evaluators, which need probabilities."""
+    Gaussian kernel of bandwidth 0.5 around pi(s), normalized over the
+    item-embedding table.  Used by the off-policy evaluators, which need
+    probabilities."""
     a = np.atleast_2d(policy.act(features))
     d2 = (np.sum(a * a, axis=1, keepdims=True)
           + np.sum(items * items, axis=1)[None, :]
           - 2.0 * a @ items.T)
-    logits = -d2 / (2.0 * bandwidth * bandwidth)
+    logits = -d2 / (2.0 * _ITEM_BANDWIDTH * _ITEM_BANDWIDTH)
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)

@@ -62,9 +62,9 @@ def full_trajectory_ratio(traj: Trajectory, t: int, policy: StochasticPolicy,
 
 
 def _locate(batch_refs):
-    """The store holding the sessions of ``batch_refs`` (Trajectory, t), and
-    per ref its session's first row, its session's length and t.  Every ref
-    must be a session of one dataset."""
+    """The dataset holding the sessions of ``batch_refs`` (Trajectory, t),
+    and per ref its session's first row, its session's length and t.  Every
+    ref must be a session of one dataset."""
     if not batch_refs:
         raise ValueError("empty batch")
     store = batch_refs[0][0]._store
@@ -291,9 +291,12 @@ def summed_value_correlation(critics, dataset: ReplayDataset, discounts) -> floa
 # ---------------------------------------------------------------------------
 
 def ncis_from_weights(weights, rewards) -> np.ndarray:
-    """sum(w * r) / sum(w) per response column; invariant to rescaling w."""
+    """sum(w * r) / sum(w) per response column; invariant to rescaling w.
+    The weights must be finite and nonnegative, with a positive sum."""
     weights = np.asarray(weights, dtype=np.float64)
     rewards = np.atleast_2d(np.asarray(rewards, dtype=np.float64))
+    if not np.all((weights >= 0.0) & (weights < np.inf)):  # NaN fails too
+        raise ValueError("weights must be finite and nonnegative")
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("weights must have positive sum")
@@ -326,7 +329,7 @@ def ncis_evaluate(prob_fn, dataset: ReplayDataset, cfg: NCISConfig) -> dict:
     bad = ~(np.isfinite(p) & (p >= 0.0)).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(f"{dataset._store.where(row)}prob_fn returned {p[row].tolist()} at "
+        raise ValueError(f"{dataset.where(row)}prob_fn returned {p[row].tolist()} at "
                          f"row {row}; probabilities must be finite and nonnegative")
     p = p[np.arange(a.size), a]
     bp = dataset.behavior_prob

@@ -28,6 +28,18 @@ REVIEW_ASPECTS = ("service", "business", "cleanliness", "checkin",
 _REVIEW_HEADER = "# cactor-reviews 1"
 _SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
 
+# Fixed constants of the session model: the item-embedding width, the
+# sparse fire probability scale * sigmoid(slope * affinity - offset), the
+# dense level's base, the engagement step per unit of item quality, and how
+# strongly quality anti-correlates with immediate appeal.
+_EMBED_DIM = 4
+_SPARSE_PROB_SCALE = 0.5
+_SPARSE_SLOPE = 8.0
+_SPARSE_OFFSET = 6.0
+_DENSE_BASE = 1.0
+_ENGAGEMENT_GAIN = 0.2
+_APPEAL_QUALITY_TRADEOFF = 0.8
+
 
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
@@ -37,23 +49,15 @@ def _sigmoid(x):
 class SimConfig:
     n_items: int = 30
     state_dim: int = 10
-    embed_dim: int = 4
     m: int = 4
-    sparse_prob_scale: float = 0.5
     session_length_range: tuple[int, int] = (12, 20)
     seed: int = 0
     dense_noise_std: float = 0.1
-    dense_base: float = 1.0
-    sparse_slope: float = 8.0
-    sparse_offset: float = 6.0
-    engagement_gain: float = 0.2
-    appeal_quality_tradeoff: float = 0.8
 
     def __post_init__(self):
         lo, hi = self.session_length_range
         check_config(self, counts=("n_items",), rules=(
             ("need at least one auxiliary response (m >= 2)", self.m >= 2),
-            ("sparse_prob_scale must lie in (0, 1]", 0.0 < self.sparse_prob_scale <= 1.0),
             ("session_length_range must satisfy 0 < min <= max", 0 < lo <= hi),
             ("state_dim must be at least 4", self.state_dim >= 4),
             ("dense_noise_std must be nonnegative", self.dense_noise_std >= 0)))
@@ -82,16 +86,17 @@ class SessionSimulator:
         c = config
         k = c.state_dim - 2  # core features; slots -2/-1 hold engagement and progress
         self._core_dim = k
-        self.item_embed = rng.normal(size=(c.m, c.n_items, c.embed_dim)) / np.sqrt(c.embed_dim)
-        self.pref_maps = rng.normal(size=(c.m, c.embed_dim, c.state_dim)) / np.sqrt(c.state_dim)
+        e = _EMBED_DIM
+        self.item_embed = rng.normal(size=(c.m, c.n_items, e)) / np.sqrt(e)
+        self.pref_maps = rng.normal(size=(c.m, e, c.state_dim)) / np.sqrt(c.state_dim)
         self.appeal = rng.normal(scale=0.6, size=c.n_items)
         self.sparse_bias = rng.normal(scale=1.0, size=(c.m - 1, c.n_items))
         # quality anti-correlates with immediate appeal: chasing appeal erodes engagement
-        rho = c.appeal_quality_tradeoff
+        rho = _APPEAL_QUALITY_TRADEOFF
         noise = rng.normal(size=c.n_items)
         z = (self.appeal - self.appeal.mean()) / max(self.appeal.std(), 1e-12)
         self.quality = np.tanh(-rho * z + np.sqrt(max(1.0 - rho * rho, 0.0)) * noise)
-        self.fold_map = rng.normal(size=(k, c.embed_dim)) / np.sqrt(c.embed_dim)
+        self.fold_map = rng.normal(size=(k, e)) / np.sqrt(e)
         self.fold_resp = rng.normal(scale=1.0, size=k)
         # per-item constants of the dynamics, item first so that a step
         # gathers each with one index: the affinity bias of each response
@@ -150,17 +155,16 @@ class SessionSimulator:
         shown, each row's dense noise (k,) and sparse uniforms (k, m-1) for
         this step, the step count after this step and the session lengths.
         Returns responses (k, m) and the next features (k, state_dim)."""
-        cfg = self.config
         affinity, sparse_p = self._response_terms(features, items)
         g = features[:, -2]
-        level = cfg.dense_base + affinity + noise
+        level = _DENSE_BASE + affinity + noise
         dense = g * np.where(level > 0.0, level, 0.0)
         response = np.concatenate([dense[:, None], (fire < sparse_p).astype(np.float64)],
                                   axis=1)
         new_core = np.tanh(0.85 * features[:, :self._core_dim] + self._fold_push[items]
                            + (0.1 * response.sum(axis=1))[:, None] * self.fold_resp)
         # np.clip's bits, without its wrapper's cost
-        new_g = np.minimum(np.maximum(g + cfg.engagement_gain * self.quality[items], 0.25), 2.0)
+        new_g = np.minimum(np.maximum(g + _ENGAGEMENT_GAIN * self.quality[items], 0.25), 2.0)
         progress = t / lengths
         return response, np.concatenate([new_core, new_g[:, None], progress[:, None]], axis=1)
 
@@ -170,17 +174,16 @@ class SessionSimulator:
         """Dense affinity (k,) and sparse fire probabilities (k, m-1) at each
         row's (state, item).  Every product is stacked so that each row and
         response runs the one-row kernels (gemv, then dot)."""
-        cfg = self.config
         pref = self.pref_maps @ features[:, None, :, None]  # (k, m, embed_dim, 1)
         x = np.tanh((pref.swapaxes(-1, -2) @ self._embed_rows[items][..., None])[..., 0, 0]
                     + self._bias_rows[items])
-        sparse = cfg.sparse_prob_scale * _sigmoid(cfg.sparse_slope * x[:, 1:] - cfg.sparse_offset)
+        sparse = _SPARSE_PROB_SCALE * _sigmoid(_SPARSE_SLOPE * x[:, 1:] - _SPARSE_OFFSET)
         return x[:, 0], sparse
 
     def response_probs(self, features, item) -> tuple[float, np.ndarray]:
         """Expected dense response and sparse fire probabilities at (state, item)."""
         affinity, sparse = self._response_terms(np.asarray(features)[None], np.array([item]))
-        dense_mean = features[-2] * max(0.0, self.config.dense_base + float(affinity[0]))
+        dense_mean = features[-2] * max(0.0, _DENSE_BASE + float(affinity[0]))
         return dense_mean, sparse[0]
 
 
@@ -335,20 +338,15 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
         metadata={"state_dim": c.state_dim, "n_items": c.n_items})
 
 
-def generate_offline_dataset(config, behavior=None, n_trajectories: int = 0) -> ReplayDataset:
+def generate_offline_dataset(config: SimConfig, behavior,
+                             n_trajectories: int = 0) -> ReplayDataset:
     """Log sessions under a stochastic behavior policy.
 
-    With a SimConfig the behavior must put positive probability on every
-    item; each transition records the probability the behavior assigned to
-    the logged action.  The sessions are rolled in lockstep (``rollout``)
-    with one action stream, (config.seed, "behavior-actions").  With a
-    ReviewDatasetConfig the built-in reviewer model is the behavior and the
-    other arguments are ignored.
+    The behavior must put positive probability on every item; each
+    transition records the probability the behavior assigned to the logged
+    action.  The sessions are rolled in lockstep (``rollout``) with one
+    action stream, (config.seed, "behavior-actions").
     """
-    if isinstance(config, ReviewDatasetConfig):
-        return generate_review_dataset(config)
-    if behavior is None:
-        raise ValueError("a behavior policy is required for simulator datasets")
     sim = SessionSimulator(config)
     action_rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "behavior-actions")))
 

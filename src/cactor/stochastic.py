@@ -95,8 +95,8 @@ def validate_lambdas(lambdas, n_aux: int | None = None) -> np.ndarray:
         raise ValueError("lambdas must be a 1-D vector")
     if n_aux is not None and lam.size != n_aux:
         raise ValueError(f"need {n_aux} multipliers, got {lam.size}")
-    if np.any(lam < 0):
-        raise ValueError("Lagrange multipliers must be nonnegative")
+    if not np.all((lam >= 0.0) & (lam < np.inf)):  # NaN fails too
+        raise ValueError("Lagrange multipliers must be finite and nonnegative")
     return lam
 
 

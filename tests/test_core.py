@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -64,6 +66,16 @@ class TestReturns:
     def test_bad_discount_rejected(self):
         with pytest.raises(ValueError, match="discount"):
             core.discounted_returns(make_traj([[1.0]]), [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_discount_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape("every discount must lie in [0, 1)")):
+            core.check_discounts([bad, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_returns_with_a_non_finite_discount_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape("every discount must lie in [0, 1)")):
+            core.discounted_returns(make_traj([[1.0, 2.0], [3.0, 4.0]]), [bad, 0.5])
 
 
 class TestTDAndAdvantage:
@@ -517,3 +529,29 @@ class TestViews:
         assert np.isnan(ds.behavior_prob[0]) and tr.behavior_prob is None
         ds.trajectories[0].transitions[1].behavior_prob = 0.25
         assert ds.behavior_prob[1] == 0.25
+
+    def test_views_keep_their_dataset_alive_and_nothing_else_does(self):
+        enabled = gc.isenabled()
+        gc.disable()  # every release below is by reference counting alone
+        try:
+            ds = core.ReplayDataset([make_traj([[1.0], [2.0]], session_id="a"),
+                                     make_traj([[3.0]], session_id="b")], m=1)
+            alive = weakref.ref(ds)
+            traj, row = ds.trajectories[1], ds.all_transitions()[0]
+            del ds
+            assert alive() is not None and traj._store is alive() and row._store is alive()
+            first, again = alive().trajectories, alive().trajectories
+            assert [t.session_id for t in first] == ["a", "b"]
+            assert all(a is not b and a._store is b._store is alive()
+                       for a, b in zip(first, again))
+            del traj, first, again
+            assert alive() is not None
+            del row
+            assert alive() is None
+            free = core.Transition(core.State(np.zeros(2)), [1.0], core.terminal_state(2), True)
+            alive = weakref.ref(free._store)
+            del free
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -606,6 +606,14 @@ class TestNCIS:
         b = off.ncis_from_weights(17.3 * w, r)
         assert np.allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("weights, message", [
+        ([np.nan, 1.0], "finite and nonnegative"), ([np.inf, 1.0], "finite and nonnegative"),
+        ([-1.0, 2.0], "finite and nonnegative"), ([0.0, 0.0], "positive sum"),
+    ])
+    def test_bad_weights_rejected(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            off.ncis_from_weights(weights, np.ones((2, 3)))
+
     def test_large_cap_equals_snis_and_weights_monotone(self, mdp):
         behavior = np.full((4, 3), 1.0 / 3.0)
         target = skewed_policy(4, 3, seed=10)

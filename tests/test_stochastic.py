@@ -137,6 +137,12 @@ class TestConstrainedWeight:
         w = one_weight([0.5], 0.5, [1.0], 100.0, clip_max=7.5)
         assert w == 7.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_multipliers_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            stx.validate_lambdas([bad, 1.0])
+        assert stx.validate_lambdas([0.0, 1.0]).tolist() == [0.0, 1.0]
+
     def test_all_zero_multipliers_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             one_weight([0.5], 0.5, [0.0], 0.0, clip_max=20.0)
@@ -334,6 +340,21 @@ class TestTwoStage:
                             metrics=rows)
         kls = [r["kl_aux_1"] for r in rows if r["stage"] == 2]
         assert np.mean(kls[-10:]) < np.mean(kls[:10])
+
+    @pytest.mark.parametrize("lambdas, gammas", [
+        ([np.nan], [0.9, 0.0]), ([np.inf], [0.9, 0.0]), ([1.0], [np.nan, 0.0]),
+    ], ids=["nan-lambda", "inf-lambda", "nan-gamma"])
+    def test_non_finite_input_raises_before_any_training_step(self, tiny_sim, monkeypatch,
+                                                              lambdas, gammas):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a training loop started")
+
+        monkeypatch.setattr(stx, "_actor_critic", no_training)
+        cfg = stx.TwoStageConfig(stage1_iters=2, stage2_iters=2, episodes_per_iter=2)
+        rows = []
+        with pytest.raises(ValueError, match="multipliers must be finite|every discount"):
+            stx.train_two_stage(tiny_sim, lambdas, gammas, cfg, master_seed=1, metrics=rows)
+        assert rows == []
 
     def test_divergence_detection_raises(self, tiny_sim):
         cfg = stx.TwoStageConfig(stage1_iters=50, stage2_iters=0, episodes_per_iter=2,
