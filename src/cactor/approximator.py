@@ -18,6 +18,10 @@ parameter gradients and (k, batch, input_dim) input gradients.  Products
 broadcast through ``@``, so member i's results equal (==) those of a
 separate call on params[i]: numpy's stacked matmul runs the same BLAS kernel
 per member.  ``optimizer_step`` is elementwise and steps a bank as one array.
+
+Allocation: each layer's activation is one fresh array (``h @ w``); bias,
+tanh and head work in place on it, and no caller's array is written, so no
+large temporary is handed back to the kernel and faulted in on every call.
 """
 
 from __future__ import annotations
@@ -128,26 +132,29 @@ def first_layer_size(spec: ApproxSpec) -> int:
 
 def _check_input(spec: ApproxSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 or x.shape[-1] != spec.input_dim:
+        raise ValueError(f"input has shape {x.shape}, spec requires ({spec.input_dim},) "
+                         f"or (..., batch, {spec.input_dim})")
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
-        raise ValueError(f"input has trailing dim {x.shape[-1]}, spec requires {spec.input_dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite entries in input")
     return x, single
 
 
 def _apply_output_activation(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "linear":
-        return z
+    """The head, in place on pre-activation z, an array the pass owns."""
     if kind == "tanh":
-        return np.tanh(z)
-    # softmax with max-subtraction; entries floored at the smallest normal
-    # float so the head always returns strictly positive probabilities
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return np.maximum(e / e.sum(axis=-1, keepdims=True), _TINY)
+        np.tanh(z, out=z)
+    elif kind == "softmax":
+        # max-subtraction; entries floored at the smallest normal float so
+        # the head always returns strictly positive probabilities
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        np.maximum(z, _TINY, out=z)
+    return z
 
 
 def _forward_layers(kind: str, layers, x: np.ndarray):
@@ -155,10 +162,14 @@ def _forward_layers(kind: str, layers, x: np.ndarray):
     hidden = []
     h = x
     for w, b in layers[:-1]:
-        h = np.tanh(h @ w + b)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         hidden.append(h)
     w, b = layers[-1]
-    return _apply_output_activation(kind, h @ w + b), hidden
+    z = h @ w
+    z += b
+    return _apply_output_activation(kind, z), hidden
 
 
 def _forward_pass(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):

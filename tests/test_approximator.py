@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +61,13 @@ class TestForward:
         spec = ap.ApproxSpec(3, (), 2, "linear", seed=0)
         with pytest.raises(ValueError, match="input"):
             ap.forward(spec, np.zeros(spec.param_count), [1.0, 2.0])
+
+    @pytest.mark.parametrize("call", [ap.forward, ap.forward_pullback])
+    def test_zero_d_input_rejected(self, call):
+        spec = ap.ApproxSpec(3, (), 2, "linear", seed=0)
+        with pytest.raises(ValueError, match=r"input has shape \(\), spec requires "
+                                             r"\(3,\) or \(\.\.\., batch, 3\)"):
+            call(spec, np.zeros(spec.param_count), 3.0)
 
     def test_nonfinite_input_rejected(self):
         spec = ap.ApproxSpec(2, (), 1, "linear", seed=0)
@@ -278,3 +287,112 @@ def test_softmax_head_always_a_distribution(seed):
     out = ap.forward(spec, params, rng.normal(size=spec.input_dim) * 10)
     assert np.all(out > 0)
     assert abs(out.sum() - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the pass works in place on its own arrays: same bits, no caller array
+# written, and no more memory than the activations it returns
+# ---------------------------------------------------------------------------
+
+
+def _ref_forward(kind, layers, x):
+    """Out-of-place reference: one fresh array per elementwise step."""
+    hidden, h = [], x
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w + b)
+        hidden.append(h)
+    w, b = layers[-1]
+    z = h @ w + b
+    if kind == "tanh":
+        z = np.tanh(z)
+    elif kind == "softmax":
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        z = np.maximum(e / e.sum(axis=-1, keepdims=True), np.finfo(np.float64).tiny)
+    return z, hidden
+
+
+def _ref_pullback(kind, layers, x, hidden, out, upstream):
+    """(parameter gradient, input gradient) of upstream . out, out of place."""
+    if kind == "linear":
+        delta = upstream
+    elif kind == "tanh":
+        delta = upstream * (1.0 - out * out)
+    else:
+        delta = out * (upstream - np.sum(out * upstream, axis=-1, keepdims=True))
+    acts, grads = [x] + hidden, []
+    for i in range(len(layers) - 1, -1, -1):
+        grads += [delta.sum(axis=-2),
+                  (acts[i].swapaxes(-1, -2) @ delta).reshape(out.shape[:-2] + (-1,))]
+        delta = delta @ layers[i][0].swapaxes(-1, -2)
+        if i > 0:
+            delta = delta * (1.0 - acts[i] * acts[i])
+    return np.concatenate(grads[::-1], axis=-1), delta
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ap.ACTIVATIONS), st.integers(0, 2),
+       st.sampled_from([None, 0, 1, 7]), st.sampled_from([None, 1, 3]), st.booleans())
+def test_forward_equals_out_of_place_reference_and_writes_no_caller_array(
+        seed, head, depth, batch, k, per_member):
+    """batch None is a single row; k None is one net, else a bank of k
+    members whose x is shared or, with a batch, per member."""
+    rng = np.random.default_rng(seed)
+    hidden = tuple(int(rng.integers(1, 12)) for _ in range(depth))
+    spec = ap.ApproxSpec(int(rng.integers(1, 8)), hidden, int(rng.integers(1, 8)), head,
+                         seed=seed)
+    scale = rng.uniform(0.5, 5.0)
+    params = (ap.init_params(spec) * scale if k is None else
+              np.stack([ap.init_params(replace(spec, seed=seed + i)) * scale
+                        for i in range(k)]))
+    per_member = per_member and k is not None and batch is not None
+    x = rng.normal(size=(((k,) if per_member else ()) + (() if batch is None else (batch,))
+                         + (spec.input_dim,))) * 3
+    params0, x0 = params.copy(), x.copy()
+
+    x2 = x[None, :] if batch is None else x
+    layers = ap.unpack_params(spec, params)
+    ref_out, ref_hidden = _ref_forward(head, layers, x2)
+    upstream = rng.normal(size=ref_out.shape)
+    ref_grad, ref_xgrad = _ref_pullback(head, layers, x2, ref_hidden, ref_out, upstream)
+    if batch is None:
+        ref_out, ref_xgrad, upstream = ref_out[..., 0, :], ref_xgrad[..., 0, :], upstream[..., 0, :]
+
+    assert _bitwise_equal(ap.forward(spec, params, x), ref_out)
+    assert _bitwise_equal(params, params0) and _bitwise_equal(x, x0)
+    out, pullback = ap.forward_pullback(spec, params, x)
+    assert _bitwise_equal(out, ref_out)
+    grad, none = pullback(upstream)
+    assert none is None and _bitwise_equal(grad, ref_grad)
+    grad, xgrad = pullback(upstream, want_input=True)
+    assert _bitwise_equal(grad, ref_grad) and _bitwise_equal(xgrad, ref_xgrad)
+    assert _bitwise_equal(params, params0) and _bitwise_equal(x, x0)
+
+    if batch is not None and (k is None or per_member):
+        rows = ap.row_evaluator(spec, params)(x)
+        ref_rows = _ref_forward(head, ap.unpack_params(spec, params[..., None, :]),
+                                x[..., None, :])[0][..., 0, :]
+        assert _bitwise_equal(rows, ref_rows)
+        assert _bitwise_equal(params, params0) and _bitwise_equal(x, x0)
+
+
+@pytest.mark.parametrize("head", ap.ACTIVATIONS)
+def test_forward_peak_memory_is_its_activations(head):
+    """A 4096-row forward allocates its hidden and output activations once:
+    its traced peak stays within them, one input-sized bool mask (the
+    finiteness check) and 64 KiB for small temporaries."""
+    rows, spec = 4096, ap.ApproxSpec(28, (32,), 25, head, seed=1)
+    params = ap.init_params(spec)
+    x = np.random.default_rng(0).normal(size=(rows, spec.input_dim))
+    ap.forward(spec, params, x)
+    tracemalloc.start()
+    try:
+        ap.forward(spec, params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = rows * (sum(spec.hidden_layers) + spec.output_dim) * 8 + x.size + 64 * 1024
+    assert peak <= budget, (peak, budget)
