@@ -17,32 +17,31 @@ step, each session's rows contiguous and in step order:
   offsets (n_sessions + 1,)    session k is rows offsets[k]:offsets[k + 1]
   session_ids                  one per session
 
-Every way of building a dataset (``ReplayDataset.from_columns``,
-``ReplayDataset(trajectories)``, ``Trajectory(transitions)``,
-``Transition(...)``, ``load_dataset``, ``sim.rollout``) checks whole columns
-once: finite features and responses, behavior_prob in (0, 1], a done row
-leads to a terminal state and ends its session, no empty session, and
-``next_states[k] == states[k + 1]`` inside each session.
+One builder.  ``ReplayDataset.from_columns`` builds every dataset
+(``load_dataset``, ``sim.rollout``, ``sim.run_episode`` and the review
+corpus call it) and checks whole columns once: a coded column (action_index,
+done, next_terminal) that arrives with another dtype keeps every value in
+the cast to its own (an action index of 1.7 or a done of 2 is rejected,
+not stored as 1 or True), finite features and responses, behavior_prob in
+(0, 1], a done row leads to a terminal state and ends its session, no empty
+session, and ``next_states[k] == states[k + 1]`` inside each session.  A
+column that arrives C-contiguous with its own dtype is neither copied nor
+cast.
 
-Views.  A Trajectory is a view of one session of a dataset and a Transition
-a view of one row (a Transition or Trajectory built on its own is a view of
-a new one-row or one-session dataset); neither holds a copy, and reading an
+Views.  A Trajectory is a read-only view of one session of a dataset, a
+Transition of one row, and a State, a plain (features, terminal) pair, of
+one row of states or next_states.  None of them holds a copy: reading an
 attribute reads the columns.  A dataset holds no reference to its views, so
-it is freed as soon as it and the last of its views are dropped.  Views are
-read-only: logged sessions are read, not edited, and a changed dataset is
-built with ``ReplayDataset.from_columns``, or its columns are written
-directly (``ds.responses[k, 1] = 0.0``).  One attribute stays writable,
-because the benchmark's round-trip check edits it through a row:
-``tr.behavior_prob = p`` checks p as a dataset build would (in (0, 1], or
-None for unknown) and writes it into the column.  In-place edits of a row's
-arrays (``tr.response[1] = 0.0``, ``tr.state.features[:] = x``) and writes
-into the columns are not checked.  states and next_states are separate
-columns, so editing one row's state does not move the previous row's
-next_state.
-
-``Trajectory(transitions)`` and ``ReplayDataset(trajectories)`` copy the
-rows into a new dataset and return views of it; the objects passed in stay
-views of their own datasets.
+it is freed as soon as it and the last of its views are dropped.  Logged
+sessions are read, not edited: a changed dataset is built with
+``from_columns``, or its columns are written directly
+(``ds.responses[k, 1] = 0.0``).  One attribute stays writable, because a
+benchmark self-test edits a loaded dataset through a row: ``tr.behavior_prob
+= p`` checks p as a build would (in (0, 1], or None for unknown) and writes
+it into the column.  In-place edits of a row's arrays (``tr.response[1] =
+0.0``, ``tr.state.features[:] = x``) and writes into the columns are not
+checked.  states and next_states are separate columns, so editing one row's
+state does not move the previous row's next_state.
 """
 
 from __future__ import annotations
@@ -53,31 +52,16 @@ import numpy as np
 
 _COLUMNS = ("states", "next_states", "next_terminal", "action_index",
             "behavior_prob", "responses", "done")
+_DTYPES = {"next_terminal": bool, "done": bool, "action_index": np.intp}  # the rest float64
 
 
 @dataclass(frozen=True)
 class State:
+    """One session state: a view of a row of a dataset's states or
+    next_states, or the simulator's current state."""
+
     features: np.ndarray
     terminal: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.features.ndim != 1:
-            raise ValueError("state features must be a 1-D vector")
-        if not np.isfinite(self.features).all():
-            raise ValueError("non-finite state features")
-
-    @classmethod
-    def _view(cls, features: np.ndarray, terminal: bool = False) -> State:
-        """A State over one row of a checked dataset: no copy, no re-check."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "features", features)
-        object.__setattr__(state, "terminal", terminal)
-        return state
-
-
-def terminal_state(state_dim: int) -> State:
-    return State(np.zeros(state_dim), terminal=True)
 
 
 def _raise_first(checks, where):
@@ -94,30 +78,6 @@ def _raise_first(checks, where):
         raise ValueError(where(first[0]) + first[1](first[0]))
 
 
-def _check_columns(cols: dict, offsets: np.ndarray, where):
-    """The dataset's invariants over whole columns (see the module docstring)."""
-    n = cols["done"].size
-    last = np.zeros(n, dtype=bool)
-    last[offsets[1:] - 1] = True
-    bp, a = cols["behavior_prob"], cols["action_index"]
-    chain = np.zeros(n, dtype=bool)  # row k: the chain from row k - 1 is broken
-    chain[1:] = ~last[:-1] & np.any(cols["next_states"][:-1] != cols["states"][1:], axis=1)
-    step = np.arange(n) - np.repeat(offsets[:-1], np.diff(offsets))
-    _raise_first([
-        (~np.all(np.isfinite(cols["states"]), axis=1), lambda k: "non-finite state features"),
-        (~np.all(np.isfinite(cols["next_states"]), axis=1),
-         lambda k: "non-finite next_state features"),
-        (~np.all(np.isfinite(cols["responses"]), axis=1),
-         lambda k: "non-finite response values"),
-        ((bp <= 0.0) | (bp > 1.0), lambda k: f"behavior_prob {float(bp[k])} outside (0, 1]"),
-        (a < -1, lambda k: f"negative action index {int(a[k])}"),
-        (cols["done"] & ~cols["next_terminal"],
-         lambda k: "done transition must lead to a terminal state"),
-        (cols["done"] & ~last, lambda k: "only the last transition may be terminal"),
-        (chain, lambda k: f"state chain broken between steps {step[k] - 1} and {step[k]}"),
-    ], where)
-
-
 def _empty_columns(state_dim: int, m: int) -> dict:
     return {"states": np.zeros((0, state_dim)), "next_states": np.zeros((0, state_dim)),
             "next_terminal": np.zeros(0, dtype=bool),
@@ -125,38 +85,8 @@ def _empty_columns(state_dim: int, m: int) -> dict:
             "responses": np.zeros((0, m)), "done": np.zeros(0, dtype=bool)}
 
 
-def _concat(parts, state_dim: int, m: int, label) -> dict:
-    """Columns of the row ranges ``parts`` = [(dataset, lo, hi), ...], in
-    order.  Every dataset must have ``state_dim`` and ``m``; ``label(j)``
-    names part j in the error when one does not."""
-    for j, (st, _, _) in enumerate(parts):
-        if (st.states.shape[1], st.m) != (state_dim, m):
-            raise ValueError(f"{label(j)} has state_dim={st.states.shape[1]} and m={st.m}, "
-                             f"expected state_dim={state_dim} and m={m}")
-    if not parts:
-        return _empty_columns(state_dim, m)
-    return {name: np.concatenate([getattr(st, name)[lo:hi] for st, lo, hi in parts])
-            for name in _COLUMNS}
-
-
-def _action_code(a) -> int:
-    if a is None:
-        return -1
-    if not (np.isfinite(a) and int(a) == a and a >= 0):
-        raise ValueError(f"action index {a} is not a nonnegative integer")
-    return int(a)
-
-
-def _prob_code(p) -> float:
-    if p is None:
-        return np.nan
-    if p != p:
-        raise ValueError(f"behavior_prob {p} outside (0, 1]")
-    return float(p)
-
-
 class Transition:
-    """One logged step: a read-only view of one row of a dataset (module
+    """One logged step: a read-only view of row ``row`` of ``store`` (module
     docstring), with behavior_prob the one writable attribute.
 
     behavior_prob is the probability the logging policy assigned to the
@@ -165,34 +95,17 @@ class Transition:
 
     __slots__ = ("_store", "_row")
 
-    def __init__(self, state: State, response, next_state: State, done: bool,
-                 action_index: int | None = None, behavior_prob: float | None = None):
-        if state.terminal:
-            raise ValueError("a transition cannot start from a terminal state")
-        response = np.asarray(response, dtype=np.float64)
-        if response.ndim != 1:
-            raise ValueError("response must be a 1-D vector")
-        self._store = ReplayDataset.from_columns(
-            states=state.features[None], next_states=next_state.features[None],
-            next_terminal=[next_state.terminal], action_index=[_action_code(action_index)],
-            behavior_prob=[_prob_code(behavior_prob)], responses=response[None],
-            done=[done], offsets=[0, 1], session_ids=[None], m=response.size)
-        self._row = 0
-
-    @classmethod
-    def _view(cls, store: ReplayDataset, row: int) -> Transition:
-        tr = object.__new__(cls)
-        tr._store, tr._row = store, row
-        return tr
+    def __init__(self, store: ReplayDataset, row: int):
+        self._store, self._row = store, row
 
     @property
     def state(self) -> State:
-        return State._view(self._store.states[self._row])
+        return State(self._store.states[self._row])
 
     @property
     def next_state(self) -> State:
         st, k = self._store, self._row
-        return State._view(st.next_states[k], bool(st.next_terminal[k]))
+        return State(st.next_states[k], bool(st.next_terminal[k]))
 
     @property
     def response(self) -> np.ndarray:
@@ -220,33 +133,16 @@ class Transition:
         self._store.behavior_prob[self._row] = p
 
     def __repr__(self):
-        return f"Transition({self._store.where(self._row)[:-2] or 'free row'})"
+        return f"Transition({self._store.where(self._row)[:-2]})"
 
 
 class Trajectory:
-    """One session: a read-only view of rows [lo, hi) of a dataset (module
-    docstring).  ``Trajectory(transitions)`` copies the rows into a new
-    one-session dataset."""
+    """One session: a read-only view of session ``k`` of ``store``, its rows
+    offsets[k]:offsets[k + 1] (module docstring)."""
 
     __slots__ = ("_store", "_k", "_lo", "_hi")
 
-    def __init__(self, transitions, session_id: str = "session-0"):
-        transitions = list(transitions)
-        if not transitions:
-            raise ValueError("empty trajectory")
-        first = transitions[0]._store
-        cols = _concat([(tr._store, tr._row, tr._row + 1) for tr in transitions],
-                       first.states.shape[1], first.m, lambda t: f"step {t}")
-        self._point(ReplayDataset.from_columns(**cols, offsets=[0, len(transitions)],
-                                               session_ids=[session_id], m=first.m), 0)
-
-    @classmethod
-    def _view(cls, store: ReplayDataset, k: int) -> Trajectory:
-        traj = object.__new__(cls)
-        traj._point(store, k)
-        return traj
-
-    def _point(self, store: ReplayDataset, k: int):
+    def __init__(self, store: ReplayDataset, k: int):
         self._store, self._k = store, k
         self._lo, self._hi = int(store.offsets[k]), int(store.offsets[k + 1])
 
@@ -257,7 +153,7 @@ class Trajectory:
     @property
     def transitions(self) -> list[Transition]:
         """A fresh view of each row, built on every read."""
-        return [Transition._view(self._store, k) for k in range(self._lo, self._hi)]
+        return [Transition(self._store, k) for k in range(self._lo, self._hi)]
 
     @property
     def responses(self) -> np.ndarray:
@@ -275,42 +171,21 @@ class Trajectory:
 
 
 class ReplayDataset:
-    """Logged sessions as columns (module docstring), checked when built.
-    ``ReplayDataset(trajectories)`` copies their rows into a new dataset;
-    every trajectory must have ``m`` and the first one's state_dim."""
+    """Logged sessions as columns (module docstring), checked when built by
+    ``from_columns``, the one builder."""
 
     __slots__ = (*_COLUMNS, "offsets", "session_ids", "m", "metadata", "__weakref__")
-
-    def __init__(self, trajectories, m: int, metadata: dict | None = None):
-        trajectories = list(trajectories)
-        metadata = {} if metadata is None else metadata
-        state_dim = (trajectories[0]._store.states.shape[1] if trajectories
-                     else int(metadata.get("state_dim", 0)))
-        lengths = [len(t) for t in trajectories]
-        cols = _concat([(t._store, t._lo, t._hi) for t in trajectories], state_dim, m,
-                       lambda j: f"trajectory {trajectories[j].session_id}")
-        self._build(cols, np.concatenate([[0], np.cumsum(lengths, dtype=np.intp)]),
-                    [t.session_id for t in trajectories], m, metadata)
 
     @classmethod
     def from_columns(cls, *, offsets, session_ids, m: int, metadata: dict | None = None,
                      where=None, **columns) -> ReplayDataset:
-        """A dataset over ``columns``, one keyword per column (module
-        docstring), checked once; a column that is already C-contiguous with
-        its dtype is not copied.  ``where(row)`` names a row in error
-        messages, e.g. by file and line; by default rows are named by session
-        and step."""
-        data = cls.__new__(cls)
-        data._build(columns, offsets, session_ids, m, {} if metadata is None else metadata,
-                    where)
-        return data
-
-    def _build(self, cols: dict, offsets, session_ids, m: int, metadata: dict, where=None):
-        if set(cols) != set(_COLUMNS):
-            raise ValueError(f"columns {sorted(cols)}, expected {sorted(_COLUMNS)}")
-        dtypes = {"next_terminal": bool, "done": bool, "action_index": np.intp}
-        cols = {name: np.ascontiguousarray(cols[name], dtype=dtypes.get(name, np.float64))
-                for name in _COLUMNS}
+        """A dataset over ``columns``, one keyword per column, checked once
+        (module docstring); a column that is already C-contiguous with its
+        dtype is not copied.  ``where(row)`` names a row in error messages,
+        e.g. by file and line; by default rows are named by session and step."""
+        if set(columns) != set(_COLUMNS):
+            raise ValueError(f"columns {sorted(columns)}, expected {sorted(_COLUMNS)}")
+        cols = {name: np.asarray(columns[name]) for name in _COLUMNS}
         n = cols["done"].size
         dim = cols["states"].shape[-1] if cols["states"].ndim == 2 else "state_dim"
         for name, col in cols.items():
@@ -318,34 +193,63 @@ class ReplayDataset:
                 name, (n,))
             if col.shape != want:
                 raise ValueError(f"{name} has shape {col.shape}, expected {want}")
-            setattr(self, name, col)
-        self.offsets = np.asarray(offsets, dtype=np.intp)
-        self.session_ids, self.m, self.metadata = list(session_ids), m, metadata
-        if (self.offsets.ndim != 1 or self.offsets.size != len(self.session_ids) + 1
-                or self.offsets[0] != 0 or self.offsets[-1] != n):
+        data = cls.__new__(cls)
+        data.offsets = np.asarray(offsets, dtype=np.intp)
+        data.session_ids, data.m = list(session_ids), m
+        data.metadata = {} if metadata is None else metadata
+        if (data.offsets.ndim != 1 or data.offsets.size != len(data.session_ids) + 1
+                or data.offsets[0] != 0 or data.offsets[-1] != n):
             raise ValueError(f"offsets must run from 0 to {n} with one entry per session "
                              "plus one")
-        empty = np.diff(self.offsets) <= 0
+        empty = np.diff(data.offsets) <= 0
         if empty.any():
-            raise ValueError(f"session {self.session_ids[int(np.argmax(empty))]}: "
+            raise ValueError(f"session {data.session_ids[int(np.argmax(empty))]}: "
                              "empty trajectory")
-        _check_columns(cols, self.offsets, where or self.where)
+        checks = []  # (row mask, row -> message): first each row whose value a cast changes
+        with np.errstate(invalid="ignore"):  # NaN or inf cast to intp: flagged below
+            for name, raw in cols.items():
+                col = np.ascontiguousarray(raw, dtype=_DTYPES.get(name, np.float64))
+                if name in _DTYPES and raw.dtype != col.dtype:  # e.g. action index 1.7 to 1
+                    what = "an integer" if name == "action_index" else "0 or 1"
+                    checks.append((col != raw, lambda k, raw=raw, name=name, what=what:
+                                   f"{name} {_num(raw[k])} is not {what}"))
+                setattr(data, name, col)
+        offsets, bp, a, done = data.offsets, data.behavior_prob, data.action_index, data.done
+        last = np.zeros(n, dtype=bool)
+        last[offsets[1:] - 1] = True
+        chain = np.zeros(n, dtype=bool)  # row k: the chain from row k - 1 is broken
+        chain[1:] = ~last[:-1] & np.any(data.next_states[:-1] != data.states[1:], axis=1)
+        step = np.arange(n) - np.repeat(offsets[:-1], np.diff(offsets))
+        _raise_first([
+            *checks,
+            (~np.all(np.isfinite(data.states), axis=1), lambda k: "non-finite state features"),
+            (~np.all(np.isfinite(data.next_states), axis=1),
+             lambda k: "non-finite next_state features"),
+            (~np.all(np.isfinite(data.responses), axis=1),
+             lambda k: "non-finite response values"),
+            ((bp <= 0.0) | (bp > 1.0), lambda k: f"behavior_prob {float(bp[k])} outside (0, 1]"),
+            (a < -1, lambda k: f"negative action index {int(a[k])}"),
+            (done & ~data.next_terminal,
+             lambda k: "done transition must lead to a terminal state"),
+            (done & ~last, lambda k: "only the last transition may be terminal"),
+            (chain, lambda k: f"state chain broken between steps {step[k] - 1} and {step[k]}"),
+        ], where or data.where)
+        return data
 
     def where(self, row: int) -> str:
-        """'session <id> step <t>: ', or '' for a row of no named session."""
+        """'session <id> step <t>: ', the prefix that names ``row``."""
         k = int(np.searchsorted(self.offsets, row, side="right")) - 1
-        sid = self.session_ids[k]
-        return "" if sid is None else f"session {sid} step {row - int(self.offsets[k])}: "
+        return f"session {self.session_ids[k]} step {row - int(self.offsets[k])}: "
 
     @property
     def trajectories(self) -> list[Trajectory]:
         """A fresh view of each session, built on every read: the dataset
         holds no reference to its views, so it is freed as soon as the last
         of them is dropped."""
-        return [Trajectory._view(self, k) for k in range(len(self.session_ids))]
+        return [Trajectory(self, k) for k in range(len(self.session_ids))]
 
     def all_transitions(self) -> list[Transition]:
-        return [Transition._view(self, k) for k in range(self.n_transitions)]
+        return [Transition(self, k) for k in range(self.n_transitions)]
 
     @property
     def n_transitions(self) -> int:

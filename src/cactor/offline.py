@@ -69,8 +69,8 @@ def _locate(batch_refs):
         raise ValueError("empty batch")
     store = batch_refs[0][0]._store
     if any(traj._store is not store for traj, _ in batch_refs):
-        raise ValueError("batch refs span several datasets; build one ReplayDataset of "
-                         "their trajectories and take the refs from its trajectories")
+        raise ValueError("batch refs span several datasets; build one dataset of their "
+                         "sessions' columns and take the refs from its trajectories")
     lo = np.array([traj._lo for traj, _ in batch_refs], dtype=np.intp)
     n = np.array([traj._hi for traj, _ in batch_refs], dtype=np.intp) - lo
     return store, lo, n, np.array([t for _, t in batch_refs], dtype=np.intp)

@@ -12,12 +12,12 @@ genuinely outperform myopic ones on the dense response.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ReplayDataset, State, Trajectory, Transition, _parse_dims, check_config,
-                   terminal_state)
+from .core import ReplayDataset, State, Trajectory, _parse_dims, check_config
 from .seeding import derive_seed
 
 REVIEW_M = 8
@@ -181,10 +181,19 @@ class SessionSimulator:
         return x[:, 0], sparse
 
     def response_probs(self, features, item) -> tuple[float, np.ndarray]:
-        """Expected dense response and sparse fire probabilities at (state, item)."""
+        """Expected dense response and sparse fire probabilities at (state, item).
+
+        The dense response is g * max(0, mu + noise) with noise ~ N(0, sigma^2),
+        so its mean is that of a rectified normal, g * (mu Phi(mu / sigma) +
+        sigma phi(mu / sigma)), and g * max(0, mu) when sigma = 0."""
         affinity, sparse = self._response_terms(np.asarray(features)[None], np.array([item]))
-        dense_mean = features[-2] * max(0.0, _DENSE_BASE + float(affinity[0]))
-        return dense_mean, sparse[0]
+        mu, sigma = _DENSE_BASE + float(affinity[0]), self.config.dense_noise_std
+        if sigma == 0.0:
+            return features[-2] * max(0.0, mu), sparse[0]
+        z = mu / sigma
+        cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return features[-2] * (mu * cdf + sigma * pdf), sparse[0]
 
 
 class UniformRandomPolicy:
@@ -228,34 +237,33 @@ def _reject(p):
     raise ValueError(f"probabilities do not sum to 1 (sums {total})")
 
 
-def _transition(state, item, prob, response, next_state, done) -> Transition:
-    """One logged step.  The terminal next_state is canonicalized to a zero
-    feature vector (its value is never bootstrapped), which keeps the text
-    format round trip exact."""
-    return Transition(state=state, response=response,
-                      next_state=terminal_state(state.features.size) if done else next_state,
-                      done=done, action_index=item, behavior_prob=prob)
-
-
 def run_episode(sim: SessionSimulator, select, episode_seed: int,
                 session_id: str | None = None) -> Trajectory:
     """Roll one session.  ``select(features) -> (item, behavior_prob | None)``.
 
     The session draws from its own episode stream (see SessionSimulator);
     any action stream belongs to ``select``.  ``rollout`` steps many sessions
-    together and gives the same trajectories.
+    together and gives the same trajectories.  The terminal next_state is
+    canonicalized to a zero feature vector (its value is never bootstrapped),
+    which keeps the text format round trip exact.
     """
     state = sim.reset(episode_seed)
-    transitions = []
+    steps = []
     done = False
     while not done:
         item, prob = select(state.features)
-        if prob is not None and prob <= 0.0:
+        if prob is not None and not prob > 0.0:  # NaN fails too
             raise ValueError(f"behavior policy assigned probability {prob} to item {item}")
-        next_state, response, done = sim.step(item)
-        transitions.append(_transition(state, item, prob, response, next_state, done))
-        state = next_state
-    return Trajectory(transitions, session_id=session_id or f"ep-{episode_seed}")
+        features = state.features
+        state, response, done = sim.step(item)
+        steps.append((features, item, np.nan if prob is None else prob, response))
+    states, items, probs, responses = map(np.array, zip(*steps))
+    ends = np.arange(len(steps)) == len(steps) - 1
+    return ReplayDataset.from_columns(
+        states=states, next_states=np.concatenate([states[1:], np.zeros_like(states[:1])]),
+        next_terminal=ends, action_index=items, behavior_prob=probs, responses=responses,
+        done=ends, offsets=[0, len(steps)], session_ids=[session_id or f"ep-{episode_seed}"],
+        m=sim.config.m).trajectories[0]
 
 
 def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
@@ -339,7 +347,7 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
 
 
 def generate_offline_dataset(config: SimConfig, behavior,
-                             n_trajectories: int = 0) -> ReplayDataset:
+                             n_trajectories: int) -> ReplayDataset:
     """Log sessions under a stochastic behavior policy.
 
     The behavior must put positive probability on every item; each

@@ -238,7 +238,11 @@ def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
     positive probabilities; with lambda_i = 0 the factor is independent of
     auxiliary i.  Computed in log space; always strictly positive.
     ``floor`` optionally raises tiny weights to a positive constant
-    (variance control; 0 disables it)."""
+    (variance control; 0 disables it).  Requires clip_max > 0 and 0 <= floor
+    <= clip_max, as ``TwoStageConfig`` does."""
+    if not (clip_max > 0.0 and 0.0 <= floor <= clip_max):  # NaN fails too
+        raise ValueError(f"need clip_max > 0 and 0 <= floor <= clip_max, got "
+                         f"clip_max={clip_max} and floor={floor}")
     lam = validate_lambdas(lambdas, aux_probs.shape[0])
     total = lam.sum()
     if total <= 0.0:

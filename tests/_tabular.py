@@ -7,7 +7,9 @@ logged state visitation is close to stationary for any policy.
 
 import numpy as np
 
-from cactor.core import ReplayDataset, State, Trajectory, Transition, terminal_state
+from cactor.core import ReplayDataset
+
+from _rows import dataset, session
 
 
 class TabularMDP:
@@ -46,7 +48,7 @@ class TabularMDP:
     def log_dataset(self, behavior, n_steps, seed, episode_len=25, warmup=8) -> ReplayDataset:
         rng = np.random.default_rng(seed)
         eye = np.eye(self.n_states)
-        trajectories = []
+        sessions = []
         steps = 0
         ep = 0
         while steps < n_steps:
@@ -54,23 +56,19 @@ class TabularMDP:
             for _ in range(warmup):
                 a = int(rng.choice(self.n_actions, p=behavior[s]))
                 s = int(rng.choice(self.n_states, p=self.P[s, a]))
-            transitions = []
+            visited, actions = [], []
             length = min(episode_len, n_steps - steps)
             for t in range(length):
                 a = int(rng.choice(self.n_actions, p=behavior[s]))
-                s2 = int(rng.choice(self.n_states, p=self.P[s, a]))
-                done = t == length - 1
-                transitions.append(Transition(
-                    State(eye[s]), self.R[s, a].copy(),
-                    terminal_state(self.n_states) if done else State(eye[s2]),
-                    done, action_index=a, behavior_prob=float(behavior[s, a])))
-                s = s2
-            trajectories.append(Trajectory(transitions, session_id=f"tab-{ep}"))
+                visited.append(s)
+                actions.append(a)
+                s = int(rng.choice(self.n_states, p=self.P[s, a]))
+            sessions.append(session(eye[visited], self.R[visited, actions], actions,
+                                    behavior[visited, actions], sid=f"tab-{ep}"))
             steps += length
             ep += 1
-        return ReplayDataset(trajectories, m=self.m,
-                             metadata={"state_dim": self.n_states,
-                                       "n_items": self.n_actions})
+        return dataset(*sessions, metadata={"state_dim": self.n_states,
+                                            "n_items": self.n_actions})
 
 
 def table_prob_fn(table):

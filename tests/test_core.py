@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 
 from cactor import core
 
+from _rows import dataset, rebuilt, session
 
-def make_traj(rewards, state_dim=3, session_id="s", behavior_prob=0.5):
-    """Chain trajectory with the given per-step reward vectors."""
+
+def chain(rewards, state_dim=3, session_id="s", behavior_prob=0.5):
+    """A session with the given per-step reward vectors, whose state at step
+    t is t in every feature; it ends done."""
     rewards = np.atleast_2d(np.asarray(rewards, dtype=np.float64))
-    n = rewards.shape[0]
-    states = [core.State(np.full(state_dim, float(t))) for t in range(n)]
-    states.append(core.terminal_state(state_dim))
-    trs = []
-    for t in range(n):
-        trs.append(core.Transition(
-            state=states[t], response=rewards[t],
-            next_state=states[t + 1], done=t == n - 1, action_index=0,
-            behavior_prob=behavior_prob))
-    return core.Trajectory(trs, session_id=session_id)
+    states = np.repeat(np.arange(len(rewards), dtype=np.float64)[:, None], state_dim, axis=1)
+    return session(states, rewards, 0, behavior_prob, sid=session_id)
+
+
+def make_traj(*args, **kwargs):
+    return dataset(chain(*args, **kwargs)).trajectories[0]
 
 
 def brute_force_returns(rewards, gammas):
@@ -126,60 +125,62 @@ class TestRankItems:
 
 class TestInvariants:
     def test_done_requires_terminal_next_state(self):
-        s = core.State(np.zeros(2))
-        with pytest.raises(ValueError, match="terminal"):
-            core.Transition(state=s, response=np.array([0.0]),
-                            next_state=core.State(np.zeros(2)), done=True)
+        ds = dataset(chain([[1.0]]))
+        with pytest.raises(ValueError, match="session s step 0: done transition must lead to "
+                                             "a terminal state"):
+            rebuilt(ds, next_terminal=[False])
 
     def test_broken_chain_rejected(self):
-        s0, s1 = core.State(np.zeros(2)), core.State(np.ones(2))
-        tr0 = core.Transition(s0, np.array([0.0]),
-                              core.State(np.full(2, 9.0)), False)
-        tr1 = core.Transition(s1, np.array([0.0]),
-                              core.terminal_state(2), True)
-        with pytest.raises(ValueError, match="chain"):
-            core.Trajectory([tr0, tr1])
+        ds = dataset(chain([[0.0], [0.0]]))
+        with pytest.raises(ValueError, match="state chain broken between steps 0 and 1"):
+            rebuilt(ds, next_states=np.array([[9.0] * 3, [0.0] * 3]))
 
     def test_mid_trajectory_done_rejected(self):
-        t1 = make_traj([[1.0], [2.0]])
-        early_done = t1.transitions[1]
+        ds = dataset(chain([[1.0], [2.0]]))
         with pytest.raises(ValueError, match="last"):
-            core.Trajectory([early_done, early_done])
+            rebuilt(ds, done=[True, True], next_terminal=[True, True])
 
     def test_dataset_m_consistency(self):
-        with pytest.raises(ValueError, match="m="):
-            core.ReplayDataset([make_traj([[1.0]]), make_traj([[1.0, 2.0]])], m=1)
+        ds = dataset(chain([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match=re.escape("responses has shape (1, 2), "
+                                                       "expected (1, 1)")):
+            rebuilt(ds, m=1)
 
-    @pytest.mark.parametrize("state_dim,m", [(2, 1), (3, 2)], ids=["state_dim", "m"])
-    def test_trajectory_of_rows_of_another_shape_names_the_step(self, state_dim, m):
-        rows = make_traj([[1.0]] * 2).transitions
-        odd = core.Transition(core.State(np.ones(state_dim)), np.ones(m),
-                              core.terminal_state(state_dim), True)
-        with pytest.raises(ValueError, match=re.escape(
-                f"step 2 has state_dim={state_dim} and m={m}, expected state_dim=3 and m=1")):
-            core.Trajectory([*rows, odd])
-
-    def test_dataset_of_sessions_of_another_state_dim_names_the_session(self):
-        trajs = [make_traj([[1.0]], session_id="a"), make_traj([[1.0]], 4, session_id="b")]
-        with pytest.raises(ValueError, match=re.escape(
-                "trajectory b has state_dim=4 and m=1, expected state_dim=3 and m=1")):
-            core.ReplayDataset(trajs, m=1)
-
-    @pytest.mark.parametrize("index", [-1, 1.5, float("inf"), float("nan")])
+    @pytest.mark.parametrize("index", [-2.0, 1.5, 1.7, float("inf"), float("nan")])
     def test_bad_action_index_rejected(self, index):
-        with pytest.raises(ValueError, match=f"action index {index} is not a nonnegative "
-                                             "integer"):
-            core.Transition(core.State(np.zeros(2)), [0.0], core.terminal_state(2), True,
-                            action_index=index)
+        """A float action column must keep every value in the cast to intp,
+        which would store 1.7 as 1."""
+        ds = dataset(chain([[1.0], [2.0]]), chain([[3.0]], session_id="b"))
+        message = ("negative action index -2" if index == -2.0
+                   else f"action_index {index:g} is not an integer")
+        with pytest.raises(ValueError, match=re.escape(f"session s step 1: {message}")):
+            rebuilt(ds, action_index=[0.0, index, -1.0])
+
+    @pytest.mark.parametrize("name", ["done", "next_terminal"])
+    @pytest.mark.parametrize("value", [2, -1, 0.5, float("nan")])
+    def test_flags_other_than_0_and_1_rejected(self, name, value):
+        """A done or next_terminal of another dtype must keep every value in
+        the cast to bool, which would store 2 as True; the file and line name
+        the row when ``where`` is given."""
+        ds = dataset(chain([[1.0], [2.0]]))
+        flags = [0, value] if isinstance(value, int) else [0.0, value]
+        with pytest.raises(ValueError, match=re.escape(f"f.txt:4: {name} {value:g} is not "
+                                                       "0 or 1")):
+            rebuilt(ds, **{name: flags}, where=lambda k: f"f.txt:{k + 3}: ")
+
+    def test_integral_codes_of_another_dtype_are_accepted(self):
+        ds = dataset(chain([[1.0], [2.0]]))
+        got = rebuilt(ds, action_index=[-1.0, 4.0], done=[0, 1], next_terminal=[0.0, 1.0])
+        assert got.action_index.dtype == np.intp and got.action_index.tolist() == [-1, 4]
+        assert got.done.tolist() == got.next_terminal.tolist() == [False, True]
 
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        trajs = [make_traj(rng.normal(size=(5, 2)), session_id=f"s{k}",
-                           behavior_prob=float(rng.uniform(0.1, 1.0)))
-                 for k in range(3)]
-        ds = core.ReplayDataset(trajs, m=2, metadata={"state_dim": 3, "n_items": 2})
+        ds = dataset(*[chain(rng.normal(size=(5, 2)), session_id=f"s{k}",
+                             behavior_prob=float(rng.uniform(0.1, 1.0))) for k in range(3)],
+                     metadata={"state_dim": 3, "n_items": 2})
         path = tmp_path / "data.txt"
         core.save_dataset(path, ds)
         ds2 = core.load_dataset(path)
@@ -195,8 +196,7 @@ class TestDatasetIO:
                 assert ta.behavior_prob == tb.behavior_prob
 
     def test_missing_behavior_prob_round_trips_as_none(self, tmp_path):
-        ds = core.ReplayDataset([make_traj([[1.0]], behavior_prob=None)], m=1,
-                                metadata={"state_dim": 3, "n_items": 2})
+        ds = dataset(chain([[1.0]], behavior_prob=None), metadata={"state_dim": 3, "n_items": 2})
         path = tmp_path / "d.txt"
         core.save_dataset(path, ds)
         assert core.load_dataset(path).trajectories[0].transitions[0].behavior_prob is None
@@ -204,13 +204,12 @@ class TestDatasetIO:
     def test_rows_match_per_value_formatting(self, tmp_path):
         rng = np.random.default_rng(5)
         rewards = rng.normal(size=(4, 2)) * 10.0 ** rng.integers(-300, 300, size=(4, 2))
-        traj = make_traj(rewards, session_id="s3", behavior_prob=1.0 / 3.0)
-        # states and next_states are separate columns: edit the state of step 1
-        # in both, as the state shared by steps 0 and 1 used to be edited once
+        ds = dataset(chain(rewards, session_id="s3", behavior_prob=1.0 / 3.0),
+                     metadata={"state_dim": 3, "n_items": 2})
+        # states and next_states are separate columns: edit the state of step 1 in both
         edge = [-0.0, 5e-324, np.finfo(float).max]
-        traj.transitions[1].state.features[:] = edge
-        traj.transitions[0].next_state.features[:] = edge
-        ds = core.ReplayDataset([traj], m=2, metadata={"state_dim": 3, "n_items": 2})
+        ds.states[1] = ds.next_states[0] = edge
+        traj = ds.trajectories[0]
         path = tmp_path / "d.txt"
         core.save_dataset(path, ds)
         body = path.read_text().splitlines()[2:]
@@ -223,14 +222,12 @@ class TestDatasetIO:
     def test_row_length_disagreeing_with_header_rejected(self):
         # a row of the wrong width cannot enter the store: the build that
         # would make one is where it is rejected
-        ds = core.ReplayDataset([make_traj([[1.0, 2.0]] * 3, session_id="s7")], m=2)
-        cols = {name: getattr(ds, name) for name in core._COLUMNS}
+        ds = dataset(chain([[1.0, 2.0]] * 3, session_id="s7"))
         for name, wrong, want in [("responses", np.ones((3, 1)), "(3, 2)"),
                                   ("next_states", np.ones((3, 4)), "(3, 3)")]:
             with pytest.raises(ValueError, match=re.escape(
                     f"{name} has shape {wrong.shape}, expected {want}")):
-                core.ReplayDataset.from_columns(**{**cols, name: wrong}, offsets=ds.offsets,
-                                                session_ids=ds.session_ids, m=2)
+                rebuilt(ds, **{name: wrong})
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -394,14 +391,16 @@ class TestStoreRoundTrip:
         path.write_text("\n".join(head + [next(by_session[k]) for k in file_order]) + "\n")
         # sessions come in order of their first row in the file
         first_seen = list(dict.fromkeys(file_order))
-        want = core.ReplayDataset([ds.trajectories[k] for k in first_seen], m=ds.m)
+        rows = np.concatenate([np.arange(ds.offsets[k], ds.offsets[k + 1]) for k in first_seen])
+        lengths = np.diff(ds.offsets)[first_seen]
+        want = rebuilt(ds, **{name: getattr(ds, name)[rows] for name in core._COLUMNS},
+                       offsets=np.cumsum([0, *lengths]),
+                       session_ids=[ds.session_ids[k] for k in first_seen])
         assert_same_columns(core.load_dataset(path), want)
 
     def test_edge_values_keep_their_bits(self, tmp_path):
         edge = [-0.0, 5e-324, np.finfo(float).max]
-        traj = core.Trajectory([core.Transition(core.State(edge), [-0.0, 5e-324],
-                                                core.terminal_state(3), True)], "e")
-        ds = core.ReplayDataset([traj], m=2)
+        ds = dataset(session([edge], [[-0.0, 5e-324]], sid="e"))
         core.save_dataset(tmp_path / "d.txt", ds)
         loaded = core.load_dataset(tmp_path / "d.txt")
         assert np.signbit(loaded.states[0, 0]) and np.signbit(loaded.responses[0, 0])
@@ -417,7 +416,7 @@ class TestStoreRoundTrip:
     ], ids=["equals-in-key", "newline-in-value", "return-in-value", "newline-in-key"])
     def test_metadata_that_would_not_load_back_is_rejected_before_writing(self, tmp_path,
                                                                           metadata):
-        ds = core.ReplayDataset([make_traj([[1.0, 0.0]])], m=2, metadata=metadata)
+        ds = dataset(chain([[1.0, 0.0]]), metadata=metadata)
         with pytest.raises(ValueError, match=re.escape(f"metadata {next(iter(metadata))!r}")):
             core.save_dataset(tmp_path / "d.txt", ds)
         assert not (tmp_path / "d.txt").exists()
@@ -425,13 +424,13 @@ class TestStoreRoundTrip:
     @pytest.mark.parametrize("sid", ["a,b", "two\nlines", "carriage\rreturn", "# meta a", "#s"])
     def test_session_id_that_would_not_load_back_is_rejected_before_writing(self, tmp_path,
                                                                             sid):
-        ds = core.ReplayDataset([make_traj([[1.0, 0.0]], session_id=sid)], m=2)
+        ds = dataset(chain([[1.0, 0.0]], session_id=sid))
         with pytest.raises(ValueError, match=re.escape(f"session id {sid!r} must not")):
             core.save_dataset(tmp_path / "d.txt", ds)
         assert not (tmp_path / "d.txt").exists()
 
     def test_metadata_value_with_equals_round_trips(self, tmp_path):
-        ds = core.ReplayDataset([make_traj([[1.0, 0.0]])], m=2, metadata={"a": "b=c"})
+        ds = dataset(chain([[1.0, 0.0]]), metadata={"a": "b=c"})
         core.save_dataset(tmp_path / "d.txt", ds)
         assert core.load_dataset(tmp_path / "d.txt").metadata["a"] == "b=c"
 
@@ -481,8 +480,8 @@ class TestSaveMatchesReferenceWriter:
 
 class TestViews:
     def test_rows_are_views_of_the_columns(self):
-        ds = core.ReplayDataset([make_traj([[1.0, 2.0], [3.0, 4.0]], session_id="a"),
-                                 make_traj([[5.0, 6.0]], session_id="b")], m=2)
+        ds = dataset(chain([[1.0, 2.0], [3.0, 4.0]], session_id="a"),
+                     chain([[5.0, 6.0]], session_id="b"))
         tr = ds.trajectories[1].transitions[0]
         assert np.shares_memory(tr.response, ds.responses)
         assert np.shares_memory(tr.state.features, ds.states)
@@ -490,23 +489,23 @@ class TestViews:
         assert [t.session_id for t in ds.trajectories] == ds.session_ids == ["a", "b"]
         assert ds.offsets.tolist() == [0, 2, 3]
 
-    def test_constructors_copy_the_rows(self):
-        traj = make_traj([[1.0], [2.0]], session_id="c")
-        ds = core.ReplayDataset([traj], m=1)
-        assert not np.shares_memory(ds.responses, traj.responses)
-        ds.responses[0, 0] = 9.0
-        assert traj.responses[:, 0].tolist() == [1.0, 2.0]
-        free = core.Transition(core.State(np.zeros(3)), [1.0], core.terminal_state(3), True)
-        core.Trajectory([free]).transitions[0].response[0] = 9.0
-        assert free.response.tolist() == [1.0]
+    def test_from_columns_copies_only_columns_of_another_dtype_or_layout(self):
+        ds = dataset(chain([[1.0], [2.0]]))
+        states = np.asfortranarray(np.ones((2, 3)))
+        got = rebuilt(ds, states=states, responses=np.float32([[1.0], [2.0]]))
+        assert not np.shares_memory(got.states, states)
+        assert got.states.flags.c_contiguous and got.responses.dtype == np.float64
+        for name in core._COLUMNS:
+            if name not in ("states", "responses"):
+                assert getattr(got, name) is getattr(ds, name)
 
     @pytest.mark.parametrize("name,value", [
         ("response", [1.0]), ("state", core.State(np.zeros(3))),
-        ("next_state", core.terminal_state(3)), ("action_index", 0), ("done", True),
+        ("next_state", core.State(np.zeros(3), True)), ("action_index", 0), ("done", True),
         ("session_id", "x"),
     ])
     def test_rows_are_read_only(self, name, value):
-        ds = core.ReplayDataset([make_traj([[1.0], [2.0]], session_id="w")], m=1)
+        ds = dataset(chain([[1.0], [2.0]], session_id="w"))
         row = ds.trajectories[0] if name == "session_id" else ds.trajectories[0].transitions[1]
         before = [getattr(ds, col).copy() for col in core._COLUMNS]
         with pytest.raises(AttributeError):
@@ -516,7 +515,7 @@ class TestViews:
         assert ds.session_ids == ["w"]
 
     def test_attribute_writes_are_checked_and_leave_nothing_behind(self):
-        ds = core.ReplayDataset([make_traj([[1.0], [2.0]], session_id="w")], m=1)
+        ds = dataset(chain([[1.0], [2.0]], session_id="w"))
         tr = ds.trajectories[0].transitions[0]
         for bad in (1.5, 0.0, -0.5, np.nan):
             with pytest.raises(ValueError,
@@ -534,8 +533,7 @@ class TestViews:
         enabled = gc.isenabled()
         gc.disable()  # every release below is by reference counting alone
         try:
-            ds = core.ReplayDataset([make_traj([[1.0], [2.0]], session_id="a"),
-                                     make_traj([[3.0]], session_id="b")], m=1)
+            ds = dataset(chain([[1.0], [2.0]], session_id="a"), chain([[3.0]], session_id="b"))
             alive = weakref.ref(ds)
             traj, row = ds.trajectories[1], ds.all_transitions()[0]
             del ds
@@ -547,10 +545,6 @@ class TestViews:
             del traj, first, again
             assert alive() is not None
             del row
-            assert alive() is None
-            free = core.Transition(core.State(np.zeros(2)), [1.0], core.terminal_state(2), True)
-            alive = weakref.ref(free._store)
-            del free
             assert alive() is None
         finally:
             if enabled:

@@ -6,19 +6,16 @@ import pytest
 from cactor import approximator as ap
 from cactor import deterministic as det
 from cactor import stochastic as stx
-from cactor.core import State, Transition, terminal_state
 from cactor.seeding import derive_seed
 from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 
+from _rows import terminal_batch
+
 
 def two_state_batch(r0=1.0, r1=2.0):
-    s0, s1 = State(np.array([1.0, 0.0])), State(np.array([0.0, 1.0]))
-    return [
-        Transition(s0, np.array([r0]), s1, False,
-                   action_index=0, behavior_prob=1.0),
-        Transition(s1, np.array([r1]), terminal_state(2), True,
-                   action_index=0, behavior_prob=1.0),
-    ]
+    """The chain s0 = (1, 0) -> s1 = (0, 1) -> end, as a batch tuple."""
+    return (np.eye(2), np.zeros(2, dtype=np.intp), np.array([[r0], [r1]]),
+            np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([False, True]))
 
 
 class TestCloseness:
@@ -49,7 +46,7 @@ class TestQCriticUpdate:
         critic = det.make_q_critic(2, 2, (), seed=1, response_index=0, gamma=0.9)
         target = critic
         opt = ap.init_opt_state(critic.params.size, step_size=1e-2)
-        batch = stx.batch_arrays(two_state_batch())
+        batch = two_state_batch()
         for step in range(4000):
             critic, opt, loss, _ = det.q_critic_update(critic, target, policy,
                                                        items, batch, opt)
@@ -64,11 +61,8 @@ class TestQCriticUpdate:
         critic = det.make_q_critic(2, 2, (4,), seed=3, response_index=0, gamma=0.0)
         s = np.eye(2)
         q = critic.q_value(s, items[[0, 0]])
-        batch = [Transition(State(s[k]), np.array([q[k]]),
-                            terminal_state(2), True, action_index=0)
-                 for k in range(2)]
         new_critic, _, loss, _ = det.q_critic_update(
-            critic, critic, policy, items, stx.batch_arrays(batch),
+            critic, critic, policy, items, terminal_batch(s, [0, 0], q[:, None]),
             ap.init_opt_state(critic.params.size))
         assert loss == 0.0
         assert np.array_equal(new_critic.params, critic.params)
@@ -78,7 +72,7 @@ class TestQCriticUpdate:
         policy = det.make_det_policy(2, 3, (), seed=4)
         critic = det.make_q_critic(2, 3, (), seed=5, response_index=0, gamma=0.0)
         opt = ap.init_opt_state(critic.params.size, step_size=2e-2)
-        batch = stx.batch_arrays(two_state_batch(r0=0.4, r1=0.4))
+        batch = two_state_batch(r0=0.4, r1=0.4)
         for _ in range(1500):
             critic, opt, _, _ = det.q_critic_update(critic, critic, policy,
                                                     items, batch, opt)
@@ -91,7 +85,7 @@ class TestDDPGActorUpdate:
         policy = det.make_det_policy(2, 2, (4,), seed=6)
         critic = det.make_q_critic(2, 2, (), seed=7, response_index=0, gamma=0.0)
         critic.params[2:4] = 0.0  # zero the action-input weights
-        batch = stx.batch_arrays(two_state_batch())
+        batch = two_state_batch()
         new_policy, _, _ = det.ddpg_actor_update(policy, critic, batch,
                                                  ap.init_opt_state(policy.params.size))
         assert np.array_equal(new_policy.params, policy.params)
@@ -101,9 +95,7 @@ class TestDDPGActorUpdate:
         policy = det.make_det_policy(3, 2, (4,), seed=9)
         critic = det.make_q_critic(3, 2, (), seed=10, response_index=0, gamma=0.0)
         s = rng.normal(size=(5, 3))
-        batch = [Transition(State(row), np.array([0.0]),
-                            terminal_state(3), True, action_index=0)
-                 for row in s]
+        batch = terminal_batch(s, np.zeros(5), np.zeros((5, 1)))
 
         def objective(params):
             a = ap.forward(policy.spec, params, s)
@@ -118,7 +110,7 @@ class TestDDPGActorUpdate:
         expected, _ = ap.optimizer_step(policy.params, numeric,
                                         ap.init_opt_state(policy.params.size),
                                         "maximize")
-        new_policy, _, _ = det.ddpg_actor_update(policy, critic, stx.batch_arrays(batch),
+        new_policy, _, _ = det.ddpg_actor_update(policy, critic, batch,
                                                  ap.init_opt_state(policy.params.size))
         denom = np.maximum(np.abs(expected - policy.params), 1e-9)
         assert np.max(np.abs(new_policy.params - expected) / denom) < 1e-3
@@ -126,7 +118,7 @@ class TestDDPGActorUpdate:
     def test_update_is_deterministic(self):
         policy = det.make_det_policy(2, 2, (4,), seed=11)
         critic = det.make_q_critic(2, 2, (3,), seed=12, response_index=0, gamma=0.0)
-        batch = stx.batch_arrays(two_state_batch())
+        batch = two_state_batch()
         a, _, _ = det.ddpg_actor_update(policy, critic, batch,
                                         ap.init_opt_state(policy.params.size))
         b, _, _ = det.ddpg_actor_update(policy, critic, batch,
@@ -184,9 +176,7 @@ class TestConstrainedDetObjective:
     def test_actor_update_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         s = rng.normal(size=(4, 2))
-        batch = [Transition(State(row), np.array([0.0]),
-                            terminal_state(2), True, action_index=0)
-                 for row in s]
+        batch = terminal_batch(s, np.zeros(4), np.zeros((4, 1)))
         lam = np.array([0.6, 0.4])
 
         def objective(params):
@@ -203,7 +193,7 @@ class TestConstrainedDetObjective:
                                         ap.init_opt_state(self.policy.params.size),
                                         "maximize")
         new_policy, _, info = det.constrained_det_actor_update(
-            self.policy, self.aux, self.critic, lam, stx.batch_arrays(batch),
+            self.policy, self.aux, self.critic, lam, batch,
             ap.init_opt_state(self.policy.params.size))
         denom = np.maximum(np.abs(expected - self.policy.params), 1e-9)
         assert np.max(np.abs(new_policy.params - expected) / denom) < 1e-3
@@ -214,11 +204,7 @@ class TestBehaviorClone:
     def test_degenerate_target_probability_monotone(self):
         policy = stx.make_policy(2, 4, (), seed=19)
         state = np.array([0.5, -0.5])
-        batch = []
-        for _ in range(8):
-            batch.append(Transition(State(state), np.array([0.0]),
-                                    terminal_state(2), True, action_index=2))
-        batch = stx.batch_arrays(batch)
+        batch = terminal_batch([state] * 8, [2] * 8, np.zeros((8, 1)))
         opt = ap.init_opt_state(policy.params.size, step_size=5e-3)
         probs = [policy.probs(state)[2]]
         for step in range(450):
@@ -232,11 +218,7 @@ class TestBehaviorClone:
         rng = np.random.default_rng(20)
         policy = stx.make_policy(2, 4, (), seed=21)
         state = np.array([1.0, 1.0])
-        batch = []
-        for a in list(range(4)) * 6:
-            batch.append(Transition(State(state), np.array([0.0]),
-                                    terminal_state(2), True, action_index=a))
-        batch = stx.batch_arrays(batch)
+        batch = terminal_batch([state] * 24, list(range(4)) * 6, np.zeros((24, 1)))
         opt = ap.init_opt_state(policy.params.size, step_size=1e-2)
         for _ in range(1500):
             policy, opt, _ = det.behavior_clone_update(policy, batch, opt)
@@ -246,15 +228,14 @@ class TestBehaviorClone:
     def test_loss_is_cross_entropy(self):
         rng = np.random.default_rng(22)
         policy = stx.make_policy(3, 5, (4,), seed=23)
-        batch = []
+        actions, states = [], []
         for _ in range(10):
-            a = int(rng.integers(5))
-            batch.append(Transition(State(rng.normal(size=3)), np.array([0.0]),
-                                    terminal_state(3), True, action_index=a))
+            actions.append(int(rng.integers(5)))
+            states.append(rng.normal(size=3))
         _, _, loss = det.behavior_clone_update(
-            policy, stx.batch_arrays(batch), ap.init_opt_state(policy.params.size))
-        expected = -np.mean([np.log(policy.probs(tr.state.features)[tr.action_index])
-                             for tr in batch])
+            policy, terminal_batch(states, actions, np.zeros((10, 1))),
+            ap.init_opt_state(policy.params.size))
+        expected = -np.mean([np.log(policy.probs(s)[a]) for s, a in zip(states, actions)])
         assert loss == pytest.approx(float(expected), rel=1e-10)
 
 

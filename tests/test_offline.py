@@ -10,12 +10,12 @@ from cactor import core
 from cactor import deterministic as det
 from cactor import offline as off
 from cactor import stochastic as stx
-from cactor.core import (ReplayDataset, State, Trajectory, Transition,
-                         discounted_returns, terminal_state)
+from cactor.core import ReplayDataset, discounted_returns
 from cactor.seeding import derive_seed, rng_for
 from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 from cactor.sim import SessionSimulator, SimConfig, run_episode
 
+from _rows import dataset, rebuilt, session
 from _tabular import TabularMDP, skewed_policy, table_prob_fn
 
 
@@ -24,12 +24,11 @@ def logged_trajectory(policy, sim, episode_seed, rng):
 
 
 def relogged(traj, probs):
-    """``traj`` copied into a one-session dataset whose behavior_prob column
-    holds ``probs[t]`` (nan: unknown) at each step t in ``probs``."""
-    ds = ReplayDataset([traj], m=traj.m)
-    for t, p in probs.items():
-        ds.behavior_prob[t] = p
-    return ds.trajectories[0]
+    """``traj``, a run_episode session, rebuilt with ``probs[t]`` (nan:
+    unknown) as the behavior_prob of each step t in ``probs``."""
+    bp = traj._store.behavior_prob.copy()
+    bp[list(probs)] = list(probs.values())
+    return rebuilt(traj._store, behavior_prob=bp).trajectories[0]
 
 
 @pytest.fixture
@@ -113,21 +112,26 @@ def scalar_ratios(batch_refs, policy, cfg):
 RATIO_POLICY = stx.make_policy(4, 5, (6,), seed=7)
 
 
-def hand_trajectory(seed, behavior_probs, session_id="h"):
-    """A 4-feature, 5-item trajectory with the given logged probabilities."""
+def hand_session(seed, behavior_probs, session_id="h"):
+    """A 4-feature, 5-item session with the given logged probabilities."""
     rng = np.random.default_rng(seed)
     n = len(behavior_probs)
-    states = [State(f) for f in rng.normal(size=(n, 4))] + [terminal_state(4)]
-    return Trajectory([Transition(states[k], rng.normal(size=2), states[k + 1],
-                                  k == n - 1, action_index=int(rng.integers(5)),
-                                  behavior_prob=bp)
-                       for k, bp in enumerate(behavior_probs)], session_id=session_id)
+    states = rng.normal(size=(n, 4))
+    responses, actions = [], []
+    for _ in range(n):
+        responses.append(rng.normal(size=2))
+        actions.append(int(rng.integers(5)))
+    return session(states, responses, actions, behavior_probs, sid=session_id)
 
 
-def one_dataset(*trajs):
-    """The sessions of one dataset holding ``trajs``: a batch's refs must
-    all be sessions of one dataset."""
-    return ReplayDataset(trajs, m=2).trajectories
+def hand_trajectory(*args):
+    return dataset(hand_session(*args)).trajectories[0]
+
+
+def one_dataset(*sessions):
+    """The sessions of one dataset: a batch's refs must all be sessions of
+    one dataset."""
+    return dataset(*sessions).trajectories
 
 
 # 1e-300 makes two-step products overflow to inf; 1e-3 makes clips bind
@@ -137,8 +141,8 @@ LOGGED_PROBS = st.sampled_from([1e-300, 1e-3, 0.05, 0.2, 0.5, 1.0])
 @st.composite
 def ratio_batches(draw):
     lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    trajs = one_dataset(*[hand_trajectory(draw(st.integers(0, 2**16)),
-                                          draw(st.lists(LOGGED_PROBS, min_size=n, max_size=n)))
+    trajs = one_dataset(*[hand_session(draw(st.integers(0, 2**16)),
+                                       draw(st.lists(LOGGED_PROBS, min_size=n, max_size=n)))
                           for n in lengths])
     # t = -1 stands for the last step; repeats of a trajectory and of a
     # (traj, t) pair are common with at most three trajectories
@@ -159,8 +163,8 @@ class TestBatchedRatios:
             == scalar_ratios(refs, RATIO_POLICY, cfg)
 
     def test_overflowing_product_clips(self):
-        long, short = one_dataset(hand_trajectory(1, [1e-300, 1e-300, 0.5], "long"),
-                                  hand_trajectory(2, [0.5, 0.2], "short"))
+        long, short = one_dataset(hand_session(1, [1e-300, 1e-300, 0.5], "long"),
+                                  hand_session(2, [0.5, 0.2], "short"))
         refs = [(long, 2), (short, 0), (long, 0), (long, 2), (short, 1), (long, 1)]
         cfg = off.ISConfig(mode="full_product", ratio_clip=50.0, min_behavior_prob=1e-300)
         assert scalar_ratios([(long, 2)], RATIO_POLICY,
@@ -172,13 +176,13 @@ class TestBatchedRatios:
     @pytest.mark.parametrize("mode", ["full_product", "first_order"])
     @pytest.mark.parametrize("t", [-1, 5])
     def test_step_outside_trajectory_rejected(self, mode, t):
-        good, bad = one_dataset(hand_trajectory(3, [0.5] * 5), hand_trajectory(4, [0.5] * 5))
+        good, bad = one_dataset(hand_session(3, [0.5] * 5), hand_session(4, [0.5] * 5))
         with pytest.raises(ValueError, match=f"step {t} outside trajectory of length 5"):
             off._ratios([(good, 4), (bad, t), (good, 0)], RATIO_POLICY, off.ISConfig(mode))
 
     def test_missing_prefix_behavior_prob_rejected(self):
-        good, bad = one_dataset(hand_trajectory(5, [0.5] * 5),
-                                hand_trajectory(6, [0.5, None, 0.5, 0.5, 0.5]))
+        good, bad = one_dataset(hand_session(5, [0.5] * 5),
+                                hand_session(6, [0.5, None, 0.5, 0.5, 0.5]))
         refs = [(good, 4), (bad, 0), (bad, 3)]
         with pytest.raises(ValueError, match="missing behavior_prob"):
             off._ratios(refs, RATIO_POLICY, off.ISConfig("full_product"))
@@ -189,18 +193,19 @@ class TestBatchedRatios:
 
     @pytest.mark.parametrize("mode", ["full_product", "first_order"])
     def test_behavior_prob_below_floor_rejected(self, mode):
-        good, bad = one_dataset(hand_trajectory(7, [0.5] * 4),
-                                hand_trajectory(8, [0.5, 0.5, 1e-9, 0.5]))
+        good, bad = one_dataset(hand_session(7, [0.5] * 4),
+                                hand_session(8, [0.5, 0.5, 1e-9, 0.5]))
         with pytest.raises(ValueError, match="behavior_prob 1e-09 below the 1e-06 floor"):
             off._ratios([(good, 3), (bad, 2)], RATIO_POLICY, off.ISConfig(mode))
 
     @pytest.mark.parametrize("mode", ["full_product", "first_order"])
     def test_refs_into_several_datasets_rejected(self, mode):
-        a, b = hand_trajectory(11, [0.5] * 2), hand_trajectory(12, [0.5] * 2)
+        sa, sb = hand_session(11, [0.5] * 2), hand_session(12, [0.5] * 2)
+        a, b = dataset(sa).trajectories[0], dataset(sb).trajectories[0]
         with pytest.raises(ValueError, match="batch refs span several datasets"):
             off._ratios([(a, 0), (b, 1)], RATIO_POLICY, off.ISConfig(mode))
-        # the same sessions copied into one dataset are one batch
-        a, b = one_dataset(a, b)
+        # the same sessions in one dataset are one batch
+        a, b = one_dataset(sa, sb)
         off._ratios([(a, 0), (b, 1)], RATIO_POLICY, off.ISConfig(mode))
 
     def test_first_bad_ref_in_batch_order_is_named(self):
@@ -229,9 +234,10 @@ class TestOfflineUpdates:
         refs = [(traj, t) for t in range(len(traj))]
         online, _, _ = stx.actor_update_aux(
             policy, critic, batch, ap.init_opt_state(policy.params.size))
-        offline, _, _ = off.offline_actor_update_aux(
+        offline, _, info = off.offline_actor_update_aux(
             policy, critic, refs, off.ISConfig(), ap.init_opt_state(policy.params.size))
-        assert np.max(np.abs(online.params - offline.params)) < 1e-10
+        assert np.array_equal(online.params, offline.params)
+        assert info["mean_ratio"] == 1.0
 
     def test_main_update_reduces_to_online_on_policy(self, sim):
         pset = stx.build_policy_set(6, 6, 2, np.array([0.7]), np.array([0.9, 0.0]),
@@ -298,6 +304,15 @@ class TestOfflineUpdates:
         assert info["mean_weight"] != 20.0 and np.isnan(info["mean_weight"])
         assert np.array_equal(new.params, pset.main[0].params)
 
+    def test_main_update_rejects_unordered_clip_and_floor(self, sim):
+        pset = stx.build_policy_set(6, 6, 2, np.array([1.0]), np.array([0.9, 0.0]),
+                                    (8,), seed=50)
+        traj = logged_trajectory(pset.main[0], sim, 12, rng_for(14, "a"))
+        opt = ap.init_opt_state(pset.main[0].params.size)
+        with pytest.raises(ValueError, match="need clip_max > 0 and 0 <= floor <= clip_max"):
+            off.offline_actor_update_main(pset, [(traj, 0)], off.ISConfig(), opt,
+                                          clip_max=2.0, weight_floor=5.0)
+
     def test_logged_denominator_drops_the_rows_the_online_update_drops(self):
         # critic V == 0 and gamma 0: the advantage is the reward, inf on row 1
         pset = stx.build_policy_set(2, 3, 2, np.array([1.0]), np.array([0.0, 0.0]), (),
@@ -321,18 +336,9 @@ class TestOfflineUpdates:
 
 def chain_dataset(n_copies=1):
     """3-state deterministic chain, rewards r0=(0,0,1), r1=(1,0,0)."""
-    eye = np.eye(3)
-    trajs = []
-    for k in range(n_copies):
-        trs = []
-        for t in range(3):
-            done = t == 2
-            resp = np.array([1.0 if t == 2 else 0.0, 1.0 if t == 0 else 0.0])
-            trs.append(Transition(State(eye[t]), resp,
-                                  terminal_state(3) if done else State(eye[t + 1]),
-                                  done, action_index=0, behavior_prob=1.0))
-        trajs.append(Trajectory(trs, session_id=f"c{k}"))
-    return ReplayDataset(trajs, m=2, metadata={"state_dim": 3, "n_items": 1})
+    responses = [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
+    return dataset(*[session(np.eye(3), responses, 0, 1.0, sid=f"c{k}")
+                     for k in range(n_copies)], metadata={"state_dim": 3, "n_items": 1})
 
 
 class TestMultiCritic:
@@ -350,12 +356,8 @@ class TestMultiCritic:
             assert np.allclose(v, v_true, atol=0.01), (i, v, v_true)
 
     def test_m1_separate_equals_single_summed(self):
-        eye = np.eye(2)
-        trs = [Transition(State(eye[0]), np.array([0.3]),
-                          State(eye[1]), False, action_index=0),
-               Transition(State(eye[1]), np.array([1.0]),
-                          terminal_state(2), True, action_index=0)]
-        ds = ReplayDataset([Trajectory(trs)], m=1, metadata={"state_dim": 2, "n_items": 1})
+        ds = dataset(session(np.eye(2), [[0.3], [1.0]], 0),
+                     metadata={"state_dim": 2, "n_items": 1})
         cfg = off.MultiCriticConfig(iters=50, hidden=(4,))
         sep = off.multi_critic_train(ds, [0.95], "separate", cfg, master_seed=2)
         single = off.multi_critic_train(ds, [0.95], "single_summed", cfg,
@@ -427,13 +429,11 @@ class TestWriteThrough:
     @staticmethod
     def oracle(ds):
         """The same edit made to copies of the columns, built afresh."""
-        cols = {name: getattr(ds, name).copy() for name in core._COLUMNS}
+        cols = {name: getattr(ds, name).copy() for name in ("responses", "states")}
         row = int(ds.offsets[1])
         cols["responses"][row] += 1.0
         cols["states"][row] += 0.25
-        return ReplayDataset.from_columns(**cols, offsets=ds.offsets,
-                                          session_ids=list(ds.session_ids), m=ds.m,
-                                          metadata=dict(ds.metadata))
+        return rebuilt(ds, **cols)
 
     @staticmethod
     def passes(ds, tmp_path):
@@ -683,7 +683,8 @@ class TestNCIS:
             off.ncis_evaluate(lambda s: np.full(want, 0.5), ds, off.NCISConfig())
 
     def test_empty_dataset_rejected(self):
-        ds = ReplayDataset([], m=1, metadata={})
+        ds = ReplayDataset.from_columns(**core._empty_columns(3, 1), offsets=[0],
+                                        session_ids=[], m=1)
         with pytest.raises(ValueError, match="empty"):
             off.ncis_evaluate(lambda s: s, ds, off.NCISConfig())
 

@@ -117,6 +117,32 @@ class TestStepSemantics:
                 fired += r[1:]
         assert np.all(np.abs(fired - expected) <= 3.0 * np.sqrt(var))
 
+    @pytest.mark.parametrize("std", [0.1, 0.6, 2.0, 0.0])
+    def test_expected_dense_response_is_the_rectified_normal_mean(self, std):
+        """response_probs' dense value against a quadrature of
+        g * max(0, mu + sigma z) over the standard normal density."""
+        sim = sm.SessionSimulator(sm.SimConfig(seed=4, dense_noise_std=std))
+        z = np.linspace(-12.0, 12.0, 200_001)
+        density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        for episode, item in [(0, 3), (1, 17), (2, 29), (3, 0)]:
+            features = sim.reset(episode).features
+            affinity, _ = sim._response_terms(features[None], np.array([item]))
+            level = np.maximum(0.0, 1.0 + affinity[0] + std * z)  # _DENSE_BASE = 1
+            integrand = features[-2] * level * density
+            want = np.sum(integrand[1:] + integrand[:-1]) * (z[1] - z[0]) / 2.0
+            got, _ = sim.response_probs(features, item)
+            assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("prob", [0.0, -0.5, np.nan])
+    def test_run_episode_rejects_a_probability_that_is_not_positive(self, cfg, prob):
+        with pytest.raises(ValueError, match=f"assigned probability {prob} to item 2"):
+            sm.run_episode(sm.SessionSimulator(cfg), lambda f: (2, prob), 0)
+
+    def test_run_episode_names_the_step_of_a_probability_above_one(self, cfg):
+        probs = iter([0.5, 0.5, 1.5])
+        with pytest.raises(ValueError, match="session ep-0 step 2: behavior_prob 1.5 outside"):
+            sm.run_episode(sm.SessionSimulator(cfg), lambda f: (2, next(probs, 0.5)), 0)
+
     def test_dense_sparse_asymmetry(self, cfg):
         sim = sm.SessionSimulator(cfg)
         rng = np.random.default_rng(1)
@@ -171,16 +197,18 @@ class TestRollout:
             item = int(seq_rng.choice(cfg.n_items, p=p))
             return item, float(p[item])
 
-        want = sm.ReplayDataset([sm.run_episode(sim, select, s) for s in seeds], m=cfg.m)
+        wants = [sm.run_episode(sim, select, s) for s in seeds]
         got = sm.rollout(sim, one_net(spec, params), [np.random.default_rng(cfg.seed)],
                          [seeds])
-        for name in ("states", "next_states", "next_terminal", "action_index",
-                     "behavior_prob", "responses", "done", "offsets"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-            if a.dtype == np.float64:
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-        assert got.session_ids == want.session_ids == [f"ep-{s}" for s in seeds]
+        assert np.diff(got.offsets).tolist() == [len(want) for want in wants]
+        for lo, want in zip(got.offsets, wants):
+            for name in ("states", "next_states", "next_terminal", "action_index",
+                         "behavior_prob", "responses", "done"):
+                a, b = getattr(got, name)[lo:lo + len(want)], getattr(want._store, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+                if a.dtype == np.float64:
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+        assert got.session_ids == [w.session_id for w in wants] == [f"ep-{s}" for s in seeds]
         assert got.metadata == {"state_dim": cfg.state_dim, "n_items": cfg.n_items}
 
     def test_probs_of_wrong_shape_rejected(self, cfg):

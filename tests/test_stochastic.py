@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,34 +8,28 @@ from hypothesis import strategies as st
 
 from cactor import approximator as ap
 from cactor import stochastic as stx
-from cactor.core import State, Transition, terminal_state
 from cactor.sim import SessionSimulator, SimConfig, run_episode
+
+from _rows import terminal_batch
 
 
 def chain_batch(rewards, state_dim=None, m=1):
-    """Deterministic chain s0 -> s1 -> ... with scalar rewards on response 0."""
+    """Deterministic chain s0 -> s1 -> ... with scalar rewards on response 0,
+    as a batch tuple."""
     n = len(rewards)
-    state_dim = state_dim or n
-    feats = np.eye(n, state_dim)
-    batch = []
-    for t in range(n):
-        done = t == n - 1
-        nxt = terminal_state(state_dim) if done else State(feats[t + 1])
-        resp = np.zeros(m)
-        resp[0] = rewards[t]
-        batch.append(Transition(State(feats[t]), resp, nxt,
-                                done, action_index=0, behavior_prob=1.0))
-    return batch
+    s = np.eye(n, state_dim or n)
+    s2 = np.zeros_like(s)
+    s2[:-1] = s[1:]
+    r = np.zeros((n, m))
+    r[:, 0] = rewards
+    return s, np.zeros(n, dtype=np.intp), r, s2, np.arange(n) == n - 1
 
 
-def single_state_batch(action_indices, responses, state, n_items, m=1):
-    batch = []
-    for a, r in zip(action_indices, responses):
-        resp = np.zeros(m)
-        resp[0] = r
-        batch.append(Transition(State(state), resp, terminal_state(len(state)),
-                                True, action_index=a, behavior_prob=1.0 / n_items))
-    return batch
+def single_state_batch(action_indices, responses, state, m=1):
+    """One-step sessions from ``state``, with rewards on response 0."""
+    r = np.zeros((len(responses), m))
+    r[:, 0] = responses
+    return terminal_batch([state] * len(responses), action_indices, r)
 
 
 def actor_objective(spec, params, s, a_idx, weights):
@@ -46,7 +41,7 @@ class TestCriticUpdate:
     def test_bellman_fixed_point_leaves_params(self):
         critic = stx.make_critic(3, (), seed=0, response_index=0, gamma=0.0)
         critic.params[:] = 0.0
-        batch = stx.batch_arrays(chain_batch([0.0, 0.0, 0.0]))
+        batch = chain_batch([0.0, 0.0, 0.0])
         opt = ap.init_opt_state(critic.params.size)
         new_critic, _, loss = stx.critic_update(critic, batch, opt)
         assert loss == 0.0
@@ -55,7 +50,7 @@ class TestCriticUpdate:
     def test_chain_converges_to_linear_system_solution(self):
         critic = stx.make_critic(3, (), seed=1, response_index=0, gamma=0.9)
         opt = ap.init_opt_state(critic.params.size, step_size=1e-2)
-        batch = stx.batch_arrays(chain_batch([0.0, 0.0, 1.0]))
+        batch = chain_batch([0.0, 0.0, 1.0])
         for _ in range(4000):
             critic, opt, _ = stx.critic_update(critic, batch, opt)
         v = ap.forward(critic.spec, critic.params, np.eye(3))[:, 0]
@@ -64,7 +59,7 @@ class TestCriticUpdate:
     def test_zero_gamma_regresses_to_constant_reward(self):
         critic = stx.make_critic(2, (), seed=2, response_index=0, gamma=0.0)
         opt = ap.init_opt_state(critic.params.size, step_size=2e-2)
-        batch = stx.batch_arrays(chain_batch([0.7, 0.7], state_dim=2))
+        batch = chain_batch([0.7, 0.7], state_dim=2)
         for _ in range(2000):
             critic, opt, _ = stx.critic_update(critic, batch, opt)
         v = ap.forward(critic.spec, critic.params, np.eye(2))[:, 0]
@@ -76,7 +71,7 @@ class TestActorUpdateAux:
         policy = stx.make_policy(2, 3, (4,), seed=3)
         critic = stx.make_critic(2, (), seed=4, response_index=0, gamma=0.0)
         critic.params[:] = 0.0  # V == 0 everywhere
-        batch = stx.batch_arrays(single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], [1.0, -1.0], 3))
+        batch = single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], [1.0, -1.0])
         new_policy, _, _ = stx.actor_update_aux(
             policy, critic, batch, ap.init_opt_state(policy.params.size))
         assert np.array_equal(new_policy.params, policy.params)
@@ -86,7 +81,7 @@ class TestActorUpdateAux:
         critic = stx.make_critic(2, (), seed=6, response_index=0, gamma=0.0)
         critic.params[:] = 0.0
         state = np.array([1.0, 0.5])
-        batch = stx.batch_arrays(single_state_batch([0], [1.0], state, 2))  # advantage = +1
+        batch = single_state_batch([0], [1.0], state)  # advantage = +1
         before = policy.probs(state)[0]
         new_policy, _, _ = stx.actor_update_aux(
             policy, critic, batch, ap.init_opt_state(policy.params.size))
@@ -171,6 +166,23 @@ class TestConstrainedWeight:
         scaled = one_weight([0.2, 0.5], 0.4, [0.7 * c, 0.3 * c], 0.0, clip_max=1e9)
         assert scaled == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("clip_max,floor", [
+        (np.nan, 0.0), (-1.0, 0.0), (0.0, 0.0), (2.0, 5.0), (2.0, -0.1), (2.0, np.nan)])
+    def test_clip_and_floor_must_be_ordered_bounds(self, clip_max, floor):
+        """NaN would give NaN weights (rows that the ascent drops), a negative
+        clip turns ascent into descent, and a floor above the clip overrides it."""
+        args = np.array([[0.5]]), np.array([0.5]), np.array([1.0]), np.array([0.0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"need clip_max > 0 and 0 <= floor <= clip_max, got clip_max={clip_max} "
+                f"and floor={floor}")):
+            stx.constrained_weights_batch(*args, clip_max=clip_max, floor=floor)
+        pset = small_policy_set(seed=7)
+        batch = single_state_batch([0], [1.0], np.array([0.5, 0.5]), m=2)
+        with pytest.raises(ValueError, match="need clip_max > 0"):
+            stx.actor_update_main(pset, batch, ap.init_opt_state(pset.main[0].params.size),
+                                  clip_max, floor)
+        assert stx.constrained_weights_batch(*args, clip_max=2.0, floor=2.0).tolist() == [2.0]
+
     def test_weight_is_positive_even_for_huge_negative_advantage(self):
         w = one_weight([0.5], 0.5, [1.0], -500.0, clip_max=20.0)
         assert w > 0.0
@@ -197,15 +209,14 @@ class TestActorUpdateMain:
         pset = small_policy_set(seed=1, copy_main_to_aux=True)
         rng = np.random.default_rng(2)
         s = rng.normal(size=(5, 2))
-        batch = []
-        for k in range(5):
-            a = int(rng.integers(3))
-            batch.append(Transition(State(s[k]), np.array([rng.normal(), 0.0]),
-                                    terminal_state(2), True, action_index=a,
-                                    behavior_prob=0.3))
+        actions, rewards = [], []
+        for _ in range(5):
+            actions.append(int(rng.integers(3)))
+            rewards.append([rng.normal(), 0.0])
+        batch = terminal_batch(s, actions, rewards)
         # expected: weights = exp(A / lambda) since the probability ratio is 1
         policy, critic = pset.main
-        sa, a_idx, r, s2, done = stx.batch_arrays(batch)
+        sa, a_idx, r, s2, done = batch
         v, target = stx.td_errors(critic, sa, r[:, 0], s2, done)
         adv = target - v
         expected_w = np.minimum(np.exp(adv / 1.0), 20.0)
@@ -214,7 +225,7 @@ class TestActorUpdateMain:
             policy.params, grads, ap.init_opt_state(policy.params.size), "maximize")
 
         new_policy, _, info = stx.actor_update_main(
-            pset, stx.batch_arrays(batch), ap.init_opt_state(policy.params.size), clip_max=20.0)
+            pset, batch, ap.init_opt_state(policy.params.size), clip_max=20.0)
         assert np.allclose(new_policy.params, expected_params, atol=1e-12)
         assert info["mean_weight"] == pytest.approx(float(expected_w.mean()), rel=1e-12)
 
@@ -223,7 +234,7 @@ class TestActorUpdateMain:
         # critic == 0 and zero rewards -> advantage 0; aux == main -> ratio 1
         pset.main[1].params[:] = 0.0
         state = np.array([0.3, -0.8])
-        batch = stx.batch_arrays(single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], state, 3, m=2))
+        batch = single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], state, m=2)
         _, _, info = stx.actor_update_main(pset, batch,
                                            ap.init_opt_state(pset.main[0].params.size))
         assert info["mean_weight"] == pytest.approx(1.0, abs=1e-12)
@@ -231,7 +242,7 @@ class TestActorUpdateMain:
     def test_zero_lambda_perturbation_independence(self):
         pset = small_policy_set(seed=4, lambdas=(1.0, 0.0), m=3)
         state = np.array([0.5, 0.5])
-        batch = stx.batch_arrays(single_state_batch([1], [1.0], state, 3, m=3))
+        batch = single_state_batch([1], [1.0], state, m=3)
         opt = ap.init_opt_state(pset.main[0].params.size)
         a, _, _ = stx.actor_update_main(pset, batch, opt)
         # perturb the lambda=0 auxiliary policy arbitrarily
@@ -245,8 +256,7 @@ class TestActorUpdateMain:
         opt = ap.init_opt_state(pset.main[0].params.size)
         for _ in range(20):
             state = rng.normal(size=2)
-            batch = stx.batch_arrays(single_state_batch([int(rng.integers(3))], [rng.normal()],
-                                                        state, 3, m=2))
+            batch = single_state_batch([int(rng.integers(3))], [rng.normal()], state, m=2)
             policy, opt, _ = stx.actor_update_main(pset, batch, opt)
             pset.main = (policy, pset.main[1])
             p = policy.probs(rng.normal(size=2))
