@@ -42,10 +42,16 @@ it into the column.  In-place edits of a row's arrays (``tr.response[1] =
 0.0``, ``tr.state.features[:] = x``) and writes into the columns are not
 checked.  states and next_states are separate columns, so editing one row's
 state does not move the previous row's next_state.
+
+Files.  ``save_dataset`` writes format 2, binary columns; ``load_dataset``
+also reads the format 1 text, which nothing writes any more, and tells the
+two apart by content, never by file name (both laid out above save_dataset).
 """
 
 from __future__ import annotations
 
+import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,8 +343,16 @@ def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented dataset text format.
+# Dataset files.
 #
+# Format 2, which ``save_dataset`` writes, is one zip made by ``np.savez``:
+# one .npy array per column as stored (bit for bit), offsets, session_ids (a
+# numpy str array) and header, a 0-d str array of the JSON text {"format":
+# "cactor-dataset 2", "m": m, "metadata": {...}}.  No array holds objects, so
+# the file loads with allow_pickle=False, and a truncated session (its last
+# row not done) keeps its true non-terminal next_state.
+#
+# Format 1, which is only loaded, is line-oriented text.
 # Header lines:
 #   # cactor-dataset 1
 #   # m=<int> state_dim=<int> n_items=<int>
@@ -348,17 +362,16 @@ def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
 #   session_id, t, <state_dim state features>, action_index, behavior_prob,
 #   <m response values>, done
 # action_index and behavior_prob are "-" when unknown; done is 0 or 1.  A
-# session id holds no comma or line break and does not start with '#' (its
-# rows could read as header lines), and a meta line holds no line break.  A
 # session's rows may interleave with other sessions' but keep step order.
-# The state of step t+1 is the next_state of step t.  The next_state of a
-# session's last row is stored as a zero feature vector, terminal when the
-# row is done.  A session whose last row is not done (a truncated session)
-# therefore gets a non-terminal zero next_state that critics bootstrap
-# from: a known silent bias of this version of the format.
+# The state of step t+1 is the next_state of step t; a session's last row
+# gets a zero next_state, terminal when the row is done.  A truncated
+# session therefore loads with a non-terminal zero next_state that critics
+# bootstrap from: a silent bias left only in format 1 files.
 # ---------------------------------------------------------------------------
 
 _DATASET_HEADER = "# cactor-dataset 1"
+_FORMAT = "cactor-dataset 2"
+_ARRAYS = (*_COLUMNS, "offsets", "session_ids", "header")
 
 
 def _parse_dims(lineno: int, line: str, path, keys) -> dict[str, int]:
@@ -383,62 +396,24 @@ def _parse_dims(lineno: int, line: str, path, keys) -> dict[str, int]:
     return dims
 
 
-def _value_texts(block: np.ndarray) -> np.ndarray:
-    """The '%.17g,' text of each value of the float64 array ``block``, as an
-    object array of its shape.  Each distinct bit pattern is formatted once
-    (logged columns often hold few distinct values); bits, not values, keep
-    -0.0 apart from 0.0, and flattening first gives the inverse one shape on
-    every numpy."""
-    bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-    values = bits.view(np.float64).tolist()
-    texts = ("%.17g,\n" * len(values) % tuple(values)).split("\n")[:-1]
-    return np.array(texts, dtype=object)[inverse].reshape(block.shape)
-
-
 def save_dataset(path, dataset: ReplayDataset) -> None:
-    """Write ``dataset`` to ``path`` in the text format above.
+    """Write ``dataset`` to ``path``, as given, in format 2 (above).
 
-    Every float is written as its ``%.17g`` text, which reads back to the
-    same bits (-0.0 and subnormals included).  Each distinct value of a
-    column block is formatted once and its text reused, which gives the
-    same bytes as formatting each value in turn.
-
-    Raises ValueError, before the file is opened, for a session id that
-    contains ',' or a line break or starts with '#', a metadata key that
-    contains '=', and a metadata key or value with a line break: each would
-    write a file that does not load back into the same dataset."""
-    d = dataset
-    state_dim = d.states.shape[1]
-    n_items = int(d.metadata.get("n_items", 0))
-    bad = [sid for sid in map(str, d.session_ids)
-           if "," in sid or "\n" in sid or "\r" in sid or sid.startswith("#")]
+    Raises ValueError, before the file is opened, for a session id that a
+    numpy str array would change (a trailing NUL is dropped) and for
+    metadata that would not load back equal from its JSON text (a key that
+    is not a str, a value JSON cannot hold)."""
+    ids = np.array(dataset.session_ids, dtype=str)
+    bad = [sid for sid, kept in zip(dataset.session_ids, ids.tolist()) if sid != kept]
     if bad:
-        raise ValueError(f"session id {bad[0]!r} must not contain ',' or a line break, "
-                         "or start with '#'")
-    lines = [_DATASET_HEADER, f"# m={d.m} state_dim={state_dim} n_items={n_items}"]
-    for key in sorted(d.metadata):
-        if key in ("state_dim", "n_items"):
-            continue
-        line = f"{key}={d.metadata[key]}"
-        if "=" in str(key) or "\n" in line or "\r" in line:
-            raise ValueError(f"metadata {key!r}: a key must not contain '=', and neither a "
-                             "key nor a value a line break")
-        lines.append(f"# meta {line}")
-    # 17 significant digits round-trip every float64; each value is followed
-    # by its comma, so that an empty block adds none
-    lengths = np.diff(d.offsets)
-    sids = [sid for sid, n in zip(d.session_ids, lengths.tolist()) for _ in range(n)]
-    steps = (np.arange(d.n_transitions) - np.repeat(d.offsets[:-1], lengths)).tolist()
-    feats = ["".join(row) for row in _value_texts(d.states).tolist()]
-    acts = ["-" if a < 0 else str(a) for a in d.action_index.tolist()]
-    bps = _value_texts(d.behavior_prob)
-    bps[np.isnan(d.behavior_prob)] = "-,"
-    resps = ["".join(row) for row in _value_texts(d.responses).tolist()]
-    dones = d.done.astype(np.int8).tolist()
-    lines.extend(f"{sid},{t},{f}{a},{bp}{r}{dn}" for sid, t, f, a, bp, r, dn
-                 in zip(sids, steps, feats, acts, bps.tolist(), resps, dones))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        raise ValueError(f"session id {bad[0]!r} does not survive a numpy str array")
+    header = json.dumps({"format": _FORMAT, "m": int(dataset.m), "metadata": dataset.metadata},
+                        default=repr, skipkeys=True)  # then fails the check below
+    if json.loads(header)["metadata"] != dataset.metadata:
+        raise ValueError(f"metadata {dataset.metadata!r} does not load back equal from JSON")
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: getattr(dataset, name) for name in _COLUMNS},
+                 offsets=dataset.offsets, session_ids=ids, header=np.array(header))
 
 
 def _parse_header(numbered, path):
@@ -497,8 +472,37 @@ def _num(x: float):
 
 
 def load_dataset(path) -> ReplayDataset:
-    """Strict parser for the documented format: whole columns, checked once.
-    Every error names the file and line."""
+    """Read a file of either format (above): a zip is format 2, anything else
+    format 1.  Every error is a ValueError naming the file, and the session
+    and step (format 2) or the line (format 1) of a bad row.  Format 2 arrays
+    load writable, C-contiguous and in their own dtypes: none is copied."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            return _load_text(path)
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                if sorted(npz.files) != sorted(_ARRAYS):
+                    raise ValueError(f"arrays {sorted(npz.files)}, expected {sorted(_ARRAYS)}")
+                arrays = {name: npz[name] for name in _ARRAYS}
+            header = json.loads(arrays.pop("header").item())
+            if not (isinstance(header, dict) and header.keys() == {"format", "m", "metadata"}
+                    and header["format"] == _FORMAT and isinstance(header["metadata"], dict)):
+                raise ValueError(f"header {header!r} is not a {_FORMAT!r} header")
+            ids = arrays.pop("session_ids").tolist()
+            data = ReplayDataset.from_columns(**arrays, session_ids=ids, m=header["m"],
+                                              metadata=header["metadata"])
+            n_items, a = int(data.metadata.get("n_items", 0)), data.action_index
+            _raise_first([((n_items > 0) & (a >= n_items),
+                           lambda k: f"action index {a[k]} outside [0, {n_items})")], data.where)
+        except (ValueError, TypeError, zipfile.BadZipFile, EOFError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return data
+
+
+def _load_text(path) -> ReplayDataset:
+    """Strict parser for format 1: whole columns, checked once.  Every error
+    names the file and line."""
     with open(path) as fh:
         numbered = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, start=1) if ln.strip()]
     m, state_dim, n_items, metadata, body_start = _parse_header(numbered, path)

@@ -134,21 +134,27 @@ class SessionSimulator:
         return State(self._features.copy())
 
     def step(self, item: int) -> tuple[State, np.ndarray, bool]:
-        cfg = self.config
         if self._features is None:
             raise RuntimeError("reset() must be called before step()")
         if self._t >= self._length:
             raise RuntimeError("stepping a terminal state")
-        if not (0 <= item < cfg.n_items):
-            raise ValueError(f"item index {item} out of range [0, {cfg.n_items})")
         t = self._t
-        self._t += 1
-        response, features = self._advance(self._features[None], np.array([item]),
-                                           self._noise[t:t + 1], self._fire[t:t + 1], self._t,
+        response, features = self._advance(self._features[None], self._items(item),
+                                           self._noise[t:t + 1], self._fire[t:t + 1], t + 1,
                                            np.array([self._length]))
+        self._t = t + 1  # only once the item is checked
         done = self._t >= self._length
         self._features = features[0]
         return State(self._features.copy(), terminal=done), response[0], done
+
+    def _items(self, item) -> np.ndarray:
+        """``item`` as a one-row index array; 2.0 acts as 2, as in ``from_columns``."""
+        raw = np.asarray(item)
+        if raw.shape != () or raw.dtype.kind not in "iuf" or raw != np.trunc(raw):  # NaN too
+            raise ValueError(f"item index {item!r} is not an integer")
+        if not 0 <= raw < self.config.n_items:
+            raise ValueError(f"item index {item} out of range [0, {self.config.n_items})")
+        return raw.astype(np.intp)[None]
 
     def _advance(self, features, items, noise, fire, t, lengths) -> tuple[np.ndarray, np.ndarray]:
         """One step of every row: ``features`` (k, state_dim), the items
@@ -186,7 +192,7 @@ class SessionSimulator:
         The dense response is g * max(0, mu + noise) with noise ~ N(0, sigma^2),
         so its mean is that of a rectified normal, g * (mu Phi(mu / sigma) +
         sigma phi(mu / sigma)), and g * max(0, mu) when sigma = 0."""
-        affinity, sparse = self._response_terms(np.asarray(features)[None], np.array([item]))
+        affinity, sparse = self._response_terms(np.asarray(features)[None], self._items(item))
         mu, sigma = _DENSE_BASE + float(affinity[0]), self.config.dense_noise_std
         if sigma == 0.0:
             return features[-2] * max(0.0, mu), sparse[0]
@@ -244,8 +250,7 @@ def run_episode(sim: SessionSimulator, select, episode_seed: int,
     The session draws from its own episode stream (see SessionSimulator);
     any action stream belongs to ``select``.  ``rollout`` steps many sessions
     together and gives the same trajectories.  The terminal next_state is
-    canonicalized to a zero feature vector (its value is never bootstrapped),
-    which keeps the text format round trip exact.
+    canonicalized to a zero feature vector (its value is never bootstrapped).
     """
     state = sim.reset(episode_seed)
     steps = []

@@ -1,6 +1,8 @@
 import gc
+import json
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,13 +213,14 @@ class TestDatasetIO:
         ds.states[1] = ds.next_states[0] = edge
         traj = ds.trajectories[0]
         path = tmp_path / "d.txt"
-        core.save_dataset(path, ds)
+        reference_save_dataset(path, ds)  # format 1 text, which the loader still reads
         body = path.read_text().splitlines()[2:]
         assert len(body) == len(traj)
         for t, (line, tr) in enumerate(zip(body, traj.transitions)):
             feats = ",".join(f"{v:.17g}" for v in tr.state.features)
             resp = ",".join(f"{v:.17g}" for v in tr.response)
             assert line == f"s3,{t},{feats},0,{tr.behavior_prob:.17g},{resp},{int(tr.done)}"
+        assert_same_columns(core.load_dataset(path), ds)
 
     def test_row_length_disagreeing_with_header_rejected(self):
         # a row of the wrong width cannot enter the store: the build that
@@ -383,8 +386,12 @@ class TestStoreRoundTrip:
         core.save_dataset(path, ds)
         loaded = core.load_dataset(path)
         assert_same_columns(loaded, ds)
-        assert loaded.metadata == {"state_dim": ds.states.shape[1], "n_items": 5, "note": "x"}
-        # the same rows with the sessions interleaved load into the same store
+        assert loaded.metadata == {"n_items": 5, "note": "x"}
+        # format 1 text of the same rows, with the sessions interleaved,
+        # loads into the same store
+        reference_save_dataset(path, ds)
+        assert core.load_dataset(path).metadata == {"state_dim": ds.states.shape[1],
+                                                    "n_items": 5, "note": "x"}
         lines = path.read_text().splitlines()
         head, body = lines[:3], lines[3:]
         by_session = [iter(body[lo:hi]) for lo, hi in zip(ds.offsets[:-1], ds.offsets[1:])]
@@ -409,35 +416,53 @@ class TestStoreRoundTrip:
         assert_same_columns(loaded, ds)
 
     @pytest.mark.parametrize("metadata", [
-        {"a=b": "c"},
-        {"note": "two\nlines"},
-        {"note": "carriage\rreturn"},
-        {"two\nlines": "x"},
-    ], ids=["equals-in-key", "newline-in-value", "return-in-value", "newline-in-key"])
+        {1: "x"},
+        {"note": object()},
+        {"pair": (1, 2)},
+        {"x": float("nan")},
+    ], ids=["int-key", "not-json", "tuple-value", "nan-value"])
     def test_metadata_that_would_not_load_back_is_rejected_before_writing(self, tmp_path,
                                                                           metadata):
         ds = dataset(chain([[1.0, 0.0]]), metadata=metadata)
-        with pytest.raises(ValueError, match=re.escape(f"metadata {next(iter(metadata))!r}")):
+        with pytest.raises(ValueError, match="does not load back equal from JSON"):
             core.save_dataset(tmp_path / "d.txt", ds)
         assert not (tmp_path / "d.txt").exists()
 
-    @pytest.mark.parametrize("sid", ["a,b", "two\nlines", "carriage\rreturn", "# meta a", "#s"])
+    @pytest.mark.parametrize("sid", ["nul\0", 7])
     def test_session_id_that_would_not_load_back_is_rejected_before_writing(self, tmp_path,
                                                                             sid):
+        """A numpy str array drops a trailing NUL and turns 7 into '7'."""
         ds = dataset(chain([[1.0, 0.0]], session_id=sid))
-        with pytest.raises(ValueError, match=re.escape(f"session id {sid!r} must not")):
+        with pytest.raises(ValueError, match=re.escape(f"session id {sid!r} does not survive")):
             core.save_dataset(tmp_path / "d.txt", ds)
         assert not (tmp_path / "d.txt").exists()
+
+    @pytest.mark.parametrize("sid", ["a,b", "two\nlines", "carriage\rreturn", "# meta a", "#s",
+                                     "inner\0nul", ""])
+    def test_session_ids_format_1_could_not_hold_round_trip(self, tmp_path, sid):
+        ds = dataset(chain([[1.0, 0.0]], session_id=sid), chain([[2.0, 1.0]], session_id="z"))
+        core.save_dataset(tmp_path / "d.txt", ds)
+        assert core.load_dataset(tmp_path / "d.txt").session_ids == [sid, "z"]
 
     def test_metadata_value_with_equals_round_trips(self, tmp_path):
         ds = dataset(chain([[1.0, 0.0]]), metadata={"a": "b=c"})
         core.save_dataset(tmp_path / "d.txt", ds)
         assert core.load_dataset(tmp_path / "d.txt").metadata["a"] == "b=c"
 
+    @pytest.mark.parametrize("metadata", [
+        {"a=b": "c"},
+        {"note": "two\nlines", "two\nlines": "carriage\rreturn"},
+        {"n_items": 3, "nested": {"list": [1, 2.5, None, True]}, "": -0.0},
+    ], ids=["equals-in-key", "line-breaks", "json-types"])
+    def test_metadata_round_trips_equal(self, tmp_path, metadata):
+        ds = dataset(chain([[1.0, 0.0]]), metadata=metadata)
+        core.save_dataset(tmp_path / "d.txt", ds)
+        assert core.load_dataset(tmp_path / "d.txt").metadata == metadata
+
 
 def reference_save_dataset(path, dataset):
-    """The per-row writer that ``core.save_dataset`` replaced, kept as its
-    byte reference: one ``%`` call per row and column block."""
+    """The format 1 text writer, one ``%`` call per row and column block:
+    it writes the files that ``core.load_dataset`` must still read."""
     d = dataset
     n_items = int(d.metadata.get("n_items", 0))
     lines = [core._DATASET_HEADER, f"# m={d.m} state_dim={d.states.shape[1]} n_items={n_items}"]
@@ -471,11 +496,157 @@ class TestSaveMatchesReferenceWriter:
                              [0.5, None, 5e-324], [False, True]))
     @settings(max_examples=100, deadline=None)
     def test_same_bytes_and_bit_exact_round_trip(self, tmp_path_factory, ds):
+        """Format 1 text from the reference writer loads back bit-exact;
+        format 2 gives the same bytes on every save and loads back bit-exact."""
         out = tmp_path_factory.mktemp("bytes")
-        core.save_dataset(out / "new.txt", ds)
         reference_save_dataset(out / "ref.txt", ds)
-        assert (out / "new.txt").read_bytes() == (out / "ref.txt").read_bytes()
+        assert_same_columns(core.load_dataset(out / "ref.txt"), ds)
+        core.save_dataset(out / "new.txt", ds)
+        core.save_dataset(out / "again.txt", ds)
+        assert (out / "new.txt").read_bytes() == (out / "again.txt").read_bytes()
         assert_same_columns(core.load_dataset(out / "new.txt"), ds)
+
+
+def v2_file(path, ds, **changes):
+    """Save ``ds`` at ``path`` in format 2, then write the file again with
+    ``changes`` to its arrays (None drops an array)."""
+    core.save_dataset(path, ds)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
+    return path
+
+
+def header(m=1, metadata=None, tag="cactor-dataset 2"):
+    return np.array(json.dumps({"format": tag, "m": m, "metadata": metadata or {}}))
+
+
+class TestFormat2Files:
+    def test_two_saves_give_identical_bytes(self, tmp_path):
+        ds = dataset(chain([[1.0, 2.0], [3.0, 4.0]], session_id="a"),
+                     chain([[5.0, 6.0]], session_id="b"), metadata={"n_items": 2})
+        core.save_dataset(tmp_path / "a.txt", ds)
+        core.save_dataset(tmp_path / "b.txt", ds)
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert (tmp_path / "a.txt").read_bytes()[:4] == b"PK\x03\x04"
+
+    def test_loaded_columns_are_writable(self, tmp_path):
+        ds = dataset(chain([[1.0, 2.0], [3.0, 4.0]], session_id="a"))
+        core.save_dataset(tmp_path / "d.txt", ds)
+        loaded = core.load_dataset(tmp_path / "d.txt")
+        for name in core._COLUMNS:
+            col = getattr(loaded, name)
+            assert col.flags.writeable and col.flags.c_contiguous, name
+        loaded.trajectories[0].transitions[0].behavior_prob *= 0.5
+        loaded.responses[1, 0] = -1.0
+        assert loaded.behavior_prob[0] == 0.25 and loaded.responses[1, 0] == -1.0
+
+    def test_truncated_session_round_trips_bit_for_bit(self, tmp_path):
+        """A session whose last row is not done keeps its non-terminal,
+        nonzero next_state; format 1 stored zeros there."""
+        ds = dataset(chain([[1.0], [2.0]], session_id="a"), chain([[3.0]], session_id="b"))
+        last = int(ds.offsets[1]) - 1
+        done, next_states = ds.done.copy(), ds.next_states.copy()
+        done[last], next_states[last] = False, [0.5, -0.0, 5e-324]
+        ds = rebuilt(ds, done=done, next_terminal=done.copy(), next_states=next_states)
+        core.save_dataset(tmp_path / "d.txt", ds)
+        loaded = core.load_dataset(tmp_path / "d.txt")
+        assert_same_columns(loaded, ds)
+        tr = loaded.trajectories[0].transitions[-1]
+        assert not tr.done and not tr.next_state.terminal
+        assert tr.next_state.features.tobytes() == np.array([0.5, -0.0, 5e-324]).tobytes()
+
+    def test_format_is_chosen_by_content_not_name(self, tmp_path):
+        ds = dataset(chain([[1.0, 2.0]], session_id="a"))
+        core.save_dataset(tmp_path / "d.txt", ds)
+        reference_save_dataset(tmp_path / "d.npz", ds)
+        assert_same_columns(core.load_dataset(tmp_path / "d.txt"), ds)
+        assert_same_columns(core.load_dataset(tmp_path / "d.npz"), ds)
+
+    def test_empty_dataset_round_trips(self, tmp_path):
+        ds = core.ReplayDataset.from_columns(**core._empty_columns(3, 2), offsets=[0],
+                                             session_ids=[], m=2)
+        core.save_dataset(tmp_path / "d.txt", ds)
+        assert_same_columns(core.load_dataset(tmp_path / "d.txt"), ds)
+
+
+class TestBadFormat2Files:
+    """Every malformed format 2 file fails with a ValueError naming the path,
+    and a bad row also names its session and step."""
+
+    @staticmethod
+    def ds():
+        return dataset(chain([[1.0], [2.0]], session_id="a"), chain([[3.0]], session_id="b"),
+                       metadata={"n_items": 2})
+
+    @pytest.mark.parametrize("kept", [0.005, 0.5, 0.999])
+    def test_truncated_zip(self, tmp_path, kept):
+        path = v2_file(tmp_path / "d.txt", self.ds())
+        data = path.read_bytes()
+        path.write_bytes(data[:max(4, int(len(data) * kept))])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            core.load_dataset(path)
+
+    def test_corrupt_array_bytes_fail_the_checksum(self, tmp_path):
+        path = v2_file(tmp_path / "d.txt", self.ds())
+        data = bytearray(path.read_bytes())
+        at = data.index(b"states.npy")
+        at = data.index(b"\n", data.index(b"{'descr'", at)) + 4  # inside the first array
+        data[at] ^= 0x55
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*CRC"):
+            core.load_dataset(path)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"next_states": None}, "arrays ["),
+        ({"extra": np.zeros(3)}, "arrays ["),
+        ({"header": header(tag="cactor-dataset 1")}, "is not a 'cactor-dataset 2' header"),
+        ({"header": header(m=1)[()][:-1]}, "Expecting"),
+        ({"header": np.array("[1, 2]")}, "is not a 'cactor-dataset 2' header"),
+        ({"header": np.array(3)}, "must be str"),
+        ({"session_ids": np.array(["a", 2], dtype=object)}, "allow_pickle=False"),
+        ({"action_index": np.array([0, 2, 1])},
+         "session a step 1: action index 2 outside [0, 2)"),
+        ({"behavior_prob": np.array([0.5, 1.5, 0.5])},
+         "session a step 1: behavior_prob 1.5 outside (0, 1]"),
+        ({"done": np.array([True, True, True])},
+         "session a step 0: done transition must lead to a terminal state"),
+        ({"responses": np.zeros((3, 2))}, "responses has shape (3, 2), expected (3, 1)"),
+    ], ids=["missing-array", "extra-array", "format-tag", "header-not-json", "header-not-dict",
+            "header-not-text",
+            "object-array", "action-vs-n_items", "row-error", "done-before-end", "shape"])
+    def test_bad_file_names_path(self, tmp_path, changes, message):
+        path = v2_file(tmp_path / "d.txt", self.ds(), **changes)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            core.load_dataset(path)
+
+
+class TestFormat1Fixture:
+    """``tests/data/v1-interleaved.txt`` was written by the format 1 text
+    writer (``save_dataset`` before format 2), its rows then interleaved
+    across sessions.  It must keep loading into these columns."""
+
+    def test_loads_into_pinned_columns(self):
+        loaded = core.load_dataset(Path(__file__).parent / "data" / "v1-interleaved.txt")
+        sub = 5e-324
+        states = [[-1.0, 0.25], [3.0, -2.5],                 # b, truncated
+                  [0.5, -0.0], [1.0, sub], [1.5, 2.0],        # a
+                  [0.0, 1e300], [-0.0, 0.1]]                  # c
+        next_states = [[3.0, -2.5], [0.0, 0.0],
+                       [1.0, sub], [1.5, 2.0], [0.0, 0.0],
+                       [-0.0, 0.1], [0.0, 0.0]]
+        done = [False, False, False, False, True, False, True]
+        want = core.ReplayDataset.from_columns(
+            states=states, next_states=next_states, next_terminal=done,
+            action_index=[2, 1, 0, -1, 3, -1, 0],
+            behavior_prob=[1 / 3, np.nan, 0.25, np.nan, 1.0, 0.5, sub],
+            responses=[[-3.0, 1.0], [0.0, 0.0], [1.0, -0.0], [2.5, 1.0], [sub, 0.0],
+                       [4.0, -1.0], [1e-310, 2.0]],
+            done=done, offsets=[0, 2, 5, 7], session_ids=["b", "a", "c"], m=2)
+        assert_same_columns(loaded, want)
+        assert loaded.metadata == {"state_dim": 2, "n_items": 4, "source": "fixture"}
 
 
 class TestViews:

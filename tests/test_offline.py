@@ -445,7 +445,7 @@ class TestWriteThrough:
         core.save_dataset(tmp_path / "d.txt", ds)
         return ([(tr.behavior_prob, tr.response.tolist(), tr.state.features.tolist())
                  for tr in trs],
-                ncis, [c.params.tolist() for c in critics], (tmp_path / "d.txt").read_text())
+                ncis, [c.params.tolist() for c in critics], (tmp_path / "d.txt").read_bytes())
 
     @pytest.mark.parametrize("how", ["in_place", "column"])
     def test_edit_is_seen_by_every_pass(self, how, tmp_path):

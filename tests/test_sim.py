@@ -94,8 +94,46 @@ class TestStepSemantics:
     def test_item_out_of_range_rejected(self, cfg):
         sim = sm.SessionSimulator(cfg)
         sim.reset(0)
-        with pytest.raises(ValueError, match="out of range"):
-            sim.step(cfg.n_items)
+        for item in (cfg.n_items, -1, float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="out of range"):
+                sim.step(item)
+
+    @pytest.mark.parametrize("item", [1.7, np.float64(2.5), float("nan"), "2", [1], True, 2**70])
+    def test_non_integer_item_rejected_by_name(self, cfg, item):
+        sim = sm.SessionSimulator(cfg)
+        state = sim.reset(0)
+        want = re.escape(f"item index {item!r} is not an integer")
+        with pytest.raises(ValueError, match=want):
+            sim.step(item)
+        with pytest.raises(ValueError, match=want):
+            sim.response_probs(state.features, item)
+
+    def test_integral_float_item_acts_as_its_integer(self, cfg):
+        a, b = sm.SessionSimulator(cfg), sm.SessionSimulator(cfg)
+        state = a.reset(4)
+        b.reset(4)
+        for item in (np.float64(2.0), 3.0, np.int32(5)):
+            want = b.step(int(item))
+            got = a.step(item)
+            assert np.array_equal(got[0].features, want[0].features)
+            assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+        d_got, s_got = a.response_probs(state.features, np.float64(2.0))
+        d_want, s_want = a.response_probs(state.features, 2)
+        assert d_got == d_want and np.array_equal(s_got, s_want)
+
+    def test_rejected_step_leaves_the_session_where_it_was(self, cfg):
+        a, b = sm.SessionSimulator(cfg), sm.SessionSimulator(cfg)
+        a.reset(6)
+        b.reset(6)
+        a.step(1)
+        b.step(1)
+        for bad in (1.7, cfg.n_items, -1):
+            with pytest.raises(ValueError):
+                a.step(bad)
+        assert a._t == b._t == 1
+        got, want = a.step(3), b.step(3)
+        assert np.array_equal(got[0].features, want[0].features)
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
     def test_sparse_rate_matches_analytic_mean(self, cfg):
         # conditional on the visited (state, item) path, total fires has mean
