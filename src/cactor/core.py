@@ -273,9 +273,12 @@ class ReplayDataset:
 
 def check_config(cfg, iterations=(), counts=(), positive=(), rules=()) -> None:
     """Raise ValueError naming the first field of ``cfg`` that breaks its
-    rule: ``iterations`` must be >= 0, ``counts`` >= 1 and ``positive``
-    > 0; ``rules`` adds (message, holds) pairs.  Every rule is written so
-    that NaN fails it."""
+    rule: ``iterations`` and ``counts`` must be integers (not a bool or 8.0),
+    ``iterations`` >= 0, ``counts`` >= 1 and ``positive`` > 0; ``rules``
+    adds (message, holds) pairs.  Every rule is written so that NaN fails it."""
+    for f in (*iterations, *counts):
+        if isinstance(v := getattr(cfg, f), bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{f} must be an integer")
     checks = [(f"{f} must be >= 0", getattr(cfg, f) >= 0) for f in iterations]
     checks += [(f"{f} must be >= 1", getattr(cfg, f) >= 1) for f in counts]
     checks += [(f"{f} must be > 0", getattr(cfg, f) > 0) for f in positive]

@@ -291,10 +291,14 @@ def summed_value_correlation(critics, dataset: ReplayDataset, discounts) -> floa
 # ---------------------------------------------------------------------------
 
 def ncis_from_weights(weights, rewards) -> np.ndarray:
-    """sum(w * r) / sum(w) per response column; invariant to rescaling w.
-    The weights must be finite and nonnegative, with a positive sum."""
+    """sum(w * r) / sum(w) per response column (1-D rewards are one column);
+    invariant to rescaling w.  The weights, one per row of ``rewards``, must
+    be finite and nonnegative, with a positive sum."""
     weights = np.asarray(weights, dtype=np.float64)
-    rewards = np.atleast_2d(np.asarray(rewards, dtype=np.float64))
+    rewards = np.asarray(rewards, dtype=np.float64)
+    rewards = rewards.reshape(-1, 1) if rewards.ndim < 2 else rewards
+    if weights.shape != rewards.shape[:1]:
+        raise ValueError(f"weights have shape {weights.shape}, expected ({len(rewards)},)")
     if not np.all((weights >= 0.0) & (weights < np.inf)):  # NaN fails too
         raise ValueError("weights must be finite and nonnegative")
     total = weights.sum()

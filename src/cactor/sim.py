@@ -400,41 +400,57 @@ def review_state_dim(config: ReviewDatasetConfig) -> int:
 
 
 def generate_reviews(config: ReviewDatasetConfig) -> list[tuple[int, int, np.ndarray, float]]:
-    """Raw (user, item, aspect-ordered scores, behavior_prob) records.
+    """Raw (user, item, aspect-ordered scores, behavior_prob) records, one
+    per review: a record view of ``_review_columns``.
 
     Aspect scores are integers in 1..5; "business" and "checkin" are missing
     with some probability and encoded as -1, which is why their corpus means
     come out negative.
+
+    RNG contract: the stream (config.seed, "reviews") draws the tables, then
+    per review, in this order: ``integers(n_users)`` (the user), one
+    ``random()`` (the item: ``inverse_cdf`` of the user's choice row, which
+    is what ``Generator.choice`` returns for that uniform), 8 standard
+    normals z (the aspects' noise, then the overall's, each entering as
+    ``0.0 + scale * z``, as ``Generator.normal`` makes it) and 2 uniforms
+    (business, then checkin, is missing if below 0.55).
     """
+    users, items, scores, probs = _review_columns(config)
+    return list(zip(users.tolist(), items.tolist(), scores, probs.tolist()))
+
+
+def _review_columns(config: ReviewDatasetConfig):
+    """Columns users, items, scores (n, REVIEW_M) and probs; see ``generate_reviews``."""
     rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "reviews")))
     d = 4
-    users = rng.normal(size=(config.n_users, d))
+    user_embed = rng.normal(size=(config.n_users, d))
     harshness = rng.normal(scale=0.3, size=config.n_users)
-    items = rng.normal(size=(config.n_items, d))
+    item_embed = rng.normal(size=(config.n_items, d))
     quality = rng.normal(scale=0.7, size=config.n_items)
     aspect_dev = rng.normal(scale=0.4, size=(config.n_items, REVIEW_M - 1))
 
-    affinity = users @ items.T / np.sqrt(d)
+    affinity = user_embed @ item_embed.T / np.sqrt(d)
     logits = 1.5 * (affinity + quality)
     shifted = logits - logits.max(axis=1, keepdims=True)
     choice_probs = np.exp(shifted)
     choice_probs /= choice_probs.sum(axis=1, keepdims=True)
 
-    records = []
-    for _ in range(config.n_reviews):
-        u = int(rng.integers(config.n_users))
-        h = int(rng.choice(config.n_items, p=choice_probs[u]))
-        base = 3.4 + quality[h] + 0.35 * affinity[u, h] - harshness[u]
-        scores = np.empty(REVIEW_M)
-        for i in range(REVIEW_M - 1):
-            scores[i] = np.clip(round(base + aspect_dev[h, i] + rng.normal(scale=0.4)), 1, 5)
-        scores[REVIEW_M - 1] = np.clip(
-            round(base + 0.5 * aspect_dev[h].mean() + rng.normal(scale=0.3)), 1, 5)
-        for i, name in enumerate(REVIEW_ASPECTS[:-1]):
-            if name in ("business", "checkin") and rng.random() < 0.55:
-                scores[i] = -1.0
-        records.append((u, h, scores, float(choice_probs[u, h])))
-    return records
+    n = config.n_reviews
+    users = np.empty(n, dtype=np.intp)
+    picks, noise, missing = np.empty(n), np.empty((n, REVIEW_M)), np.empty((n, 2))
+    for k in range(n):  # per review, in order: integers and normals take a variable count
+        users[k] = rng.integers(config.n_users)
+        picks[k] = rng.random()
+        rng.standard_normal(out=noise[k])
+        rng.random(out=missing[k])
+    items = inverse_cdf(choice_probs[users], picks)
+    base = (3.4 + quality[items] + 0.35 * affinity[users, items] - harshness[users])[:, None]
+    dev = np.concatenate([aspect_dev, 0.5 * aspect_dev.mean(axis=1, keepdims=True)], axis=1)
+    scale = np.array([0.4] * (REVIEW_M - 1) + [0.3])
+    scores = np.clip(np.rint(base + dev[items] + (0.0 + scale * noise)), 1, 5)  # as round()
+    gaps = [REVIEW_ASPECTS.index("business"), REVIEW_ASPECTS.index("checkin")]
+    scores[:, gaps] = np.where(missing < 0.55, -1.0, scores[:, gaps])
+    return users, items, scores, choice_probs[users, items]
 
 
 def save_review_file(path, config: ReviewDatasetConfig,
@@ -449,11 +465,12 @@ def save_review_file(path, config: ReviewDatasetConfig,
         fh.write("\n".join(lines) + "\n")
 
 
-def _reviews_to_dataset(records, n_users, n_items, min_len, window) -> ReplayDataset:
-    """One session per user with at least ``min_len`` records, in order of
-    each user's first record.  The state of step t holds the user id and the
-    last ``window`` reviewed items with their scores (oldest in slot 0)."""
-    users = np.array([rec[0] for rec in records], dtype=np.intp)
+def _reviews_to_dataset(users, items, scores, probs, n_users, n_items, min_len,
+                        window) -> ReplayDataset:
+    """One session per user with at least ``min_len`` reviews, in order of
+    each user's first review; probs is NaN where unknown.  The state of step
+    t holds the user id and the last ``window`` reviewed items with their
+    scores (oldest in slot 0)."""
     index: dict[int, int] = {}
     session = np.array([index.setdefault(u, len(index)) for u in users.tolist()],
                        dtype=np.intp)
@@ -463,10 +480,7 @@ def _reviews_to_dataset(records, n_users, n_items, min_len, window) -> ReplayDat
     lengths = counts[counts >= min_len]
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     n = int(offsets[-1])
-    items = np.array([records[k][1] for k in order], dtype=np.intp)
-    scores = np.array([records[k][2] for k in order], dtype=np.float64).reshape(n, REVIEW_M)
-    probs = np.array([np.nan if records[k][3] is None else records[k][3] for k in order],
-                     dtype=np.float64)
+    items, scores, probs = items[order], scores[order], probs[order]
     lo = np.repeat(offsets[:-1], lengths)
     step = np.arange(n) - lo
 
@@ -497,7 +511,7 @@ def _reviews_to_dataset(records, n_users, n_items, min_len, window) -> ReplayDat
 
 
 def generate_review_dataset(config: ReviewDatasetConfig) -> ReplayDataset:
-    return _reviews_to_dataset(generate_reviews(config), config.n_users, config.n_items,
+    return _reviews_to_dataset(*_review_columns(config), config.n_users, config.n_items,
                                config.min_trajectory_length, config.history_window)
 
 
@@ -514,7 +528,7 @@ def load_review_dataset(path, min_trajectory_length: int = 20,
     dims = _parse_dims(*numbered[1], path, ("n_users", "n_items"))
     n_users, n_items = dims["n_users"], dims["n_items"]
 
-    records = []
+    users, items, scores, probs = [], [], [], []
     for lineno, ln in numbered[2:]:
         parts = ln.split(",")
         if len(parts) not in (2 + REVIEW_M, 3 + REVIEW_M):
@@ -522,13 +536,13 @@ def load_review_dataset(path, min_trajectory_length: int = 20,
                              f"expected {2 + REVIEW_M} or {3 + REVIEW_M}")
         try:
             u, h = int(parts[0]), int(parts[1])
-            scores = np.array([float(v) for v in parts[2 : 2 + REVIEW_M]])
+            row = [float(v) for v in parts[2 : 2 + REVIEW_M]]
             prob = float(parts[2 + REVIEW_M]) if len(parts) == 3 + REVIEW_M else None
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if not (0 <= u < n_users and 0 <= h < n_items):
             raise ValueError(f"{path}:{lineno}: user or item id out of range")
-        if not np.isfinite(scores).all():
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}:{lineno}: non-finite score")
         if prob is not None and prob != prob:
             raise ValueError(f"{path}:{lineno}: probability {parts[-1]!r} is not a number; "
@@ -536,6 +550,10 @@ def load_review_dataset(path, min_trajectory_length: int = 20,
                              "form without one")
         if prob is not None and not 0.0 < prob <= 1.0:
             raise ValueError(f"{path}:{lineno}: probability {prob} outside (0, 1]")
-        records.append((u, h, scores, prob))
-    return _reviews_to_dataset(records, n_users, n_items,
-                               min_trajectory_length, history_window)
+        users.append(u)
+        items.append(h)
+        scores.append(row)
+        probs.append(np.nan if prob is None else prob)
+    return _reviews_to_dataset(np.array(users, dtype=np.intp), np.array(items, dtype=np.intp),
+                               np.array(scores).reshape(-1, REVIEW_M), np.array(probs),
+                               n_users, n_items, min_trajectory_length, history_window)

@@ -1,0 +1,32 @@
+"""``tools/cycle_faults.py`` runs a benchmark workload end to end: it must
+keep working with the workloads it builds (their ``_Steps``, their warm-up
+calls and their step kinds)."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "cycle_faults.py"
+
+
+@pytest.mark.parametrize("workload, kinds, split", [
+    ("online_two_stage", ["iteration"], False),
+    ("offline_review", ["save_dataset", "load_dataset", "multi_critic_train",
+                        "offline_actor_update_aux", "offline_actor_update_main",
+                        "ncis_evaluate"], True),
+], ids=["online_two_stage", "offline_review"])
+def test_prints_every_phase_and_step_kind(workload, kinds, split):
+    out = subprocess.run([sys.executable, str(TOOL), "--workload", workload, "--seed", "1",
+                          "--warmup", "0", "--cycles", "1"],
+                         capture_output=True, text=True, timeout=300, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0].startswith(f"{workload} seed 1: 0 warm-up cycles, 1 timed, 0 failed ops")
+    phases = [ln.rsplit(maxsplit=2)[0] for ln in lines[2:8]]
+    assert phases == ["import stdlib, parse args", "import numpy", "import cactor, workloads",
+                      "input build", "warm-up", "total"]
+    rows = [ln.split() for ln in lines[9:9 + len(kinds)]]
+    assert [r[0] for r in rows] == kinds
+    assert all((r[-1] != "-") == split for r in rows)
+    assert lines[9 + len(kinds)].startswith("cycle")

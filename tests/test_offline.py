@@ -614,6 +614,18 @@ class TestNCIS:
         with pytest.raises(ValueError, match=message):
             off.ncis_from_weights(weights, np.ones((2, 3)))
 
+    def test_one_dimensional_rewards_are_one_column(self):
+        out = off.ncis_from_weights([1.0, 3.0], [1.0, 2.0])
+        assert out.shape == (1,) and out[0] == 1.75
+        assert np.array_equal(out, off.ncis_from_weights([1.0, 3.0], [[1.0], [2.0]]))
+
+    @pytest.mark.parametrize("rewards", [np.ones((3, 2)), np.ones(3), np.ones((1, 2))],
+                             ids=["3x2", "1-D", "one-row"])
+    def test_reward_rows_must_match_the_weights(self, rewards):
+        with pytest.raises(ValueError, match=re.escape(
+                f"weights have shape (2,), expected ({len(rewards)},)")):
+            off.ncis_from_weights([1.0, 3.0], rewards)
+
     def test_large_cap_equals_snis_and_weights_monotone(self, mdp):
         behavior = np.full((4, 3), 1.0 / 3.0)
         target = skewed_policy(4, 3, seed=10)
@@ -716,6 +728,33 @@ class TestNCIS:
 def test_configs_reject_values_that_would_run_silently_wrong(config, field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
         config(**{field: value})
+
+
+COUNT_FIELDS = [(SimConfig, "n_items")] + [
+    (ReviewDatasetConfig, f) for f in ("n_users", "n_items", "n_reviews",
+                                       "min_trajectory_length", "history_window")] + [
+    (stx.TwoStageConfig, f) for f in ("stage1_iters", "stage2_iters", "episodes_per_iter",
+                                      "critic_steps", "divergence_patience")] + [
+    (det.DDPGConfig, f) for f in ("updates", "batch_size", "embed_dim", "target_refresh",
+                                  "log_every")] + [
+    (det.BCConfig, f) for f in ("updates", "batch_size", "log_every")] + [
+    (off.MultiCriticConfig, f) for f in ("iters", "batch_size")]
+COUNT_IDS = [f"{config.__name__}.{field}" for config, field in COUNT_FIELDS]
+
+
+@pytest.mark.parametrize("value", [8.0, 0.5, float("nan"), "3", True],
+                         ids=["float-8.0", "float-0.5", "nan", "str", "bool"])
+@pytest.mark.parametrize("config, field", COUNT_FIELDS, ids=COUNT_IDS)
+def test_count_fields_must_be_integers(config, field, value):
+    # checked before the range rule, so 0.5 is not called "< 1"
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("config, field", COUNT_FIELDS, ids=COUNT_IDS)
+def test_count_fields_accept_numpy_integers(config, field):
+    value = np.int64(getattr(config(), field))
+    assert getattr(config(**{field: value}), field) == value
 
 
 def test_configs_accept_their_bounds():

@@ -5,7 +5,9 @@ import pytest
 
 from cactor import approximator as ap
 from cactor import sim as sm
-from cactor.core import load_dataset, save_dataset
+from cactor.core import _COLUMNS, load_dataset, save_dataset
+
+from _reviews import reference_generate_reviews
 
 ROLLOUT_CONFIGS = [
     sm.SimConfig(),
@@ -525,20 +527,58 @@ class TestOfflineGeneration:
             assert ta.behavior_prob == tc.behavior_prob
 
 
+def review_columns(records):
+    """The users, items, scores and probs columns of (user, item, scores,
+    prob) records, as ``sm._reviews_to_dataset`` takes them (NaN for a None
+    probability)."""
+    users, items, scores, probs = zip(*records)
+    return (np.array(users, dtype=np.intp), np.array(items, dtype=np.intp),
+            np.array(scores, dtype=np.float64).reshape(-1, sm.REVIEW_M),
+            np.array([np.nan if p is None else p for p in probs], dtype=np.float64))
+
+
+REVIEW_ORACLE_CASES = [(sm.ReviewDatasetConfig(seed=s), 2400) for s in range(10)] + [
+    (sm.ReviewDatasetConfig(n_users=1, n_items=1, seed=2), 2400),
+    (sm.ReviewDatasetConfig(n_reviews=1, min_trajectory_length=1, seed=3), 1),
+    (sm.ReviewDatasetConfig(n_reviews=19, seed=4), 0),  # one review short of any session
+]
+
+
+@pytest.mark.parametrize("cfg, rows", REVIEW_ORACLE_CASES,
+                         ids=[f"default-seed{s}" for s in range(10)]
+                         + ["one-user-one-item", "one-review", "every-session-filtered"])
+def test_review_corpus_equals_the_per_review_loop(cfg, rows):
+    want = reference_generate_reviews(cfg)
+    got = sm.generate_reviews(cfg)
+    assert [(u, h) for u, h, _, _ in got] == [(u, h) for u, h, _, _ in want]
+    assert all(type(u) is int and type(h) is int and type(p) is float for u, h, _, p in got)
+    for a, b in zip(review_columns(got)[2:], review_columns(want)[2:]):  # scores, probs
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    ds = sm.generate_review_dataset(cfg)
+    ref = sm._reviews_to_dataset(*review_columns(want), cfg.n_users, cfg.n_items,
+                                 cfg.min_trajectory_length, cfg.history_window)
+    for name in _COLUMNS:
+        a, b = getattr(ds, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+    assert np.array_equal(ds.offsets, ref.offsets) and ds.session_ids == ref.session_ids
+    assert ds.n_transitions == rows
+
+
 class TestReviewData:
     def test_length_filter_boundary(self):
         cfg = sm.ReviewDatasetConfig(n_users=2, n_items=5, n_reviews=35,
                                      min_trajectory_length=20, seed=3)
         records = [(0, i % 5, np.full(sm.REVIEW_M, 3.0), 0.2) for i in range(25)]
         records += [(1, i % 5, np.full(sm.REVIEW_M, 3.0), 0.2) for i in range(10)]
-        ds = sm._reviews_to_dataset(records, 2, 5, 20, 3)
+        ds = sm._reviews_to_dataset(*review_columns(records), 2, 5, 20, 3)
         assert len(ds.trajectories) == 1
         assert len(ds.trajectories[0]) == 25
 
     def test_round_trip_generate_write_load(self, tmp_path):
         cfg = sm.ReviewDatasetConfig(n_users=12, n_items=8, n_reviews=500, seed=4)
         records = sm.generate_reviews(cfg)
-        direct = sm._reviews_to_dataset(records, cfg.n_users, cfg.n_items,
+        direct = sm._reviews_to_dataset(*review_columns(records), cfg.n_users, cfg.n_items,
                                         cfg.min_trajectory_length, cfg.history_window)
         path = tmp_path / "reviews.txt"
         sm.save_review_file(path, cfg, records)
@@ -602,7 +642,7 @@ class TestReviewData:
         assert [len(ln.split(",")) for ln in body[:3]] == [2 + sm.REVIEW_M, 3 + sm.REVIEW_M,
                                                            3 + sm.REVIEW_M]
         loaded = sm.load_review_dataset(path, 3, cfg.history_window)
-        direct = sm._reviews_to_dataset(records, cfg.n_users, cfg.n_items, 3,
+        direct = sm._reviews_to_dataset(*review_columns(records), cfg.n_users, cfg.n_items, 3,
                                         cfg.history_window)
         for name in ("states", "responses", "action_index", "behavior_prob", "done"):
             assert np.array_equal(getattr(loaded, name), getattr(direct, name),
@@ -628,7 +668,7 @@ class TestReviewData:
         cfg = sm.ReviewDatasetConfig(n_users=6, n_items=4, n_reviews=200, seed=9,
                                      min_trajectory_length=5)
         records = sm.generate_reviews(cfg)
-        ds = sm._reviews_to_dataset(records, cfg.n_users, cfg.n_items, 5, 3)
+        ds = sm._reviews_to_dataset(*review_columns(records), cfg.n_users, cfg.n_items, 5, 3)
         k = 0
         for u, h, scores, prob in records:
             if ds.trajectories and ds.trajectories[0].session_id == f"user-{u}":
@@ -638,6 +678,13 @@ class TestReviewData:
                 k += 1
                 if k >= len(ds.trajectories[0]):
                     break
+
+    def test_file_without_reviews_loads_empty(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# cactor-reviews 1\n# n_users=2 n_items=2\n")
+        ds = sm.load_review_dataset(path)
+        assert ds.n_transitions == 0 and ds.session_ids == []
+        assert ds.responses.shape == (0, sm.REVIEW_M)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,0 +1,175 @@
+"""Wall time and minor page faults of one benchmark workload, per step kind
+of its cycle and per phase of its set-up.
+
+    python3 tools/cycle_faults.py --workload offline_review --seed 1
+    python3 tools/cycle_faults.py --workload offline_ddpg --seed 3 --warmup 2 --cycles 20
+
+Run from the root of a source checkout.  The script builds the workload
+from bench/workloads.py for the seed, as bench/run.py does (cactor from
+src/, BLAS pinned to one thread), runs --warmup cycles, then times
+--cycles more.  It edits no file; the workload writes its own files into a
+temporary directory.
+
+A minor fault is a page the process touches for the first time since the
+kernel mapped it (getrusage ru_minflt): an array whose memory was handed
+back to the kernel when freed faults its pages in again on the next call.
+
+Printed, per step kind (the steps a cycle reports, one per ``_Steps.mark``
+or one per metric row): the steps per cycle, the median wall ms of one
+step, and the median over cycles of the kind's faults per cycle.  Faults
+are split by step only for workloads that time their steps with
+``_Steps`` (offline_review); the others show the cycle's total alone.
+
+Set-up phases, each in ms and faults: the script's own stdlib imports,
+importing numpy, importing cactor and the workloads, building the inputs
+(the workload's ``__init__`` up to its first warm-up call, WARMUP_CALL)
+and the warm-up (the rest of ``__init__``).  Interpreter start-up, which
+bench/run.py's setup_s also counts, happens before the script runs.
+"""
+
+from __future__ import annotations
+
+import resource
+import time
+
+T_START, F_START = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+import argparse  # noqa: E402
+import os  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the cactor call that starts each workload's warm-up in its __init__
+WARMUP_CALL = {"online_two_stage": "train_two_stage",
+               "offline_ddpg": "train_constrained_ddpg",
+               "offline_review": "multi_critic_train"}
+
+
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--workload", required=True, choices=sorted(WARMUP_CALL))
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--warmup", type=int, default=2, help="untimed cycles (default 2)")
+    p.add_argument("--cycles", type=int, default=20, help="timed cycles (default 20)")
+    args = p.parse_args(argv)
+    if args.warmup < 0 or args.cycles < 1:
+        p.error("--warmup must be >= 0 and --cycles >= 1")
+    return args
+
+
+class _Phases:
+    """(name, ms, faults) from one mark to the next."""
+
+    def __init__(self, t: float, faults: int):
+        self.rows: list[tuple[str, float, int]] = []
+        self._t, self._f = t, faults
+
+    def mark(self, name: str, t: float | None = None, faults: int | None = None) -> None:
+        t = time.perf_counter() if t is None else t
+        faults = minflt() if faults is None else faults
+        self.rows.append((name, 1e3 * (t - self._t), faults - self._f))
+        self._t, self._f = t, faults
+
+
+def _build(workload, seed: int, workdir: Path, cactor, phases: _Phases):
+    """The workload, with its __init__ split at the first call of its
+    WARMUP_CALL function."""
+    name = WARMUP_CALL[workload.name]
+    original = getattr(cactor, name)
+    first = []
+
+    def wrapped(*args, **kwargs):
+        if not first:
+            first.append((time.perf_counter(), minflt()))
+        return original(*args, **kwargs)
+
+    setattr(cactor, name, wrapped)
+    try:
+        built = workload(seed, workdir)
+    finally:
+        setattr(cactor, name, original)
+    if not first:
+        sys.exit(f"cycle_faults: {workload.name}'s set-up never called cactor.{name}")
+    phases.mark("input build", *first[0])
+    phases.mark("warm-up")
+    return built
+
+
+def main(argv=None) -> int:
+    phases = _Phases(T_START, F_START)
+    args = _parse(argv)
+    phases.mark("import stdlib, parse args")
+    import numpy as np
+    phases.mark("import numpy")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import cactor
+    import workloads
+    phases.mark("import cactor, workloads")
+
+    marks: list[int] = []
+    mark = workloads._Steps.mark
+
+    def counted_mark(self, kind, updates=0):
+        marks.append(minflt())
+        mark(self, kind, updates)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        wl = _build(workloads.WORKLOADS[args.workload], args.seed, Path(tmp), cactor, phases)
+        workloads._Steps.mark = counted_mark
+        try:
+            step_ms: dict[str, list[float]] = {}
+            per_cycle: dict[str, list[tuple[int, int | None]]] = {}
+            cycle_ms, cycle_faults, failed = [], [], 0
+            for k in range(args.warmup + args.cycles):
+                marks.clear()
+                t0, f0 = time.perf_counter(), minflt()
+                result = wl.cycle()
+                t1, f1 = time.perf_counter(), minflt()
+                failed += result.failed
+                if k < args.warmup:
+                    continue
+                cycle_ms.append(1e3 * (t1 - t0))
+                cycle_faults.append(f1 - f0)
+                split = len(marks) == len(result.steps)
+                deltas = np.diff([f0] + marks) if split else [None] * len(result.steps)
+                counts: dict[str, list] = {}
+                for (kind, dt, _), faults in zip(result.steps, deltas):
+                    step_ms.setdefault(kind, []).append(1e3 * dt)
+                    counts.setdefault(kind, []).append(faults)
+                for kind, fs in counts.items():
+                    total = None if fs[0] is None else int(sum(fs))
+                    per_cycle.setdefault(kind, []).append((len(fs), total))
+        finally:
+            workloads._Steps.mark = mark
+
+    print(f"{args.workload} seed {args.seed}: {args.warmup} warm-up cycles, "
+          f"{args.cycles} timed, {failed} failed ops, numpy {np.__version__}")
+    print(f"{'set-up phase':<28}{'ms':>10}{'faults':>10}")
+    for name, ms, faults in phases.rows:
+        print(f"{name:<28}{ms:>10.1f}{faults:>10d}")
+    print(f"{'total':<28}{sum(r[1] for r in phases.rows):>10.1f}"
+          f"{sum(r[2] for r in phases.rows):>10d}")
+    print(f"{'step kind':<28}{'steps/cycle':>12}{'median ms':>12}{'faults/cycle':>14}")
+    for kind, rows in per_cycle.items():
+        totals = [f for _, f in rows]
+        faults = "-" if totals[0] is None else f"{statistics.median(totals):g}"
+        print(f"{kind:<28}{rows[0][0]:>12d}{statistics.median(step_ms[kind]):>12.3f}"
+              f"{faults:>14}")
+    print(f"{'cycle':<28}{'':>12}{statistics.median(cycle_ms):>12.3f}"
+          f"{statistics.median(cycle_faults):>14g}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
