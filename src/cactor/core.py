@@ -275,12 +275,19 @@ def check_config(cfg, iterations=(), counts=(), positive=(), rules=()) -> None:
     """Raise ValueError naming the first field of ``cfg`` that breaks its
     rule: ``iterations`` and ``counts`` must be integers (not a bool or 8.0),
     ``iterations`` >= 0, ``counts`` >= 1 and ``positive`` > 0; ``rules``
-    adds (message, holds) pairs.  Every rule is written so that NaN fails it."""
-    for f in (*iterations, *counts):
-        if isinstance(v := getattr(cfg, f), bool) or not isinstance(v, (int, np.integer)):
+    adds (message, holds) pairs.  Every rule is written so that NaN fails it.
+    A tuple or list field is checked entry by entry, named ``field[i]``."""
+    def entries(fields):
+        for f in fields:
+            v = getattr(cfg, f)
+            yield from (((f"{f}[{i}]", x) for i, x in enumerate(v))
+                        if isinstance(v, (tuple, list)) else [(f, v)])
+    iterations, counts = list(entries(iterations)), list(entries(counts))
+    for f, v in (*iterations, *counts):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{f} must be an integer")
-    checks = [(f"{f} must be >= 0", getattr(cfg, f) >= 0) for f in iterations]
-    checks += [(f"{f} must be >= 1", getattr(cfg, f) >= 1) for f in counts]
+    checks = [(f"{f} must be >= 0", v >= 0) for f, v in iterations]
+    checks += [(f"{f} must be >= 1", v >= 1) for f, v in counts]
     checks += [(f"{f} must be > 0", getattr(cfg, f) > 0) for f in positive]
     for message, holds in [*checks, *rules]:
         if not holds:

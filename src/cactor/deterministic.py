@@ -18,6 +18,7 @@ and losses and diagnostics come back as one float per member.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class CriticQ:
     gamma: float
 
     def q_value(self, features, actions) -> np.ndarray:
-        x = np.concatenate([np.atleast_2d(features), np.atleast_2d(actions)], axis=-1)
+        x = np.concatenate([features, actions], axis=-1)
         return ap.forward(self.spec, self.params, x)[..., 0]
 
 
@@ -80,6 +81,12 @@ def closeness(a, b) -> np.ndarray:
 # update operations
 # ---------------------------------------------------------------------------
 
+@lru_cache
+def member_rows(lead: tuple) -> tuple:
+    """Read-only sparse index of an item-table bank's member axes ``lead``, built once."""
+    return tuple(np.broadcast_to(ix, ix.shape) for ix in np.indices((*lead, 1), sparse=True)[:-1])
+
+
 def q_critic_update(critic: CriticQ, target_critic: CriticQ,
                     target_policy: DeterministicPolicy, items: np.ndarray,
                     batch, opt: ap.OptState, reward_override=None):
@@ -96,14 +103,14 @@ def q_critic_update(critic: CriticQ, target_critic: CriticQ,
         raise ValueError("batch lacks action indices")
     r_i = reward_override if reward_override is not None else r[..., critic.response_index]
     # the rows of each member's own item table that its logged actions name
-    rows = (*np.indices(a_idx.shape, sparse=True)[:-1], a_idx)
+    rows = (*member_rows(a_idx.shape[:-1]), a_idx)
     a2 = target_policy.act(s2)
     q2 = target_critic.q_value(s2, a2)
     y = td_target(r_i, critic.gamma, q2, done)
     q, pullback = ap.forward_pullback(critic.spec, critic.params,
                                       np.concatenate([s, items[rows]], axis=-1))
     err = q[..., 0] - y
-    loss = np.mean(err * err, axis=-1)
+    loss = np.add.reduce(err * err, -1) / err.shape[-1]  # np.mean's bits
     if not np.isfinite(loss).all():
         return critic, opt, loss.tolist(), np.zeros_like(items)
     grads, in_grad = pullback((2.0 * err / err.shape[-1])[..., None], want_input=True)
@@ -127,7 +134,7 @@ def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
     ones = np.full((*s.shape[:-1], 1), 1.0 / s.shape[-2])
     q, critic_pullback = ap.forward_pullback(critic.spec, critic.params, x)
     dq_da = critic_pullback(ones, want_input=True)[1][..., d:]
-    mean_q = np.mean(q[..., 0], axis=-1).tolist()
+    mean_q = (np.add.reduce(q[..., 0], -1) / s.shape[-2]).tolist()
     if extra_critics:
         lam = validate_lambdas(lambdas_for_extra, len(extra_critics))
         for lam_i, extra in zip(lam, extra_critics):
@@ -138,10 +145,10 @@ def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
 
 
 def constrained_det_objective(features, policy: DeterministicPolicy,
-                              aux_policies, critic: CriticQ, lambdas) -> float:
+                              aux: DeterministicPolicy, critic: CriticQ, lambdas) -> float:
     """Mean over states of  prod_i h(pi(s), pi_aux_i(s))^(lambda_i/sum)
-    * Q(s, pi(s)) / sum(lambda)."""
-    lam = validate_lambdas(lambdas, len(aux_policies))
+    * Q(s, pi(s)) / sum(lambda), the auxiliary actors ``aux`` one bank."""
+    lam = validate_lambdas(lambdas, len(aux.params))
     total = lam.sum()
     if total <= 0.0:
         raise ValueError("sum of Lagrange multipliers must be positive; "
@@ -149,35 +156,33 @@ def constrained_det_objective(features, policy: DeterministicPolicy,
     s = np.atleast_2d(np.asarray(features, dtype=np.float64))
     a = policy.act(s)
     log_h = np.zeros(s.shape[0])
-    for lam_i, aux in zip(lam, aux_policies):
-        d = a - aux.act(s)
+    for lam_i, a_i in zip(lam, aux.act(s)):
+        d = a - a_i
         log_h += (lam_i / total) * (-0.5 * np.sum(d * d, axis=1))
     q = critic.q_value(s, a)
     return float(np.mean(np.exp(log_h) * q / total))
 
 
-def constrained_det_actor_update(policy: DeterministicPolicy, aux_policies,
+def constrained_det_actor_update(policy: DeterministicPolicy, aux: DeterministicPolicy,
                                  critic: CriticQ, lambdas, batch, opt: ap.OptState):
     """Gradient ascent on constrained_det_objective over the states of
-    ``batch``, a ``batch_arrays`` tuple; auxiliary actors and the critic are
-    frozen.  The auxiliary actions come from one stacked pass."""
-    lam = validate_lambdas(lambdas, len(aux_policies))
+    ``batch``, a ``batch_arrays`` tuple; the bank ``aux`` of auxiliary actors
+    and the critic are frozen.  The auxiliary actions come from one stacked pass."""
+    lam = validate_lambdas(lambdas, len(aux.params))
     total = lam.sum()
     if total <= 0.0:
         raise ValueError("sum of Lagrange multipliers must be positive")
     s = batch[0]
     n = s.shape[-2]
     a, policy_pullback = ap.forward_pullback(policy.spec, policy.params, s)
-    aux = ap.bank(aux_policies)
     # auxiliary axis first, then the member axes of s: (n_aux, ..., batch, embed)
-    aux_actions = ap.forward(aux.spec, np.expand_dims(aux.params, tuple(range(1, s.ndim - 1))),
-                             s)
+    aux_actions = ap.forward(aux.spec, aux.params.reshape(len(lam), *(1,) * (s.ndim - 2), -1), s)
     log_h = np.zeros(a.shape[:-1])
     pull = np.zeros_like(a)  # sum_i w_i * (a - a_i), the gradient of -log H
     for lam_i, a_i in zip(lam, aux_actions):
         d = a - a_i
         w_i = lam_i / total
-        log_h += w_i * (-0.5 * np.sum(d * d, axis=-1))
+        log_h += w_i * (-0.5 * np.add.reduce(d * d, -1))
         pull += w_i * d
     h = np.exp(log_h)
 
@@ -189,8 +194,8 @@ def constrained_det_actor_update(policy: DeterministicPolicy, aux_policies,
     d_obj_da = (h / total)[..., None] * (dq_da - q[..., None] * pull) / n
     grads = policy_pullback(d_obj_da)[0]
     new_params, opt = ap.optimizer_step(policy.params, grads, opt, "maximize")
-    info = {"mean_h": np.mean(h, axis=-1).tolist(), "mean_q": np.mean(q, axis=-1).tolist(),
-            "objective": np.mean(h * q / total, axis=-1).tolist()}
+    means = (np.add.reduce([h, q, h * q / total], -1) / n).tolist()  # np.mean's bits
+    info = dict(zip(("mean_h", "mean_q", "objective"), means))
     return replace(policy, params=new_params), opt, info
 
 
@@ -239,7 +244,7 @@ class DDPGConfig:
 
     def __post_init__(self):
         check_config(self, iterations=("updates",),
-                     counts=("batch_size", "embed_dim", "target_refresh", "log_every"),
+                     counts=("batch_size", "embed_dim", "target_refresh", "log_every", "hidden"),
                      positive=("actor_lr", "critic_lr", "items_lr"))
 
 
@@ -255,7 +260,7 @@ class DDPGPipeline:
 
 
 def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_seed,
-                     labels, stage_label=2, lambdas=None, aux_policies=None, items=None):
+                     labels, stage_label=2, lambdas=None, aux=None, items=None):
     """Shared loop of the DDPG-family trainers on ``data``, the
     ``batch_arrays`` tuple of a whole dataset.  Trains one pipeline per
     entry of ``labels`` (the response each is named for) as one bank: each
@@ -266,10 +271,10 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
     ``gammas[i][j]`` is member i's discount for critic j.  ``reward_fn``
     maps the (k, batch, m) responses and a critic index j to critic j's
     (k, batch) rewards; by default critic j learns response j, or a lone
-    critic its member's own.  With ``aux_policies`` the actor takes the
-    constrained step (kernel pull toward them); otherwise it ascends
-    Q_0 + sum_j lambdas_j * Q_j over the other critics (plain DDPG with one
-    critic, RCPO with several).
+    critic its member's own.  With ``aux``, a bank of frozen auxiliary actors,
+    the actor takes the constrained step (kernel pull toward them); otherwise
+    it ascends Q_0 + sum_j lambdas_j * Q_j over the other critics (plain DDPG
+    with one critic, RCPO with several).
 
     Each member keeps its own seeds, minibatch stream, copy of ``items``
     (else a fresh table), targets and metric rows, so it ends as if trained
@@ -303,10 +308,11 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
     rngs = [np.random.Generator(np.random.PCG64(derive_seed(master_seed, "ddpg-batches", label)))
             for label in labels]
     members = np.arange(k)
+    names = [[f"response {r} in stage {stage_label}" for r in row] for row in responses.T]
 
     metrics = [[] for _ in labels]
     for step in range(cfg.updates):
-        batch = gather(data, np.stack([rng.integers(len(data[0]), size=cfg.batch_size)
+        batch = gather(data, np.array([rng.integers(len(data[0]), size=cfg.batch_size)
                                        for rng in rngs]))
         losses = []
         for j, critic in enumerate(banks):
@@ -315,17 +321,16 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
             banks[j], c_opts[j], loss, item_grad = q_critic_update(
                 critic, target_banks[j], target_policy, items, batch, c_opts[j],
                 reward_override=rewards)
-            for i, loss_i in enumerate(loss):
-                _check_critic_loss(loss_i, f"response {responses[i, j]} in stage {stage_label}",
-                                   step)
+            for loss_i, name in zip(loss, names[j]):
+                _check_critic_loss(loss_i, name, step)
             losses.append(loss)
             flat, items_opt = ap.optimizer_step(items.reshape(k, -1), item_grad.reshape(k, -1),
                                                 items_opt, "minimize")
             items = flat.reshape(items.shape)
 
-        if aux_policies is not None:
+        if aux is not None:
             policy, a_opt, info = constrained_det_actor_update(
-                policy, aux_policies, banks[0], lambdas, batch, a_opt)
+                policy, aux, banks[0], lambdas, batch, a_opt)
         else:
             policy, a_opt, mean_q = ddpg_actor_update(policy, banks[0], batch, a_opt,
                                                       lambdas, banks[1:])
@@ -380,6 +385,8 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
     and pulls the main actor toward the frozen auxiliary actors through the
     closeness kernel, scaled by the multipliers.
     """
+    if dataset.m < 2:
+        raise ValueError(f"need at least one auxiliary response (m >= 2), got m={dataset.m}")
     gammas = check_discounts(gammas, dataset.m)
     lam = validate_lambdas(lambdas, dataset.m - 1)
     s1_cfg = cfg if stage1_updates is None else replace(cfg, updates=stage1_updates)
@@ -388,10 +395,9 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
     n_items = int(dataset.metadata["n_items"])
     items = init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
     stage_one = _train_ddpg_core(data, n_items, gammas[1:, None], None, s1_cfg, master_seed,
-                                 range(1, dataset.m), stage_label=1,
-                                 items=items) if dataset.m > 1 else []
+                                 range(1, dataset.m), stage_label=1, items=items)
     pipe, = _train_ddpg_core(data, n_items, gammas[:1, None], None, cfg, master_seed, [0],
-                             lambdas=lam, aux_policies=[p.policy for p in stage_one],
+                             lambdas=lam, aux=ap.bank([p.policy for p in stage_one]),
                              items=items)
     metrics = [row for p in stage_one + [pipe] for row in p.metrics]
     return DDPGPipeline(pipe.policy, pipe.critics, pipe.items, metrics)
@@ -406,7 +412,7 @@ class BCConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        check_config(self, iterations=("updates",), counts=("batch_size", "log_every"),
+        check_config(self, iterations=("updates",), counts=("batch_size", "log_every", "hidden"),
                      positive=("lr",))
 
 

@@ -182,7 +182,8 @@ class MultiCriticConfig:
     share_bottom: bool = False
 
     def __post_init__(self):
-        check_config(self, iterations=("iters",), counts=("batch_size",), positive=("lr",))
+        check_config(self, iterations=("iters",), counts=("batch_size", "hidden"),
+                     positive=("lr",))
 
 
 def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,

@@ -55,8 +55,9 @@ class SimConfig:
     dense_noise_std: float = 0.1
 
     def __post_init__(self):
+        check_config(self, counts=("n_items", "m", "state_dim", "session_length_range"))
         lo, hi = self.session_length_range
-        check_config(self, counts=("n_items",), rules=(
+        check_config(self, rules=(
             ("need at least one auxiliary response (m >= 2)", self.m >= 2),
             ("session_length_range must satisfy 0 < min <= max", 0 < lo <= hi),
             ("state_dim must be at least 4", self.state_dim >= 4),

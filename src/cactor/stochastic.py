@@ -314,7 +314,7 @@ class TwoStageConfig:
 
     def __post_init__(self):
         check_config(self, iterations=("stage1_iters", "stage2_iters"),
-                     counts=("episodes_per_iter", "critic_steps", "divergence_patience"),
+                     counts=("episodes_per_iter", "critic_steps", "divergence_patience", "hidden"),
                      positive=("actor_lr", "critic_lr", "clip_max", "divergence_threshold"),
                      rules=(("weight_floor must lie in [0, clip_max]",
                              0 <= self.weight_floor <= self.clip_max),))

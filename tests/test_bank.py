@@ -70,7 +70,7 @@ def ref_train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg, master
 
         if aux_policies is not None:
             policy, a_opt, info = det.constrained_det_actor_update(
-                policy, aux_policies, critics[0], lambdas, batch, a_opt)
+                policy, ap.bank(aux_policies), critics[0], lambdas, batch, a_opt)
         else:
             policy, a_opt, mean_q = det.ddpg_actor_update(policy, critics[0], batch, a_opt,
                                                           lambdas, critics[1:])
@@ -253,6 +253,53 @@ def test_td_target_takes_a_per_member_gamma_column():
 # ---------------------------------------------------------------------------
 
 
+def ref_item_grad(critic, target_critic, target_policy, items, batch, rewards):
+    """``q_critic_update``'s item-table gradient, scattered through the
+    ``np.indices`` row index it was built with before ``member_rows``."""
+    s, a_idx, _, s2, done = batch
+    rows = (*np.indices(a_idx.shape, sparse=True)[:-1], a_idx)
+    q2 = target_critic.q_value(s2, target_policy.act(s2))
+    y = td_target(rewards, critic.gamma, q2, done)
+    q, pullback = ap.forward_pullback(critic.spec, critic.params,
+                                      np.concatenate([s, items[rows]], axis=-1))
+    err = q[..., 0] - y
+    in_grad = pullback((2.0 * err / err.shape[-1])[..., None], want_input=True)[1]
+    item_grad = np.zeros_like(items)
+    np.add.at(item_grad, rows, in_grad[..., s.shape[-1]:])
+    return item_grad
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)], ids=str)
+def test_member_rows_equal_the_np_indices_row_index(lead):
+    rows = det.member_rows(lead)
+    want = np.indices((*lead, 24), sparse=True)[:-1]
+    assert len(rows) == len(want) == len(lead)
+    for got, ix in zip(rows, want):
+        assert got.dtype == ix.dtype and got.shape == ix.shape and (got == ix).all()
+        assert not got.flags.writeable
+    assert det.member_rows(lead) is rows  # built once per shape
+
+
+@pytest.mark.parametrize("k", [None, 1, 3], ids=["lone", "bank-of-1", "bank-of-3"])
+def test_q_critic_update_item_gradient_equals_np_indices_scatter(k):
+    rng = np.random.default_rng(5)
+    n, state_dim, embed, n_items = 24, 5, 3, 7  # few items, so rows repeat
+    lead = () if k is None else (k,)
+    members = range(k or 1)
+    policies = [det.make_det_policy(state_dim, embed, (6,), seed=i) for i in members]
+    critics = [det.make_q_critic(state_dim, embed, (6,), 10 + i, 0, 0.9) for i in members]
+    critic, policy = (critics[0], policies[0]) if k is None else (
+        ap.bank(critics, gamma=np.full((k, 1), 0.9)), ap.bank(policies))
+    items = rng.normal(size=(*lead, n_items, embed))
+    batch = (rng.normal(size=(*lead, n, state_dim)), rng.integers(n_items, size=(*lead, n)),
+             None, rng.normal(size=(*lead, n, state_dim)), rng.random((*lead, n)) < 0.2)
+    rewards = rng.normal(size=(*lead, n))
+    opt = ap.init_opt_state(critic.params.shape)
+    got = det.q_critic_update(critic, critic, policy, items, batch, opt,
+                              reward_override=rewards)[3]
+    assert_same(got, ref_item_grad(critic, critic, policy, items, batch, rewards))
+
+
 def test_constrained_det_actor_update_on_a_bank_equals_member_updates():
     rng = np.random.default_rng(2)
     k, n, state_dim, embed = 3, 20, 5, 3
@@ -262,10 +309,11 @@ def test_constrained_det_actor_update_on_a_bank_equals_member_updates():
     s = rng.normal(size=(k, n, state_dim))
     lam = np.array([0.5, 1.5])
     opt = ap.init_opt_state((k, policies[0].params.size))
-    got = det.constrained_det_actor_update(ap.bank(policies), aux, ap.bank(critics), lam,
-                                           (s,), opt)
+    got = det.constrained_det_actor_update(ap.bank(policies), ap.bank(aux), ap.bank(critics),
+                                           lam, (s,), opt)
     for i in range(k):
-        want = det.constrained_det_actor_update(policies[i], aux, critics[i], lam, (s[i],),
+        want = det.constrained_det_actor_update(policies[i], ap.bank(aux), critics[i], lam,
+                                                (s[i],),
                                                 ap.init_opt_state(policies[i].params.size))
         assert_same(got[0].params[i], want[0].params)
         assert_same({key: v[i] for key, v in got[2].items()}, want[2])

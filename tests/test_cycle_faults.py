@@ -11,13 +11,16 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cycle_faults.py"
 
 
-@pytest.mark.parametrize("workload, kinds, split", [
-    ("online_two_stage", ["iteration"], False),
+@pytest.mark.parametrize("workload, kinds, split, calls", [
+    ("online_two_stage", ["iteration"], False, {}),
+    ("offline_ddpg", ["train_constrained_ddpg"], False,
+     {"deterministic.q_critic_update": 50, "deterministic.ddpg_actor_update": 25,
+      "deterministic.constrained_det_actor_update": 25, "approximator.optimizer_step": 150}),
     ("offline_review", ["save_dataset", "load_dataset", "multi_critic_train",
                         "offline_actor_update_aux", "offline_actor_update_main",
-                        "ncis_evaluate"], True),
-], ids=["online_two_stage", "offline_review"])
-def test_prints_every_phase_and_step_kind(workload, kinds, split):
+                        "ncis_evaluate"], True, {}),
+], ids=["online_two_stage", "offline_ddpg", "offline_review"])
+def test_prints_every_phase_and_step_kind(workload, kinds, split, calls):
     out = subprocess.run([sys.executable, str(TOOL), "--workload", workload, "--seed", "1",
                           "--warmup", "0", "--cycles", "1"],
                          capture_output=True, text=True, timeout=300, check=True).stdout
@@ -30,3 +33,9 @@ def test_prints_every_phase_and_step_kind(workload, kinds, split):
     assert [r[0] for r in rows] == kinds
     assert all((r[-1] != "-") == split for r in rows)
     assert lines[9 + len(kinds)].startswith("cycle")
+    # the per-call table: each of a cycle's 2 x 25 bank steps makes one critic step, one
+    # actor step and three optimizer steps (critic, item table, actor)
+    table = [ln.split() for ln in lines[11 + len(kinds):]] if calls else []
+    assert {r[0]: float(r[1]) for r in table} == calls
+    assert all(float(r[2]) > 0 for r in table)
+    assert len(lines) == 10 + len(kinds) + (1 + len(calls) if calls else 0)

@@ -9,7 +9,8 @@ from cactor import stochastic as stx
 from cactor.seeding import derive_seed
 from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 
-from _rows import terminal_batch
+from _rows import dataset as rows_dataset
+from _rows import session, terminal_batch
 
 
 def two_state_batch(r0=1.0, r1=2.0):
@@ -129,15 +130,15 @@ class TestDDPGActorUpdate:
 class TestConstrainedDetObjective:
     def setup_method(self):
         self.policy = det.make_det_policy(2, 3, (4,), seed=13)
-        self.aux = [det.make_det_policy(2, 3, (4,), seed=14, response_index=1),
-                    det.make_det_policy(2, 3, (4,), seed=15, response_index=2)]
+        self.aux = ap.bank([det.make_det_policy(2, 3, (4,), seed=14, response_index=1),
+                            det.make_det_policy(2, 3, (4,), seed=15, response_index=2)])
         self.critic = det.make_q_critic(2, 3, (4,), seed=16, response_index=0,
                                         gamma=0.0)
         self.s = np.array([[0.4, -0.2]])
 
     def test_coincident_actions_reduce_to_scaled_q(self):
-        aux_same = [det.DeterministicPolicy(self.policy.spec, self.policy.params.copy())
-                    for _ in range(2)]
+        aux_same = ap.bank([det.DeterministicPolicy(self.policy.spec, self.policy.params.copy())
+                            for _ in range(2)])
         lam = np.array([0.7, 0.3])
         obj = det.constrained_det_objective(self.s, self.policy, aux_same,
                                             self.critic, lam)
@@ -148,15 +149,19 @@ class TestConstrainedDetObjective:
     def test_h_factor_closed_form(self):
         # one auxiliary, lambda=1, squared distance 2 -> factor exp(-1)
         class FixedActor:
+            """Emits its params for every state; (members, embed) params stand
+            for a bank."""
+
             def __init__(self, value):
-                self.value = np.asarray(value)
+                self.params = np.asarray(value)
 
             def act(self, features):
-                return np.tile(self.value, (np.atleast_2d(features).shape[0], 1))
+                n = np.atleast_2d(features).shape[0]
+                return np.repeat(self.params[..., None, :], n, axis=-2)
 
         main = FixedActor([1.0, 0.0, 0.0])
-        aux = FixedActor([0.0, 1.0, 0.0])
-        obj = det.constrained_det_objective(self.s, main, [aux], self.critic, [1.0])
+        aux = FixedActor([[0.0, 1.0, 0.0]])
+        obj = det.constrained_det_objective(self.s, main, aux, self.critic, [1.0])
         q = float(self.critic.q_value(self.s, main.act(self.s))[0])
         assert obj == pytest.approx(np.exp(-1.0) * q, rel=1e-12)
 
@@ -172,6 +177,16 @@ class TestConstrainedDetObjective:
         with pytest.raises(ValueError, match="positive"):
             det.constrained_det_objective(self.s, self.policy, self.aux,
                                           self.critic, [0.0, 0.0])
+
+    @pytest.mark.parametrize("lam", [[1.0], [1.0, 1.0, 1.0]], ids=["fewer", "more"])
+    def test_lambda_count_must_match_the_bank(self, lam):
+        # the bank has two members
+        message = f"need 2 multipliers, got {len(lam)}"
+        with pytest.raises(ValueError, match=message):
+            det.constrained_det_objective(self.s, self.policy, self.aux, self.critic, lam)
+        with pytest.raises(ValueError, match=message):
+            det.constrained_det_actor_update(self.policy, self.aux, self.critic, lam,
+                                             (self.s,), ap.init_opt_state(self.policy.params.size))
 
     def test_actor_update_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -298,6 +313,19 @@ class TestOfflineTrainers:
                                           cfg, master_seed=3, stage1_updates=20)
         stage2 = [r for r in pipe.metrics if r["stage"] == 2]
         assert stage2 and all(0.0 < r["mean_h"] <= 1.0 for r in stage2)
+
+    def test_constrained_pipeline_needs_an_auxiliary_response(self, monkeypatch):
+        one_response = rows_dataset(session(np.eye(3), [[1.0], [0.0], [2.0]], actions=[0, 1, 2]),
+                                    metadata={"n_items": 3})
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a dataset without auxiliary responses")
+
+        monkeypatch.setattr(det, "_train_ddpg_core", no_training)
+        with pytest.raises(ValueError,
+                           match=r"need at least one auxiliary response \(m >= 2\), got m=1"):
+            det.train_constrained_ddpg(one_response, [], [0.9], det.DDPGConfig(updates=2),
+                                       master_seed=0)
 
     @pytest.mark.parametrize("trainer,where", [
         ("constrained", "response 1 in stage 1"),

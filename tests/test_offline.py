@@ -757,6 +757,48 @@ def test_count_fields_accept_numpy_integers(config, field):
     assert getattr(config(**{field: value}), field) == value
 
 
+DIMENSION_FIELDS = [(SimConfig, "m"), (SimConfig, "state_dim")] + [
+    (config, "hidden") for config in (stx.TwoStageConfig, det.DDPGConfig,
+                                      off.MultiCriticConfig, det.BCConfig)]
+DIMENSION_IDS = [f"{config.__name__}.{field}" for config, field in DIMENSION_FIELDS]
+
+
+@pytest.mark.parametrize("value", [4.0, 12.5, float("nan"), "3", True],
+                         ids=["float-4.0", "float-12.5", "nan", "str", "bool"])
+@pytest.mark.parametrize("config, field", DIMENSION_FIELDS, ids=DIMENSION_IDS)
+def test_dimension_fields_must_be_integers(config, field, value):
+    # a width is named by its entry: hidden[1] of (8, value)
+    kwargs, name = (({field: (8, value)}, r"hidden\[1\]") if field == "hidden"
+                    else ({field: value}, field))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        config(**kwargs)
+
+
+@pytest.mark.parametrize("value, entry", [((12.5, 20), 0), ((12, 20.0), 1), ((12, "20"), 1),
+                                          ((True, 20), 0), ((float("nan"), 20), 0)])
+def test_session_length_range_must_hold_integers(value, entry):
+    with pytest.raises(ValueError,
+                       match=rf"^session_length_range\[{entry}\] must be an integer$"):
+        SimConfig(session_length_range=value)
+
+
+@pytest.mark.parametrize("config", [stx.TwoStageConfig, det.DDPGConfig, off.MultiCriticConfig,
+                                    det.BCConfig])
+def test_hidden_widths_must_be_at_least_one(config):
+    with pytest.raises(ValueError, match=r"^hidden\[0\] must be >= 1$"):
+        config(hidden=(0,))
+    with pytest.raises(ValueError, match=r"^hidden\[1\] must be >= 1$"):
+        config(hidden=[4, -2])
+    assert config(hidden=()).hidden == ()
+    assert config(hidden=(np.int64(3), 2)).hidden == (3, 2)
+
+
+def test_sim_dimensions_accept_numpy_integers():
+    cfg = SimConfig(m=np.int64(3), state_dim=np.int32(6),
+                    session_length_range=(np.int64(2), np.int16(5)))
+    assert (cfg.m, cfg.state_dim, cfg.session_length_range) == (3, 6, (2, 5))
+
+
 def test_configs_accept_their_bounds():
     det.DDPGConfig(updates=0, batch_size=1, embed_dim=1, target_refresh=1, log_every=1)
     det.BCConfig(updates=0, batch_size=1, log_every=1)

@@ -299,7 +299,8 @@ def test_constrained_det_actor_update_matches_multi_pass(seed, hidden):
     policy, critics, aux, _, batch = det_setup(seed, hidden)
     opt = ap.init_opt_state(policy.params.size, 1e-3)
     lam = np.array([0.4, 2.0])
-    assert_same(det.constrained_det_actor_update(policy, aux, critics[0], lam, batch, opt),
+    assert_same(det.constrained_det_actor_update(policy, ap.bank(aux), critics[0], lam, batch,
+                                                 opt),
                 ref_constrained_det_actor_update(policy, aux, critics[0], lam, batch, opt))
 
 
@@ -372,7 +373,7 @@ def test_constrained_det_actor_update_makes_three_passes(passes, n_aux):
     # the actor, the critic, and one stacked pass of every auxiliary
     policy, critics, aux, _, batch = det_setup(0)
     opt = ap.init_opt_state(policy.params.size)
-    assert passes(det.constrained_det_actor_update, policy, aux[:n_aux], critics[0],
+    assert passes(det.constrained_det_actor_update, policy, ap.bank(aux[:n_aux]), critics[0],
                   np.ones(n_aux), batch, opt) == 3
 
 

@@ -20,6 +20,13 @@ step, and the median over cycles of the kind's faults per cycle.  Faults
 are split by step only for workloads that time their steps with
 ``_Steps`` (offline_review); the others show the cycle's total alone.
 
+Per call, for the workloads that name calls in TIMED_CALLS (offline_ddpg,
+whose cycle is one train_constrained_ddpg call): the calls per cycle and
+the median wall us of one call, over the timed cycles.  The script wraps
+each named function in its module while the cycles run, so the loop that
+calls it through the module sees the wrapper, and restores it after; an
+outer call's time includes the wrappers of the calls it makes.
+
 Set-up phases, each in ms and faults: the script's own stdlib imports,
 importing numpy, importing cactor and the workloads, building the inputs
 (the workload's ``__init__`` up to its first warm-up call, WARMUP_CALL)
@@ -50,6 +57,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WARMUP_CALL = {"online_two_stage": "train_two_stage",
                "offline_ddpg": "train_constrained_ddpg",
                "offline_review": "multi_critic_train"}
+
+
+# the cactor functions whose calls are timed one by one, per workload
+TIMED_CALLS = {"offline_ddpg": (("deterministic", "q_critic_update"),
+                                ("deterministic", "ddpg_actor_update"),
+                                ("deterministic", "constrained_det_actor_update"),
+                                ("approximator", "optimizer_step"))}
 
 
 def minflt() -> int:
@@ -106,6 +120,27 @@ def _build(workload, seed: int, workdir: Path, cactor, phases: _Phases):
     return built
 
 
+def _install_timers(cactor, workload: str) -> tuple[dict[str, list[float]], list]:
+    """Wrap every TIMED_CALLS function of ``workload`` in its module; returns
+    the call times in s by name and the (module, name, original) to restore."""
+    times: dict[str, list[float]] = {}
+    restore = []
+    for mod_name, fn_name in TIMED_CALLS.get(workload, ()):
+        module = getattr(cactor, mod_name)
+        original = getattr(module, fn_name)
+        calls = times.setdefault(f"{mod_name}.{fn_name}", [])
+
+        def timed(*args, _fn=original, _calls=calls, **kwargs):
+            t0 = time.perf_counter()
+            out = _fn(*args, **kwargs)
+            _calls.append(time.perf_counter() - t0)
+            return out
+
+        setattr(module, fn_name, timed)
+        restore.append((module, fn_name, original))
+    return times, restore
+
+
 def main(argv=None) -> int:
     phases = _Phases(T_START, F_START)
     args = _parse(argv)
@@ -127,18 +162,24 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         wl = _build(workloads.WORKLOADS[args.workload], args.seed, Path(tmp), cactor, phases)
         workloads._Steps.mark = counted_mark
+        call_times, restore = _install_timers(cactor, args.workload)
         try:
             step_ms: dict[str, list[float]] = {}
             per_cycle: dict[str, list[tuple[int, int | None]]] = {}
+            call_us: dict[str, list[float]] = {name: [] for name in call_times}
             cycle_ms, cycle_faults, failed = [], [], 0
             for k in range(args.warmup + args.cycles):
                 marks.clear()
+                for times in call_times.values():
+                    times.clear()
                 t0, f0 = time.perf_counter(), minflt()
                 result = wl.cycle()
                 t1, f1 = time.perf_counter(), minflt()
                 failed += result.failed
                 if k < args.warmup:
                     continue
+                for name, times in call_times.items():
+                    call_us[name] += [1e6 * dt for dt in times]
                 cycle_ms.append(1e3 * (t1 - t0))
                 cycle_faults.append(f1 - f0)
                 split = len(marks) == len(result.steps)
@@ -152,6 +193,8 @@ def main(argv=None) -> int:
                     per_cycle.setdefault(kind, []).append((len(fs), total))
         finally:
             workloads._Steps.mark = mark
+            for module, fn_name, original in restore:
+                setattr(module, fn_name, original)
 
     print(f"{args.workload} seed {args.seed}: {args.warmup} warm-up cycles, "
           f"{args.cycles} timed, {failed} failed ops, numpy {np.__version__}")
@@ -168,6 +211,11 @@ def main(argv=None) -> int:
               f"{faults:>14}")
     print(f"{'cycle':<28}{'':>12}{statistics.median(cycle_ms):>12.3f}"
           f"{statistics.median(cycle_faults):>14g}")
+    if call_us:
+        print(f"{'call':<42}{'calls/cycle':>12}{'median us':>12}")
+    for name, us in call_us.items():
+        median = f"{statistics.median(us):.1f}" if us else "-"
+        print(f"{name:<42}{len(us) / args.cycles:>12g}{median:>12}")
     return 1 if failed else 0
 
 
