@@ -1,8 +1,7 @@
 """Constrained actor-critic toolkit for multi-response session recommendation."""
 
 from .approximator import (ApproxSpec, OptState, forward, forward_rows, gradient,
-                           init_opt_state, init_params, input_gradient, load_params,
-                           optimizer_step, save_params)
+                           init_opt_state, init_params, input_gradient, optimizer_step)
 from .core import (ReplayDataset, State, Trajectory, Transition, discounted_returns,
                    load_dataset, rank_items, save_dataset, td_target)
 from .offline import (ISConfig, MultiCriticConfig, NCISConfig,
@@ -11,8 +10,7 @@ from .offline import (ISConfig, MultiCriticConfig, NCISConfig,
                       offline_actor_update_main)
 from .sim import (ReviewDatasetConfig, SessionSimulator, SimConfig,
                   UniformRandomPolicy, generate_offline_dataset,
-                  generate_review_dataset, load_review_dataset, rollout,
-                  run_episode)
+                  generate_review_dataset, rollout, run_episode)
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, TrainingDiverged,
                          TwoStageConfig, actor_update_aux, actor_update_main,
                          batch_arrays, build_policy_set, critic_update, train_two_stage)

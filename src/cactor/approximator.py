@@ -33,10 +33,6 @@ import numpy as np
 
 ACTIVATIONS = ("linear", "softmax", "tanh")
 
-_HEADER = "cactor-approx 1"
-_FIELDS = (("input_dim", int),
-           ("hidden_layers", lambda v: tuple(int(h) for h in v.split(",") if h)),
-           ("output_dim", int), ("output_activation", str), ("seed", int), ("n_params", int))
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -332,51 +328,3 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, opt: OptState,
     v_hat = v / (1.0 - b2 ** t)
     new_params = params - opt.step_size * m_hat / (np.sqrt(v_hat) + opt.epsilon)
     return new_params, OptState(t, m, v, opt.step_size, opt.moment_decays, opt.epsilon)
-
-
-def save_params(path, spec: ApproxSpec, params: np.ndarray) -> None:
-    """Write spec header plus one %.17g decimal per parameter (bit-exact round trip)."""
-    params = np.asarray(params, dtype=np.float64)
-    if params.size != spec.param_count:
-        raise ValueError("parameter vector inconsistent with spec")
-    lines = [
-        _HEADER,
-        f"input_dim={spec.input_dim}",
-        "hidden_layers=" + ",".join(str(h) for h in spec.hidden_layers),
-        f"output_dim={spec.output_dim}",
-        f"output_activation={spec.output_activation}",
-        f"seed={spec.seed}",
-        f"n_params={params.size}",
-    ]
-    lines.extend(f"{v:.17g}" for v in params)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path) -> tuple[ApproxSpec, np.ndarray]:
-    """Inverse of ``save_params``.  A bad file raises ValueError naming
-    ``{path}:{lineno}``; non-finite parameters are rejected."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _HEADER:
-        raise ValueError(f"{path}:1: not a parameter file (bad header)")
-    fields = {}
-    try:
-        for lineno, (key, parse) in enumerate(_FIELDS, start=2):
-            name, eq, val = (lines[lineno - 1] if lineno <= len(lines) else "").partition("=")
-            if name != key or not eq:
-                raise ValueError(f"expected '{key}=<value>'")
-            fields[key] = parse(val)
-        n, lineno = fields.pop("n_params"), 2  # a bad spec is named at its first field
-        spec, lineno = ApproxSpec(**fields), 7
-        if n != spec.param_count or len(lines) != 7 + n:
-            raise ValueError(f"n_params={n}, but {len(lines) - 7} values follow "
-                             f"and the spec requires {spec.param_count}")
-        values = np.empty(n)
-        for lineno, ln in enumerate(lines[7:], start=8):
-            values[lineno - 8] = float(ln)
-            if not np.isfinite(values[lineno - 8]):
-                raise ValueError(f"non-finite parameter {ln!r}")
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return spec, values

@@ -43,9 +43,9 @@ it into the column.  In-place edits of a row's arrays (``tr.response[1] =
 checked.  states and next_states are separate columns, so editing one row's
 state does not move the previous row's next_state.
 
-Files.  ``save_dataset`` writes format 2, binary columns; ``load_dataset``
-also reads the format 1 text, which nothing writes any more, and tells the
-two apart by content, never by file name (both laid out above save_dataset).
+Files.  Format 2 only: binary columns (laid out above save_dataset), which
+``save_dataset`` writes and ``load_dataset`` reads.  ``load_dataset`` goes by
+the file's content, never its name, and rejects a file that is not a zip.
 """
 
 from __future__ import annotations
@@ -84,11 +84,8 @@ def _raise_first(checks, where):
         raise ValueError(where(first[0]) + first[1](first[0]))
 
 
-def _empty_columns(state_dim: int, m: int) -> dict:
-    return {"states": np.zeros((0, state_dim)), "next_states": np.zeros((0, state_dim)),
-            "next_terminal": np.zeros(0, dtype=bool),
-            "action_index": np.zeros(0, dtype=np.intp), "behavior_prob": np.zeros(0),
-            "responses": np.zeros((0, m)), "done": np.zeros(0, dtype=bool)}
+def _num(x: float):
+    return int(x) if np.isfinite(x) and x == int(x) else x
 
 
 class Transition:
@@ -184,11 +181,11 @@ class ReplayDataset:
 
     @classmethod
     def from_columns(cls, *, offsets, session_ids, m: int, metadata: dict | None = None,
-                     where=None, **columns) -> ReplayDataset:
+                     **columns) -> ReplayDataset:
         """A dataset over ``columns``, one keyword per column, checked once
         (module docstring); a column that is already C-contiguous with its
-        dtype is not copied.  ``where(row)`` names a row in error messages,
-        e.g. by file and line; by default rows are named by session and step."""
+        dtype is not copied.  Error messages name a bad row by session and
+        step."""
         if set(columns) != set(_COLUMNS):
             raise ValueError(f"columns {sorted(columns)}, expected {sorted(_COLUMNS)}")
         cols = {name: np.asarray(columns[name]) for name in _COLUMNS}
@@ -239,7 +236,7 @@ class ReplayDataset:
              lambda k: "done transition must lead to a terminal state"),
             (done & ~last, lambda k: "only the last transition may be terminal"),
             (chain, lambda k: f"state chain broken between steps {step[k] - 1} and {step[k]}"),
-        ], where or data.where)
+        ], data.where)
         return data
 
     def where(self, row: int) -> str:
@@ -355,55 +352,16 @@ def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Dataset files.
 #
-# Format 2, which ``save_dataset`` writes, is one zip made by ``np.savez``:
+# Format 2, the only format, is one zip made by ``np.savez``:
 # one .npy array per column as stored (bit for bit), offsets, session_ids (a
 # numpy str array) and header, a 0-d str array of the JSON text {"format":
 # "cactor-dataset 2", "m": m, "metadata": {...}}.  No array holds objects, so
 # the file loads with allow_pickle=False, and a truncated session (its last
 # row not done) keeps its true non-terminal next_state.
-#
-# Format 1, which is only loaded, is line-oriented text.
-# Header lines:
-#   # cactor-dataset 1
-#   # m=<int> state_dim=<int> n_items=<int>
-#   # meta <key>=<value>            (zero or more; no "=" in a key, and a
-#                                    "# meta " line without "=" is an error)
-# Transition lines, comma-separated, in this fixed order:
-#   session_id, t, <state_dim state features>, action_index, behavior_prob,
-#   <m response values>, done
-# action_index and behavior_prob are "-" when unknown; done is 0 or 1.  A
-# session's rows may interleave with other sessions' but keep step order.
-# The state of step t+1 is the next_state of step t; a session's last row
-# gets a zero next_state, terminal when the row is done.  A truncated
-# session therefore loads with a non-terminal zero next_state that critics
-# bootstrap from: a silent bias left only in format 1 files.
 # ---------------------------------------------------------------------------
 
-_DATASET_HEADER = "# cactor-dataset 1"
 _FORMAT = "cactor-dataset 2"
 _ARRAYS = (*_COLUMNS, "offsets", "session_ids", "header")
-
-
-def _parse_dims(lineno: int, line: str, path, keys) -> dict[str, int]:
-    """The nonnegative integers ``keys`` of a '# k1=<int> k2=<int> ...' line;
-    extra keys are ignored.  Errors name ``path:lineno``."""
-    fields = {}
-    for token in line.strip().lstrip("# ").split():
-        key, eq, val = token.partition("=")
-        if not eq:
-            raise ValueError(f"{path}:{lineno}: {token!r} is not <key>=<int>")
-        fields[key] = val
-    dims = {}
-    for key in keys:
-        if key not in fields:
-            raise ValueError(f"{path}:{lineno}: missing {key}=<int>")
-        try:
-            dims[key] = int(fields[key])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {key}={fields[key]} is not an integer") from None
-        if dims[key] < 0:
-            raise ValueError(f"{path}:{lineno}: {key}={dims[key]} is negative")
-    return dims
 
 
 def save_dataset(path, dataset: ReplayDataset) -> None:
@@ -426,69 +384,14 @@ def save_dataset(path, dataset: ReplayDataset) -> None:
                  offsets=dataset.offsets, session_ids=ids, header=np.array(header))
 
 
-def _parse_header(numbered, path):
-    if not numbered or numbered[0][1].strip() != _DATASET_HEADER:
-        raise ValueError(f"{path}: missing dataset header")
-    if len(numbered) < 2:
-        raise ValueError(f"{path}:{numbered[0][0]}: the header is not followed by "
-                         "'# m=<int> state_dim=<int> n_items=<int>'")
-    dims = _parse_dims(*numbered[1], path, ("m", "state_dim", "n_items"))
-    metadata = {"state_dim": dims["state_dim"], "n_items": dims["n_items"]}
-    body_start = 2
-    for lineno, ln in numbered[2:]:
-        if ln.startswith("# meta "):
-            key, eq, val = ln[len("# meta "):].partition("=")
-            if not eq:
-                raise ValueError(f"{path}:{lineno}: meta line {ln!r} is not "
-                                 "'# meta <key>=<value>'")
-            metadata[key] = val
-            body_start += 1
-        else:
-            break
-    return dims["m"], dims["state_dim"], dims["n_items"], metadata, body_start
-
-
-def _missing_or_float(field: str) -> float:
-    """'-' marks an unknown action or probability (nan); a literal nan does not."""
-    if field == "-":
-        return np.nan
-    value = float(field)
-    if value != value:
-        raise ValueError(f"{field!r} is neither a number nor '-'")
-    return value
-
-
-def _parse_numbers(rest, linenos, path, state_dim: int) -> np.ndarray:
-    """Every field after the session id, as float64 rows (C parser)."""
-    conv = {1 + state_dim: _missing_or_float, 2 + state_dim: _missing_or_float}
-
-    def parse(rows):
-        return np.loadtxt(rows, delimiter=",", comments=None, converters=conv,
-                          dtype=np.float64, ndmin=2)
-
-    try:
-        return parse(rest)
-    except ValueError:
-        for lineno, row in zip(linenos, rest):  # name the first line that fails alone
-            try:
-                parse([row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        raise
-
-
-def _num(x: float):
-    return int(x) if np.isfinite(x) and x == int(x) else x
-
-
 def load_dataset(path) -> ReplayDataset:
-    """Read a file of either format (above): a zip is format 2, anything else
-    format 1.  Every error is a ValueError naming the file, and the session
-    and step (format 2) or the line (format 1) of a bad row.  Format 2 arrays
-    load writable, C-contiguous and in their own dtypes: none is copied."""
+    """Read a format 2 file (above), and only format 2: a file that is not a
+    zip is rejected by its content, whatever its name.  Every error is a ValueError naming the
+    file, and the session and step of a bad row.  The arrays load writable,
+    C-contiguous and in their own dtypes: none is copied."""
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
-            return _load_text(path)
+            raise ValueError(f"{path}: not a zip file; expected a {_FORMAT!r} (zip) dataset")
         fh.seek(0)
         try:
             with np.load(fh, allow_pickle=False) as npz:
@@ -508,53 +411,3 @@ def load_dataset(path) -> ReplayDataset:
         except (ValueError, TypeError, zipfile.BadZipFile, EOFError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return data
-
-
-def _load_text(path) -> ReplayDataset:
-    """Strict parser for format 1: whole columns, checked once.  Every error
-    names the file and line."""
-    with open(path) as fh:
-        numbered = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, start=1) if ln.strip()]
-    m, state_dim, n_items, metadata, body_start = _parse_header(numbered, path)
-    body = numbered[body_start:]
-    n_fields = 2 + state_dim + 2 + m + 1
-    for lineno, ln in body:
-        if ln.count(",") != n_fields - 1:
-            raise ValueError(f"{path}:{lineno}: got {ln.count(',') + 1} fields, "
-                             f"expected {n_fields}")
-    if not body:
-        return ReplayDataset.from_columns(**_empty_columns(state_dim, m), offsets=[0],
-                                          session_ids=[], m=m, metadata=metadata)
-    linenos = [lineno for lineno, _ in body]
-    heads = [ln.split(",", 1) for _, ln in body]
-    values = _parse_numbers([h[1] for h in heads], linenos, path, state_dim)
-    sids = [h[0] for h in heads]
-
-    t, a, done = values[:, 0], values[:, 1 + state_dim], values[:, -1]
-    index: dict[str, int] = {}
-    session = np.array([index.setdefault(sid, len(index)) for sid in sids])
-    order = np.argsort(session, kind="stable")  # sessions in order of first row
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(session))])
-    rank = np.empty(len(body))
-    rank[order] = np.arange(len(body)) - offsets[session[order]]
-    a_bad = ~np.isnan(a) & (~np.isfinite(a) | (a != np.floor(a)) | (a < 0)
-                            | (n_items > 0) & (a >= n_items))
-    _raise_first([
-        (t != rank, lambda k: f"step index {_num(t[k])} out of order for session {sids[k]}"),
-        (a_bad, lambda k: f"action index {_num(a[k])} outside [0, {n_items or 'inf'})"),
-        ((done != 0.0) & (done != 1.0), lambda k: f"done field {_num(done[k])} is not 0 or 1"),
-    ], lambda k: f"{path}:{linenos[k]}: ")
-
-    values = values[order]
-    states = values[:, 1:1 + state_dim]
-    done = values[:, -1] == 1.0
-    next_states = np.zeros_like(states)
-    next_states[:-1] = states[1:]
-    next_states[offsets[1:] - 1] = 0.0  # each session's last row
-    return ReplayDataset.from_columns(
-        states=states, next_states=next_states, next_terminal=done,
-        action_index=np.where(np.isnan(values[:, 1 + state_dim]), -1,
-                              values[:, 1 + state_dim]).astype(np.intp),
-        behavior_prob=values[:, 2 + state_dim], responses=values[:, 3 + state_dim:-1],
-        done=done, offsets=offsets, session_ids=list(index), m=m, metadata=metadata,
-        where=lambda k: f"{path}:{linenos[order[k]]}: ")

@@ -1,5 +1,6 @@
 """Synthetic environments: a short-session simulator with one dense and
-several sparse responses, and a review-corpus generator/loader.
+several sparse responses, and a review-corpus generator (its datasets, like
+every other, are saved in dataset format 2 only).
 
 The session simulator models the asymmetry that motivates everything else
 in this package: response 0 (the dense one, a watch-time analog) is
@@ -17,15 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReplayDataset, State, Trajectory, _parse_dims, check_config
+from .core import ReplayDataset, State, Trajectory, check_config
 from .seeding import derive_seed
 
 REVIEW_M = 8
-# Review file column order; internally responses are reordered main-first,
-# i.e. ("overall", "service", ..., "location").
+# Score column order of the corpus; responses are stored main-first, i.e.
+# ("overall", "service", ..., "location").
 REVIEW_ASPECTS = ("service", "business", "cleanliness", "checkin",
                   "value", "rooms", "location", "overall")
-_REVIEW_HEADER = "# cactor-reviews 1"
 _SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
 
 # Fixed constants of the session model: the item-embedding width, the
@@ -396,13 +396,10 @@ class ReviewDatasetConfig:
                                    "history_window"))
 
 
-def review_state_dim(config: ReviewDatasetConfig) -> int:
-    return 1 + config.history_window * (1 + REVIEW_M)
-
-
-def generate_reviews(config: ReviewDatasetConfig) -> list[tuple[int, int, np.ndarray, float]]:
-    """Raw (user, item, aspect-ordered scores, behavior_prob) records, one
-    per review: a record view of ``_review_columns``.
+def _review_columns(config: ReviewDatasetConfig):
+    """The corpus as columns: users (n,), items (n,), aspect-ordered scores
+    (n, REVIEW_M) and behavior_prob (n,), the probability of the reviewed
+    item under the user's choice row.
 
     Aspect scores are integers in 1..5; "business" and "checkin" are missing
     with some probability and encoded as -1, which is why their corpus means
@@ -416,12 +413,6 @@ def generate_reviews(config: ReviewDatasetConfig) -> list[tuple[int, int, np.nda
     ``0.0 + scale * z``, as ``Generator.normal`` makes it) and 2 uniforms
     (business, then checkin, is missing if below 0.55).
     """
-    users, items, scores, probs = _review_columns(config)
-    return list(zip(users.tolist(), items.tolist(), scores, probs.tolist()))
-
-
-def _review_columns(config: ReviewDatasetConfig):
-    """Columns users, items, scores (n, REVIEW_M) and probs; see ``generate_reviews``."""
     rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "reviews")))
     d = 4
     user_embed = rng.normal(size=(config.n_users, d))
@@ -454,24 +445,11 @@ def _review_columns(config: ReviewDatasetConfig):
     return users, items, scores, choice_probs[users, items]
 
 
-def save_review_file(path, config: ReviewDatasetConfig,
-                     records: list[tuple[int, int, np.ndarray, float | None]]) -> None:
-    """Write records in the format ``load_review_dataset`` reads; a record
-    whose probability is None gets the 2+M-field form without one."""
-    lines = [_REVIEW_HEADER, f"# n_users={config.n_users} n_items={config.n_items}"]
-    for u, h, scores, prob in records:
-        s = ",".join(f"{v:.17g}" for v in scores)
-        lines.append(f"{u},{h},{s}" if prob is None else f"{u},{h},{s},{prob:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _reviews_to_dataset(users, items, scores, probs, n_users, n_items, min_len,
                         window) -> ReplayDataset:
     """One session per user with at least ``min_len`` reviews, in order of
-    each user's first review; probs is NaN where unknown.  The state of step
-    t holds the user id and the last ``window`` reviewed items with their
-    scores (oldest in slot 0)."""
+    each user's first review.  The state of step t holds the user id and
+    the last ``window`` reviewed items with their scores (oldest in slot 0)."""
     index: dict[int, int] = {}
     session = np.array([index.setdefault(u, len(index)) for u in users.tolist()],
                        dtype=np.intp)
@@ -514,47 +492,3 @@ def _reviews_to_dataset(users, items, scores, probs, n_users, n_items, min_len,
 def generate_review_dataset(config: ReviewDatasetConfig) -> ReplayDataset:
     return _reviews_to_dataset(*_review_columns(config), config.n_users, config.n_items,
                                config.min_trajectory_length, config.history_window)
-
-
-def load_review_dataset(path, min_trajectory_length: int = 20,
-                        history_window: int = 3) -> ReplayDataset:
-    """Parse a review file and assemble trajectories, dropping short ones."""
-    with open(path) as fh:
-        numbered = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, start=1) if ln.strip()]
-    if not numbered or numbered[0][1] != _REVIEW_HEADER:
-        raise ValueError(f"{path}: missing review-file header")
-    if len(numbered) < 2:
-        raise ValueError(f"{path}:{numbered[0][0]}: the header is not followed by "
-                         "'# n_users=<int> n_items=<int>'")
-    dims = _parse_dims(*numbered[1], path, ("n_users", "n_items"))
-    n_users, n_items = dims["n_users"], dims["n_items"]
-
-    users, items, scores, probs = [], [], [], []
-    for lineno, ln in numbered[2:]:
-        parts = ln.split(",")
-        if len(parts) not in (2 + REVIEW_M, 3 + REVIEW_M):
-            raise ValueError(f"{path}:{lineno}: got {len(parts)} fields, "
-                             f"expected {2 + REVIEW_M} or {3 + REVIEW_M}")
-        try:
-            u, h = int(parts[0]), int(parts[1])
-            row = [float(v) for v in parts[2 : 2 + REVIEW_M]]
-            prob = float(parts[2 + REVIEW_M]) if len(parts) == 3 + REVIEW_M else None
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if not (0 <= u < n_users and 0 <= h < n_items):
-            raise ValueError(f"{path}:{lineno}: user or item id out of range")
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"{path}:{lineno}: non-finite score")
-        if prob is not None and prob != prob:
-            raise ValueError(f"{path}:{lineno}: probability {parts[-1]!r} is not a number; "
-                             f"an unknown probability is written as the {2 + REVIEW_M}-field "
-                             "form without one")
-        if prob is not None and not 0.0 < prob <= 1.0:
-            raise ValueError(f"{path}:{lineno}: probability {prob} outside (0, 1]")
-        users.append(u)
-        items.append(h)
-        scores.append(row)
-        probs.append(np.nan if prob is None else prob)
-    return _reviews_to_dataset(np.array(users, dtype=np.intp), np.array(items, dtype=np.intp),
-                               np.array(scores).reshape(-1, REVIEW_M), np.array(probs),
-                               n_users, n_items, min_trajectory_length, history_window)

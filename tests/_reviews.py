@@ -1,6 +1,7 @@
 """The review corpus's per-review generator loop, kept as the oracle that
-``sim.generate_reviews`` and ``sim.generate_review_dataset`` must equal bit
-for bit.  Test oracle only: the library builds the corpus as columns."""
+``sim._review_columns`` and ``sim.generate_review_dataset`` must equal bit
+for bit.  Test oracle only: the library builds the corpus as columns, and
+the only file it saves the corpus to is dataset format 2."""
 
 import numpy as np
 

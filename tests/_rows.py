@@ -31,6 +31,15 @@ def dataset(*sessions, metadata=None):
         metadata=metadata)
 
 
+def empty_dataset(state_dim, m):
+    """A ReplayDataset of no sessions."""
+    return ReplayDataset.from_columns(
+        states=np.zeros((0, state_dim)), next_states=np.zeros((0, state_dim)),
+        next_terminal=np.zeros(0, dtype=bool), action_index=np.zeros(0, dtype=np.intp),
+        behavior_prob=np.zeros(0), responses=np.zeros((0, m)), done=np.zeros(0, dtype=bool),
+        offsets=[0], session_ids=[], m=m)
+
+
 def rebuilt(ds, **changes):
     """``ds`` built again, with ``changes`` to its columns or other arguments."""
     kept = {name: getattr(ds, name) for name in (*_COLUMNS, "offsets", "session_ids", "m")}

@@ -231,45 +231,6 @@ class TestDeterminismAndSerialization:
         b = ap.init_params(ap.ApproxSpec(5, (7,), 2, "linear", seed=2))
         assert not np.array_equal(a, b)
 
-    def test_text_round_trip_is_bit_exact(self, tmp_path):
-        spec = ap.ApproxSpec(4, (6,), 3, "tanh", seed=77)
-        params = ap.init_params(spec) * np.pi
-        path = tmp_path / "params.txt"
-        ap.save_params(path, spec, params)
-        spec2, params2 = ap.load_params(path)
-        assert spec2 == spec
-        assert np.array_equal(params, params2)
-
-    @pytest.mark.parametrize("edit, where, message", [
-        (lambda ls: ls[:3], ":4:", "expected 'output_dim=<value>'"),  # truncated header
-        (lambda ls: ls[:1], ":2:", "expected 'input_dim=<value>'"),
-        (lambda ls: ls[:2] + ["hidden=6"] + ls[3:], ":3:", "expected 'hidden_layers="),
-        (lambda ls: ls[:5] + ["seed=x"] + ls[6:], ":6:", "invalid literal for int"),
-        (lambda ls: ls[:4] + ["output_activation=relu"] + ls[5:], ":2:", "relu"),
-        (lambda ls: ls[:9] + ["0.5x"] + ls[10:], ":10:", "could not convert"),
-        (lambda ls: ls[:9] + ["nan"] + ls[10:], ":10:", "non-finite parameter 'nan'"),
-        (lambda ls: ls[:-1] + ["-inf"], ":46:", "non-finite parameter '-inf'"),
-        (lambda ls: ls[:-1], ":7:", "n_params=39, but 38 values follow"),
-        (lambda ls: ls + ["1.0"], ":7:", "n_params=39, but 40 values follow"),
-        (lambda ls: ls[:6] + ["n_params=40"] + ls[7:], ":7:", "the spec requires 39"),
-    ], ids=["truncated-header", "header-only", "misnamed-field", "bad-int", "bad-spec",
-            "bad-float", "nan", "inf", "too-few-values", "too-many-values", "count-vs-spec"])
-    def test_bad_file_names_path_and_line(self, tmp_path, edit, where, message):
-        spec = ap.ApproxSpec(4, (3,), 6, "tanh", seed=5)  # 4*3+3 + 3*6+6 = 39 params
-        path = tmp_path / "params.txt"
-        ap.save_params(path, spec, ap.init_params(spec))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
-        with pytest.raises(ValueError) as err:
-            ap.load_params(path)
-        assert f"{path}{where}" in str(err.value) and message in str(err.value)
-
-    def test_bad_header_names_line_one(self, tmp_path):
-        path = tmp_path / "params.txt"
-        path.write_text("cactor-approx 2\n")
-        with pytest.raises(ValueError, match=r":1: not a parameter file"):
-            ap.load_params(path)
-
     def test_init_bounds_match_fan_in(self):
         spec = ap.ApproxSpec(16, (4,), 2, "linear", seed=3)
         layers = ap.unpack_params(spec, ap.init_params(spec))

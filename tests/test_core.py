@@ -2,7 +2,6 @@ import gc
 import json
 import re
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from cactor import core
 
-from _rows import dataset, rebuilt, session
+from _rows import dataset, empty_dataset, rebuilt, session
 
 
 def chain(rewards, state_dim=3, session_id="s", behavior_prob=0.5):
@@ -162,13 +161,25 @@ class TestInvariants:
     @pytest.mark.parametrize("value", [2, -1, 0.5, float("nan")])
     def test_flags_other_than_0_and_1_rejected(self, name, value):
         """A done or next_terminal of another dtype must keep every value in
-        the cast to bool, which would store 2 as True; the file and line name
-        the row when ``where`` is given."""
+        the cast to bool, which would store 2 as True."""
         ds = dataset(chain([[1.0], [2.0]]))
         flags = [0, value] if isinstance(value, int) else [0.0, value]
-        with pytest.raises(ValueError, match=re.escape(f"f.txt:4: {name} {value:g} is not "
-                                                       "0 or 1")):
-            rebuilt(ds, **{name: flags}, where=lambda k: f"f.txt:{k + 3}: ")
+        with pytest.raises(ValueError, match=re.escape(f"session s step 1: {name} {value:g} "
+                                                       "is not 0 or 1")):
+            rebuilt(ds, **{name: flags})
+
+    @pytest.mark.parametrize("name,at,value,message", [
+        ("states", (1, 0), np.nan, "non-finite state features"),
+        ("states", (1, 2), np.inf, "non-finite state features"),
+        ("responses", (1, 0), -np.inf, "non-finite response values"),
+        ("next_states", (1, 1), np.nan, "non-finite next_state features"),
+    ], ids=["nan-feature", "inf-feature", "inf-response", "nan-next-feature"])
+    def test_non_finite_values_rejected(self, name, at, value, message):
+        ds = dataset(chain([[1.0], [2.0]]))
+        col = getattr(ds, name).copy()
+        col[at] = value
+        with pytest.raises(ValueError, match=re.escape(f"session s step 1: {message}")):
+            rebuilt(ds, **{name: col})
 
     def test_integral_codes_of_another_dtype_are_accepted(self):
         ds = dataset(chain([[1.0], [2.0]]))
@@ -203,25 +214,6 @@ class TestDatasetIO:
         core.save_dataset(path, ds)
         assert core.load_dataset(path).trajectories[0].transitions[0].behavior_prob is None
 
-    def test_rows_match_per_value_formatting(self, tmp_path):
-        rng = np.random.default_rng(5)
-        rewards = rng.normal(size=(4, 2)) * 10.0 ** rng.integers(-300, 300, size=(4, 2))
-        ds = dataset(chain(rewards, session_id="s3", behavior_prob=1.0 / 3.0),
-                     metadata={"state_dim": 3, "n_items": 2})
-        # states and next_states are separate columns: edit the state of step 1 in both
-        edge = [-0.0, 5e-324, np.finfo(float).max]
-        ds.states[1] = ds.next_states[0] = edge
-        traj = ds.trajectories[0]
-        path = tmp_path / "d.txt"
-        reference_save_dataset(path, ds)  # format 1 text, which the loader still reads
-        body = path.read_text().splitlines()[2:]
-        assert len(body) == len(traj)
-        for t, (line, tr) in enumerate(zip(body, traj.transitions)):
-            feats = ",".join(f"{v:.17g}" for v in tr.state.features)
-            resp = ",".join(f"{v:.17g}" for v in tr.response)
-            assert line == f"s3,{t},{feats},0,{tr.behavior_prob:.17g},{resp},{int(tr.done)}"
-        assert_same_columns(core.load_dataset(path), ds)
-
     def test_row_length_disagreeing_with_header_rejected(self):
         # a row of the wrong width cannot enter the store: the build that
         # would make one is where it is rejected
@@ -232,92 +224,7 @@ class TestDatasetIO:
                     f"{name} has shape {wrong.shape}, expected {want}")):
                 rebuilt(ds, **{name: wrong})
 
-    def test_malformed_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# cactor-dataset 1\n# m=1 state_dim=2 n_items=2\ns0,0,1.0\n")
-        with pytest.raises(ValueError, match=":3"):
-            core.load_dataset(path)
-
-    @pytest.mark.parametrize("index", [-1, 2])
-    def test_action_index_out_of_range_reports_line_number(self, tmp_path, index):
-        path = tmp_path / "bad.txt"
-        path.write_text("# cactor-dataset 1\n# m=1 state_dim=1 n_items=2\n"
-                        "s0,0,1.0,1,0.5,2.0,0\n"
-                        f"s0,1,3.0,{index},0.5,4.0,1\n")
-        with pytest.raises(ValueError, match=f":4: action index {index} outside"):
-            core.load_dataset(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError, match="header"):
-            core.load_dataset(path)
-
-
-def write_dataset(path, body, dims="m=1 state_dim=1 n_items=2"):
-    path.write_text(f"# cactor-dataset 1\n# {dims}\n" + "".join(ln + "\n" for ln in body))
-    return path
-
-
-class TestBadDatasetFiles:
-    """Every malformed file fails with a ValueError naming {path}:{lineno}."""
-
-    @pytest.mark.parametrize("text,where,message", [
-        ("# cactor-dataset 1\n", 1, "the header is not followed by '# m=<int>"),
-        ("# cactor-dataset 1\n# m=1 state_dim n_items=2\n", 2, "'state_dim' is not <key>=<int>"),
-        ("# cactor-dataset 1\n# m=1 n_items=2\n", 2, "missing state_dim=<int>"),
-        ("# cactor-dataset 1\n# m=x state_dim=1 n_items=2\n", 2, "m=x is not an integer"),
-        ("# cactor-dataset 1\n# m=1 state_dim=-1 n_items=2\n", 2, "state_dim=-1 is negative"),
-    ], ids=["header-only", "token-without-equals", "missing-state_dim", "m=x", "negative"])
-    def test_bad_dims_line(self, tmp_path, text, where, message):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(f"{path}:{where}: {message}")):
-            core.load_dataset(path)
-
-    @pytest.mark.parametrize("row,message", [
-        ("s0,0,nan,1,0.5,2.0,1", "non-finite state features"),
-        ("s0,0,inf,1,0.5,2.0,1", "non-finite state features"),
-        ("s0,0,1.0,1,0.5,-inf,1", "non-finite response values"),
-        ("s0,0,1.0,1,1.5,2.0,1", "behavior_prob 1.5 outside (0, 1]"),
-        ("s0,0,1.0,1,0,2.0,1", "behavior_prob 0.0 outside (0, 1]"),
-        ("s0,0,1.0,1,0.5,2.0,2", "done field 2 is not 0 or 1"),
-        ("s0,0,1.0,1.5,0.5,2.0,1", "action index 1.5 outside [0, 2)"),
-        ("s0,1,1.0,1,0.5,2.0,1", "step index 1 out of order for session s0"),
-        ("s0,0,1.0,1,nan,2.0,1", "'nan' to float64"),
-        ("s0,0,1.0,1,0.5,x,1", "'x' to float64"),
-    ], ids=["nan-feature", "inf-feature", "inf-response", "prob-1.5", "prob-0", "done-2",
-            "fractional-action", "step-order", "nan-prob-is-not-missing", "not-a-number"])
-    def test_bad_row_names_its_line(self, tmp_path, row, message):
-        path = write_dataset(tmp_path / "bad.txt", ["s1,0,3.0,0,0.5,1.0,1", row])
-        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ") + ".*"
-                           + re.escape(message)):
-            core.load_dataset(path)
-
-    def test_meta_line_without_equals_names_its_line(self, tmp_path):
-        """A row whose session id starts with '# meta ' is not read as a
-        metadata key (it was, dropping the row)."""
-        path = write_dataset(tmp_path / "bad.txt", ["# meta s0,0,1.0,1,0.5,2.0,1",
-                                                    "s1,0,1.0,1,0.5,2.0,1"])
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}:3: meta line '# meta s0,0,1.0,1,0.5,2.0,1' is not "
-                "'# meta <key>=<value>'")):
-            core.load_dataset(path)
-
-    def test_line_numbers_count_blank_lines(self, tmp_path):
-        path = write_dataset(tmp_path / "bad.txt", ["", "s0,0,1.0,1,0.5,2.0,2"])
-        with pytest.raises(ValueError, match=re.escape(f"{path}:4: done field 2")):
-            core.load_dataset(path)
-
-    def test_done_before_the_last_row_names_its_line(self, tmp_path):
-        path = write_dataset(tmp_path / "bad.txt", ["s0,0,1.0,1,0.5,2.0,1", "s1,0,0.0,1,0.5,2.0,1",
-                                                    "s0,1,0.0,1,0.5,2.0,1"])
-        with pytest.raises(ValueError,
-                           match=re.escape(f"{path}:3: only the last transition may be terminal")):
-            core.load_dataset(path)
-
-
-# each value that a text round trip most easily gets wrong, plus ordinary ones
+# each value that a round trip most easily gets wrong, plus ordinary ones
 EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                                           np.finfo(float).max, -np.finfo(float).max, 0.1,
                                           1.0 / 3.0]),
@@ -350,19 +257,16 @@ def column_store(lengths, states, responses, actions, probs, done_ends):
 
 @st.composite
 def stores(draw, values=EDGE_FLOATS):
-    """A dataset drawn column by column from ``values``, and an interleaving
-    of its sessions' rows in the file."""
+    """A dataset drawn column by column from ``values``."""
     state_dim, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n = sum(lengths)
-    ds = column_store(
+    return column_store(
         lengths, draw(st.lists(values, min_size=n * state_dim, max_size=n * state_dim)),
         draw(st.lists(values, min_size=n * m, max_size=n * m)),
         draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=n, max_size=n)),
         draw(st.lists(MAYBE_PROB, min_size=n, max_size=n)),
         draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths))))
-    file_order = draw(st.permutations([k for k, n_k in enumerate(lengths) for _ in range(n_k)]))
-    return ds, file_order
 
 
 def assert_same_columns(a, b):
@@ -378,33 +282,14 @@ def assert_same_columns(a, b):
 
 
 class TestStoreRoundTrip:
-    @given(drawn=stores())
+    @given(ds=stores())
     @settings(max_examples=60, deadline=None)
-    def test_save_load_keeps_every_column(self, tmp_path_factory, drawn):
-        ds, file_order = drawn
+    def test_save_load_keeps_every_column(self, tmp_path_factory, ds):
         path = tmp_path_factory.mktemp("rt") / "d.txt"
         core.save_dataset(path, ds)
         loaded = core.load_dataset(path)
         assert_same_columns(loaded, ds)
         assert loaded.metadata == {"n_items": 5, "note": "x"}
-        # format 1 text of the same rows, with the sessions interleaved,
-        # loads into the same store
-        reference_save_dataset(path, ds)
-        assert core.load_dataset(path).metadata == {"state_dim": ds.states.shape[1],
-                                                    "n_items": 5, "note": "x"}
-        lines = path.read_text().splitlines()
-        head, body = lines[:3], lines[3:]
-        by_session = [iter(body[lo:hi]) for lo, hi in zip(ds.offsets[:-1], ds.offsets[1:])]
-        path.write_text("\n".join(head + [next(by_session[k]) for k in file_order]) + "\n")
-        # sessions come in order of their first row in the file
-        first_seen = list(dict.fromkeys(file_order))
-        rows = np.concatenate([np.arange(ds.offsets[k], ds.offsets[k + 1]) for k in first_seen])
-        lengths = np.diff(ds.offsets)[first_seen]
-        want = rebuilt(ds, **{name: getattr(ds, name)[rows] for name in core._COLUMNS},
-                       offsets=np.cumsum([0, *lengths]),
-                       session_ids=[ds.session_ids[k] for k in first_seen])
-        assert_same_columns(core.load_dataset(path), want)
-
     def test_edge_values_keep_their_bits(self, tmp_path):
         edge = [-0.0, 5e-324, np.finfo(float).max]
         ds = dataset(session([edge], [[-0.0, 5e-324]], sid="e"))
@@ -460,47 +345,20 @@ class TestStoreRoundTrip:
         assert core.load_dataset(tmp_path / "d.txt").metadata == metadata
 
 
-def reference_save_dataset(path, dataset):
-    """The format 1 text writer, one ``%`` call per row and column block:
-    it writes the files that ``core.load_dataset`` must still read."""
-    d = dataset
-    n_items = int(d.metadata.get("n_items", 0))
-    lines = [core._DATASET_HEADER, f"# m={d.m} state_dim={d.states.shape[1]} n_items={n_items}"]
-    lines += [f"# meta {key}={d.metadata[key]}" for key in sorted(d.metadata)
-              if key not in ("state_dim", "n_items")]
-    feats_fmt = "%.17g," * d.states.shape[1]
-    resp_fmt = "%.17g," * d.m
-    lengths = np.diff(d.offsets)
-    sids = [sid for sid, n in zip(d.session_ids, lengths.tolist()) for _ in range(n)]
-    steps = (np.arange(d.n_transitions) - np.repeat(d.offsets[:-1], lengths)).tolist()
-    feats = [feats_fmt % tuple(row) for row in d.states.tolist()]
-    acts = ["-" if a < 0 else str(a) for a in d.action_index.tolist()]
-    bps = ["-" if p != p else f"{p:.17g}" for p in d.behavior_prob.tolist()]
-    resps = [resp_fmt % tuple(row) for row in d.responses.tolist()]
-    dones = d.done.astype(np.int8).tolist()
-    lines.extend(f"{sid},{t},{f}{a},{bp},{r}{dn}"
-                 for sid, t, f, a, bp, r, dn in zip(sids, steps, feats, acts, bps, resps, dones))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-# few distinct values, each repeated: -0.0 and 0.0 compare equal but are
-# written differently, so only their bits tell them apart
+# few distinct values, each repeated: -0.0 and 0.0 compare equal, so only
+# their bits tell them apart
 POOL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, np.finfo(float).max, 1.0 / 3.0])
 CONTINUOUS_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestSaveMatchesReferenceWriter:
-    @given(ds=st.one_of(stores(POOL_FLOATS), stores(CONTINUOUS_FLOATS)).map(lambda d: d[0]))
+    @given(ds=st.one_of(stores(POOL_FLOATS), stores(CONTINUOUS_FLOATS)))
     @example(ds=column_store([2, 1], [-0.0, 0.0, -0.0], [0.0, 1.0 / 3.0, -0.0], [None, 1, 2],
                              [0.5, None, 5e-324], [False, True]))
     @settings(max_examples=100, deadline=None)
     def test_same_bytes_and_bit_exact_round_trip(self, tmp_path_factory, ds):
-        """Format 1 text from the reference writer loads back bit-exact;
-        format 2 gives the same bytes on every save and loads back bit-exact."""
+        """Format 2 gives the same bytes on every save and loads back bit-exact."""
         out = tmp_path_factory.mktemp("bytes")
-        reference_save_dataset(out / "ref.txt", ds)
-        assert_same_columns(core.load_dataset(out / "ref.txt"), ds)
         core.save_dataset(out / "new.txt", ds)
         core.save_dataset(out / "again.txt", ds)
         assert (out / "new.txt").read_bytes() == (out / "again.txt").read_bytes()
@@ -545,7 +403,7 @@ class TestFormat2Files:
 
     def test_truncated_session_round_trips_bit_for_bit(self, tmp_path):
         """A session whose last row is not done keeps its non-terminal,
-        nonzero next_state; format 1 stored zeros there."""
+        nonzero next_state."""
         ds = dataset(chain([[1.0], [2.0]], session_id="a"), chain([[3.0]], session_id="b"))
         last = int(ds.offsets[1]) - 1
         done, next_states = ds.done.copy(), ds.next_states.copy()
@@ -561,13 +419,10 @@ class TestFormat2Files:
     def test_format_is_chosen_by_content_not_name(self, tmp_path):
         ds = dataset(chain([[1.0, 2.0]], session_id="a"))
         core.save_dataset(tmp_path / "d.txt", ds)
-        reference_save_dataset(tmp_path / "d.npz", ds)
         assert_same_columns(core.load_dataset(tmp_path / "d.txt"), ds)
-        assert_same_columns(core.load_dataset(tmp_path / "d.npz"), ds)
 
     def test_empty_dataset_round_trips(self, tmp_path):
-        ds = core.ReplayDataset.from_columns(**core._empty_columns(3, 2), offsets=[0],
-                                             session_ids=[], m=2)
+        ds = empty_dataset(3, 2)
         core.save_dataset(tmp_path / "d.txt", ds)
         assert_same_columns(core.load_dataset(tmp_path / "d.txt"), ds)
 
@@ -580,6 +435,17 @@ class TestBadFormat2Files:
     def ds():
         return dataset(chain([[1.0], [2.0]], session_id="a"), chain([[3.0]], session_id="b"),
                        metadata={"n_items": 2})
+
+    @pytest.mark.parametrize("text", [
+        "# cactor-dataset 1\n# m=1 state_dim=1 n_items=2\ns0,0,1.0,1,0.5,2.0,1\n",
+        "",
+    ], ids=["format-1-text", "empty"])
+    def test_file_that_is_not_a_zip_is_rejected(self, tmp_path, text):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a zip file; expected a 'cactor-dataset 2' (zip) dataset")):
+            core.load_dataset(path)
 
     @pytest.mark.parametrize("kept", [0.005, 0.5, 0.999])
     def test_truncated_zip(self, tmp_path, kept):
@@ -611,42 +477,18 @@ class TestBadFormat2Files:
          "session a step 1: action index 2 outside [0, 2)"),
         ({"behavior_prob": np.array([0.5, 1.5, 0.5])},
          "session a step 1: behavior_prob 1.5 outside (0, 1]"),
+        ({"behavior_prob": np.array([0.5, 0.0, 0.5])},
+         "session a step 1: behavior_prob 0.0 outside (0, 1]"),
         ({"done": np.array([True, True, True])},
          "session a step 0: done transition must lead to a terminal state"),
         ({"responses": np.zeros((3, 2))}, "responses has shape (3, 2), expected (3, 1)"),
     ], ids=["missing-array", "extra-array", "format-tag", "header-not-json", "header-not-dict",
-            "header-not-text",
-            "object-array", "action-vs-n_items", "row-error", "done-before-end", "shape"])
+            "header-not-text", "object-array", "action-vs-n_items", "row-error", "prob-0",
+            "done-before-end", "shape"])
     def test_bad_file_names_path(self, tmp_path, changes, message):
         path = v2_file(tmp_path / "d.txt", self.ds(), **changes)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             core.load_dataset(path)
-
-
-class TestFormat1Fixture:
-    """``tests/data/v1-interleaved.txt`` was written by the format 1 text
-    writer (``save_dataset`` before format 2), its rows then interleaved
-    across sessions.  It must keep loading into these columns."""
-
-    def test_loads_into_pinned_columns(self):
-        loaded = core.load_dataset(Path(__file__).parent / "data" / "v1-interleaved.txt")
-        sub = 5e-324
-        states = [[-1.0, 0.25], [3.0, -2.5],                 # b, truncated
-                  [0.5, -0.0], [1.0, sub], [1.5, 2.0],        # a
-                  [0.0, 1e300], [-0.0, 0.1]]                  # c
-        next_states = [[3.0, -2.5], [0.0, 0.0],
-                       [1.0, sub], [1.5, 2.0], [0.0, 0.0],
-                       [-0.0, 0.1], [0.0, 0.0]]
-        done = [False, False, False, False, True, False, True]
-        want = core.ReplayDataset.from_columns(
-            states=states, next_states=next_states, next_terminal=done,
-            action_index=[2, 1, 0, -1, 3, -1, 0],
-            behavior_prob=[1 / 3, np.nan, 0.25, np.nan, 1.0, 0.5, sub],
-            responses=[[-3.0, 1.0], [0.0, 0.0], [1.0, -0.0], [2.5, 1.0], [sub, 0.0],
-                       [4.0, -1.0], [1e-310, 2.0]],
-            done=done, offsets=[0, 2, 5, 7], session_ids=["b", "a", "c"], m=2)
-        assert_same_columns(loaded, want)
-        assert loaded.metadata == {"state_dim": 2, "n_items": 4, "source": "fixture"}
 
 
 class TestViews:

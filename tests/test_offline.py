@@ -10,12 +10,12 @@ from cactor import core
 from cactor import deterministic as det
 from cactor import offline as off
 from cactor import stochastic as stx
-from cactor.core import ReplayDataset, discounted_returns
+from cactor.core import discounted_returns
 from cactor.seeding import derive_seed, rng_for
 from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 from cactor.sim import SessionSimulator, SimConfig, run_episode
 
-from _rows import dataset, rebuilt, session
+from _rows import dataset, empty_dataset, rebuilt, session
 from _tabular import TabularMDP, skewed_policy, table_prob_fn
 
 
@@ -695,8 +695,7 @@ class TestNCIS:
             off.ncis_evaluate(lambda s: np.full(want, 0.5), ds, off.NCISConfig())
 
     def test_empty_dataset_rejected(self):
-        ds = ReplayDataset.from_columns(**core._empty_columns(3, 1), offsets=[0],
-                                        session_ids=[], m=1)
+        ds = empty_dataset(3, 1)
         with pytest.raises(ValueError, match="empty"):
             off.ncis_evaluate(lambda s: s, ds, off.NCISConfig())
 

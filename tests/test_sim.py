@@ -529,12 +529,11 @@ class TestOfflineGeneration:
 
 def review_columns(records):
     """The users, items, scores and probs columns of (user, item, scores,
-    prob) records, as ``sm._reviews_to_dataset`` takes them (NaN for a None
-    probability)."""
+    prob) records, as ``sm._review_columns`` returns them."""
     users, items, scores, probs = zip(*records)
     return (np.array(users, dtype=np.intp), np.array(items, dtype=np.intp),
             np.array(scores, dtype=np.float64).reshape(-1, sm.REVIEW_M),
-            np.array([np.nan if p is None else p for p in probs], dtype=np.float64))
+            np.array(probs, dtype=np.float64))
 
 
 REVIEW_ORACLE_CASES = [(sm.ReviewDatasetConfig(seed=s), 2400) for s in range(10)] + [
@@ -548,14 +547,13 @@ REVIEW_ORACLE_CASES = [(sm.ReviewDatasetConfig(seed=s), 2400) for s in range(10)
                          ids=[f"default-seed{s}" for s in range(10)]
                          + ["one-user-one-item", "one-review", "every-session-filtered"])
 def test_review_corpus_equals_the_per_review_loop(cfg, rows):
-    want = reference_generate_reviews(cfg)
-    got = sm.generate_reviews(cfg)
-    assert [(u, h) for u, h, _, _ in got] == [(u, h) for u, h, _, _ in want]
-    assert all(type(u) is int and type(h) is int and type(p) is float for u, h, _, p in got)
-    for a, b in zip(review_columns(got)[2:], review_columns(want)[2:]):  # scores, probs
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    want = review_columns(reference_generate_reviews(cfg))
+    got = sm._review_columns(cfg)
+    for a, b in zip(got, want):  # users, items, scores, probs
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
     ds = sm.generate_review_dataset(cfg)
-    ref = sm._reviews_to_dataset(*review_columns(want), cfg.n_users, cfg.n_items,
+    ref = sm._reviews_to_dataset(*want, cfg.n_users, cfg.n_items,
                                  cfg.min_trajectory_length, cfg.history_window)
     for name in _COLUMNS:
         a, b = getattr(ds, name), getattr(ref, name)
@@ -575,29 +573,10 @@ class TestReviewData:
         assert len(ds.trajectories) == 1
         assert len(ds.trajectories[0]) == 25
 
-    def test_round_trip_generate_write_load(self, tmp_path):
-        cfg = sm.ReviewDatasetConfig(n_users=12, n_items=8, n_reviews=500, seed=4)
-        records = sm.generate_reviews(cfg)
-        direct = sm._reviews_to_dataset(*review_columns(records), cfg.n_users, cfg.n_items,
-                                        cfg.min_trajectory_length, cfg.history_window)
-        path = tmp_path / "reviews.txt"
-        sm.save_review_file(path, cfg, records)
-        loaded = sm.load_review_dataset(path, cfg.min_trajectory_length,
-                                        cfg.history_window)
-        assert loaded.m == sm.REVIEW_M
-        assert len(loaded.trajectories) == len(direct.trajectories)
-        for a, b in zip(direct.trajectories, loaded.trajectories):
-            assert a.session_id == b.session_id
-            for ta, tb in zip(a.transitions, b.transitions):
-                assert np.array_equal(ta.state.features, tb.state.features)
-                assert np.array_equal(ta.response, tb.response)
-                assert ta.action_index == tb.action_index
-                assert ta.behavior_prob == pytest.approx(tb.behavior_prob, abs=0)
-
     def test_columns_equal_the_per_review_history_loop(self):
         cfg = sm.ReviewDatasetConfig(n_users=7, n_items=6, n_reviews=300, seed=12,
                                      min_trajectory_length=45, history_window=4)
-        records = sm.generate_reviews(cfg)
+        records = reference_generate_reviews(cfg)
         ds = sm.generate_review_dataset(cfg)
         # the per-review loop: state t holds the user and the last `window`
         # reviews, oldest first
@@ -610,7 +589,7 @@ class TestReviewData:
         states, responses, items, probs = [], [], [], []
         for u in kept:
             for t, (_, h, scores, prob) in enumerate(by_user[u]):
-                feats = np.zeros(sm.review_state_dim(cfg))
+                feats = np.zeros(ds.states.shape[1])
                 feats[0] = u / cfg.n_users
                 for slot, (_, iid, sc, _) in enumerate(by_user[u][:t][-window:]):
                     off = 1 + slot * (1 + m)
@@ -630,32 +609,13 @@ class TestReviewData:
         assert np.array_equal(ds.next_states[inner], ds.states[inner + 1])
         assert not ds.next_states[last].any()
 
-    def test_records_without_probability_round_trip(self, tmp_path):
-        cfg = sm.ReviewDatasetConfig(n_users=2, n_items=4, n_reviews=60, seed=5,
-                                     min_trajectory_length=3)
-        records = sm.generate_reviews(cfg)
-        records = [(u, h, sc, None if k % 3 == 0 else p)
-                   for k, (u, h, sc, p) in enumerate(records)]
-        path = tmp_path / "reviews.txt"
-        sm.save_review_file(path, cfg, records)
-        body = path.read_text().splitlines()[2:]
-        assert [len(ln.split(",")) for ln in body[:3]] == [2 + sm.REVIEW_M, 3 + sm.REVIEW_M,
-                                                           3 + sm.REVIEW_M]
-        loaded = sm.load_review_dataset(path, 3, cfg.history_window)
-        direct = sm._reviews_to_dataset(*review_columns(records), cfg.n_users, cfg.n_items, 3,
-                                        cfg.history_window)
-        for name in ("states", "responses", "action_index", "behavior_prob", "done"):
-            assert np.array_equal(getattr(loaded, name), getattr(direct, name),
-                                  equal_nan=name == "behavior_prob"), name
-        assert np.isnan(loaded.behavior_prob).sum() == 20
-
     def test_state_layout(self):
         cfg = sm.ReviewDatasetConfig(n_users=6, n_items=4, n_reviews=260, seed=9,
                                      min_trajectory_length=5)
         ds = sm.generate_review_dataset(cfg)
         assert ds.trajectories, "expected at least one kept trajectory"
         traj = ds.trajectories[0]
-        dim = sm.review_state_dim(cfg)
+        dim = 1 + cfg.history_window * (1 + sm.REVIEW_M)
         first = traj.transitions[0]
         assert first.state.features.size == dim
         # no history yet: only the user id slot is populated
@@ -667,8 +627,8 @@ class TestReviewData:
     def test_responses_are_main_first(self):
         cfg = sm.ReviewDatasetConfig(n_users=6, n_items=4, n_reviews=200, seed=9,
                                      min_trajectory_length=5)
-        records = sm.generate_reviews(cfg)
-        ds = sm._reviews_to_dataset(*review_columns(records), cfg.n_users, cfg.n_items, 5, 3)
+        records = reference_generate_reviews(cfg)
+        ds = sm.generate_review_dataset(cfg)
         k = 0
         for u, h, scores, prob in records:
             if ds.trajectories and ds.trajectories[0].session_id == f"user-{u}":
@@ -678,47 +638,7 @@ class TestReviewData:
                 k += 1
                 if k >= len(ds.trajectories[0]):
                     break
-
-    def test_file_without_reviews_loads_empty(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("# cactor-reviews 1\n# n_users=2 n_items=2\n")
-        ds = sm.load_review_dataset(path)
-        assert ds.n_transitions == 0 and ds.session_ids == []
-        assert ds.responses.shape == (0, sm.REVIEW_M)
-
-    def test_malformed_line_reports_number(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# cactor-reviews 1\n# n_users=2 n_items=2\n0,1,3\n")
-        with pytest.raises(ValueError, match=":3"):
-            sm.load_review_dataset(path)
-
-    @pytest.mark.parametrize("text, where", [
-        ("\n# cactor-reviews 1\n\n# n_users=2 n_items=2\n\n0,1,3\n", ":6:"),
-        ("# cactor-reviews 1\n\n# n_users=2 n_items=x\n", ":3:"),
-        ("# cactor-reviews 1\n# n_users=2 n_items=2\n\n" + "0,1" + ",3" * 8 + "\n"
-         + "0,1" + ",3" * 7 + ",bad\n", ":5:"),
-        ("\n\n# cactor-reviews 1\n\n", ":3:"),
-    ], ids=["field-count", "dims", "value", "header-only"])
-    def test_errors_count_blank_lines(self, tmp_path, text, where):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"{path.name}{where} "):
-            sm.load_review_dataset(path)
-
-    @pytest.mark.parametrize("fields, message", [
-        ("3," * 7 + "3,nan", "probability 'nan' is not a number"),
-        ("3," * 7 + "3,0", "probability 0.0 outside (0, 1]"),
-        ("3," * 7 + "3,1.5", "probability 1.5 outside (0, 1]"),
-        ("3," * 7 + "3,-inf", "probability -inf outside (0, 1]"),
-        ("3," * 7 + "inf,0.5", "non-finite score"),
-        ("3," * 6 + "nan,3", "non-finite score"),
-    ], ids=["nan-prob", "zero-prob", "prob-above-one", "inf-prob", "inf-score", "nan-score"])
-    def test_bad_values_are_named_by_file_line(self, tmp_path, fields, message):
-        path = tmp_path / "bad.txt"
-        good = "0,1," + "3," * 7 + "3,0.5"
-        path.write_text(f"# cactor-reviews 1\n# n_users=2 n_items=2\n{good}\n\n0,1,{fields}\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path.name}:5: {message}")):
-            sm.load_review_dataset(path, min_trajectory_length=1)
+        assert k == len(ds.trajectories[0])
 
     def test_paper_scale_metadata_constants(self):
         # reference corpus scale, for documentation only
