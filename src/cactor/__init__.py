@@ -1,7 +1,7 @@
 """Constrained actor-critic toolkit for multi-response session recommendation."""
 
-from .approximator import (ApproxSpec, OptState, forward, forward_rows, gradient,
-                           init_opt_state, init_params, input_gradient, optimizer_step)
+from .approximator import (ApproxSpec, OptState, forward, gradient, init_opt_state,
+                           init_params, input_gradient, optimizer_step)
 from .core import (ReplayDataset, State, Trajectory, Transition, discounted_returns,
                    load_dataset, rank_items, save_dataset, td_target)
 from .offline import (ISConfig, MultiCriticConfig, NCISConfig,

@@ -31,9 +31,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import check_config
+
 ACTIVATIONS = ("linear", "softmax", "tanh")
 
 _TINY = np.finfo(np.float64).tiny
+_MOMENT_DECAYS, _EPSILON = (0.9, 0.999), 1e-8  # Adam's, as Kingma & Ba set them
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,10 @@ class ApproxSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
-        if any(h < 1 for h in self.hidden_layers):
-            raise ValueError("hidden layer sizes must be >= 1")
-        if self.output_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown output_activation {self.output_activation!r}")
+        object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
+        check_config(self, counts=("input_dim", "hidden_layers", "output_dim"), rules=(
+            (f"unknown output_activation {self.output_activation!r}",
+             self.output_activation in ACTIVATIONS),))
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -79,14 +79,12 @@ class ApproxSpec:
 def init_params(spec: ApproxSpec) -> np.ndarray:
     """Deterministic init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    dims = spec.layer_dims
     chunks = []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    for *_, fan_in, fan_out in spec._layout:
         bound = 1.0 / np.sqrt(fan_in)
-        chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-        chunks.append(rng.uniform(-bound, bound, size=fan_out))
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+        chunks += [rng.uniform(-bound, bound, size=fan_in * fan_out),
+                   rng.uniform(-bound, bound, size=fan_out)]
+    return np.concatenate(chunks)
 
 
 def unpack_params(spec: ApproxSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -109,8 +107,9 @@ def bank(nets, **fields):
     """One net standing for ``nets`` (objects with ``spec`` and ``params``,
     e.g. policies or critics of one architecture): a copy of the first whose
     params stack every member's on a leading member axis.  ``fields``
-    replace other attributes, e.g. a per-member discount column.  The bank
-    keeps the first member's spec; only its architecture is used."""
+    replace other attributes, e.g. a per-member discount column; any other
+    field (response_index, gamma) and the spec are the first member's, of
+    which only the spec's architecture is used."""
     if not nets:
         raise ValueError("a bank needs at least one member")
     first = nets[0]
@@ -122,8 +121,7 @@ def bank(nets, **fields):
 
 def first_layer_size(spec: ApproxSpec) -> int:
     """Number of leading flat-vector entries belonging to the first layer (W1 and b1)."""
-    dims = spec.layer_dims
-    return dims[0] * dims[1] + dims[1]
+    return spec._layout[0][2]
 
 
 def _check_input(spec: ApproxSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -182,26 +180,19 @@ def forward(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return forward_pullback(spec, params, x)[0]
 
 
-def forward_rows(spec: ApproxSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``forward`` of a (batch, input_dim) matrix, one row at a time: row i
-    equals ``forward(spec, params, x[i])`` bit for bit, whatever the batch.
+def row_evaluator(spec: ApproxSpec, params: np.ndarray):
+    """``forward`` one row at a time, with the params unpacked once: returns
+    ``rows(x)``, whose row i of a (batch, input_dim) x equals ``forward(spec,
+    params, x[i])`` bit for bit, whatever the batch.  For a bank (params (k,
+    n_params)) x has shape (k, batch, input_dim) and member i evaluates x[i]
+    with the same bits as ``row_evaluator(spec, params[i])(x[i])``.  The
+    params must not change while ``rows`` is in use.
 
     Each row is pushed through as a stacked (1, input_dim) product, which
     runs the one-row kernel (gemv) per row; ``forward`` on a batch runs gemm,
     which changes the last bits of most rows.  One gemv per row is slower
     than one gemm on large batches, so use this only where results must not
-    depend on how many rows are evaluated together (lockstep rollouts).
-    """
-    return row_evaluator(spec, params)(x)
-
-
-def row_evaluator(spec: ApproxSpec, params: np.ndarray):
-    """``forward_rows`` with the params unpacked once: returns ``rows(x)``,
-    for a caller that evaluates one net on many batches (a rollout step by
-    step).  For a bank (params (k, n_params)) x has shape (k, batch,
-    input_dim) and member i evaluates x[i], row by row, with the same bits
-    as ``forward_rows(spec, params[i], x[i])``.  The params must not change
-    while ``rows`` is in use."""
+    depend on how many rows are evaluated together (lockstep rollouts)."""
     layers = unpack_params(spec, np.asarray(params, dtype=np.float64)[..., None, :])
 
     def rows(x):
@@ -279,29 +270,13 @@ class OptState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_size: float = 1e-3
-    moment_decays: tuple[float, float] = (0.9, 0.999)
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        b1, b2 = self.moment_decays
-        if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
-            raise ValueError("moment decays must lie in (0, 1)")
-        if self.step_size <= 0 or self.epsilon <= 0:
-            raise ValueError("step_size and epsilon must be positive")
 
 
-def init_opt_state(shape, step_size: float = 1e-3,
-                   moment_decays: tuple[float, float] = (0.9, 0.999),
-                   epsilon: float = 1e-8) -> OptState:
+def init_opt_state(shape, step_size: float = 1e-3) -> OptState:
     """Zero moments for params of ``shape``: n_params, or (k, n_params) for a bank."""
-    return OptState(
-        step_count=0,
-        first_moment=np.zeros(shape),
-        second_moment=np.zeros(shape),
-        step_size=step_size,
-        moment_decays=moment_decays,
-        epsilon=epsilon,
-    )
+    if not step_size > 0:  # NaN fails too
+        raise ValueError(f"step_size must be > 0, got {step_size}")
+    return OptState(0, np.zeros(shape), np.zeros(shape), step_size)
 
 
 def optimizer_step(params: np.ndarray, grads: np.ndarray, opt: OptState,
@@ -320,11 +295,11 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, opt: OptState,
     elif direction != "minimize":
         raise ValueError(f"unknown direction {direction!r}")
 
-    b1, b2 = opt.moment_decays
+    b1, b2 = _MOMENT_DECAYS
     t = opt.step_count + 1
     m = b1 * opt.first_moment + (1.0 - b1) * grads
     v = b2 * opt.second_moment + (1.0 - b2) * grads * grads
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
-    new_params = params - opt.step_size * m_hat / (np.sqrt(v_hat) + opt.epsilon)
-    return new_params, OptState(t, m, v, opt.step_size, opt.moment_decays, opt.epsilon)
+    new_params = params - opt.step_size * m_hat / (np.sqrt(v_hat) + _EPSILON)
+    return new_params, OptState(t, m, v, opt.step_size)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import approximator as ap
 from .core import ReplayDataset, check_config, check_discounts, td_target
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
 from .stochastic import (StochasticPolicy, _check_critic_loss, gather, loglik_ascent,
                          make_policy, validate_lambdas)
 from .stochastic import batch_arrays  # noqa: F401  (a binding bench/tracer.py wraps)
@@ -89,24 +89,21 @@ def member_rows(lead: tuple) -> tuple:
 
 def q_critic_update(critic: CriticQ, target_critic: CriticQ,
                     target_policy: DeterministicPolicy, items: np.ndarray,
-                    batch, opt: ap.OptState, reward_override=None):
-    """One step on (r_i + gamma * Q_target(s', pi_target(s')) - Q(s, a))^2.
+                    batch, rewards, opt: ap.OptState):
+    """One step on (r + gamma * Q_target(s', pi_target(s')) - Q(s, a))^2.
 
-    ``batch`` is a ``batch_arrays`` tuple.  Logged actions are embedded
-    through the item table; the returned item-table gradient lets callers
-    learn the table jointly with the critic.  ``reward_override``
-    substitutes a precomputed scalar reward per sample (used for
-    weighted-sum training).
-    """
-    s, a_idx, r, s2, done = batch
+    ``batch`` is a ``batch_arrays`` tuple and ``rewards`` r, (batch,) or (k,
+    batch) for a bank.  Logged actions are embedded through the item table;
+    the returned item-table gradient lets callers learn the table jointly
+    with the critic."""
+    s, a_idx, _, s2, done = batch
     if a_idx is None:
         raise ValueError("batch lacks action indices")
-    r_i = reward_override if reward_override is not None else r[..., critic.response_index]
     # the rows of each member's own item table that its logged actions name
     rows = (*member_rows(a_idx.shape[:-1]), a_idx)
     a2 = target_policy.act(s2)
     q2 = target_critic.q_value(s2, a2)
-    y = td_target(r_i, critic.gamma, q2, done)
+    y = td_target(rewards, critic.gamma, q2, done)
     q, pullback = ap.forward_pullback(critic.spec, critic.params,
                                       np.concatenate([s, items[rows]], axis=-1))
     err = q[..., 0] - y
@@ -260,7 +257,7 @@ class DDPGPipeline:
 
 
 def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_seed,
-                     labels, stage_label=2, lambdas=None, aux=None, items=None):
+                     labels, stage_label=2, lambdas=None, aux=None):
     """Shared loop of the DDPG-family trainers on ``data``, the
     ``batch_arrays`` tuple of a whole dataset.  Trains one pipeline per
     entry of ``labels`` (the response each is named for) as one bank: each
@@ -276,37 +273,36 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
     it ascends Q_0 + sum_j lambdas_j * Q_j over the other critics (plain DDPG
     with one critic, RCPO with several).
 
-    Each member keeps its own seeds, minibatch stream, copy of ``items``
-    (else a fresh table), targets and metric rows, so it ends as if trained
-    alone.  A non-finite critic loss raises TrainingDiverged naming the
-    response, the stage and the step; when several members diverge, the
-    earliest step is named, and on a tie the first member.
+    Each member keeps its own seeds, minibatch stream, copy of the item
+    table (all start from the one named "items"), targets and metric rows,
+    so it ends as if trained alone.  A non-finite critic loss raises
+    TrainingDiverged naming the response, the stage and the step; when
+    several members diverge, the earliest step is named, and on a tie the
+    first member.
     """
     k, n_critics = len(labels), len(gammas[0])
     state_dim = data[0].shape[1]
-    if items is None:
-        items = init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
-    items = np.stack([items] * k)
+    items = np.stack([init_item_table(n_items, cfg.embed_dim,
+                                      derive_seed(master_seed, "items"))] * k)
     items_opt = ap.init_opt_state((k, items[0].size), cfg.items_lr)
 
     policies = [make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
                                 derive_seed(master_seed, "actor", label), label)
                 for label in labels]
-    critics = [[make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
-                              derive_seed(master_seed, "critic", label, j), j, g)
-                for j, g in enumerate(member_gammas)]
-               for label, member_gammas in zip(labels, gammas)]
     # the response each critic learns, which also names it when it diverges
     responses = np.array([[j if n_critics > 1 else label for j in range(n_critics)]
                           for label in labels])
+    critics = [[make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
+                              derive_seed(master_seed, "critic", label, j), int(r), g)
+                for j, (r, g) in enumerate(zip(rs, member_gammas))]
+               for label, rs, member_gammas in zip(labels, responses, gammas)]
     policy = ap.bank(policies)
     banks = [ap.bank(cs, gamma=np.array([[c.gamma] for c in cs])) for cs in zip(*critics)]
     target_policy = replace(policy)
     target_banks = [replace(c) for c in banks]
     c_opts = [ap.init_opt_state(c.params.shape, cfg.critic_lr) for c in banks]
     a_opt = ap.init_opt_state(policy.params.shape, cfg.actor_lr)
-    rngs = [np.random.Generator(np.random.PCG64(derive_seed(master_seed, "ddpg-batches", label)))
-            for label in labels]
+    rngs = [rng_for(master_seed, "ddpg-batches", label) for label in labels]
     members = np.arange(k)
     names = [[f"response {r} in stage {stage_label}" for r in row] for row in responses.T]
 
@@ -319,8 +315,7 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
             rewards = (reward_fn(batch[2], j) if reward_fn
                        else batch[2][members, :, responses[:, j]])
             banks[j], c_opts[j], loss, item_grad = q_critic_update(
-                critic, target_banks[j], target_policy, items, batch, c_opts[j],
-                reward_override=rewards)
+                critic, target_banks[j], target_policy, items, batch, rewards, c_opts[j])
             for loss_i, name in zip(loss, names[j]):
                 _check_critic_loss(loss_i, name, step)
             losses.append(loss)
@@ -393,12 +388,10 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
 
     data = dataset.arrays()
     n_items = int(dataset.metadata["n_items"])
-    items = init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
     stage_one = _train_ddpg_core(data, n_items, gammas[1:, None], None, s1_cfg, master_seed,
-                                 range(1, dataset.m), stage_label=1, items=items)
+                                 range(1, dataset.m), stage_label=1)
     pipe, = _train_ddpg_core(data, n_items, gammas[:1, None], None, cfg, master_seed, [0],
-                             lambdas=lam, aux=ap.bank([p.policy for p in stage_one]),
-                             items=items)
+                             lambdas=lam, aux=ap.bank([p.policy for p in stage_one]))
     metrics = [row for p in stage_one + [pipe] for row in p.metrics]
     return DDPGPipeline(pipe.policy, pipe.critics, pipe.items, metrics)
 
@@ -422,7 +415,7 @@ def train_behavior_clone(dataset: ReplayDataset, cfg: BCConfig,
     policy = make_policy(data[0].shape[1], int(dataset.metadata["n_items"]), cfg.hidden,
                          derive_seed(master_seed, "bc"))
     opt = ap.init_opt_state(policy.params.size, cfg.lr)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "bc-batches")))
+    rng = rng_for(master_seed, "bc-batches")
     metrics = []
     for step in range(cfg.updates):
         batch = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))

@@ -17,15 +17,17 @@ import numpy as np
 from . import approximator as ap
 from .core import (ReplayDataset, Trajectory, check_config, check_discounts,
                    discounted_returns)
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
                          actor_update_main, critic_loss_grad, gather, loglik_ascent,
-                         make_critic, td_errors)
+                         make_critic, reward_column, td_errors)
 from .stochastic import constrained_weights_batch  # noqa: F401  (bench/tracer.py wraps it)
 
 
 @dataclass(frozen=True)
 class ISConfig:
+    """Importance-ratio settings; ``offline_actor_update_main`` reads only min_behavior_prob."""
+
     mode: str = "first_order"
     ratio_clip: float = 10.0
     min_behavior_prob: float = 1e-6
@@ -119,7 +121,7 @@ def _ratios_at(policy: StochasticPolicy, cfg: ISConfig, store, rows, at, starts)
     a = store.action_index[rows]
     if np.any(a < 0):
         raise ValueError("batch lacks action indices")
-    p = ap.forward_rows(policy.spec, policy.params, store.states[rows])
+    p = ap.row_evaluator(policy.spec, policy.params)(store.states[rows])
     ratio = p[np.arange(a.size), a] / store.behavior_prob[rows]
     if starts is not None:
         with np.errstate(over="ignore"):  # an overflowed product is clipped below
@@ -136,7 +138,7 @@ def _ratios(batch_refs, policy: StochasticPolicy, cfg: ISConfig) -> np.ndarray:
     takes every ref's product from a left-to-right ``multiply.accumulate``
     over that prefix: the same multiplications, in the same order, as a
     scalar ``prod *= p / bp`` loop, so the ratios equal that loop's bit for
-    bit (a cumulative sum of log-ratios would not).  ``forward_rows`` keeps
+    bit (a cumulative sum of log-ratios would not).  ``row_evaluator`` keeps
     each probability equal to a one-row ``forward``.
     """
     return _ratios_at(policy, cfg, *_ref_rows(batch_refs, cfg))
@@ -150,7 +152,8 @@ def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_re
     store, rows, at, starts = _ref_rows(batch_refs, is_cfg)
     ratios = _ratios_at(policy, is_cfg, store, rows, at, starts)
     s, a_idx, r, s2, done = store.arrays(rows[at])
-    v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
+    v, target = td_errors(critic, s, reward_column(critic, r, "offline_actor_update_aux"),
+                          s2, done)
     policy, opt, objective, _ = loglik_ascent(policy, s, a_idx, ratios * (target - v), opt)
     return policy, opt, {"objective": objective, "mean_ratio": float(ratios.mean())}
 
@@ -163,7 +166,9 @@ def offline_actor_update_main(policy_set: PolicySet, batch_refs, is_cfg: ISConfi
 
         prod_i (pi_aux_i(a|s) / pi_beta(a|s)) ** (lambda_i/sum) * exp(A_0/sum).
 
-    Rows with a non-finite advantage are dropped first, as online."""
+    Rows with a non-finite advantage are dropped first, as online.  Of
+    ``is_cfg`` only ``min_behavior_prob`` is read: the ratio is first order
+    whatever ``mode`` says, and clipped at ``clip_max``, not ``ratio_clip``."""
     store, rows, _, _ = _ref_rows(batch_refs, replace(is_cfg, mode="first_order"))
     return actor_update_main(policy_set, store.arrays(rows), opt, clip_max, weight_floor,
                              behavior_prob=store.behavior_prob[rows])
@@ -206,7 +211,7 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         raise ValueError("dataset has no transitions")
     data = dataset.arrays()
     state_dim = data[0].shape[1]
-    rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "mc-batches")))
+    rng = rng_for(master_seed, "mc-batches")
 
     if mode == "single_summed":
         check_discounts([shared_gamma], 1)

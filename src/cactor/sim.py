@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ReplayDataset, State, Trajectory, check_config
-from .seeding import derive_seed
+from .seeding import rng_for
 
 REVIEW_M = 8
 # Score column order of the corpus; responses are stored main-first, i.e.
@@ -83,7 +83,7 @@ class SessionSimulator:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "sim-tables")))
+        rng = rng_for(config.seed, "sim-tables")
         c = config
         k = c.state_dim - 2  # core features; slots -2/-1 hold engagement and progress
         self._core_dim = k
@@ -120,7 +120,7 @@ class SessionSimulator:
         (length,) and its sparse uniforms (length, m-1), drawn in the
         contract's order."""
         cfg = self.config
-        rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "episode", episode_seed)))
+        rng = rng_for(cfg.seed, "episode", episode_seed)
         lo, hi = cfg.session_length_range
         length = int(rng.integers(lo, hi + 1))
         core = rng.normal(size=self._core_dim)
@@ -362,7 +362,7 @@ def generate_offline_dataset(config: SimConfig, behavior,
     action stream, (config.seed, "behavior-actions").
     """
     sim = SessionSimulator(config)
-    action_rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "behavior-actions")))
+    action_rng = rng_for(config.seed, "behavior-actions")
 
     def probs(features, live):
         p = np.array([behavior.probs(f) for f in features.reshape(-1, config.state_dim)[live]])
@@ -413,7 +413,7 @@ def _review_columns(config: ReviewDatasetConfig):
     ``0.0 + scale * z``, as ``Generator.normal`` makes it) and 2 uniforms
     (business, then checkin, is missing if below 0.55).
     """
-    rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, "reviews")))
+    rng = rng_for(config.seed, "reviews")
     d = 4
     user_embed = rng.normal(size=(config.n_users, d))
     harshness = rng.normal(scale=0.3, size=config.n_users)

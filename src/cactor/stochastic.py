@@ -173,12 +173,22 @@ def _logged_probs(policies, s, a_idx) -> np.ndarray:
 # operations
 # ---------------------------------------------------------------------------
 
+def reward_column(critic, r, caller: str):
+    """Column ``critic.response_index`` of the (batch, m) responses ``r``; a
+    bank, whose response_index is member 0's, is rejected naming ``caller``."""
+    if critic.params.ndim != 1:
+        raise ValueError(f"{caller} takes one critic, not a bank; a bank's members read "
+                         f"their own (k, batch) rewards through critic_loss_grad")
+    return r[:, critic.response_index]
+
+
 def critic_update(critic: CriticV, batch, opt: ap.OptState):
     """One step on the squared Bellman error of ``batch`` (a ``batch_arrays``
     tuple) with V(s') from the pre-update parameters.  A non-finite loss
     skips the step and is reported to the caller via the returned loss."""
     s, _, r, s2, done = batch
-    loss, grads = critic_loss_grad(critic, s, r[:, critic.response_index], s2, done)
+    r_i = reward_column(critic, r, "critic_update")
+    loss, grads = critic_loss_grad(critic, s, r_i, s2, done)
     if grads is None:
         return critic, opt, loss
     new_params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
@@ -222,7 +232,7 @@ def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.O
     tuple; the advantage comes from the current critic and is treated as a
     constant."""
     s, a_idx, r, s2, done = batch
-    v, target = td_errors(critic, s, r[:, critic.response_index], s2, done)
+    v, target = td_errors(critic, s, reward_column(critic, r, "actor_update_aux"), s2, done)
     policy, opt, objective, mean_adv = loglik_ascent(policy, s, a_idx, target - v, opt)
     return policy, opt, {"objective": objective, "mean_adv": mean_adv}
 

@@ -90,14 +90,14 @@ class TestForward:
 @settings(max_examples=40, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ap.ACTIVATIONS), st.integers(0, 2),
        st.integers(1, 70))
-def test_forward_rows_matches_one_row_forward_bit_for_bit(seed, head, depth, batch):
+def test_row_evaluator_matches_one_row_forward_bit_for_bit(seed, head, depth, batch):
     rng = np.random.default_rng(seed)
     hidden = tuple(int(rng.integers(1, 40)) for _ in range(depth))
     spec = ap.ApproxSpec(int(rng.integers(1, 20)), hidden, int(rng.integers(1, 40)), head,
                          seed=seed)
     params = ap.init_params(spec) * rng.uniform(0.5, 3.0)
     xs = rng.normal(size=(batch, spec.input_dim)) * 2
-    rows = ap.forward_rows(spec, params, xs)
+    rows = ap.row_evaluator(spec, params)(xs)
     assert rows.shape == (batch, spec.output_dim)
     for k in range(batch):
         assert np.array_equal(rows[k], ap.forward(spec, params, xs[k]))
@@ -106,7 +106,7 @@ def test_forward_rows_matches_one_row_forward_bit_for_bit(seed, head, depth, bat
 @settings(max_examples=25, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(ap.ACTIVATIONS), st.integers(0, 2),
        st.integers(1, 4), st.integers(1, 12))
-def test_row_evaluator_bank_equals_forward_rows_per_member(seed, head, depth, k, batch):
+def test_row_evaluator_bank_equals_each_member_alone(seed, head, depth, k, batch):
     rng = np.random.default_rng(seed)
     hidden = tuple(int(rng.integers(1, 40)) for _ in range(depth))
     spec = ap.ApproxSpec(int(rng.integers(1, 20)), hidden, int(rng.integers(1, 40)), head,
@@ -118,8 +118,27 @@ def test_row_evaluator_bank_equals_forward_rows_per_member(seed, head, depth, k,
         out = rows(xs)
         assert out.shape == (k, batch, spec.output_dim)
         for i in range(k):
-            assert np.array_equal(out[i], ap.forward_rows(spec, params[i], xs[i]))
+            assert np.array_equal(out[i], ap.row_evaluator(spec, params[i])(xs[i]))
         xs = xs[:, ::-1].copy()
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("args, message", [
+        ((3, (4.7,), 2), r"hidden_layers\[0\] must be an integer"),
+        ((3.0, (4,), 2), "input_dim must be an integer"),
+        ((True, (4,), 2), "input_dim must be an integer"),
+        ((3, (0,), 2), r"hidden_layers\[0\] must be >= 1"),
+        ((3, (4,), 0), "output_dim must be >= 1"),
+        ((3, (4,), 2, "relu"), "unknown output_activation 'relu'"),
+    ], ids=["fractional-width", "float-input", "bool-input", "zero-width", "zero-output",
+            "unknown-head"])
+    def test_bad_spec_names_its_field(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ap.ApproxSpec(*args)
+
+    def test_hidden_layers_are_stored_as_given(self):
+        spec = ap.ApproxSpec(3, [np.int64(4), 5], 2)
+        assert spec.hidden_layers == (4, 5) and type(spec.hidden_layers) is tuple
 
 
 class TestGradient:
@@ -214,13 +233,18 @@ class TestOptimizer:
         hi, _ = ap.optimizer_step(params, g, ap.init_opt_state(6), "maximize")
         assert np.array_equal(lo, hi)
 
+    @pytest.mark.parametrize("step_size", [0.0, -1.0, float("nan")])
+    def test_step_size_must_be_positive(self, step_size):
+        with pytest.raises(ValueError, match="step_size must be > 0"):
+            ap.init_opt_state(3, step_size)
+
     def test_nonfinite_gradient_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ap.optimizer_step(np.zeros(2), np.array([1.0, float("inf")]),
                               ap.init_opt_state(2))
 
 
-class TestDeterminismAndSerialization:
+class TestDeterminism:
     def test_equal_specs_give_bit_identical_params(self):
         a = ap.init_params(ap.ApproxSpec(5, (7, 3), 2, "softmax", seed=42))
         b = ap.init_params(ap.ApproxSpec(5, (7, 3), 2, "softmax", seed=42))

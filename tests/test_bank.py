@@ -3,7 +3,8 @@ params give exactly (==) what k separate nets give.
 
 The oracles below are the sequential trainer loops that preceded the bank
 (one stage-one pipeline after another, one critic step after another),
-kept verbatim apart from their names; the updates they call run unbanked.
+kept verbatim apart from their names and the rewards argument that
+``q_critic_update`` now takes; the updates they call run unbanked.
 """
 
 from dataclasses import replace
@@ -57,10 +58,9 @@ def ref_train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg, master
         batch = stx.gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
         losses = []
         for j, critic in enumerate(critics):
-            override = reward_fn(batch[2], j) if reward_fn else None
+            rewards = reward_fn(batch[2], j) if reward_fn else batch[2][:, critic.response_index]
             critic, c_opts[j], loss, item_grad = det.q_critic_update(
-                critic, target_critics[j], target_policy, items, batch, c_opts[j],
-                reward_override=override)
+                critic, target_critics[j], target_policy, items, batch, rewards, c_opts[j])
             stx._check_critic_loss(loss, names[j], step)
             critics[j] = critic
             losses.append(loss)
@@ -295,9 +295,72 @@ def test_q_critic_update_item_gradient_equals_np_indices_scatter(k):
              None, rng.normal(size=(*lead, n, state_dim)), rng.random((*lead, n)) < 0.2)
     rewards = rng.normal(size=(*lead, n))
     opt = ap.init_opt_state(critic.params.shape)
-    got = det.q_critic_update(critic, critic, policy, items, batch, opt,
-                              reward_override=rewards)[3]
+    got = det.q_critic_update(critic, critic, policy, items, batch, rewards, opt)[3]
     assert_same(got, ref_item_grad(critic, critic, policy, items, batch, rewards))
+
+
+def test_q_critic_update_on_a_bank_with_member_rewards_equals_member_calls():
+    rng = np.random.default_rng(7)
+    k, n, state_dim, embed, n_items = 3, 20, 5, 3, 7
+    gammas = (0.9, 0.5, 0.7)
+    policies = [det.make_det_policy(state_dim, embed, (6,), seed=i) for i in range(k)]
+    critics = [det.make_q_critic(state_dim, embed, (6,), 10 + i, i, g)
+               for i, g in enumerate(gammas)]
+    targets = [det.make_q_critic(state_dim, embed, (6,), 20 + i, i, g)
+               for i, g in enumerate(gammas)]
+    column = np.array(gammas)[:, None]
+    items = rng.normal(size=(k, n_items, embed))
+    batch = (rng.normal(size=(k, n, state_dim)), rng.integers(n_items, size=(k, n)),
+             rng.normal(size=(k, n, k)), rng.normal(size=(k, n, state_dim)),
+             rng.random((k, n)) < 0.2)
+    rewards = np.stack([batch[2][i, :, c.response_index] for i, c in enumerate(critics)])
+    got = det.q_critic_update(ap.bank(critics, gamma=column), ap.bank(targets, gamma=column),
+                              ap.bank(policies), items, batch, rewards,
+                              ap.init_opt_state((k, critics[0].params.size), 3e-3))
+    for i in range(k):
+        want = det.q_critic_update(critics[i], targets[i], policies[i], items[i],
+                                   tuple(x[i] for x in batch), rewards[i],
+                                   ap.init_opt_state(critics[i].params.size, 3e-3))
+        assert_same(got[0].params[i], want[0].params)
+        assert_same((got[1].first_moment[i], got[1].second_moment[i]),
+                    (want[1].first_moment, want[1].second_moment))
+        assert got[2][i] == want[2]
+        assert_same(got[3][i], want[3])
+
+
+@pytest.mark.parametrize("update", ["critic_update", "actor_update_aux",
+                                    "offline_actor_update_aux"])
+def test_updates_that_read_a_response_column_reject_a_critic_bank(update):
+    """A bank keeps member 0's response_index and gamma, so these updates
+    would train every member on member 0's response."""
+    ds = review_dataset()
+    state_dim, n_items = ds.states.shape[1], int(ds.metadata["n_items"])
+    critics = [stx.make_critic(state_dim, (5,), seed=1, response_index=1, gamma=0.9),
+               stx.make_critic(state_dim, (5,), seed=2, response_index=2, gamma=0.5)]
+    bank = ap.bank(critics, gamma=np.array([[0.9], [0.5]]))
+    policy = stx.make_policy(state_dim, n_items, (5,), seed=3)
+    traj = ds.trajectories[0]
+    batch = stx.batch_arrays(traj.transitions)
+    calls = {
+        "critic_update": lambda: stx.critic_update(bank, batch,
+                                                   ap.init_opt_state(bank.params.shape)),
+        "actor_update_aux": lambda: stx.actor_update_aux(
+            policy, bank, batch, ap.init_opt_state(policy.params.size)),
+        "offline_actor_update_aux": lambda: off.offline_actor_update_aux(
+            policy, bank, [(traj, t) for t in range(len(traj))], off.ISConfig(),
+            ap.init_opt_state(policy.params.size)),
+    }
+    with pytest.raises(ValueError, match=f"^{update} takes one critic, not a bank; "
+                                         f".*critic_loss_grad"):
+        calls[update]()
+
+
+def test_stage_one_critics_are_named_for_their_own_response():
+    ds = ddpg_dataset()
+    pipes = det._train_ddpg_core(ds.arrays(), int(ds.metadata["n_items"]), [[0.9], [0.8]],
+                                 None, SMALL_DDPG, 3, [1, 2], stage_label=1)
+    assert [p.critics[0].response_index for p in pipes] == [1, 2]
+    assert [p.policy.response_index for p in pipes] == [1, 2]
 
 
 def test_constrained_det_actor_update_on_a_bank_equals_member_updates():

@@ -351,7 +351,7 @@ POOL_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, np.finfo(float).max, 1.0 / 3.0
 CONTINUOUS_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
-class TestSaveMatchesReferenceWriter:
+class TestSaveIsByteStable:
     @given(ds=st.one_of(stores(POOL_FLOATS), stores(CONTINUOUS_FLOATS)))
     @example(ds=column_store([2, 1], [-0.0, 0.0, -0.0], [0.0, 1.0 / 3.0, -0.0], [None, 1, 2],
                              [0.5, None, 5e-324], [False, True]))

@@ -26,16 +26,18 @@ def test_prints_every_phase_and_step_kind(workload, kinds, split, calls):
                          capture_output=True, text=True, timeout=300, check=True).stdout
     lines = out.splitlines()
     assert lines[0].startswith(f"{workload} seed 1: 0 warm-up cycles, 1 timed, 0 failed ops")
+    assert float(lines[0].split("median job ")[1].split()[0]) > 0
     phases = [ln.rsplit(maxsplit=2)[0] for ln in lines[2:8]]
     assert phases == ["import stdlib, parse args", "import numpy", "import cactor, workloads",
                       "input build", "warm-up", "total"]
     rows = [ln.split() for ln in lines[9:9 + len(kinds)]]
     assert [r[0] for r in rows] == kinds
-    assert all((r[-1] != "-") == split for r in rows)
+    # columns: kind, steps/cycle, median ms, faults/cycle, ref ms
+    assert all((r[3] != "-") == split and float(r[4]) > 0 for r in rows)
     assert lines[9 + len(kinds)].startswith("cycle")
     # the per-call table: each of a cycle's 2 x 25 bank steps makes one critic step, one
     # actor step and three optimizer steps (critic, item table, actor)
     table = [ln.split() for ln in lines[11 + len(kinds):]] if calls else []
     assert {r[0]: float(r[1]) for r in table} == calls
-    assert all(float(r[2]) > 0 for r in table)
+    assert all(float(r[2]) > 0 and float(r[3]) > 0 for r in table)
     assert len(lines) == 10 + len(kinds) + (1 + len(calls) if calls else 0)

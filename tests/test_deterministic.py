@@ -50,7 +50,7 @@ class TestQCriticUpdate:
         batch = two_state_batch()
         for step in range(4000):
             critic, opt, loss, _ = det.q_critic_update(critic, target, policy,
-                                                       items, batch, opt)
+                                                       items, batch, batch[2][:, 0], opt)
             if step % 200 == 199:
                 target = critic
         q = critic.q_value(np.eye(2), np.zeros((2, 2)))
@@ -62,8 +62,9 @@ class TestQCriticUpdate:
         critic = det.make_q_critic(2, 2, (4,), seed=3, response_index=0, gamma=0.0)
         s = np.eye(2)
         q = critic.q_value(s, items[[0, 0]])
+        batch = terminal_batch(s, [0, 0], q[:, None])
         new_critic, _, loss, _ = det.q_critic_update(
-            critic, critic, policy, items, terminal_batch(s, [0, 0], q[:, None]),
+            critic, critic, policy, items, batch, batch[2][:, 0],
             ap.init_opt_state(critic.params.size))
         assert loss == 0.0
         assert np.array_equal(new_critic.params, critic.params)
@@ -76,7 +77,7 @@ class TestQCriticUpdate:
         batch = two_state_batch(r0=0.4, r1=0.4)
         for _ in range(1500):
             critic, opt, _, _ = det.q_critic_update(critic, critic, policy,
-                                                    items, batch, opt)
+                                                    items, batch, batch[2][:, 0], opt)
         q = critic.q_value(np.eye(2), np.zeros((2, 3)))
         assert np.allclose(q, 0.4, atol=0.01)
 

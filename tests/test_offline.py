@@ -532,7 +532,7 @@ def no_action_case(update):
     else:
         actor = det.make_det_policy(3, 2, (), seed=3)
         critic = det.make_q_critic(3, 2, (), seed=4, response_index=0, gamma=0.9)
-        det.q_critic_update(critic, critic, actor, np.zeros((1, 2)), batch,
+        det.q_critic_update(critic, critic, actor, np.zeros((1, 2)), batch, batch[2][:, 0],
                             ap.init_opt_state(critic.params.size))
 
 

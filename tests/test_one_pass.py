@@ -74,10 +74,8 @@ def _q_value(critic, features, actions):
     return _forward(critic.spec, critic.params, x)[:, 0]
 
 
-def ref_q_critic_update(critic, target_critic, target_policy, items, batch, opt,
-                        reward_override=None):
-    s, a_idx, r, s2, done = batch
-    r_i = reward_override if reward_override is not None else r[:, critic.response_index]
+def ref_q_critic_update(critic, target_critic, target_policy, items, batch, r_i, opt):
+    s, a_idx, _, s2, done = batch
     a_emb = items[a_idx]
     a2 = _forward(target_policy.spec, target_policy.params, s2)
     q2 = _q_value(target_critic, s2, a2)
@@ -275,10 +273,9 @@ def test_pullback_checks_upstream():
 def test_q_critic_update_matches_multi_pass(seed, hidden):
     policy, critics, _, items, batch = det_setup(seed, hidden)
     opt = ap.init_opt_state(critics[0].params.size, 3e-3)
-    for override in (None, batch[2] @ np.array([0.5, 0.3, 0.2])):
-        args = (critics[0], critics[1], policy, items, batch, opt)
-        assert_same(det.q_critic_update(*args, reward_override=override),
-                    ref_q_critic_update(*args, reward_override=override))
+    for rewards in (batch[2][:, 0], batch[2] @ np.array([0.5, 0.3, 0.2])):
+        args = (critics[0], critics[1], policy, items, batch, rewards, opt)
+        assert_same(det.q_critic_update(*args), ref_q_critic_update(*args))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -356,7 +353,8 @@ def passes(monkeypatch):
 def test_q_critic_update_makes_three_net_passes(passes):
     policy, critics, _, items, batch = det_setup(0)
     opt = ap.init_opt_state(critics[0].params.size)
-    assert passes(det.q_critic_update, critics[0], critics[1], policy, items, batch, opt) == 3
+    assert passes(det.q_critic_update, critics[0], critics[1], policy, items, batch,
+                  batch[2][:, 0], opt) == 3
 
 
 @pytest.mark.parametrize("n_extra", [0, 1, 2])

@@ -6,6 +6,7 @@ import pytest
 from cactor import approximator as ap
 from cactor import sim as sm
 from cactor.core import _COLUMNS, load_dataset, save_dataset
+from cactor.seeding import rng_for
 
 from _reviews import reference_generate_reviews
 
@@ -36,7 +37,8 @@ def assert_same_trajectories(got, want):
 
 def one_net(spec, params):
     """``rollout`` probs of one net, evaluated row by row on the live sessions."""
-    return lambda f, live: ap.forward_rows(spec, params, f.reshape(-1, f.shape[-1])[live])
+    rows = ap.row_evaluator(spec, params)
+    return lambda f, live: rows(f.reshape(-1, f.shape[-1])[live])
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +340,7 @@ def v1_episode(sim, select, episode_seed):
     step, the dense noise (when it is on) and the m-1 sparse uniforms.
     Returns the initial features and the (length, m) responses."""
     c = sim.config
-    rng = np.random.Generator(np.random.PCG64(sm.derive_seed(c.seed, "episode", episode_seed)))
+    rng = rng_for(c.seed, "episode", episode_seed)
     lo, hi = c.session_length_range
     length = int(rng.integers(lo, hi + 1))
     first = np.concatenate([rng.normal(size=c.state_dim - 2), [1.0, 0.0]])
@@ -480,8 +482,7 @@ class TestOfflineGeneration:
 
         behavior = Skewed()
         sim = sm.SessionSimulator(cfg)
-        action_rng = np.random.Generator(
-            np.random.PCG64(sm.derive_seed(cfg.seed, "behavior-actions")))
+        action_rng = rng_for(cfg.seed, "behavior-actions")
 
         def select(features):
             p = behavior.probs(features)
@@ -510,7 +511,7 @@ class TestOfflineGeneration:
         # 0.999 quantile of chi-square with n_items-1 = 29 dof
         assert chi2 < 58.3
 
-    def test_determinism_and_text_round_trip(self, cfg, tmp_path):
+    def test_determinism_and_file_round_trip(self, cfg, tmp_path):
         behavior = sm.UniformRandomPolicy(cfg.n_items)
         a = sm.generate_offline_dataset(cfg, behavior, 4)
         b = sm.generate_offline_dataset(cfg, behavior, 4)

@@ -14,18 +14,27 @@ A minor fault is a page the process touches for the first time since the
 kernel mapped it (getrusage ru_minflt): an array whose memory was handed
 back to the kernel when freed faults its pages in again on the next call.
 
+Each wall time has a host-speed normalised twin ("ref"), as bench/run.py
+reports its timings: bench/calibrate.py's fixed job runs right before and
+right after every cycle, and the cycle's times are scaled by
+``calibrate.scale`` of those two runs.  The first line gives the median
+wall ms of the job over the timed cycles (calibrate.REF_MS on the
+reference host).
+
 Printed, per step kind (the steps a cycle reports, one per ``_Steps.mark``
 or one per metric row): the steps per cycle, the median wall ms of one
-step, and the median over cycles of the kind's faults per cycle.  Faults
-are split by step only for workloads that time their steps with
-``_Steps`` (offline_review); the others show the cycle's total alone.
+step, the median over cycles of the kind's faults per cycle, and the
+median ref ms of one step.  Faults are split by step only for workloads
+that time their steps with ``_Steps`` (offline_review); the others show
+the cycle's total alone.
 
 Per call, for the workloads that name calls in TIMED_CALLS (offline_ddpg,
 whose cycle is one train_constrained_ddpg call): the calls per cycle and
-the median wall us of one call, over the timed cycles.  The script wraps
-each named function in its module while the cycles run, so the loop that
-calls it through the module sees the wrapper, and restores it after; an
-outer call's time includes the wrappers of the calls it makes.
+the median wall us and ref us of one call, over the timed cycles.  The
+script wraps each named function in its module while the cycles run, so
+the loop that calls it through the module sees the wrapper, and restores
+it after; an outer call's time includes the wrappers of the calls it
+makes.
 
 Set-up phases, each in ms and faults: the script's own stdlib imports,
 importing numpy, importing cactor and the workloads, building the inputs
@@ -141,6 +150,12 @@ def _install_timers(cactor, workload: str) -> tuple[dict[str, list[float]], list
     return times, restore
 
 
+def _record(pair: tuple[list[float], list[float]], wall: float, ref: float) -> None:
+    """Append a wall time to ``pair[0]`` and its ref time (scaled by ``ref``) to ``pair[1]``."""
+    pair[0].append(wall)
+    pair[1].append(wall * ref)
+
+
 def main(argv=None) -> int:
     phases = _Phases(T_START, F_START)
     args = _parse(argv)
@@ -150,6 +165,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import cactor
     import workloads
+    import calibrate
     phases.mark("import cactor, workloads")
 
     marks: list[int] = []
@@ -164,29 +180,35 @@ def main(argv=None) -> int:
         workloads._Steps.mark = counted_mark
         call_times, restore = _install_timers(cactor, args.workload)
         try:
-            step_ms: dict[str, list[float]] = {}
+            # wall and ref times: ms per step kind and cycle, us per call
+            step_ms: dict[str, tuple[list[float], list[float]]] = {}
             per_cycle: dict[str, list[tuple[int, int | None]]] = {}
-            call_us: dict[str, list[float]] = {name: [] for name in call_times}
-            cycle_ms, cycle_faults, failed = [], [], 0
+            call_us = {name: ([], []) for name in call_times}
+            cycle_ms, job_ms, cycle_faults, failed = ([], []), [], [], 0
             for k in range(args.warmup + args.cycles):
                 marks.clear()
                 for times in call_times.values():
                     times.clear()
+                before = calibrate.job_seconds()
                 t0, f0 = time.perf_counter(), minflt()
                 result = wl.cycle()
                 t1, f1 = time.perf_counter(), minflt()
+                after = calibrate.job_seconds()
                 failed += result.failed
                 if k < args.warmup:
                     continue
+                job_ms += [1e3 * before, 1e3 * after]
+                ref = calibrate.scale(before, after)
                 for name, times in call_times.items():
-                    call_us[name] += [1e6 * dt for dt in times]
-                cycle_ms.append(1e3 * (t1 - t0))
+                    for dt in times:
+                        _record(call_us[name], 1e6 * dt, ref)
+                _record(cycle_ms, 1e3 * (t1 - t0), ref)
                 cycle_faults.append(f1 - f0)
                 split = len(marks) == len(result.steps)
                 deltas = np.diff([f0] + marks) if split else [None] * len(result.steps)
                 counts: dict[str, list] = {}
                 for (kind, dt, _), faults in zip(result.steps, deltas):
-                    step_ms.setdefault(kind, []).append(1e3 * dt)
+                    _record(step_ms.setdefault(kind, ([], [])), 1e3 * dt, ref)
                     counts.setdefault(kind, []).append(faults)
                 for kind, fs in counts.items():
                     total = None if fs[0] is None else int(sum(fs))
@@ -197,25 +219,28 @@ def main(argv=None) -> int:
                 setattr(module, fn_name, original)
 
     print(f"{args.workload} seed {args.seed}: {args.warmup} warm-up cycles, "
-          f"{args.cycles} timed, {failed} failed ops, numpy {np.__version__}")
+          f"{args.cycles} timed, {failed} failed ops, numpy {np.__version__}, "
+          f"median job {statistics.median(job_ms):.2f} ms (ref {calibrate.REF_MS} ms)")
     print(f"{'set-up phase':<28}{'ms':>10}{'faults':>10}")
     for name, ms, faults in phases.rows:
         print(f"{name:<28}{ms:>10.1f}{faults:>10d}")
     print(f"{'total':<28}{sum(r[1] for r in phases.rows):>10.1f}"
           f"{sum(r[2] for r in phases.rows):>10d}")
-    print(f"{'step kind':<28}{'steps/cycle':>12}{'median ms':>12}{'faults/cycle':>14}")
+    print(f"{'step kind':<28}{'steps/cycle':>12}{'median ms':>12}{'faults/cycle':>14}"
+          f"{'ref ms':>10}")
     for kind, rows in per_cycle.items():
         totals = [f for _, f in rows]
         faults = "-" if totals[0] is None else f"{statistics.median(totals):g}"
-        print(f"{kind:<28}{rows[0][0]:>12d}{statistics.median(step_ms[kind]):>12.3f}"
-              f"{faults:>14}")
-    print(f"{'cycle':<28}{'':>12}{statistics.median(cycle_ms):>12.3f}"
-          f"{statistics.median(cycle_faults):>14g}")
+        wall, ref = (statistics.median(ms) for ms in step_ms[kind])
+        print(f"{kind:<28}{rows[0][0]:>12d}{wall:>12.3f}{faults:>14}{ref:>10.3f}")
+    wall, ref = (statistics.median(ms) for ms in cycle_ms)
+    print(f"{'cycle':<28}{'':>12}{wall:>12.3f}{statistics.median(cycle_faults):>14g}"
+          f"{ref:>10.3f}")
     if call_us:
-        print(f"{'call':<42}{'calls/cycle':>12}{'median us':>12}")
-    for name, us in call_us.items():
-        median = f"{statistics.median(us):.1f}" if us else "-"
-        print(f"{name:<42}{len(us) / args.cycles:>12g}{median:>12}")
+        print(f"{'call':<42}{'calls/cycle':>12}{'median us':>12}{'ref us':>10}")
+    for name, (wall, ref) in call_us.items():
+        medians = [f"{statistics.median(us):.1f}" if us else "-" for us in (wall, ref)]
+        print(f"{name:<42}{len(wall) / args.cycles:>12g}{medians[0]:>12}{medians[1]:>10}")
     return 1 if failed else 0
 
 
