@@ -119,11 +119,6 @@ def bank(nets, **fields):
     return replace(first, params=np.stack([n.params for n in nets]), **fields)
 
 
-def first_layer_size(spec: ApproxSpec) -> int:
-    """Number of leading flat-vector entries belonging to the first layer (W1 and b1)."""
-    return spec._layout[0][2]
-
-
 def _check_input(spec: ApproxSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != spec.input_dim:

@@ -158,16 +158,8 @@ class Trajectory:
         """A fresh view of each row, built on every read."""
         return [Transition(self._store, k) for k in range(self._lo, self._hi)]
 
-    @property
-    def responses(self) -> np.ndarray:
-        return self._store.responses[self._lo:self._hi]
-
     def __len__(self) -> int:
         return self._hi - self._lo
-
-    @property
-    def m(self) -> int:
-        return self._store.m
 
     def __repr__(self):
         return f"Trajectory({self.session_id!r}, {len(self)} steps)"
@@ -291,31 +283,30 @@ def check_config(cfg, iterations=(), counts=(), positive=(), rules=()) -> None:
             raise ValueError(message)
 
 
-def check_discounts(gammas, m: int | None = None) -> np.ndarray:
+def check_discounts(gammas, m: int) -> np.ndarray:
     gammas = np.asarray(gammas, dtype=np.float64)
     if gammas.ndim != 1:
         raise ValueError("discount vector must be 1-D")
-    if m is not None and gammas.size != m:
+    if gammas.size != m:
         raise ValueError(f"discount vector has length {gammas.size}, expected {m}")
     if not np.all((gammas >= 0.0) & (gammas < 1.0)):  # NaN fails too
         raise ValueError("every discount must lie in [0, 1)")
     return gammas
 
 
-def discounted_returns(data, discounts) -> np.ndarray:
-    """Per-step vector returns of a Trajectory or of every session of a
-    ReplayDataset: returns[t] = response[t] + gammas * returns[t+1] inside a
-    session, zero past its final step.  Shape (rows, m).
+def discounted_returns(dataset: ReplayDataset, discounts) -> np.ndarray:
+    """Per-step vector returns of every session of ``dataset``: returns[t] =
+    response[t] + gammas * returns[t+1] inside a session, zero past its final
+    step.  Shape (rows, m).
 
     All sessions step back from their ends together, with the arithmetic of
     a one-session loop, so each session's returns do not depend on the
     others."""
-    gammas = check_discounts(discounts, data.m)
-    rewards = data.responses
-    offsets = data.offsets if isinstance(data, ReplayDataset) else np.array([0, len(data)])
+    gammas = check_discounts(discounts, dataset.m)
+    rewards, offsets = dataset.responses, dataset.offsets
     ends, lengths = offsets[1:], np.diff(offsets)
     out = np.zeros_like(rewards)
-    acc = np.zeros((lengths.size, data.m))
+    acc = np.zeros((lengths.size, dataset.m))
     for back in range(int(lengths.max(initial=0))):
         live = np.flatnonzero(lengths > back)
         rows = ends[live] - 1 - back
@@ -339,7 +330,8 @@ def td_target(response_i, gamma_i: float, v_next, done):
 
 def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
     """Index of the candidate with the largest dot product against the action
-    embedding; ties break toward the lowest index."""
+    embedding; ties break toward the lowest index.  This need not be the
+    nearest item, the mode of the evaluators' ``det_policy_item_probs``."""
     action = np.asarray(action, dtype=np.float64)
     items = np.asarray(item_embeddings, dtype=np.float64)
     if items.ndim != 2 or items.shape[0] == 0:

@@ -5,9 +5,11 @@ multi-critic learner (actor ascends a multiplier-weighted sum of critics),
 the softly constrained variant (stage-one auxiliary actors pull the main
 actor through a closeness kernel h), and a behavior-cloning baseline.
 
-Actors emit action embeddings in (-1, 1)^d through a tanh head; embeddings
-map to items with core.rank_items against a per-pipeline item-embedding
-table that is learned jointly with the critics.  The closeness kernel is
+Actors emit action embeddings in (-1, 1)^d through a tanh head, scored
+against a per-pipeline item-embedding table learned jointly with the
+critics.  Two rules map an embedding to an item and can disagree:
+``det_policy_item_probs`` (the evaluators') favours the nearest item,
+``core.rank_items`` the largest dot product.  The closeness kernel is
 h(a, b) = exp(-||a - b||^2 / 2), so h(a, a) = 1 and 0 < h <= 1.
 
 The updates also take a bank of pipelines (``approximator.bank``): params,
@@ -69,12 +71,6 @@ def init_item_table(n_items, embed_dim, seed) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     bound = 1.0 / np.sqrt(embed_dim)
     return rng.uniform(-bound, bound, size=(n_items, embed_dim))
-
-
-def closeness(a, b) -> np.ndarray:
-    """h(a, b) = exp(-||a - b||^2 / 2) over embedding vectors, batched."""
-    d = np.atleast_2d(a) - np.atleast_2d(b)
-    return np.exp(-0.5 * np.sum(d * d, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,8 @@ def det_policy_item_probs(policy: DeterministicPolicy, items: np.ndarray,
     """Discrete action distribution induced by a deterministic policy: a
     Gaussian kernel of bandwidth 0.5 around pi(s), normalized over the
     item-embedding table.  Used by the off-policy evaluators, which need
-    probabilities."""
+    probabilities.  Its mode is the item nearest to pi(s), which need not be
+    ``core.rank_items``'s largest dot product."""
     a = np.atleast_2d(policy.act(features))
     d2 = (np.sum(a * a, axis=1, keepdims=True)
           + np.sum(items * items, axis=1)[None, :]
@@ -354,8 +351,9 @@ def train_ddpg_weighted(dataset: ReplayDataset, weights, gamma: float,
                         cfg: DDPGConfig, master_seed: int) -> DDPGPipeline:
     """Single critic on the weighted-sum reward sum_i weights_i * r_i."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.size != dataset.m:
-        raise ValueError("need one reward weight per response")
+    if weights.shape != (dataset.m,) or not np.isfinite(weights).all():
+        raise ValueError(f"weights must be a finite 1-D vector of {dataset.m} reward weights, "
+                         f"one per response; got {weights.tolist()}")
     check_discounts([gamma], 1)
     return _train_ddpg_core(dataset.arrays(), int(dataset.metadata["n_items"]), [[gamma]],
                             lambda r, j: r @ weights, cfg, master_seed, [0])[0]
@@ -371,24 +369,22 @@ def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
 
 
 def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
-                           cfg: DDPGConfig, master_seed: int,
-                           stage1_updates: int | None = None) -> DDPGPipeline:
+                           cfg: DDPGConfig, master_seed: int) -> DDPGPipeline:
     """Two-stage deterministic variant.
 
     Stage one trains one DDPG pair per auxiliary response on its own reward
     and discount, all of them as one bank.  Stage two trains the main critic
     and pulls the main actor toward the frozen auxiliary actors through the
-    closeness kernel, scaled by the multipliers.
+    closeness kernel, scaled by the multipliers.  Each stage runs ``cfg.updates``.
     """
     if dataset.m < 2:
         raise ValueError(f"need at least one auxiliary response (m >= 2), got m={dataset.m}")
     gammas = check_discounts(gammas, dataset.m)
     lam = validate_lambdas(lambdas, dataset.m - 1)
-    s1_cfg = cfg if stage1_updates is None else replace(cfg, updates=stage1_updates)
 
     data = dataset.arrays()
     n_items = int(dataset.metadata["n_items"])
-    stage_one = _train_ddpg_core(data, n_items, gammas[1:, None], None, s1_cfg, master_seed,
+    stage_one = _train_ddpg_core(data, n_items, gammas[1:, None], None, cfg, master_seed,
                                  range(1, dataset.m), stage_label=1)
     pipe, = _train_ddpg_core(data, n_items, gammas[:1, None], None, cfg, master_seed, [0],
                              lambdas=lam, aux=ap.bank([p.policy for p in stage_one]))

@@ -184,7 +184,6 @@ class MultiCriticConfig:
     batch_size: int = 64
     lr: float = 5e-3
     hidden: tuple[int, ...] = (32,)
-    share_bottom: bool = False
 
     def __post_init__(self):
         check_config(self, iterations=("iters",), counts=("batch_size", "hidden"),
@@ -192,14 +191,14 @@ class MultiCriticConfig:
 
 
 def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
-                       cfg: MultiCriticConfig, master_seed: int,
-                       shared_gamma: float = 0.95):
+                       cfg: MultiCriticConfig, master_seed: int):
     """Train critics on one shared offline dataset.
 
     mode="separate": one critic per response, each on its own reward and
-    discount; zeroing response j's rewards provably touches only critic j
-    (unless share_bottom couples their first layers).
-    mode="single_summed": one critic on sum_i r_i with one shared discount.
+    discount (``gammas`` has m); zeroing response j's rewards provably
+    touches only critic j.
+    mode="single_summed": one critic on sum_i r_i with the one discount in
+    ``gammas``; a vector of several discounts raises.
     Returns a list of critics (length m, or 1 for single_summed).  The
     critics step as one bank on each shared minibatch.  A non-finite critic
     loss raises TrainingDiverged naming the response and the iteration (the
@@ -213,34 +212,21 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
     state_dim = data[0].shape[1]
     rng = rng_for(master_seed, "mc-batches")
 
-    if mode == "single_summed":
-        check_discounts([shared_gamma], 1)
-        critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", 0),
-                               -1, shared_gamma)]
-        names = ["the summed response"]
-    else:
-        gammas = check_discounts(gammas, dataset.m)
-        critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", i),
-                               i, gammas[i])
-                   for i in range(dataset.m)]
-        names = [f"response {i}" for i in range(dataset.m)]
+    summed = mode == "single_summed"
+    gammas = check_discounts(gammas, 1 if summed else dataset.m)
+    critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", i),
+                           -1 if summed else i, g) for i, g in enumerate(gammas)]
+    names = ["the summed response"] if summed else [f"response {i}" for i in range(dataset.m)]
     bank = ap.bank(critics, gamma=np.array([[c.gamma] for c in critics]))
     opt = ap.init_opt_state(bank.params.shape, cfg.lr)
-    # share_bottom: every critic starts from critic 0's first layer and steps
-    # it on the gradient summed over critics; Adam is elementwise, so the
-    # copies stay equal bit for bit
-    fl = ap.first_layer_size(bank.spec) if cfg.share_bottom else 0
-    bank.params[1:, :fl] = bank.params[0, :fl]
 
     for it in range(cfg.iters):
         s, _, r, s2, done = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
         # one reward row per critic
-        r = r.sum(axis=1)[None, :] if mode == "single_summed" else r.T
+        r = r.sum(axis=1)[None, :] if summed else r.T
         losses, grads = critic_loss_grad(bank, s, r, s2, done)
         for name, loss in zip(names, losses):
             _check_critic_loss(loss, name, it)
-        if fl:
-            grads[:, :fl] = sum(grads[:, :fl], np.zeros(fl))  # left to right, from zeros
         params, opt = ap.optimizer_step(bank.params, grads, opt, "minimize")
         bank = replace(bank, params=params)
     return [replace(c, params=bank.params[i]) for i, c in enumerate(critics)]
@@ -256,24 +242,23 @@ def pearson(x, y) -> float | None:
     return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
 
 
-def critic_return_correlation(critics, dataset: ReplayDataset, discounts,
-                              responses=None) -> dict[int, float | None]:
+def critic_return_correlation(critics, dataset: ReplayDataset,
+                              discounts) -> dict[int, float | None]:
     """Pearson correlation between predicted state values and realized
     Monte Carlo discounted returns, per response.
 
     ``critics`` is either a list with one critic per response (separate
     mode) or a single critic whose predictions are compared against every
-    requested response's return (single_summed mode).  Zero-variance
-    predictions yield None, not 0.
+    response's return (single_summed mode).  Zero-variance predictions
+    yield None, not 0.
     """
     gammas = check_discounts(discounts, dataset.m)
-    responses = list(range(dataset.m)) if responses is None else list(responses)
     s = dataset.states
     ret = discounted_returns(dataset, gammas)
 
     single = isinstance(critics, CriticV)
     out = {}
-    for i in responses:
+    for i in range(dataset.m):
         critic = critics if single else critics[i]
         pred = ap.forward(critic.spec, critic.params, s)[:, 0]
         out[i] = pearson(pred, ret[:, i])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -361,6 +362,7 @@ def generate_offline_dataset(config: SimConfig, behavior,
     action.  The sessions are rolled in lockstep (``rollout``) with one
     action stream, (config.seed, "behavior-actions").
     """
+    check_config(SimpleNamespace(n_trajectories=n_trajectories), iterations=("n_trajectories",))
     sim = SessionSimulator(config)
     action_rng = rng_for(config.seed, "behavior-actions")
 

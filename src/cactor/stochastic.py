@@ -89,11 +89,11 @@ class PolicySet:
         self.discounts = check_discounts(self.discounts, len(self.auxiliaries) + 1)
 
 
-def validate_lambdas(lambdas, n_aux: int | None = None) -> np.ndarray:
+def validate_lambdas(lambdas, n_aux: int) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=np.float64)
     if lam.ndim != 1:
         raise ValueError("lambdas must be a 1-D vector")
-    if n_aux is not None and lam.size != n_aux:
+    if lam.size != n_aux:
         raise ValueError(f"need {n_aux} multipliers, got {lam.size}")
     if not np.all((lam >= 0.0) & (lam < np.inf)):  # NaN fails too
         raise ValueError("Lagrange multipliers must be finite and nonnegative")

@@ -90,11 +90,9 @@ def ref_train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg, master
     return det.DDPGPipeline(policy, critics, items, metrics)
 
 
-def ref_train_constrained_ddpg(dataset, lambdas, gammas, cfg, master_seed,
-                               stage1_updates=None):
+def ref_train_constrained_ddpg(dataset, lambdas, gammas, cfg, master_seed):
     gammas = check_discounts(gammas, dataset.m)
     lam = stx.validate_lambdas(lambdas, dataset.m - 1)
-    s1_cfg = cfg if stage1_updates is None else replace(cfg, updates=stage1_updates)
 
     data = dataset.arrays()
     n_items = int(dataset.metadata["n_items"])
@@ -103,7 +101,7 @@ def ref_train_constrained_ddpg(dataset, lambdas, gammas, cfg, master_seed,
     items = det.init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
     for i in range(1, dataset.m):
         pipe = ref_train_ddpg_core(data, n_items, [gammas[i]], lambda r, j, i=i: r[:, i],
-                                   s1_cfg, master_seed, stage_label=1, response_label=i,
+                                   cfg, master_seed, stage_label=1, response_label=i,
                                    items=items.copy())
         aux_policies.append(pipe.policy)
         metrics.extend(pipe.metrics)
@@ -114,14 +112,15 @@ def ref_train_constrained_ddpg(dataset, lambdas, gammas, cfg, master_seed,
     return det.DDPGPipeline(pipe.policy, pipe.critics, pipe.items, metrics)
 
 
-def ref_multi_critic_train(dataset, gammas, mode, cfg, master_seed, shared_gamma=0.95):
+def ref_multi_critic_train(dataset, gammas, mode, cfg, master_seed):
     data = dataset.arrays()
     state_dim = data[0].shape[1]
     rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, "mc-batches")))
 
     if mode == "single_summed":
+        gamma, = check_discounts(gammas, 1)
         critics = [stx.make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", 0),
-                                   -1, shared_gamma)]
+                                   -1, gamma)]
         names = ["the summed response"]
     else:
         gammas = check_discounts(gammas, dataset.m)
@@ -130,9 +129,6 @@ def ref_multi_critic_train(dataset, gammas, mode, cfg, master_seed, shared_gamma
                    for i in range(dataset.m)]
         names = [f"response {i}" for i in range(dataset.m)]
     opts = [ap.init_opt_state(c.params.size, cfg.lr) for c in critics]
-    fl = ap.first_layer_size(critics[0].spec) if cfg.share_bottom else 0
-    for c in critics[1:]:
-        c.params[:fl] = critics[0].params[:fl]
 
     for it in range(cfg.iters):
         s, _, r, s2, done = stx.gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
@@ -143,9 +139,7 @@ def ref_multi_critic_train(dataset, gammas, mode, cfg, master_seed, shared_gamma
             loss, g = stx.critic_loss_grad(critic, s, r[:, i], s2, done)
             stx._check_critic_loss(loss, names[i], it)
             grads.append(g)
-        shared = sum((g[:fl] for g in grads), np.zeros(fl))
         for i, (critic, g) in enumerate(zip(critics, grads)):
-            g[:fl] = shared
             params, opts[i] = ap.optimizer_step(critic.params, g, opts[i], "minimize")
             critics[i] = replace(critic, params=params)
     return critics
@@ -425,8 +419,7 @@ SMALL_DDPG = det.DDPGConfig(updates=12, batch_size=16, hidden=(8,), embed_dim=3,
 def test_train_constrained_ddpg_equals_sequential_pipelines(master_seed):
     ds = ddpg_dataset()
     args = (ds, [0.7, 1.3], [0.9, 0.8, 0.6], SMALL_DDPG, master_seed)
-    assert_same(det.train_constrained_ddpg(*args, stage1_updates=9),
-                ref_train_constrained_ddpg(*args, stage1_updates=9))
+    assert_same(det.train_constrained_ddpg(*args), ref_train_constrained_ddpg(*args))
 
 
 def test_rcpo_and_weighted_sum_equal_their_sequential_loops():
@@ -446,14 +439,13 @@ def review_dataset():
                                                        min_trajectory_length=4, seed=2))
 
 
-@pytest.mark.parametrize("mode,share_bottom", [("separate", False), ("separate", True),
-                                               ("single_summed", False)])
-def test_multi_critic_train_equals_sequential_critics(mode, share_bottom):
+@pytest.mark.parametrize("mode", ["separate", "single_summed"])
+def test_multi_critic_train_equals_sequential_critics(mode):
     ds = review_dataset()
-    gammas = np.linspace(0.5, 0.95, ds.m)
-    cfg = off.MultiCriticConfig(iters=25, batch_size=16, hidden=(6,), share_bottom=share_bottom)
-    assert_same(off.multi_critic_train(ds, gammas, mode, cfg, 7, shared_gamma=0.8),
-                ref_multi_critic_train(ds, gammas, mode, cfg, 7, shared_gamma=0.8))
+    gammas = np.linspace(0.5, 0.95, ds.m) if mode == "separate" else [0.8]
+    cfg = off.MultiCriticConfig(iters=25, batch_size=16, hidden=(6,))
+    assert_same(off.multi_critic_train(ds, gammas, mode, cfg, 7),
+                ref_multi_critic_train(ds, gammas, mode, cfg, 7))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ def chain(rewards, state_dim=3, session_id="s", behavior_prob=0.5):
     return session(states, rewards, 0, behavior_prob, sid=session_id)
 
 
-def make_traj(*args, **kwargs):
-    return dataset(chain(*args, **kwargs)).trajectories[0]
+def one_session(*args, **kwargs):
+    return dataset(chain(*args, **kwargs))
 
 
 def brute_force_returns(rewards, gammas):
@@ -38,44 +38,42 @@ def brute_force_returns(rewards, gammas):
 
 class TestReturns:
     def test_geometric_sum_m1(self):
-        traj = make_traj([[1.0], [1.0], [1.0]])
-        ret = core.discounted_returns(traj, [0.5])
+        ret = core.discounted_returns(one_session([[1.0], [1.0], [1.0]]), [0.5])
         assert np.allclose(ret[:, 0], [1.75, 1.5, 1.0], atol=1e-15)
 
     def test_zero_discount_gives_instantaneous_rewards(self):
         rewards = np.random.default_rng(0).normal(size=(6, 2))
-        traj = make_traj(rewards)
-        ret = core.discounted_returns(traj, [0.0, 0.0])
+        ret = core.discounted_returns(one_session(rewards), [0.0, 0.0])
         assert np.array_equal(ret, rewards)
 
     def test_matches_brute_force_double_loop(self):
         rewards = [[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]
         gammas = [0.9, 0.5]
-        traj = make_traj(rewards)
         expected = brute_force_returns(rewards, gammas)
-        assert np.allclose(core.discounted_returns(traj, gammas), expected, atol=1e-12)
+        assert np.allclose(core.discounted_returns(one_session(rewards), gammas), expected,
+                           atol=1e-12)
 
     def test_recursion_identity(self):
         rng = np.random.default_rng(1)
         rewards = rng.normal(size=(8, 3))
         gammas = np.array([0.9, 0.5, 0.0])
-        ret = core.discounted_returns(make_traj(rewards), gammas)
+        ret = core.discounted_returns(one_session(rewards), gammas)
         for t in range(7):
             assert np.allclose(ret[t], rewards[t] + gammas * ret[t + 1], atol=1e-12)
 
     def test_bad_discount_rejected(self):
         with pytest.raises(ValueError, match="discount"):
-            core.discounted_returns(make_traj([[1.0]]), [1.0])
+            core.discounted_returns(one_session([[1.0]]), [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_discount_rejected(self, bad):
         with pytest.raises(ValueError, match=re.escape("every discount must lie in [0, 1)")):
-            core.check_discounts([bad, 0.5])
+            core.check_discounts([bad, 0.5], 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_returns_with_a_non_finite_discount_rejected(self, bad):
         with pytest.raises(ValueError, match=re.escape("every discount must lie in [0, 1)")):
-            core.discounted_returns(make_traj([[1.0, 2.0], [3.0, 4.0]]), [bad, 0.5])
+            core.discounted_returns(one_session([[1.0, 2.0], [3.0, 4.0]]), [bad, 0.5])
 
 
 class TestTDAndAdvantage:
@@ -324,7 +322,7 @@ class TestStoreRoundTrip:
 
     @pytest.mark.parametrize("sid", ["a,b", "two\nlines", "carriage\rreturn", "# meta a", "#s",
                                      "inner\0nul", ""])
-    def test_session_ids_format_1_could_not_hold_round_trip(self, tmp_path, sid):
+    def test_session_ids_with_special_characters_round_trip(self, tmp_path, sid):
         ds = dataset(chain([[1.0, 0.0]], session_id=sid), chain([[2.0, 1.0]], session_id="z"))
         core.save_dataset(tmp_path / "d.txt", ds)
         assert core.load_dataset(tmp_path / "d.txt").session_ids == [sid, "z"]

@@ -19,25 +19,6 @@ def two_state_batch(r0=1.0, r1=2.0):
             np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([False, True]))
 
 
-class TestCloseness:
-    def test_identity_is_exactly_one(self):
-        a = np.array([0.3, -0.7, 0.1])
-        assert det.closeness(a, a)[0] == 1.0
-
-    def test_bounded_and_symmetric(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a, b = rng.normal(size=3), rng.normal(size=3)
-            h = det.closeness(a, b)[0]
-            assert 0.0 < h <= 1.0
-            assert h == det.closeness(b, a)[0]
-
-    def test_known_distance(self):
-        # ||a-b||^2 = 2  ->  h = exp(-1)
-        h = det.closeness(np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0]
-        assert h == pytest.approx(np.exp(-1.0), abs=1e-12)
-
-
 class TestQCriticUpdate:
     def test_two_state_bellman_hand_solution(self):
         # fixed policy emitting the zero embedding; Q(s1)=2, Q(s0)=1+0.9*2=2.8
@@ -284,6 +265,18 @@ class TestOfflineTrainers:
         assert np.array_equal(a.items, b.items)
         assert a.metrics and "mean_q" in a.metrics[0]
 
+    @pytest.mark.parametrize("weights", [np.r_[np.nan, np.ones(7)], np.r_[np.ones(7), np.inf],
+                                         np.ones((8, 1)), np.ones((1, 8))],
+                             ids=["nan", "inf", "column", "row"])
+    def test_weighted_ddpg_rejects_bad_weights(self, dataset, weights, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with bad weights")
+
+        monkeypatch.setattr(det, "_train_ddpg_core", no_training)
+        with pytest.raises(ValueError, match="weights must be a finite 1-D vector of 8"):
+            det.train_ddpg_weighted(dataset, weights, 0.9, det.DDPGConfig(updates=2),
+                                    master_seed=0)
+
     def test_behavior_clone_matches_per_transition_sampling(self, dataset):
         cfg = det.BCConfig(updates=30, batch_size=16, log_every=10)
         got, metrics = det.train_behavior_clone(dataset, cfg, master_seed=9)
@@ -311,7 +304,7 @@ class TestOfflineTrainers:
     def test_constrained_pipeline_reports_h(self, dataset):
         cfg = det.DDPGConfig(updates=30, batch_size=16, log_every=10)
         pipe = det.train_constrained_ddpg(dataset, np.full(7, 0.5), np.full(8, 0.9),
-                                          cfg, master_seed=3, stage1_updates=20)
+                                          cfg, master_seed=3)
         stage2 = [r for r in pipe.metrics if r["stage"] == 2]
         assert stage2 and all(0.0 < r["mean_h"] <= 1.0 for r in stage2)
 

@@ -255,7 +255,7 @@ class TestOfflineUpdates:
         critic = stx.make_critic(6, (), seed=44, response_index=1, gamma=0.0)
         critic.params[:] = 0.0
         traj = logged_trajectory(policy, sim, 9, rng_for(10, "a"))
-        traj.responses[:, 1] = 0.0  # advantage = r - 0 = 0
+        traj._store.responses[:, 1] = 0.0  # every row of its one session: advantage = r - 0 = 0
         refs = [(traj, t) for t in range(len(traj))]
         new, _, _ = off.offline_actor_update_aux(
             policy, critic, refs, off.ISConfig(), ap.init_opt_state(policy.params.size))
@@ -360,8 +360,7 @@ class TestMultiCritic:
                      metadata={"state_dim": 2, "n_items": 1})
         cfg = off.MultiCriticConfig(iters=50, hidden=(4,))
         sep = off.multi_critic_train(ds, [0.95], "separate", cfg, master_seed=2)
-        single = off.multi_critic_train(ds, [0.95], "single_summed", cfg,
-                                        master_seed=2, shared_gamma=0.95)
+        single = off.multi_critic_train(ds, [0.95], "single_summed", cfg, master_seed=2)
         assert np.array_equal(sep[0].params, single[0].params)
 
     def test_critics_need_no_action_indices(self):
@@ -381,30 +380,30 @@ class TestMultiCritic:
         assert np.array_equal(ca[0].params, cb[0].params)
         assert not np.array_equal(ca[1].params, cb[1].params)
 
-    @pytest.mark.parametrize("mode,share_bottom,name", [
-        ("separate", False, "response 1"),
-        ("separate", True, "response 1"),
-        ("single_summed", False, "the summed response"),
-    ])
+    @pytest.mark.parametrize("mode,gammas,name", [
+        ("separate", [0.9, 0.5], "response 1"),
+        ("single_summed", [0.9], "the summed response"),
+    ], ids=["separate", "single_summed"])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_loss_raises(self, mode, share_bottom, name):
+    def test_overflowing_loss_raises(self, mode, gammas, name):
         # 1e300: the squared TD error overflows to inf; 1e308: so does the
         # gradient's upstream, which must not be reached
         for big in (1e300, 1e308):
             ds = chain_dataset()
             ds.responses[:, 1] = big
-            cfg = off.MultiCriticConfig(iters=5, hidden=(4,), share_bottom=share_bottom)
+            cfg = off.MultiCriticConfig(iters=5, hidden=(4,))
             with pytest.raises(stx.TrainingDiverged,
                                match=f"critic for {name} diverged at iteration 0: loss inf"):
-                off.multi_critic_train(ds, [0.9, 0.5], mode, cfg, master_seed=5)
+                off.multi_critic_train(ds, gammas, mode, cfg, master_seed=5)
 
-    def test_share_bottom_keeps_first_layer_synchronized(self):
-        ds = chain_dataset()
-        cfg = off.MultiCriticConfig(iters=60, hidden=(6,), share_bottom=True)
-        critics = off.multi_critic_train(ds, [0.9, 0.5], "separate", cfg, master_seed=4)
-        fl = ap.first_layer_size(critics[0].spec)
-        assert np.array_equal(critics[0].params[:fl], critics[1].params[:fl])
-        assert not np.array_equal(critics[0].params[fl:], critics[1].params[fl:])
+    @pytest.mark.parametrize("mode,gammas", [("single_summed", [0.9, 0.5]),
+                                             ("single_summed", []),
+                                             ("separate", [0.9])],
+                             ids=["single_summed-m", "single_summed-none", "separate-one"])
+    def test_discount_count_follows_the_mode(self, mode, gammas):
+        with pytest.raises(ValueError, match=r"discount vector has length \d+, expected"):
+            off.multi_critic_train(chain_dataset(), gammas, mode,
+                                   off.MultiCriticConfig(iters=1, hidden=(4,)), master_seed=5)
 
 
 def review_dataset():
@@ -462,43 +461,10 @@ class TestWriteThrough:
 class TestMergedCriticLoop:
     """multi_critic_train's one loop against the per-mode loops it replaced."""
 
-    def test_share_bottom_matches_a_separate_shared_block_optimizer(self):
-        ds = review_dataset()
-        gammas = np.linspace(0.5, 0.95, ds.m)
-        cfg = off.MultiCriticConfig(iters=40, batch_size=16, hidden=(6,), share_bottom=True)
-        got = off.multi_critic_train(ds, gammas, "separate", cfg, master_seed=7)
-
-        s, _, r, s2, done = stx.batch_arrays(ds.all_transitions())
-        rng = np.random.Generator(np.random.PCG64(derive_seed(7, "mc-batches")))
-        critics = [stx.make_critic(s.shape[1], cfg.hidden, derive_seed(7, "mc", i), i, g)
-                   for i, g in enumerate(gammas)]
-        fl = ap.first_layer_size(critics[0].spec)
-        for c in critics[1:]:
-            c.params[:fl] = critics[0].params[:fl]
-        # critic 0's first layer is owned by one optimizer on the summed gradient
-        shared_opt = ap.init_opt_state(fl, cfg.lr)
-        tail_opts = [ap.init_opt_state(c.params.size - fl, cfg.lr) for c in critics]
-        for _ in range(cfg.iters):
-            idx = rng.integers(len(s), size=cfg.batch_size)
-            shared_grad = np.zeros(fl)
-            for i, c in enumerate(critics):
-                _, g = stx.critic_loss_grad(c, s[idx], r[idx][:, i], s2[idx], done[idx])
-                shared_grad += g[:fl]
-                tail, tail_opts[i] = ap.optimizer_step(c.params[fl:], g[fl:], tail_opts[i],
-                                                       "minimize")
-                c.params = np.concatenate([c.params[:fl], tail])
-            shared, shared_opt = ap.optimizer_step(critics[0].params[:fl], shared_grad,
-                                                   shared_opt, "minimize")
-            for c in critics:
-                c.params[:fl] = shared
-        for a, b in zip(got, critics):
-            assert np.array_equal(a.params, b.params)
-
     def test_single_summed_matches_the_summed_loop(self):
         ds = review_dataset()
         cfg = off.MultiCriticConfig(iters=40, batch_size=16, hidden=(6,))
-        got = off.multi_critic_train(ds, None, "single_summed", cfg, master_seed=8,
-                                     shared_gamma=0.8)
+        got = off.multi_critic_train(ds, [0.8], "single_summed", cfg, master_seed=8)
 
         s, _, r, s2, done = stx.batch_arrays(ds.all_transitions())
         rng = np.random.Generator(np.random.PCG64(derive_seed(8, "mc-batches")))
@@ -549,7 +515,7 @@ class TestCorrelation:
         gammas = np.array([0.9, 0.5])
         # hand-build exact value critics: linear on one-hot features
         critics = []
-        rets = discounted_returns(ds.trajectories[0], gammas)
+        rets = discounted_returns(chain_dataset(), gammas)  # one session's rows
         for i in range(2):
             c = stx.make_critic(3, (), seed=i, response_index=i, gamma=gammas[i])
             c.params[:3] = rets[:, i]

@@ -463,6 +463,16 @@ class TestOfflineGeneration:
         assert ds.trajectories == [] and ds.m == cfg.m
         assert ds.metadata["n_items"] == cfg.n_items
 
+    @pytest.mark.parametrize("n, message", [(-1, "must be >= 0"), (True, "must be an integer"),
+                                            (2.0, "must be an integer")])
+    def test_session_count_must_be_a_nonnegative_integer(self, cfg, n, message):
+        with pytest.raises(ValueError, match=f"n_trajectories {message}"):
+            sm.generate_offline_dataset(cfg, sm.UniformRandomPolicy(cfg.n_items), n)
+
+    def test_session_count_may_be_a_numpy_integer(self, cfg):
+        ds = sm.generate_offline_dataset(cfg, sm.UniformRandomPolicy(cfg.n_items), np.int64(2))
+        assert ds.session_ids == ["sim-0", "sim-1"]
+
     def test_zero_probability_behavior_aborts(self, cfg):
         class Degenerate:
             def probs(self, features):

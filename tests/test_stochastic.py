@@ -135,8 +135,8 @@ class TestConstrainedWeight:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_multipliers_must_be_finite_and_nonnegative(self, bad):
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
-            stx.validate_lambdas([bad, 1.0])
-        assert stx.validate_lambdas([0.0, 1.0]).tolist() == [0.0, 1.0]
+            stx.validate_lambdas([bad, 1.0], 2)
+        assert stx.validate_lambdas([0.0, 1.0], 2).tolist() == [0.0, 1.0]
 
     def test_all_zero_multipliers_rejected(self):
         with pytest.raises(ValueError, match="positive"):
