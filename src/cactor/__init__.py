@@ -14,9 +14,9 @@ from .sim import (ReviewDatasetConfig, SessionSimulator, SimConfig,
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, TrainingDiverged,
                          TwoStageConfig, actor_update_aux, actor_update_main,
                          batch_arrays, build_policy_set, critic_update, train_two_stage)
-from .deterministic import (BCConfig, CriticQ, DDPGConfig, DeterministicPolicy,
-                            behavior_clone_update, constrained_det_objective,
-                            ddpg_actor_update, q_critic_update, train_behavior_clone,
-                            train_constrained_ddpg, train_ddpg_weighted, train_rcpo)
+from .deterministic import (BCConfig, DDPGConfig, DeterministicPolicy,
+                            behavior_clone_update, ddpg_actor_update, q_critic_update,
+                            train_behavior_clone, train_constrained_ddpg,
+                            train_ddpg_weighted, train_rcpo)
 
 __version__ = "0.1.0"

@@ -12,9 +12,13 @@ critics.  Two rules map an embedding to an item and can disagree:
 ``core.rank_items`` the largest dot product.  The closeness kernel is
 h(a, b) = exp(-||a - b||^2 / 2), so h(a, a) = 1 and 0 < h <= 1.
 
-The updates also take a bank of pipelines (``approximator.bank``): params,
-optimizer moments, item tables and batches carry a leading member axis,
-and losses and diagnostics come back as one float per member.
+The critics are ``stochastic.CriticV`` nets on state and action
+(``q_value``), each learning ``r @ weights`` for its own reward row.
+
+The updates also take a bank of pipelines (``approximator.bank``;
+``stochastic.critic_bank`` for critics): params, optimizer moments, item
+tables and batches carry a leading member axis, and losses and
+diagnostics come back as one float per member.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import numpy as np
 from . import approximator as ap
 from .core import ReplayDataset, check_config, check_discounts, td_target
 from .seeding import derive_seed, rng_for
-from .stochastic import (StochasticPolicy, _check_critic_loss, gather, loglik_ascent,
-                         make_policy, validate_lambdas)
+from .stochastic import (CriticV, StochasticPolicy, _check_critic_loss, critic_bank,
+                         critic_rewards, gather, loglik_ascent, make_critic, make_policy,
+                         validate_lambdas)
 from .stochastic import batch_arrays  # noqa: F401  (a binding bench/tracer.py wraps)
 
 
@@ -42,29 +47,15 @@ class DeterministicPolicy:
         return ap.forward(self.spec, self.params, features)
 
 
-@dataclass
-class CriticQ:
-    """Q(s, a): input is the concatenation of state features and the action
-    embedding.  A bank's gamma is a (k, 1) column, one discount per member."""
-
-    spec: ap.ApproxSpec
-    params: np.ndarray
-    response_index: int
-    gamma: float
-
-    def q_value(self, features, actions) -> np.ndarray:
-        x = np.concatenate([features, actions], axis=-1)
-        return ap.forward(self.spec, self.params, x)[..., 0]
-
-
 def make_det_policy(state_dim, embed_dim, hidden, seed, response_index=0) -> DeterministicPolicy:
     spec = ap.ApproxSpec(state_dim, tuple(hidden), embed_dim, "tanh", seed)
     return DeterministicPolicy(spec, ap.init_params(spec), response_index)
 
 
-def make_q_critic(state_dim, embed_dim, hidden, seed, response_index, gamma) -> CriticQ:
-    spec = ap.ApproxSpec(state_dim + embed_dim, tuple(hidden), 1, "linear", seed)
-    return CriticQ(spec, ap.init_params(spec), response_index, float(gamma))
+def q_value(critic: CriticV, features, actions) -> np.ndarray:
+    """Q(s, a): the critic on the concatenated state features and action embedding."""
+    x = np.concatenate([features, actions], axis=-1)
+    return ap.forward(critic.spec, critic.params, x)[..., 0]
 
 
 def init_item_table(n_items, embed_dim, seed) -> np.ndarray:
@@ -83,23 +74,23 @@ def member_rows(lead: tuple) -> tuple:
     return tuple(np.broadcast_to(ix, ix.shape) for ix in np.indices((*lead, 1), sparse=True)[:-1])
 
 
-def q_critic_update(critic: CriticQ, target_critic: CriticQ,
+def q_critic_update(critic: CriticV, target_critic: CriticV,
                     target_policy: DeterministicPolicy, items: np.ndarray,
-                    batch, rewards, opt: ap.OptState):
+                    batch, opt: ap.OptState):
     """One step on (r + gamma * Q_target(s', pi_target(s')) - Q(s, a))^2.
 
-    ``batch`` is a ``batch_arrays`` tuple and ``rewards`` r, (batch,) or (k,
-    batch) for a bank.  Logged actions are embedded through the item table;
-    the returned item-table gradient lets callers learn the table jointly
-    with the critic."""
-    s, a_idx, _, s2, done = batch
+    ``batch`` is a ``batch_arrays`` tuple, and r is ``critic_rewards`` of
+    its responses.  Logged actions are embedded through the item table; the
+    returned item-table gradient lets callers learn the table jointly with
+    the critic."""
+    s, a_idx, r, s2, done = batch
     if a_idx is None:
         raise ValueError("batch lacks action indices")
     # the rows of each member's own item table that its logged actions name
     rows = (*member_rows(a_idx.shape[:-1]), a_idx)
     a2 = target_policy.act(s2)
-    q2 = target_critic.q_value(s2, a2)
-    y = td_target(rewards, critic.gamma, q2, done)
+    q2 = q_value(target_critic, s2, a2)
+    y = td_target(critic_rewards(critic, r), critic.gamma, q2, done)
     q, pullback = ap.forward_pullback(critic.spec, critic.params,
                                       np.concatenate([s, items[rows]], axis=-1))
     err = q[..., 0] - y
@@ -113,7 +104,7 @@ def q_critic_update(critic: CriticQ, target_critic: CriticQ,
     return replace(critic, params=new_params), opt, loss.tolist(), item_grad
 
 
-def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
+def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticV, batch,
                       opt: ap.OptState, lambdas_for_extra=None, extra_critics=()):
     """Ascent on mean_b Q(s_b, pi(s_b)) over the states of ``batch``, a
     ``batch_arrays`` tuple, through the chain rule, critic frozen.
@@ -137,30 +128,12 @@ def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticQ, batch,
     return replace(policy, params=new_params), opt, mean_q
 
 
-def constrained_det_objective(features, policy: DeterministicPolicy,
-                              aux: DeterministicPolicy, critic: CriticQ, lambdas) -> float:
-    """Mean over states of  prod_i h(pi(s), pi_aux_i(s))^(lambda_i/sum)
-    * Q(s, pi(s)) / sum(lambda), the auxiliary actors ``aux`` one bank."""
-    lam = validate_lambdas(lambdas, len(aux.params))
-    total = lam.sum()
-    if total <= 0.0:
-        raise ValueError("sum of Lagrange multipliers must be positive; "
-                         "use ddpg_actor_update when unconstrained")
-    s = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    a = policy.act(s)
-    log_h = np.zeros(s.shape[0])
-    for lam_i, a_i in zip(lam, aux.act(s)):
-        d = a - a_i
-        log_h += (lam_i / total) * (-0.5 * np.sum(d * d, axis=1))
-    q = critic.q_value(s, a)
-    return float(np.mean(np.exp(log_h) * q / total))
-
-
 def constrained_det_actor_update(policy: DeterministicPolicy, aux: DeterministicPolicy,
-                                 critic: CriticQ, lambdas, batch, opt: ap.OptState):
-    """Gradient ascent on constrained_det_objective over the states of
-    ``batch``, a ``batch_arrays`` tuple; the bank ``aux`` of auxiliary actors
-    and the critic are frozen.  The auxiliary actions come from one stacked pass."""
+                                 critic: CriticV, lambdas, batch, opt: ap.OptState):
+    """Gradient ascent on the mean over the states of ``batch`` (a
+    ``batch_arrays`` tuple) of prod_i h(pi(s), pi_aux_i(s))^(lambda_i/sum) *
+    Q(s, pi(s)) / sum(lambda); the bank ``aux`` of auxiliary actors and the
+    critic are frozen.  The auxiliary actions come from one stacked pass."""
     lam = validate_lambdas(lambdas, len(aux.params))
     total = lam.sum()
     if total <= 0.0:
@@ -248,12 +221,12 @@ class DDPGPipeline:
     shared by all of them."""
 
     policy: DeterministicPolicy
-    critics: list[CriticQ]
+    critics: list[CriticV]
     items: np.ndarray
     metrics: list
 
 
-def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_seed,
+def _train_ddpg_core(data, n_items, gammas, weights, cfg: DDPGConfig, master_seed,
                      labels, stage_label=2, lambdas=None, aux=None):
     """Shared loop of the DDPG-family trainers on ``data``, the
     ``batch_arrays`` tuple of a whole dataset.  Trains one pipeline per
@@ -262,10 +235,9 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
     each member on its own uniform minibatch.  Returns one DDPGPipeline per
     member.
 
-    ``gammas[i][j]`` is member i's discount for critic j.  ``reward_fn``
-    maps the (k, batch, m) responses and a critic index j to critic j's
-    (k, batch) rewards; by default critic j learns response j, or a lone
-    critic its member's own.  With ``aux``, a bank of frozen auxiliary actors,
+    ``gammas[i][j]`` and ``weights[i][j]`` are member i's discount and reward
+    row for critic j, named for response j (a lone critic for its member's
+    label).  With ``aux``, a bank of frozen auxiliary actors,
     the actor takes the constrained step (kernel pull toward them); otherwise
     it ascends Q_0 + sum_j lambdas_j * Q_j over the other critics (plain DDPG
     with one critic, RCPO with several).
@@ -286,22 +258,19 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
     policies = [make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
                                 derive_seed(master_seed, "actor", label), label)
                 for label in labels]
-    # the response each critic learns, which also names it when it diverges
-    responses = np.array([[j if n_critics > 1 else label for j in range(n_critics)]
-                          for label in labels])
-    critics = [[make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
-                              derive_seed(master_seed, "critic", label, j), int(r), g)
-                for j, (r, g) in enumerate(zip(rs, member_gammas))]
-               for label, rs, member_gammas in zip(labels, responses, gammas)]
+    critics = [[make_critic(state_dim + cfg.embed_dim, cfg.hidden,
+                            derive_seed(master_seed, "critic", label, j), w, g)
+                for j, (w, g) in enumerate(zip(member_weights, member_gammas))]
+               for label, member_weights, member_gammas in zip(labels, weights, gammas)]
     policy = ap.bank(policies)
-    banks = [ap.bank(cs, gamma=np.array([[c.gamma] for c in cs])) for cs in zip(*critics)]
+    banks = [critic_bank(cs) for cs in zip(*critics)]
     target_policy = replace(policy)
     target_banks = [replace(c) for c in banks]
     c_opts = [ap.init_opt_state(c.params.shape, cfg.critic_lr) for c in banks]
     a_opt = ap.init_opt_state(policy.params.shape, cfg.actor_lr)
     rngs = [rng_for(master_seed, "ddpg-batches", label) for label in labels]
-    members = np.arange(k)
-    names = [[f"response {r} in stage {stage_label}" for r in row] for row in responses.T]
+    names = [[f"response {j if n_critics > 1 else label} in stage {stage_label}"
+              for label in labels] for j in range(n_critics)]
 
     metrics = [[] for _ in labels]
     for step in range(cfg.updates):
@@ -309,10 +278,8 @@ def _train_ddpg_core(data, n_items, gammas, reward_fn, cfg: DDPGConfig, master_s
                                        for rng in rngs]))
         losses = []
         for j, critic in enumerate(banks):
-            rewards = (reward_fn(batch[2], j) if reward_fn
-                       else batch[2][members, :, responses[:, j]])
             banks[j], c_opts[j], loss, item_grad = q_critic_update(
-                critic, target_banks[j], target_policy, items, batch, rewards, c_opts[j])
+                critic, target_banks[j], target_policy, items, batch, c_opts[j])
             for loss_i, name in zip(loss, names[j]):
                 _check_critic_loss(loss_i, name, step)
             losses.append(loss)
@@ -356,7 +323,7 @@ def train_ddpg_weighted(dataset: ReplayDataset, weights, gamma: float,
                          f"one per response; got {weights.tolist()}")
     check_discounts([gamma], 1)
     return _train_ddpg_core(dataset.arrays(), int(dataset.metadata["n_items"]), [[gamma]],
-                            lambda r, j: r @ weights, cfg, master_seed, [0])[0]
+                            [[weights]], cfg, master_seed, [0])[0]
 
 
 def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
@@ -365,7 +332,7 @@ def train_rcpo(dataset: ReplayDataset, lambdas, gammas, cfg: DDPGConfig,
     gammas = check_discounts(gammas, dataset.m)
     lam = validate_lambdas(lambdas, dataset.m - 1)
     return _train_ddpg_core(dataset.arrays(), int(dataset.metadata["n_items"]), [gammas],
-                            None, cfg, master_seed, [0], lambdas=lam)[0]
+                            [np.eye(dataset.m)], cfg, master_seed, [0], lambdas=lam)[0]
 
 
 def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
@@ -384,9 +351,10 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
 
     data = dataset.arrays()
     n_items = int(dataset.metadata["n_items"])
-    stage_one = _train_ddpg_core(data, n_items, gammas[1:, None], None, cfg, master_seed,
+    rows = np.eye(dataset.m)[:, None]  # member i's one critic: response i
+    stage_one = _train_ddpg_core(data, n_items, gammas[1:, None], rows[1:], cfg, master_seed,
                                  range(1, dataset.m), stage_label=1)
-    pipe, = _train_ddpg_core(data, n_items, gammas[:1, None], None, cfg, master_seed, [0],
+    pipe, = _train_ddpg_core(data, n_items, gammas[:1, None], rows[:1], cfg, master_seed, [0],
                              lambdas=lam, aux=ap.bank([p.policy for p in stage_one]))
     metrics = [row for p in stage_one + [pipe] for row in p.metrics]
     return DDPGPipeline(pipe.policy, pipe.critics, pipe.items, metrics)

@@ -19,8 +19,8 @@ from .core import (ReplayDataset, Trajectory, check_config, check_discounts,
                    discounted_returns)
 from .seeding import derive_seed, rng_for
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
-                         actor_update_main, critic_loss_grad, gather, loglik_ascent,
-                         make_critic, reward_column, td_errors)
+                         actor_update_main, critic_bank, critic_loss_grad, critic_rewards,
+                         gather, loglik_ascent, make_critic, td_errors)
 from .stochastic import constrained_weights_batch  # noqa: F401  (bench/tracer.py wraps it)
 
 
@@ -152,8 +152,7 @@ def offline_actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch_re
     store, rows, at, starts = _ref_rows(batch_refs, is_cfg)
     ratios = _ratios_at(policy, is_cfg, store, rows, at, starts)
     s, a_idx, r, s2, done = store.arrays(rows[at])
-    v, target = td_errors(critic, s, reward_column(critic, r, "offline_actor_update_aux"),
-                          s2, done)
+    v, target = td_errors(critic, s, critic_rewards(critic, r), s2, done)
     policy, opt, objective, _ = loglik_ascent(policy, s, a_idx, ratios * (target - v), opt)
     return policy, opt, {"objective": objective, "mean_ratio": float(ratios.mean())}
 
@@ -197,8 +196,8 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
     mode="separate": one critic per response, each on its own reward and
     discount (``gammas`` has m); zeroing response j's rewards provably
     touches only critic j.
-    mode="single_summed": one critic on sum_i r_i with the one discount in
-    ``gammas``; a vector of several discounts raises.
+    mode="single_summed": one critic on sum_i r_i (weights all ones) with the
+    one discount in ``gammas``; a vector of several discounts raises.
     Returns a list of critics (length m, or 1 for single_summed).  The
     critics step as one bank on each shared minibatch.  A non-finite critic
     loss raises TrainingDiverged naming the response and the iteration (the
@@ -214,17 +213,16 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
 
     summed = mode == "single_summed"
     gammas = check_discounts(gammas, 1 if summed else dataset.m)
-    critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", i),
-                           -1 if summed else i, g) for i, g in enumerate(gammas)]
+    weights = np.ones((1, dataset.m)) if summed else np.eye(dataset.m)
+    critics = [make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", i), w, g)
+               for i, (w, g) in enumerate(zip(weights, gammas))]
     names = ["the summed response"] if summed else [f"response {i}" for i in range(dataset.m)]
-    bank = ap.bank(critics, gamma=np.array([[c.gamma] for c in critics]))
+    bank = critic_bank(critics)
     opt = ap.init_opt_state(bank.params.shape, cfg.lr)
 
     for it in range(cfg.iters):
         s, _, r, s2, done = gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
-        # one reward row per critic
-        r = r.sum(axis=1)[None, :] if summed else r.T
-        losses, grads = critic_loss_grad(bank, s, r, s2, done)
+        losses, grads = critic_loss_grad(bank, s, critic_rewards(bank, r), s2, done)
         for name, loss in zip(names, losses):
             _check_critic_loss(loss, name, it)
         params, opt = ap.optimizer_step(bank.params, grads, opt, "minimize")

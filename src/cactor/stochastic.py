@@ -58,9 +58,13 @@ class StochasticPolicy:
 
 @dataclass
 class CriticV:
+    """A value net learning the reward ``r @ weights`` (``critic_rewards``):
+    e_i is response i.  ``deterministic.q_value`` feeds it state and action;
+    a bank (``critic_bank``) has (k, m) weights and a (k, 1) gamma column."""
+
     spec: ap.ApproxSpec
     params: np.ndarray
-    response_index: int
+    weights: np.ndarray
     gamma: float
 
 
@@ -69,9 +73,28 @@ def make_policy(state_dim, n_items, hidden, seed, response_index=0) -> Stochasti
     return StochasticPolicy(spec, ap.init_params(spec), response_index)
 
 
-def make_critic(state_dim, hidden, seed, response_index, gamma) -> CriticV:
+def make_critic(state_dim, hidden, seed, weights, gamma) -> CriticV:
     spec = ap.ApproxSpec(state_dim, tuple(hidden), 1, "linear", seed)
-    return CriticV(spec, ap.init_params(spec), response_index, float(gamma))
+    return CriticV(spec, ap.init_params(spec), np.asarray(weights, dtype=np.float64),
+                   float(gamma))
+
+
+def critic_bank(critics) -> CriticV:
+    """``critics`` as one bank (``approximator.bank``) in which each member
+    keeps its own reward row and discount."""
+    return ap.bank(critics, weights=np.stack([c.weights for c in critics]),
+                   gamma=np.array([[c.gamma] for c in critics]))
+
+
+def critic_rewards(critic: CriticV, r) -> np.ndarray:
+    """The rewards ``r @ critic.weights`` a critic learns, from responses r:
+    (batch, m) for one critic; shared (batch, m) or per-member (k, batch, m)
+    for a bank, whose k weight rows give (k, batch).  A one-hot row reads
+    its response column bit for bit, except that -0.0 reads 0.0."""
+    w, want = critic.weights, (*critic.params.shape[:-1], r.shape[-1])
+    if w.shape != want:
+        raise ValueError(f"critic weights have shape {w.shape}, expected {want} (critic_bank)")
+    return (r @ w[..., None])[..., 0]
 
 
 @dataclass
@@ -101,11 +124,10 @@ def validate_lambdas(lambdas, n_aux: int) -> np.ndarray:
 
 
 def build_policy_set(state_dim, n_items, m, lambdas, gammas, hidden, seed) -> PolicySet:
-    main = (make_policy(state_dim, n_items, hidden, derive_seed(seed, "actor", 0), 0),
-            make_critic(state_dim, hidden, derive_seed(seed, "critic", 0), 0, gammas[0]))
-    aux = [(make_policy(state_dim, n_items, hidden, derive_seed(seed, "actor", i), i),
-            make_critic(state_dim, hidden, derive_seed(seed, "critic", i), i, gammas[i]))
-           for i in range(1, m)]
+    main, *aux = [(make_policy(state_dim, n_items, hidden, derive_seed(seed, "actor", i), i),
+                   make_critic(state_dim, hidden, derive_seed(seed, "critic", i), np.eye(m)[i],
+                               gammas[i]))
+                  for i in range(m)]
     return PolicySet(main, aux, np.asarray(lambdas, dtype=np.float64),
                      np.asarray(gammas, dtype=np.float64))
 
@@ -135,7 +157,10 @@ def gather(data, idx):
 
 
 def td_errors(critic: CriticV, s, r_i, s2, done):
-    """TD residuals with V(s') from the critic's current (frozen) parameters."""
+    """TD residuals with V(s') from the critic's current (frozen) parameters;
+    the actor updates pair one policy with one critic, so a bank is rejected."""
+    if critic.params.ndim != 1:
+        raise ValueError("td_errors takes one critic, not a bank")
     v = ap.forward(critic.spec, critic.params, s)[:, 0]
     v2 = ap.forward(critic.spec, critic.params, s2)[:, 0]
     return v, td_target(r_i, critic.gamma, v2, done)
@@ -145,8 +170,8 @@ def critic_loss_grad(critic: CriticV, s, r_i, s2, done):
     """Squared Bellman error of a batch and its parameter gradient, with V(s')
     held fixed; the gradient is None when the loss is not finite.
 
-    A bank of k critics (``approximator.bank``, gamma a (k, 1) column) takes
-    shared states and (k, batch) rewards, and returns one loss per member (a
+    A bank of k critics (``critic_bank``) takes shared states and the (k,
+    batch) rewards of ``critic_rewards``, and returns one loss per member (a
     list) and the (k, n) gradient, None when some loss is not finite."""
     v, pullback = ap.forward_pullback(critic.spec, critic.params, s)
     v2 = ap.forward(critic.spec, critic.params, s2)[..., 0]
@@ -173,22 +198,13 @@ def _logged_probs(policies, s, a_idx) -> np.ndarray:
 # operations
 # ---------------------------------------------------------------------------
 
-def reward_column(critic, r, caller: str):
-    """Column ``critic.response_index`` of the (batch, m) responses ``r``; a
-    bank, whose response_index is member 0's, is rejected naming ``caller``."""
-    if critic.params.ndim != 1:
-        raise ValueError(f"{caller} takes one critic, not a bank; a bank's members read "
-                         f"their own (k, batch) rewards through critic_loss_grad")
-    return r[:, critic.response_index]
-
-
 def critic_update(critic: CriticV, batch, opt: ap.OptState):
     """One step on the squared Bellman error of ``batch`` (a ``batch_arrays``
     tuple) with V(s') from the pre-update parameters.  A non-finite loss
-    skips the step and is reported to the caller via the returned loss."""
+    skips the step and is reported to the caller via the returned loss (one
+    per member, as a list, for a bank)."""
     s, _, r, s2, done = batch
-    r_i = reward_column(critic, r, "critic_update")
-    loss, grads = critic_loss_grad(critic, s, r_i, s2, done)
+    loss, grads = critic_loss_grad(critic, s, critic_rewards(critic, r), s2, done)
     if grads is None:
         return critic, opt, loss
     new_params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
@@ -232,7 +248,7 @@ def actor_update_aux(policy: StochasticPolicy, critic: CriticV, batch, opt: ap.O
     tuple; the advantage comes from the current critic and is treated as a
     constant."""
     s, a_idx, r, s2, done = batch
-    v, target = td_errors(critic, s, reward_column(critic, r, "actor_update_aux"), s2, done)
+    v, target = td_errors(critic, s, critic_rewards(critic, r), s2, done)
     policy, opt, objective, mean_adv = loglik_ascent(policy, s, a_idx, target - v, opt)
     return policy, opt, {"objective": objective, "mean_adv": mean_adv}
 
@@ -282,7 +298,7 @@ def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
     denominator and the ascent step, and the auxiliaries as one stacked pass."""
     policy, critic = policy_set.main
     s, a_idx, r, s2, done = batch
-    v, target = td_errors(critic, s, r[:, 0], s2, done)
+    v, target = td_errors(critic, s, critic_rewards(critic, r), s2, done)
     adv = target - v
     keep = np.isfinite(adv)
     if not np.all(keep):
@@ -407,8 +423,8 @@ def _actor_critic(sim: SessionSimulator, stage: int, responses, gammas, iters: i
     policies = [make_policy(c.state_dim, c.n_items, cfg.hidden,
                             derive_seed(master_seed, f"{s}-actor", *path), i)
                 for path, i in zip(paths, responses)]
-    critics = [make_critic(c.state_dim, cfg.hidden,
-                           derive_seed(master_seed, f"{s}-critic", *path), i, gammas[i])
+    critics = [make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, f"{s}-critic", *path),
+                           np.eye(c.m)[i], gammas[i])
                for path, i in zip(paths, responses)]
     a_opts = [ap.init_opt_state(p.params.size, cfg.actor_lr) for p in policies]
     c_opts = [ap.init_opt_state(v.params.size, cfg.critic_lr) for v in critics]
@@ -444,16 +460,17 @@ def _aux_step(policy, critic, batch, opt):
 
 def _check_pretrained_aux(pairs, c) -> list:
     """``pretrained_aux`` as a list, checked against the simulator: pair j
-    must be response j + 1's, with nets that fit its state and item counts."""
+    must be response j + 1's (critic weights e_{j+1}), with nets that fit
+    its state and item counts."""
     pairs = list(pairs)
     if len(pairs) != c.m - 1:
         raise ValueError("pretrained_aux must supply one pair per auxiliary response")
     for j, (policy, critic) in enumerate(pairs):
-        got = (policy.response_index, critic.response_index, policy.spec.input_dim,
-               policy.spec.output_dim, critic.spec.input_dim)
-        want = (j + 1, j + 1, c.state_dim, c.n_items, c.state_dim)
+        got = (policy.response_index, critic.weights.tolist(),
+               policy.spec.input_dim, policy.spec.output_dim, critic.spec.input_dim)
+        want = (j + 1, np.eye(c.m)[j + 1].tolist(), c.state_dim, c.n_items, c.state_dim)
         if got != want:
-            raise ValueError(f"pretrained_aux[{j}]: (policy response, critic response, policy "
+            raise ValueError(f"pretrained_aux[{j}]: (policy response, critic weights, policy "
                              f"features, items, critic features) is {got}, expected {want}")
     return pairs
 

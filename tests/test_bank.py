@@ -3,10 +3,14 @@ params give exactly (==) what k separate nets give.
 
 The oracles below are the sequential trainer loops that preceded the bank
 (one stage-one pipeline after another, one critic step after another),
-kept verbatim apart from their names and the rewards argument that
-``q_critic_update`` now takes; the updates they call run unbanked.
+kept verbatim apart from their names and their critics' weight rows; the
+updates they call run unbanked.  They read each critic's reward as a
+response column (``r @ w`` only for a weighted sum), and the DDPG loop
+takes its critic step from ``test_one_pass.ref_q_critic_update``, so they
+stay independent of ``stochastic.critic_rewards``.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,15 +26,21 @@ from cactor.core import check_discounts, td_target
 from cactor.seeding import derive_seed
 from cactor.sim import (ReviewDatasetConfig, SimConfig, UniformRandomPolicy,
                         generate_offline_dataset, generate_review_dataset)
-from test_one_pass import assert_same, ref_loglik_ascent
+from test_one_pass import assert_same, ref_loglik_ascent, ref_q_critic_update
 
 # ---------------------------------------------------------------------------
 # sequential oracles
 # ---------------------------------------------------------------------------
 
 
-def ref_train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg, master_seed,
-                        lambdas=None, aux_policies=None, stage_label=2,
+def ref_rewards(r, w):
+    """The rewards of weight row ``w``: a response column when ``w`` is one-hot."""
+    hot = np.flatnonzero(w)
+    return r[:, hot[0]] if hot.size == 1 and w[hot[0]] == 1.0 else r @ w
+
+
+def ref_train_ddpg_core(data, n_items, gammas_per_critic, weights_per_critic, cfg,
+                        master_seed, lambdas=None, aux_policies=None, stage_label=2,
                         response_label=0, items=None):
     state_dim = data[0].shape[1]
     if items is None:
@@ -40,10 +50,9 @@ def ref_train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg, master
     policy = det.make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
                                  derive_seed(master_seed, "actor", response_label),
                                  response_label)
-    critics = [det.make_q_critic(state_dim, cfg.embed_dim, cfg.hidden,
-                                 derive_seed(master_seed, "critic", response_label, j),
-                                 j, g)
-               for j, g in enumerate(gammas_per_critic)]
+    critics = [stx.make_critic(state_dim + cfg.embed_dim, cfg.hidden,
+                               derive_seed(master_seed, "critic", response_label, j), w, g)
+               for j, (w, g) in enumerate(zip(weights_per_critic, gammas_per_critic))]
     names = [f"response {j if len(critics) > 1 else response_label} in stage {stage_label}"
              for j in range(len(critics))]
     target_policy = replace(policy)
@@ -58,8 +67,8 @@ def ref_train_ddpg_core(data, n_items, gammas_per_critic, reward_fn, cfg, master
         batch = stx.gather(data, rng.integers(len(data[0]), size=cfg.batch_size))
         losses = []
         for j, critic in enumerate(critics):
-            rewards = reward_fn(batch[2], j) if reward_fn else batch[2][:, critic.response_index]
-            critic, c_opts[j], loss, item_grad = det.q_critic_update(
+            rewards = ref_rewards(batch[2], critic.weights)
+            critic, c_opts[j], loss, item_grad = ref_q_critic_update(
                 critic, target_critics[j], target_policy, items, batch, rewards, c_opts[j])
             stx._check_critic_loss(loss, names[j], step)
             critics[j] = critic
@@ -99,14 +108,14 @@ def ref_train_constrained_ddpg(dataset, lambdas, gammas, cfg, master_seed):
     metrics = []
     aux_policies = []
     items = det.init_item_table(n_items, cfg.embed_dim, derive_seed(master_seed, "items"))
+    rows = np.eye(dataset.m)
     for i in range(1, dataset.m):
-        pipe = ref_train_ddpg_core(data, n_items, [gammas[i]], lambda r, j, i=i: r[:, i],
-                                   cfg, master_seed, stage_label=1, response_label=i,
-                                   items=items.copy())
+        pipe = ref_train_ddpg_core(data, n_items, [gammas[i]], [rows[i]], cfg, master_seed,
+                                   stage_label=1, response_label=i, items=items.copy())
         aux_policies.append(pipe.policy)
         metrics.extend(pipe.metrics)
 
-    pipe = ref_train_ddpg_core(data, n_items, [gammas[0]], None, cfg, master_seed,
+    pipe = ref_train_ddpg_core(data, n_items, [gammas[0]], [rows[0]], cfg, master_seed,
                                lambdas=lam, aux_policies=aux_policies, items=items.copy())
     metrics.extend(pipe.metrics)
     return det.DDPGPipeline(pipe.policy, pipe.critics, pipe.items, metrics)
@@ -120,12 +129,12 @@ def ref_multi_critic_train(dataset, gammas, mode, cfg, master_seed):
     if mode == "single_summed":
         gamma, = check_discounts(gammas, 1)
         critics = [stx.make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", 0),
-                                   -1, gamma)]
+                                   np.ones(dataset.m), gamma)]
         names = ["the summed response"]
     else:
         gammas = check_discounts(gammas, dataset.m)
         critics = [stx.make_critic(state_dim, cfg.hidden, derive_seed(master_seed, "mc", i),
-                                   i, gammas[i])
+                                   np.eye(dataset.m)[i], gammas[i])
                    for i in range(dataset.m)]
         names = [f"response {i}" for i in range(dataset.m)]
     opts = [ap.init_opt_state(c.params.size, cfg.lr) for c in critics]
@@ -252,7 +261,7 @@ def ref_item_grad(critic, target_critic, target_policy, items, batch, rewards):
     ``np.indices`` row index it was built with before ``member_rows``."""
     s, a_idx, _, s2, done = batch
     rows = (*np.indices(a_idx.shape, sparse=True)[:-1], a_idx)
-    q2 = target_critic.q_value(s2, target_policy.act(s2))
+    q2 = det.q_value(target_critic, s2, target_policy.act(s2))
     y = td_target(rewards, critic.gamma, q2, done)
     q, pullback = ap.forward_pullback(critic.spec, critic.params,
                                       np.concatenate([s, items[rows]], axis=-1))
@@ -281,16 +290,17 @@ def test_q_critic_update_item_gradient_equals_np_indices_scatter(k):
     lead = () if k is None else (k,)
     members = range(k or 1)
     policies = [det.make_det_policy(state_dim, embed, (6,), seed=i) for i in members]
-    critics = [det.make_q_critic(state_dim, embed, (6,), 10 + i, 0, 0.9) for i in members]
+    critics = [stx.make_critic(state_dim + embed, (6,), 10 + i, [1.0, 0.0], 0.9)
+               for i in members]
     critic, policy = (critics[0], policies[0]) if k is None else (
-        ap.bank(critics, gamma=np.full((k, 1), 0.9)), ap.bank(policies))
+        stx.critic_bank(critics), ap.bank(policies))
     items = rng.normal(size=(*lead, n_items, embed))
     batch = (rng.normal(size=(*lead, n, state_dim)), rng.integers(n_items, size=(*lead, n)),
-             None, rng.normal(size=(*lead, n, state_dim)), rng.random((*lead, n)) < 0.2)
-    rewards = rng.normal(size=(*lead, n))
+             rng.normal(size=(*lead, n, 2)), rng.normal(size=(*lead, n, state_dim)),
+             rng.random((*lead, n)) < 0.2)
     opt = ap.init_opt_state(critic.params.shape)
-    got = det.q_critic_update(critic, critic, policy, items, batch, rewards, opt)[3]
-    assert_same(got, ref_item_grad(critic, critic, policy, items, batch, rewards))
+    got = det.q_critic_update(critic, critic, policy, items, batch, opt)[3]
+    assert_same(got, ref_item_grad(critic, critic, policy, items, batch, batch[2][..., 0]))
 
 
 def test_q_critic_update_on_a_bank_with_member_rewards_equals_member_calls():
@@ -298,22 +308,20 @@ def test_q_critic_update_on_a_bank_with_member_rewards_equals_member_calls():
     k, n, state_dim, embed, n_items = 3, 20, 5, 3, 7
     gammas = (0.9, 0.5, 0.7)
     policies = [det.make_det_policy(state_dim, embed, (6,), seed=i) for i in range(k)]
-    critics = [det.make_q_critic(state_dim, embed, (6,), 10 + i, i, g)
+    critics = [stx.make_critic(state_dim + embed, (6,), 10 + i, np.eye(k)[i], g)
                for i, g in enumerate(gammas)]
-    targets = [det.make_q_critic(state_dim, embed, (6,), 20 + i, i, g)
+    targets = [stx.make_critic(state_dim + embed, (6,), 20 + i, np.eye(k)[i], g)
                for i, g in enumerate(gammas)]
-    column = np.array(gammas)[:, None]
     items = rng.normal(size=(k, n_items, embed))
     batch = (rng.normal(size=(k, n, state_dim)), rng.integers(n_items, size=(k, n)),
              rng.normal(size=(k, n, k)), rng.normal(size=(k, n, state_dim)),
              rng.random((k, n)) < 0.2)
-    rewards = np.stack([batch[2][i, :, c.response_index] for i, c in enumerate(critics)])
-    got = det.q_critic_update(ap.bank(critics, gamma=column), ap.bank(targets, gamma=column),
-                              ap.bank(policies), items, batch, rewards,
+    got = det.q_critic_update(stx.critic_bank(critics), stx.critic_bank(targets),
+                              ap.bank(policies), items, batch,
                               ap.init_opt_state((k, critics[0].params.size), 3e-3))
     for i in range(k):
         want = det.q_critic_update(critics[i], targets[i], policies[i], items[i],
-                                   tuple(x[i] for x in batch), rewards[i],
+                                   tuple(x[i] for x in batch),
                                    ap.init_opt_state(critics[i].params.size, 3e-3))
         assert_same(got[0].params[i], want[0].params)
         assert_same((got[1].first_moment[i], got[1].second_moment[i]),
@@ -322,38 +330,96 @@ def test_q_critic_update_on_a_bank_with_member_rewards_equals_member_calls():
         assert_same(got[3][i], want[3])
 
 
-@pytest.mark.parametrize("update", ["critic_update", "actor_update_aux",
-                                    "offline_actor_update_aux"])
-def test_updates_that_read_a_response_column_reject_a_critic_bank(update):
-    """A bank keeps member 0's response_index and gamma, so these updates
-    would train every member on member 0's response."""
+def two_critic_bank(ds):
+    """Critics of ``ds``'s responses 1 and 2 (discounts 0.9 and 0.5) and their bank."""
+    rows, state_dim = np.eye(ds.m), ds.states.shape[1]
+    critics = [stx.make_critic(state_dim, (5,), seed=1, weights=rows[1], gamma=0.9),
+               stx.make_critic(state_dim, (5,), seed=2, weights=rows[2], gamma=0.5)]
+    return critics, stx.critic_bank(critics)
+
+
+def test_critic_update_on_a_bank_equals_member_calls():
     ds = review_dataset()
-    state_dim, n_items = ds.states.shape[1], int(ds.metadata["n_items"])
-    critics = [stx.make_critic(state_dim, (5,), seed=1, response_index=1, gamma=0.9),
-               stx.make_critic(state_dim, (5,), seed=2, response_index=2, gamma=0.5)]
-    bank = ap.bank(critics, gamma=np.array([[0.9], [0.5]]))
-    policy = stx.make_policy(state_dim, n_items, (5,), seed=3)
+    critics, bank = two_critic_bank(ds)
+    batch = stx.batch_arrays(ds.trajectories[0].transitions)
+    got = stx.critic_update(bank, batch, ap.init_opt_state(bank.params.shape, 1e-2))
+    for i, critic in enumerate(critics):
+        want = stx.critic_update(critic, batch, ap.init_opt_state(critic.params.size, 1e-2))
+        assert_same(got[0].params[i], want[0].params)
+        assert_same((got[1].first_moment[i], got[1].second_moment[i]),
+                    (want[1].first_moment, want[1].second_moment))
+        assert got[2][i] == want[2]
+
+
+@pytest.mark.parametrize("update", ["actor_update_aux", "offline_actor_update_aux",
+                                    "actor_update_main"])
+def test_actor_updates_reject_a_critic_bank(update):
+    """These updates pair one policy with one critic, and ``td_errors``
+    reads one value column, so a bank is an error."""
+    ds = review_dataset()
+    _, bank = two_critic_bank(ds)
+    n_items = int(ds.metadata["n_items"])
+    pset = stx.build_policy_set(ds.states.shape[1], n_items, ds.m, np.ones(ds.m - 1),
+                                np.full(ds.m, 0.9), (5,), seed=3)
+    policy = pset.main[0]
+    pset.main = (policy, bank)
     traj = ds.trajectories[0]
     batch = stx.batch_arrays(traj.transitions)
+    opt = ap.init_opt_state(policy.params.size)
     calls = {
-        "critic_update": lambda: stx.critic_update(bank, batch,
-                                                   ap.init_opt_state(bank.params.shape)),
-        "actor_update_aux": lambda: stx.actor_update_aux(
-            policy, bank, batch, ap.init_opt_state(policy.params.size)),
+        "actor_update_aux": lambda: stx.actor_update_aux(policy, bank, batch, opt),
         "offline_actor_update_aux": lambda: off.offline_actor_update_aux(
-            policy, bank, [(traj, t) for t in range(len(traj))], off.ISConfig(),
-            ap.init_opt_state(policy.params.size)),
+            policy, bank, [(traj, t) for t in range(len(traj))], off.ISConfig(), opt),
+        "actor_update_main": lambda: stx.actor_update_main(pset, batch, opt),
     }
-    with pytest.raises(ValueError, match=f"^{update} takes one critic, not a bank; "
-                                         f".*critic_loss_grad"):
+    with pytest.raises(ValueError, match="^td_errors takes one critic, not a bank"):
         calls[update]()
+
+
+def weighted_critics(rows):
+    """One critic per weight row (``make_critic``'s 3 features, no hidden layer)."""
+    return [stx.make_critic(3, (), seed=0, weights=w, gamma=0.9) for w in rows]
+
+
+def test_critic_rewards_rejects_weights_that_do_not_fit():
+    lone, = weighted_critics([np.ones(4)])
+    with pytest.raises(ValueError, match=re.escape("have shape (4,), expected (2,)")):
+        stx.critic_rewards(lone, np.zeros((5, 2)))
+    # approximator.bank alone keeps member 0's row: loud, not shared
+    bank = ap.bank(weighted_critics(np.eye(2)))
+    with pytest.raises(ValueError, match=re.escape("have shape (2,), expected (2, 2)")):
+        stx.critic_rewards(bank, np.zeros((5, 2)))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([None, 1, 3]), st.booleans(),
+       st.data())
+def test_one_hot_rewards_equal_the_response_column(m, batch, k, shared, data):
+    """``r @ e_i`` is ``r[..., i]`` in dtype, shape and bytes, for one critic
+    and for a bank on shared or per-member responses.  Responses are finite
+    (a dataset's must be), and zeros are drawn as +0.0: the product's sum
+    reads -0.0 as 0.0."""
+    shape = (batch, m) if shared or k is None else (k, batch, m)
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+    size = int(np.prod(shape))
+    r = np.array(data.draw(st.lists(finite, min_size=size, max_size=size))).reshape(shape)
+    cols = data.draw(st.lists(st.integers(0, m - 1), min_size=k or 1, max_size=k or 1))
+    critics = weighted_critics(np.eye(m)[cols])
+    if k is None:
+        got, want = stx.critic_rewards(critics[0], r), r[:, cols[0]]
+    else:
+        got = stx.critic_rewards(stx.critic_bank(critics), r)
+        want = np.stack([(r if shared else r[j])[:, c] for j, c in enumerate(cols)])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stage_one_critics_are_named_for_their_own_response():
     ds = ddpg_dataset()
     pipes = det._train_ddpg_core(ds.arrays(), int(ds.metadata["n_items"]), [[0.9], [0.8]],
-                                 None, SMALL_DDPG, 3, [1, 2], stage_label=1)
-    assert [p.critics[0].response_index for p in pipes] == [1, 2]
+                                 np.eye(3)[1:, None], SMALL_DDPG, 3, [1, 2], stage_label=1)
+    assert [p.critics[0].weights.tolist() for p in pipes] == [[0, 1, 0], [0, 0, 1]]
+    assert [p.critics[0].gamma for p in pipes] == [0.9, 0.8]
     assert [p.policy.response_index for p in pipes] == [1, 2]
 
 
@@ -361,13 +427,13 @@ def test_constrained_det_actor_update_on_a_bank_equals_member_updates():
     rng = np.random.default_rng(2)
     k, n, state_dim, embed = 3, 20, 5, 3
     policies = [det.make_det_policy(state_dim, embed, (6,), seed=i) for i in range(k)]
-    critics = [det.make_q_critic(state_dim, embed, (6,), 10 + i, 0, 0.9) for i in range(k)]
+    critics = [stx.make_critic(state_dim + embed, (6,), 10 + i, [1.0], 0.9) for i in range(k)]
     aux = [det.make_det_policy(state_dim, embed, (6,), seed=20 + i) for i in range(2)]
     s = rng.normal(size=(k, n, state_dim))
     lam = np.array([0.5, 1.5])
     opt = ap.init_opt_state((k, policies[0].params.size))
-    got = det.constrained_det_actor_update(ap.bank(policies), ap.bank(aux), ap.bank(critics),
-                                           lam, (s,), opt)
+    got = det.constrained_det_actor_update(ap.bank(policies), ap.bank(aux),
+                                           stx.critic_bank(critics), lam, (s,), opt)
     for i in range(k):
         want = det.constrained_det_actor_update(policies[i], ap.bank(aux), critics[i], lam,
                                                 (s[i],),
@@ -427,10 +493,9 @@ def test_rcpo_and_weighted_sum_equal_their_sequential_loops():
     data, n_items = ds.arrays(), int(ds.metadata["n_items"])
     weights = np.array([0.5, 0.3, 0.2])
     assert_same(det.train_ddpg_weighted(ds, weights, 0.9, SMALL_DDPG, 4),
-                ref_train_ddpg_core(data, n_items, [0.9], lambda r, j: r @ weights,
-                                    SMALL_DDPG, 4))
+                ref_train_ddpg_core(data, n_items, [0.9], [weights], SMALL_DDPG, 4))
     assert_same(det.train_rcpo(ds, [0.4, 0.9], [0.9, 0.8, 0.7], SMALL_DDPG, 5),
-                ref_train_ddpg_core(data, n_items, [0.9, 0.8, 0.7], None, SMALL_DDPG, 5,
+                ref_train_ddpg_core(data, n_items, [0.9, 0.8, 0.7], np.eye(3), SMALL_DDPG, 5,
                                     lambdas=np.array([0.4, 0.9])))
 
 

@@ -25,27 +25,27 @@ class TestQCriticUpdate:
         items = np.zeros((1, 2))
         policy = det.make_det_policy(2, 2, (), seed=0)
         policy.params[:] = 0.0
-        critic = det.make_q_critic(2, 2, (), seed=1, response_index=0, gamma=0.9)
+        critic = stx.make_critic(2 + 2, (), seed=1, weights=[1.0], gamma=0.9)
         target = critic
         opt = ap.init_opt_state(critic.params.size, step_size=1e-2)
         batch = two_state_batch()
         for step in range(4000):
             critic, opt, loss, _ = det.q_critic_update(critic, target, policy,
-                                                       items, batch, batch[2][:, 0], opt)
+                                                       items, batch, opt)
             if step % 200 == 199:
                 target = critic
-        q = critic.q_value(np.eye(2), np.zeros((2, 2)))
+        q = det.q_value(critic, np.eye(2), np.zeros((2, 2)))
         assert np.allclose(q, [2.8, 2.0], atol=0.01)
 
     def test_zero_td_error_batch_keeps_params(self):
         items = np.zeros((1, 2))
         policy = det.make_det_policy(2, 2, (), seed=2)
-        critic = det.make_q_critic(2, 2, (4,), seed=3, response_index=0, gamma=0.0)
+        critic = stx.make_critic(2 + 2, (4,), seed=3, weights=[1.0], gamma=0.0)
         s = np.eye(2)
-        q = critic.q_value(s, items[[0, 0]])
+        q = det.q_value(critic, s, items[[0, 0]])
         batch = terminal_batch(s, [0, 0], q[:, None])
         new_critic, _, loss, _ = det.q_critic_update(
-            critic, critic, policy, items, batch, batch[2][:, 0],
+            critic, critic, policy, items, batch,
             ap.init_opt_state(critic.params.size))
         assert loss == 0.0
         assert np.array_equal(new_critic.params, critic.params)
@@ -53,20 +53,20 @@ class TestQCriticUpdate:
     def test_gamma_zero_regresses_to_constant(self):
         items = np.zeros((1, 3))
         policy = det.make_det_policy(2, 3, (), seed=4)
-        critic = det.make_q_critic(2, 3, (), seed=5, response_index=0, gamma=0.0)
+        critic = stx.make_critic(2 + 3, (), seed=5, weights=[1.0], gamma=0.0)
         opt = ap.init_opt_state(critic.params.size, step_size=2e-2)
         batch = two_state_batch(r0=0.4, r1=0.4)
         for _ in range(1500):
             critic, opt, _, _ = det.q_critic_update(critic, critic, policy,
-                                                    items, batch, batch[2][:, 0], opt)
-        q = critic.q_value(np.eye(2), np.zeros((2, 3)))
+                                                    items, batch, opt)
+        q = det.q_value(critic, np.eye(2), np.zeros((2, 3)))
         assert np.allclose(q, 0.4, atol=0.01)
 
 
 class TestDDPGActorUpdate:
     def test_flat_critic_gives_zero_gradient(self):
         policy = det.make_det_policy(2, 2, (4,), seed=6)
-        critic = det.make_q_critic(2, 2, (), seed=7, response_index=0, gamma=0.0)
+        critic = stx.make_critic(2 + 2, (), seed=7, weights=[1.0], gamma=0.0)
         critic.params[2:4] = 0.0  # zero the action-input weights
         batch = two_state_batch()
         new_policy, _, _ = det.ddpg_actor_update(policy, critic, batch,
@@ -76,13 +76,13 @@ class TestDDPGActorUpdate:
     def test_linear_critic_direction_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         policy = det.make_det_policy(3, 2, (4,), seed=9)
-        critic = det.make_q_critic(3, 2, (), seed=10, response_index=0, gamma=0.0)
+        critic = stx.make_critic(3 + 2, (), seed=10, weights=[1.0], gamma=0.0)
         s = rng.normal(size=(5, 3))
         batch = terminal_batch(s, np.zeros(5), np.zeros((5, 1)))
 
         def objective(params):
             a = ap.forward(policy.spec, params, s)
-            return float(np.mean(critic.q_value(s, a)))
+            return float(np.mean(det.q_value(critic, s, a)))
 
         h = 1e-5
         numeric = np.zeros_like(policy.params)
@@ -100,7 +100,7 @@ class TestDDPGActorUpdate:
 
     def test_update_is_deterministic(self):
         policy = det.make_det_policy(2, 2, (4,), seed=11)
-        critic = det.make_q_critic(2, 2, (3,), seed=12, response_index=0, gamma=0.0)
+        critic = stx.make_critic(2 + 2, (3,), seed=12, weights=[1.0], gamma=0.0)
         batch = two_state_batch()
         a, _, _ = det.ddpg_actor_update(policy, critic, batch,
                                         ap.init_opt_state(policy.params.size))
@@ -109,23 +109,38 @@ class TestDDPGActorUpdate:
         assert np.array_equal(a.params, b.params)
 
 
+def constrained_det_objective(features, policy, aux, critic, lambdas) -> float:
+    """Mean over states of  prod_i h(pi(s), pi_aux_i(s))^(lambda_i/sum)
+    * Q(s, pi(s)) / sum(lambda), the auxiliary actors ``aux`` one bank: the
+    objective ``constrained_det_actor_update`` ascends, evaluated directly
+    as its finite-difference oracle."""
+    lam = stx.validate_lambdas(lambdas, len(aux.params))
+    total = lam.sum()
+    s = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    a = policy.act(s)
+    log_h = np.zeros(s.shape[0])
+    for lam_i, a_i in zip(lam, aux.act(s)):
+        d = a - a_i
+        log_h += (lam_i / total) * (-0.5 * np.sum(d * d, axis=1))
+    q = det.q_value(critic, s, a)
+    return float(np.mean(np.exp(log_h) * q / total))
+
+
 class TestConstrainedDetObjective:
     def setup_method(self):
         self.policy = det.make_det_policy(2, 3, (4,), seed=13)
         self.aux = ap.bank([det.make_det_policy(2, 3, (4,), seed=14, response_index=1),
                             det.make_det_policy(2, 3, (4,), seed=15, response_index=2)])
-        self.critic = det.make_q_critic(2, 3, (4,), seed=16, response_index=0,
-                                        gamma=0.0)
+        self.critic = stx.make_critic(2 + 3, (4,), seed=16, weights=[1.0], gamma=0.0)
         self.s = np.array([[0.4, -0.2]])
 
     def test_coincident_actions_reduce_to_scaled_q(self):
         aux_same = ap.bank([det.DeterministicPolicy(self.policy.spec, self.policy.params.copy())
                             for _ in range(2)])
         lam = np.array([0.7, 0.3])
-        obj = det.constrained_det_objective(self.s, self.policy, aux_same,
-                                            self.critic, lam)
+        obj = constrained_det_objective(self.s, self.policy, aux_same, self.critic, lam)
         a = self.policy.act(self.s)
-        q = float(self.critic.q_value(self.s, a)[0])
+        q = float(det.q_value(self.critic, self.s, a)[0])
         assert obj == pytest.approx(q / lam.sum(), rel=1e-12)
 
     def test_h_factor_closed_form(self):
@@ -143,29 +158,27 @@ class TestConstrainedDetObjective:
 
         main = FixedActor([1.0, 0.0, 0.0])
         aux = FixedActor([[0.0, 1.0, 0.0]])
-        obj = det.constrained_det_objective(self.s, main, aux, self.critic, [1.0])
-        q = float(self.critic.q_value(self.s, main.act(self.s))[0])
+        obj = constrained_det_objective(self.s, main, aux, self.critic, [1.0])
+        q = float(det.q_value(self.critic, self.s, main.act(self.s))[0])
         assert obj == pytest.approx(np.exp(-1.0) * q, rel=1e-12)
 
     def test_lambda_scaling(self):
         lam = np.array([0.5, 1.5])
-        base = det.constrained_det_objective(self.s, self.policy, self.aux,
-                                             self.critic, lam)
-        scaled = det.constrained_det_objective(self.s, self.policy, self.aux,
-                                               self.critic, 4.0 * lam)
+        base = constrained_det_objective(self.s, self.policy, self.aux, self.critic, lam)
+        scaled = constrained_det_objective(self.s, self.policy, self.aux, self.critic,
+                                           4.0 * lam)
         assert scaled == pytest.approx(base / 4.0, rel=1e-12)
 
     def test_zero_lambda_sum_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            det.constrained_det_objective(self.s, self.policy, self.aux,
-                                          self.critic, [0.0, 0.0])
+            det.constrained_det_actor_update(self.policy, self.aux, self.critic, [0.0, 0.0],
+                                             (self.s,),
+                                             ap.init_opt_state(self.policy.params.size))
 
     @pytest.mark.parametrize("lam", [[1.0], [1.0, 1.0, 1.0]], ids=["fewer", "more"])
     def test_lambda_count_must_match_the_bank(self, lam):
         # the bank has two members
         message = f"need 2 multipliers, got {len(lam)}"
-        with pytest.raises(ValueError, match=message):
-            det.constrained_det_objective(self.s, self.policy, self.aux, self.critic, lam)
         with pytest.raises(ValueError, match=message):
             det.constrained_det_actor_update(self.policy, self.aux, self.critic, lam,
                                              (self.s,), ap.init_opt_state(self.policy.params.size))
@@ -178,7 +191,7 @@ class TestConstrainedDetObjective:
 
         def objective(params):
             p = det.DeterministicPolicy(self.policy.spec, params)
-            return det.constrained_det_objective(s, p, self.aux, self.critic, lam)
+            return constrained_det_objective(s, p, self.aux, self.critic, lam)
 
         h = 1e-5
         numeric = np.zeros_like(self.policy.params)

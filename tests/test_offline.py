@@ -218,7 +218,7 @@ class TestBatchedRatios:
 
     def test_update_rejects_bad_step(self):
         traj = hand_trajectory(10, [0.5] * 3)
-        critic = stx.make_critic(4, (), seed=1, response_index=1, gamma=0.0)
+        critic = stx.make_critic(4, (), seed=1, weights=[0.0, 1.0], gamma=0.0)
         opt = ap.init_opt_state(RATIO_POLICY.params.size)
         for t in (-1, 3):
             with pytest.raises(ValueError, match="outside trajectory"):
@@ -228,7 +228,7 @@ class TestBatchedRatios:
 
 class TestOfflineUpdates:
     def test_aux_update_reduces_to_online_on_policy(self, sim, policy):
-        critic = stx.make_critic(6, (8,), seed=42, response_index=1, gamma=0.0)
+        critic = stx.make_critic(6, (8,), seed=42, weights=[0.0, 1.0], gamma=0.0)
         traj = logged_trajectory(policy, sim, 7, rng_for(8, "a"))
         batch = stx.batch_arrays(traj.transitions)
         refs = [(traj, t) for t in range(len(traj))]
@@ -252,7 +252,7 @@ class TestOfflineUpdates:
         assert oinfo["mean_weight"] == pytest.approx(finfo["mean_weight"], abs=1e-12)
 
     def test_zero_advantages_keep_params(self, sim, policy):
-        critic = stx.make_critic(6, (), seed=44, response_index=1, gamma=0.0)
+        critic = stx.make_critic(6, (), seed=44, weights=[0.0, 1.0], gamma=0.0)
         critic.params[:] = 0.0
         traj = logged_trajectory(policy, sim, 9, rng_for(10, "a"))
         traj._store.responses[:, 1] = 0.0  # every row of its one session: advantage = r - 0 = 0
@@ -468,7 +468,8 @@ class TestMergedCriticLoop:
 
         s, _, r, s2, done = stx.batch_arrays(ds.all_transitions())
         rng = np.random.Generator(np.random.PCG64(derive_seed(8, "mc-batches")))
-        critic = stx.make_critic(s.shape[1], cfg.hidden, derive_seed(8, "mc", 0), -1, 0.8)
+        critic = stx.make_critic(s.shape[1], cfg.hidden, derive_seed(8, "mc", 0), np.ones(ds.m),
+                                 0.8)
         opt = ap.init_opt_state(critic.params.size, cfg.lr)
         for _ in range(cfg.iters):
             idx = rng.integers(len(s), size=cfg.batch_size)
@@ -476,6 +477,37 @@ class TestMergedCriticLoop:
             critic.params, opt = ap.optimizer_step(critic.params, g, opt, "minimize")
         assert len(got) == 1
         assert np.array_equal(got[0].params, critic.params)
+
+    @pytest.mark.parametrize("update", ["critic_update", "offline_actor_update_aux"])
+    def test_summed_critic_updates_read_the_summed_response(self, update):
+        """The single_summed critic keeps learning sum_i r_i after training:
+        its updates equal their steps on ``r.sum(axis=1)`` (== on the integer
+        review responses)."""
+        ds = review_dataset()
+        cfg = off.MultiCriticConfig(iters=5, batch_size=16, hidden=(6,))
+        critic, = off.multi_critic_train(ds, [0.8], "single_summed", cfg, master_seed=8)
+        traj = ds.trajectories[0]
+        s, a_idx, r, s2, done = batch = stx.batch_arrays(traj.transitions)
+        summed = r.sum(axis=1)
+        if update == "critic_update":
+            opt = ap.init_opt_state(critic.params.size, 5e-3)
+            new, _, loss = stx.critic_update(critic, batch, opt)
+            want_loss, g = stx.critic_loss_grad(critic, s, summed, s2, done)
+            assert loss == want_loss
+            assert np.array_equal(new.params, ap.optimizer_step(critic.params, g, opt,
+                                                                "minimize")[0])
+        else:
+            policy = stx.make_policy(s.shape[1], int(ds.metadata["n_items"]), (6,), seed=3)
+            opt = ap.init_opt_state(policy.params.size, 5e-3)
+            refs = [(traj, t) for t in range(len(traj))]
+            new, _, info = off.offline_actor_update_aux(policy, critic, refs, off.ISConfig(),
+                                                        opt)
+            v, target = stx.td_errors(critic, s, summed, s2, done)
+            ratios = off._ratios(refs, policy, off.ISConfig())
+            want, _, objective, _ = stx.loglik_ascent(policy, s, a_idx, ratios * (target - v),
+                                                      opt)
+            assert info["objective"] == objective
+            assert np.array_equal(new.params, want.params)
 
 
 def no_action_case(update):
@@ -489,7 +521,7 @@ def no_action_case(update):
     if update == "behavior_clone_update":
         det.behavior_clone_update(policy, batch, opt)
     elif update == "actor_update_aux":
-        critic = stx.make_critic(3, (), seed=1, response_index=1, gamma=0.5)
+        critic = stx.make_critic(3, (), seed=1, weights=[0.0, 1.0], gamma=0.5)
         stx.actor_update_aux(policy, critic, batch, opt)
     elif update == "offline_actor_update_main":
         pset = stx.build_policy_set(3, 1, 2, [1.0], [0.9, 0.5], (), seed=2)
@@ -497,8 +529,8 @@ def no_action_case(update):
                                       off.ISConfig(), opt)
     else:
         actor = det.make_det_policy(3, 2, (), seed=3)
-        critic = det.make_q_critic(3, 2, (), seed=4, response_index=0, gamma=0.9)
-        det.q_critic_update(critic, critic, actor, np.zeros((1, 2)), batch, batch[2][:, 0],
+        critic = stx.make_critic(3 + 2, (), seed=4, weights=[1.0, 0.0], gamma=0.9)
+        det.q_critic_update(critic, critic, actor, np.zeros((1, 2)), batch,
                             ap.init_opt_state(critic.params.size))
 
 
@@ -517,7 +549,7 @@ class TestCorrelation:
         critics = []
         rets = discounted_returns(chain_dataset(), gammas)  # one session's rows
         for i in range(2):
-            c = stx.make_critic(3, (), seed=i, response_index=i, gamma=gammas[i])
+            c = stx.make_critic(3, (), seed=i, weights=np.eye(2)[i], gamma=gammas[i])
             c.params[:3] = rets[:, i]
             c.params[3] = 0.0
             critics.append(c)
@@ -527,14 +559,14 @@ class TestCorrelation:
 
     def test_constant_predictor_is_undefined(self):
         ds = chain_dataset()
-        c = stx.make_critic(3, (), seed=0, response_index=0, gamma=0.9)
+        c = stx.make_critic(3, (), seed=0, weights=[1.0, 0.0], gamma=0.9)
         c.params[:] = 0.0
         corr = off.critic_return_correlation(c, ds, [0.9, 0.5])
         assert corr[0] is None and corr[1] is None
 
     def test_summed_value_correlation_runs(self):
         ds = chain_dataset(n_copies=2)
-        critics = [stx.make_critic(3, (4,), seed=i, response_index=i, gamma=0.9)
+        critics = [stx.make_critic(3, (4,), seed=i, weights=np.eye(2)[i], gamma=0.9)
                    for i in range(2)]
         val = off.summed_value_correlation(critics, ds, [0.9, 0.9])
         assert val is None or -1.0 <= val <= 1.0

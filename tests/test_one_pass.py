@@ -200,7 +200,7 @@ STATE_DIM, EMBED_DIM, N_ITEMS, M = 5, 3, 7, 3
 def det_setup(seed, hidden=(6,), batch_size=24):
     rng = np.random.default_rng(seed)
     policy = det.make_det_policy(STATE_DIM, EMBED_DIM, hidden, seed + 1)
-    critics = [det.make_q_critic(STATE_DIM, EMBED_DIM, hidden, seed + 10 + j, j, 0.9)
+    critics = [stx.make_critic(STATE_DIM + EMBED_DIM, hidden, seed + 10 + j, np.eye(M)[j], 0.9)
                for j in range(M)]
     aux = [det.make_det_policy(STATE_DIM, EMBED_DIM, hidden, seed + 20 + i)
            for i in range(M - 1)]
@@ -216,7 +216,7 @@ def det_setup(seed, hidden=(6,), batch_size=24):
 def stoch_setup(seed, hidden=(6,), batch_size=24):
     rng = np.random.default_rng(seed)
     policy = stx.make_policy(STATE_DIM, N_ITEMS, hidden, seed + 1)
-    critic = stx.make_critic(STATE_DIM, hidden, seed + 2, 0, 0.9)
+    critic = stx.make_critic(STATE_DIM, hidden, seed + 2, np.eye(M)[0], 0.9)
     s = rng.normal(size=(batch_size, STATE_DIM))
     a_idx = rng.integers(N_ITEMS, size=batch_size).astype(np.intp)
     return rng, policy, critic, s, a_idx
@@ -273,9 +273,11 @@ def test_pullback_checks_upstream():
 def test_q_critic_update_matches_multi_pass(seed, hidden):
     policy, critics, _, items, batch = det_setup(seed, hidden)
     opt = ap.init_opt_state(critics[0].params.size, 3e-3)
-    for rewards in (batch[2][:, 0], batch[2] @ np.array([0.5, 0.3, 0.2])):
-        args = (critics[0], critics[1], policy, items, batch, rewards, opt)
-        assert_same(det.q_critic_update(*args), ref_q_critic_update(*args))
+    mix = np.array([0.5, 0.3, 0.2])
+    for weights, r_i in ((np.eye(M)[0], batch[2][:, 0]), (mix, batch[2] @ mix)):
+        critic = replace(critics[0], weights=weights)
+        assert_same(det.q_critic_update(critic, critics[1], policy, items, batch, opt),
+                    ref_q_critic_update(critic, critics[1], policy, items, batch, r_i, opt))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -354,7 +356,7 @@ def test_q_critic_update_makes_three_net_passes(passes):
     policy, critics, _, items, batch = det_setup(0)
     opt = ap.init_opt_state(critics[0].params.size)
     assert passes(det.q_critic_update, critics[0], critics[1], policy, items, batch,
-                  batch[2][:, 0], opt) == 3
+                  opt) == 3
 
 
 @pytest.mark.parametrize("n_extra", [0, 1, 2])

@@ -31,7 +31,7 @@ def sequential_stage_one(sim, i, gamma, cfg, master_seed, metrics):
     policy = stx.make_policy(c.state_dim, c.n_items, cfg.hidden,
                              derive_seed(master_seed, "s1-actor", i), i)
     critic = stx.make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s1-critic", i),
-                             i, gamma)
+                             np.eye(c.m)[i], gamma)
     a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
     c_opt = ap.init_opt_state(critic.params.size, cfg.critic_lr)
     rng = rng_for(master_seed, "s1-actions", i)
@@ -77,7 +77,8 @@ def test_banked_stage_one_equals_the_sequential_loop(sim_cfg, iters, monkeypatch
     for i in range(1, m):
         policy, critic, rng = sequential_stage_one(sim, i, gammas[i], cfg, 5, want_rows)
         got_policy, got_critic = pset.auxiliaries[i - 1]
-        assert got_policy.response_index == got_critic.response_index == i
+        assert got_policy.response_index == i
+        assert np.array_equal(got_critic.weights, np.eye(m)[i])
         assert np.array_equal(got_policy.params, policy.params)
         assert np.array_equal(got_critic.params, critic.params)
         assert got_critic.gamma == critic.gamma
@@ -130,7 +131,7 @@ def sequential_stage_two(sim, aux_pairs, lambdas, gammas, cfg, master_seed, metr
     policy = stx.make_policy(c.state_dim, c.n_items, cfg.hidden,
                              derive_seed(master_seed, "s2-actor"), 0)
     critic = stx.make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s2-critic"),
-                             0, gammas[0])
+                             np.eye(c.m)[0], gammas[0])
     pset = stx.PolicySet((policy, critic), aux_pairs, lambdas, gammas)
     aux_bank = ap.bank([p for p, _ in aux_pairs])
     a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
@@ -183,7 +184,8 @@ def test_stage_two_equals_its_own_loop(sim_cfg, iters, monkeypatch):
     (policy, critic), rng = sequential_stage_two(sim, pset.auxiliaries, lambdas, gammas, cfg,
                                                  5, want_rows)
     got_policy, got_critic = pset.main
-    assert got_policy.response_index == got_critic.response_index == 0
+    assert got_policy.response_index == 0
+    assert np.array_equal(got_critic.weights, np.eye(m)[0])
     assert np.array_equal(got_policy.params, policy.params)
     assert np.array_equal(got_critic.params, critic.params)
     assert got_critic.gamma == critic.gamma
@@ -217,21 +219,24 @@ def test_pretrained_aux_gives_the_full_runs_stage_two(full_run):
 def _resized(pair, state_dim, n_items):
     policy, critic = pair
     return (stx.make_policy(state_dim, n_items, (8,), 1, policy.response_index),
-            stx.make_critic(state_dim, (8,), 2, critic.response_index, critic.gamma))
+            stx.make_critic(state_dim, (8,), 2, critic.weights, critic.gamma))
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda aux: aux[:2], "one pair per auxiliary response"),
-    (lambda aux: aux[::-1], "pretrained_aux[0]: (policy response, critic response, policy "
-                            "features, items, critic features) is (3, 3, 5, 7, 5), "
-                            "expected (1, 1, 5, 7, 5)"),
+    (lambda aux: aux[::-1], "pretrained_aux[0]: (policy response, critic weights, policy "
+                            "features, items, critic features) is (3, [0.0, 0.0, 0.0, 1.0], "
+                            "5, 7, 5), expected (1, [0.0, 1.0, 0.0, 0.0], 5, 7, 5)"),
     (lambda aux: [aux[0], (aux[1][0], aux[2][1]), aux[2]],
-     "pretrained_aux[1]: (policy response, critic response, policy features, items, critic "
-     "features) is (2, 3, 5, 7, 5), expected (2, 2, 5, 7, 5)"),
-    (lambda aux: [aux[0], _resized(aux[1], 5, 8), aux[2]], "is (2, 2, 5, 8, 5), expected"),
-    (lambda aux: [aux[0], aux[1], _resized(aux[2], 6, 7)], "is (3, 3, 6, 7, 6), expected"),
+     "pretrained_aux[1]: (policy response, critic weights, policy features, items, critic "
+     "features) is (2, [0.0, 0.0, 0.0, 1.0], 5, 7, 5), expected (2, [0.0, 0.0, 1.0, 0.0], "
+     "5, 7, 5)"),
+    (lambda aux: [aux[0], _resized(aux[1], 5, 8), aux[2]],
+     "is (2, [0.0, 0.0, 1.0, 0.0], 5, 8, 5), expected"),
+    (lambda aux: [aux[0], aux[1], _resized(aux[2], 6, 7)],
+     "is (3, [0.0, 0.0, 0.0, 1.0], 6, 7, 6), expected"),
     (lambda aux: [(aux[0][0], _resized(aux[0], 6, 7)[1]), aux[1], aux[2]],
-     "is (1, 1, 5, 7, 6), expected"),
+     "is (1, [0.0, 1.0, 0.0, 0.0], 5, 7, 6), expected"),
 ], ids=["count", "reversed", "mixed-pair", "items", "features", "critic-features"])
 def test_pretrained_aux_is_checked_against_the_simulator(full_run, edit, message):
     sim, cfg, full, _ = full_run
@@ -254,7 +259,7 @@ def test_divergence_names_the_earliest_iteration_then_the_lowest_response(
     real = stx.critic_update
 
     def poisoned(critic, batch, opt):
-        i = critic.response_index
+        i = int(np.argmax(critic.weights))
         it = calls[i] // cfg.critic_steps
         calls[i] += 1
         critic, opt, loss = real(critic, batch, opt)

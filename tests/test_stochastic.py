@@ -39,7 +39,7 @@ def actor_objective(spec, params, s, a_idx, weights):
 
 class TestCriticUpdate:
     def test_bellman_fixed_point_leaves_params(self):
-        critic = stx.make_critic(3, (), seed=0, response_index=0, gamma=0.0)
+        critic = stx.make_critic(3, (), seed=0, weights=[1.0], gamma=0.0)
         critic.params[:] = 0.0
         batch = chain_batch([0.0, 0.0, 0.0])
         opt = ap.init_opt_state(critic.params.size)
@@ -48,7 +48,7 @@ class TestCriticUpdate:
         assert np.array_equal(new_critic.params, critic.params)
 
     def test_chain_converges_to_linear_system_solution(self):
-        critic = stx.make_critic(3, (), seed=1, response_index=0, gamma=0.9)
+        critic = stx.make_critic(3, (), seed=1, weights=[1.0], gamma=0.9)
         opt = ap.init_opt_state(critic.params.size, step_size=1e-2)
         batch = chain_batch([0.0, 0.0, 1.0])
         for _ in range(4000):
@@ -57,7 +57,7 @@ class TestCriticUpdate:
         assert np.allclose(v, [0.81, 0.9, 1.0], atol=0.01)
 
     def test_zero_gamma_regresses_to_constant_reward(self):
-        critic = stx.make_critic(2, (), seed=2, response_index=0, gamma=0.0)
+        critic = stx.make_critic(2, (), seed=2, weights=[1.0], gamma=0.0)
         opt = ap.init_opt_state(critic.params.size, step_size=2e-2)
         batch = chain_batch([0.7, 0.7], state_dim=2)
         for _ in range(2000):
@@ -69,7 +69,7 @@ class TestCriticUpdate:
 class TestActorUpdateAux:
     def test_zero_advantages_give_zero_gradient(self):
         policy = stx.make_policy(2, 3, (4,), seed=3)
-        critic = stx.make_critic(2, (), seed=4, response_index=0, gamma=0.0)
+        critic = stx.make_critic(2, (), seed=4, weights=[1.0], gamma=0.0)
         critic.params[:] = 0.0  # V == 0 everywhere
         batch = single_state_batch([0, 1, 2], [0.0, 0.0, 0.0], [1.0, -1.0])
         new_policy, _, _ = stx.actor_update_aux(
@@ -78,7 +78,7 @@ class TestActorUpdateAux:
 
     def test_positive_advantage_increases_action_probability(self):
         policy = stx.make_policy(2, 2, (), seed=5)
-        critic = stx.make_critic(2, (), seed=6, response_index=0, gamma=0.0)
+        critic = stx.make_critic(2, (), seed=6, weights=[1.0], gamma=0.0)
         critic.params[:] = 0.0
         state = np.array([1.0, 0.5])
         batch = single_state_batch([0], [1.0], state)  # advantage = +1
