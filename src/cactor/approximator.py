@@ -6,15 +6,20 @@ output head.  Parameters live in a single flat float64 array whose layout
 is derived from the spec, and updates use an Adam-style optimizer.
 ``forward_pullback`` runs the net once and returns its output with a
 pullback: hand-rolled backprop (checkable against finite differences) that
-maps an upstream gradient to the parameter gradient and, if asked, the
-input gradient in one sweep.  No hidden state anywhere: callers own the arrays.
+maps an upstream gradient to gradients in one sweep.  The pullback's ``wrt``
+says which it builds: ``"params"`` the flat parameter gradient (a trainer's
+step), ``"input"`` the input gradient (dQ/da through a frozen critic) or
+``"both"`` (a critic that also trains the table its input is read from);
+the half not asked for is None and costs nothing.  No hidden state
+anywhere: callers own the arrays.
 
 Member axis: k independent nets of one architecture train as one *bank*
 whose params stack on a leading axis, shape (k, n_params) (``bank`` builds
 one).  ``forward_pullback`` then takes inputs of shape (batch, input_dim),
 shared by every member, or (k, batch, input_dim), one batch per member, and
 returns outputs (k, batch, output_dim); the pullback returns (k, n_params)
-parameter gradients and (k, batch, input_dim) input gradients.  Products
+parameter gradients (``"params"``, ``"both"``) and (k, batch, input_dim)
+input gradients (``"input"``, ``"both"``), also when x is shared.  Products
 broadcast through ``@``, so member i's results equal (==) those of a
 separate call on params[i]: numpy's stacked matmul runs the same BLAS kernel
 per member.  ``optimizer_step`` is elementwise and steps a bank as one array.
@@ -207,20 +212,31 @@ def _output_delta(kind: str, y: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return y * (upstream - np.sum(y * upstream, axis=-1, keepdims=True))
 
 
+_PULLBACK_WRT = {"params": (True, False), "input": (False, True), "both": (True, True)}
+
+
 def forward_pullback(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
     """``forward`` plus its pullback: returns ``(out, pullback)``.
 
-    ``pullback(upstream, want_input=False)`` returns the flat parameter
-    gradient of upstream . out (summed over rows) and, when ``want_input``,
-    its gradient with respect to x (else None), in one backward sweep over
-    this call's activations; no second forward runs.  For a bank (params
-    (k, n)) both gradients are per member: (k, n) and (k, batch, input_dim),
-    also when x is shared.
+    ``pullback(upstream, wrt="params")`` returns ``(param_grad,
+    input_grad)`` of upstream . out (summed over rows), from one backward
+    sweep over this call's activations; no second forward runs.  ``wrt``
+    picks what is built, and the other entry is None:
+
+    * ``"params"``: the flat parameter gradient, (n,) or (k, n) for a bank;
+      the sweep stops at the first layer;
+    * ``"input"``: the gradient with respect to x, shaped like x for one
+      net and (k, batch, input_dim) for a bank, also when x is shared; no
+      parameter gradient is formed;
+    * ``"both"``: both, each with the bits it has alone.
     """
     x, single = _check_input(spec, x)
     out, hidden, layers = _forward_pass(spec, params, x)
 
-    def pullback(upstream, want_input=False):
+    def pullback(upstream, wrt="params"):
+        if wrt not in _PULLBACK_WRT:
+            raise ValueError(f"wrt must be one of {sorted(_PULLBACK_WRT)}, got {wrt!r}")
+        want_params, want_input = _PULLBACK_WRT[wrt]
         upstream = np.asarray(upstream, dtype=np.float64)
         if single and upstream.ndim == out.ndim - 1:
             upstream = upstream[..., None, :]
@@ -233,13 +249,15 @@ def forward_pullback(spec: ApproxSpec, params: np.ndarray, x: np.ndarray):
         flat = out.shape[:-2] + (-1,)  # member axes, then one flat axis
         grads = []  # per layer from the last: b, then W
         for i in range(len(layers) - 1, -1, -1):
-            grads += [delta.sum(axis=-2), (acts[i].swapaxes(-1, -2) @ delta).reshape(flat)]
+            if want_params:
+                grads += [delta.sum(axis=-2), (acts[i].swapaxes(-1, -2) @ delta).reshape(flat)]
             if i > 0 or want_input:
                 delta = delta @ layers[i][0].swapaxes(-1, -2)
                 if i > 0:
                     delta = delta * (1.0 - acts[i] * acts[i])
+        param_grad = np.concatenate(grads[::-1], axis=-1) if want_params else None
         input_grad = (delta[..., 0, :] if single else delta) if want_input else None
-        return np.concatenate(grads[::-1], axis=-1), input_grad
+        return param_grad, input_grad
 
     return (out[..., 0, :] if single else out), pullback
 
@@ -255,7 +273,7 @@ def gradient(spec: ApproxSpec, params: np.ndarray, x: np.ndarray, upstream: np.n
 
 def input_gradient(spec: ApproxSpec, params: np.ndarray, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradient of upstream . forward(x) with respect to the input, same shape as x."""
-    return forward_pullback(spec, params, x)[1](upstream, want_input=True)[1]
+    return forward_pullback(spec, params, x)[1](upstream, wrt="input")[1]
 
 
 @dataclass(frozen=True)

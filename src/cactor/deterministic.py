@@ -74,6 +74,16 @@ def member_rows(lead: tuple) -> tuple:
     return tuple(np.broadcast_to(ix, ix.shape) for ix in np.indices((*lead, 1), sparse=True)[:-1])
 
 
+def item_table_grad(items: np.ndarray, rows, row_grads) -> np.ndarray:
+    """Zeros like ``items`` (an item table or a bank of them) with each row
+    of ``row_grads`` added to the table row that ``rows`` names, in order:
+    ``np.add.at``'s sums and bits, from one ``np.bincount`` over the flat
+    (member, item, column) cells."""
+    e = items.shape[-1]
+    cells = np.ravel_multi_index(rows, items.shape[:-1])[..., None] * e + np.arange(e)
+    return np.bincount(cells.ravel(), row_grads.ravel(), items.size).reshape(items.shape)
+
+
 def q_critic_update(critic: CriticV, target_critic: CriticV,
                     target_policy: DeterministicPolicy, items: np.ndarray,
                     batch, opt: ap.OptState):
@@ -97,9 +107,8 @@ def q_critic_update(critic: CriticV, target_critic: CriticV,
     loss = np.add.reduce(err * err, -1) / err.shape[-1]  # np.mean's bits
     if not np.isfinite(loss).all():
         return critic, opt, loss.tolist(), np.zeros_like(items)
-    grads, in_grad = pullback((2.0 * err / err.shape[-1])[..., None], want_input=True)
-    item_grad = np.zeros_like(items)
-    np.add.at(item_grad, rows, in_grad[..., s.shape[-1]:])
+    grads, in_grad = pullback((2.0 * err / err.shape[-1])[..., None], wrt="both")
+    item_grad = item_table_grad(items, rows, in_grad[..., s.shape[-1]:])
     new_params, opt = ap.optimizer_step(critic.params, grads, opt, "minimize")
     return replace(critic, params=new_params), opt, loss.tolist(), item_grad
 
@@ -117,7 +126,7 @@ def ddpg_actor_update(policy: DeterministicPolicy, critic: CriticV, batch,
     x = np.concatenate([s, a], axis=-1)
     ones = np.full((*s.shape[:-1], 1), 1.0 / s.shape[-2])
     q, critic_pullback = ap.forward_pullback(critic.spec, critic.params, x)
-    dq_da = critic_pullback(ones, want_input=True)[1][..., d:]
+    dq_da = critic_pullback(ones, wrt="input")[1][..., d:]
     mean_q = (np.add.reduce(q[..., 0], -1) / s.shape[-2]).tolist()
     if extra_critics:
         lam = validate_lambdas(lambdas_for_extra, len(extra_critics))
@@ -155,7 +164,7 @@ def constrained_det_actor_update(policy: DeterministicPolicy, aux: Deterministic
     q, critic_pullback = ap.forward_pullback(critic.spec, critic.params,
                                              np.concatenate([s, a], axis=-1))
     q = q[..., 0]
-    dq_da = critic_pullback(np.ones((*q.shape, 1)), want_input=True)[1][..., s.shape[-1]:]
+    dq_da = critic_pullback(np.ones((*q.shape, 1)), wrt="input")[1][..., s.shape[-1]:]
     # d/da of h(a)*q(a)/total, averaged over the batch
     d_obj_da = (h / total)[..., None] * (dq_da - q[..., None] * pull) / n
     grads = policy_pullback(d_obj_da)[0]
@@ -226,6 +235,16 @@ class DDPGPipeline:
     metrics: list
 
 
+def reward_name(weights) -> str:
+    """How a divergence error names a critic: "response i" for the one-hot
+    reward row e_i, else "reward weights" and the row."""
+    weights = np.asarray(weights, dtype=np.float64)
+    i = int(np.argmax(weights))
+    if np.array_equal(weights, np.eye(len(weights))[i]):
+        return f"response {i}"
+    return f"reward weights {weights.tolist()}"
+
+
 def _train_ddpg_core(data, n_items, gammas, weights, cfg: DDPGConfig, master_seed,
                      labels, stage_label=2, lambdas=None, aux=None):
     """Shared loop of the DDPG-family trainers on ``data``, the
@@ -236,20 +255,20 @@ def _train_ddpg_core(data, n_items, gammas, weights, cfg: DDPGConfig, master_see
     member.
 
     ``gammas[i][j]`` and ``weights[i][j]`` are member i's discount and reward
-    row for critic j, named for response j (a lone critic for its member's
-    label).  With ``aux``, a bank of frozen auxiliary actors,
-    the actor takes the constrained step (kernel pull toward them); otherwise
+    row for critic j; ``reward_name`` of the row names the critic.  With
+    ``aux``, a bank of frozen auxiliary actors, the actor takes the
+    constrained step (kernel pull toward them); otherwise
     it ascends Q_0 + sum_j lambdas_j * Q_j over the other critics (plain DDPG
     with one critic, RCPO with several).
 
     Each member keeps its own seeds, minibatch stream, copy of the item
     table (all start from the one named "items"), targets and metric rows,
     so it ends as if trained alone.  A non-finite critic loss raises
-    TrainingDiverged naming the response, the stage and the step; when
+    TrainingDiverged naming the critic, the stage and the step; when
     several members diverge, the earliest step is named, and on a tie the
     first member.
     """
-    k, n_critics = len(labels), len(gammas[0])
+    k = len(labels)
     state_dim = data[0].shape[1]
     items = np.stack([init_item_table(n_items, cfg.embed_dim,
                                       derive_seed(master_seed, "items"))] * k)
@@ -269,8 +288,8 @@ def _train_ddpg_core(data, n_items, gammas, weights, cfg: DDPGConfig, master_see
     c_opts = [ap.init_opt_state(c.params.shape, cfg.critic_lr) for c in banks]
     a_opt = ap.init_opt_state(policy.params.shape, cfg.actor_lr)
     rngs = [rng_for(master_seed, "ddpg-batches", label) for label in labels]
-    names = [[f"response {j if n_critics > 1 else label} in stage {stage_label}"
-              for label in labels] for j in range(n_critics)]
+    names = [[f"{reward_name(w)} in stage {stage_label}" for w in rows]
+             for rows in zip(*weights)]
 
     metrics = [[] for _ in labels]
     for step in range(cfg.updates):

@@ -152,8 +152,15 @@ def batch_arrays(batch):
 
 
 def gather(data, idx):
-    """Rows ``idx`` of every array of a ``batch_arrays`` tuple (None stays None)."""
-    return tuple(None if x is None else x[idx] for x in data)
+    """Rows ``idx``, integer indices of any shape, of every array of a
+    ``batch_arrays`` tuple (None stays None): ``x[idx]``'s rows and bits
+    through ``take``.  ``take`` would read a boolean mask as rows 0 and 1,
+    so a mask is rejected; pass ``np.flatnonzero(mask)``."""
+    idx = np.asarray(idx)
+    if idx.dtype == bool:
+        raise ValueError("gather takes integer row indices, not a boolean mask; "
+                         "pass np.flatnonzero(mask)")
+    return tuple(None if x is None else x.take(idx, axis=0) for x in data)
 
 
 def td_errors(critic: CriticV, s, r_i, s2, done):
@@ -233,7 +240,7 @@ def loglik_ascent(policy: StochasticPolicy, s, a_idx, w, opt: ap.OptState, forwa
         raise ValueError("batch lacks action indices")
     keep = np.isfinite(w)
     if not np.all(keep):
-        s, a_idx, w = gather((s, a_idx, w), keep)
+        s, a_idx, w = gather((s, a_idx, w), np.flatnonzero(keep))
         forward = None
     if a_idx.size == 0:
         return policy, opt, float("nan"), float("nan")
@@ -302,7 +309,8 @@ def actor_update_main(policy_set: PolicySet, batch, opt: ap.OptState,
     adv = target - v
     keep = np.isfinite(adv)
     if not np.all(keep):
-        s, a_idx, adv, behavior_prob = gather((s, a_idx, adv, behavior_prob), keep)
+        s, a_idx, adv, behavior_prob = gather((s, a_idx, adv, behavior_prob),
+                                                np.flatnonzero(keep))
     aux_p = _logged_probs([p for p, _ in policy_set.auxiliaries], s, a_idx)
     forward = ap.forward_pullback(policy.spec, policy.params, s)
     cur = forward[0][np.arange(a_idx.size), a_idx] if behavior_prob is None else behavior_prob

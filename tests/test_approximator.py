@@ -350,9 +350,12 @@ def test_forward_equals_out_of_place_reference_and_writes_no_caller_array(
     assert _bitwise_equal(params, params0) and _bitwise_equal(x, x0)
     out, pullback = ap.forward_pullback(spec, params, x)
     assert _bitwise_equal(out, ref_out)
-    grad, none = pullback(upstream)
+    # each mode builds its half of "both" with the same bits
+    grad, none = pullback(upstream, wrt="params")
     assert none is None and _bitwise_equal(grad, ref_grad)
-    grad, xgrad = pullback(upstream, want_input=True)
+    none, xgrad = pullback(upstream, wrt="input")
+    assert none is None and _bitwise_equal(xgrad, ref_xgrad)
+    grad, xgrad = pullback(upstream, wrt="both")
     assert _bitwise_equal(grad, ref_grad) and _bitwise_equal(xgrad, ref_xgrad)
     assert _bitwise_equal(params, params0) and _bitwise_equal(x, x0)
 

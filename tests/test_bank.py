@@ -167,7 +167,8 @@ def ref_actor_update_main(policy_set, batch, opt, clip_max=20.0, weight_floor=0.
     adv = target - v
     keep = np.isfinite(adv)
     if not np.all(keep):
-        s, a_idx, adv, behavior_prob = stx.gather((s, a_idx, adv, behavior_prob), keep)
+        s, a_idx, adv, behavior_prob = stx.gather((s, a_idx, adv, behavior_prob),
+                                                    np.flatnonzero(keep))
     aux = [p for p, _ in policy_set.auxiliaries]
     if behavior_prob is None:
         p = ref_logged_probs([policy] + aux, s, a_idx)
@@ -201,14 +202,14 @@ def test_stacked_forward_pullback_equals_single_calls(seed, head, depth, batch, 
     upstream = rng.normal(size=(k, o) if inputs == "1-d" else (k, batch, o))
 
     out, pullback = ap.forward_pullback(spec, params, x)
-    param_grad, input_grad = pullback(upstream, want_input=True)
+    param_grad, input_grad = pullback(upstream, wrt="both")
     assert out.shape == upstream.shape and param_grad.shape == params.shape
     assert input_grad.shape == ((k, d) if inputs == "1-d" else (k, batch, d))
     for i in range(k):
         x_i = x[i] if inputs == "member" else x
         out_i, pullback_i = ap.forward_pullback(spec, params[i], x_i)
         assert_same(out[i], out_i)
-        assert_same((param_grad[i], input_grad[i]), pullback_i(upstream[i], want_input=True))
+        assert_same((param_grad[i], input_grad[i]), pullback_i(upstream[i], wrt="both"))
         assert_same(pullback(upstream)[0][i], pullback_i(upstream[i])[0])
 
 
@@ -266,7 +267,7 @@ def ref_item_grad(critic, target_critic, target_policy, items, batch, rewards):
     q, pullback = ap.forward_pullback(critic.spec, critic.params,
                                       np.concatenate([s, items[rows]], axis=-1))
     err = q[..., 0] - y
-    in_grad = pullback((2.0 * err / err.shape[-1])[..., None], want_input=True)[1]
+    in_grad = pullback((2.0 * err / err.shape[-1])[..., None], wrt="both")[1]
     item_grad = np.zeros_like(items)
     np.add.at(item_grad, rows, in_grad[..., s.shape[-1]:])
     return item_grad
@@ -301,6 +302,26 @@ def test_q_critic_update_item_gradient_equals_np_indices_scatter(k):
     opt = ap.init_opt_state(critic.params.shape)
     got = det.q_critic_update(critic, critic, policy, items, batch, opt)[3]
     assert_same(got, ref_item_grad(critic, critic, policy, items, batch, batch[2][..., 0]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (1,), (3,), (2, 3)]),
+       st.integers(1, 5), st.integers(1, 40), st.integers(1, 4))
+def test_item_table_grad_equals_np_add_at(seed, lead, n_items, n, embed):
+    """bincount's sums start from +0.0 and add in row order, as np.add.at's
+    do, so the bits agree, signed zeros included; few items repeat rows."""
+    rng = np.random.default_rng(seed)
+    items = rng.normal(size=(*lead, n_items, embed))
+    rows = (*det.member_rows(lead), rng.integers(n_items, size=(*lead, n)))
+    row_grads = rng.normal(size=(*lead, n, embed))
+    zeros = rng.random(row_grads.shape)
+    row_grads[zeros < 0.3] = 0.0
+    row_grads[zeros > 0.7] = -0.0
+    want = np.zeros_like(items)
+    np.add.at(want, rows, row_grads)
+    got = det.item_table_grad(items, rows, row_grads)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_q_critic_update_on_a_bank_with_member_rewards_equals_member_calls():

@@ -2,6 +2,7 @@
 keep working with the workloads it builds (their ``_Steps``, their warm-up
 calls and their step kinds)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "cycle_faults.py"
     ("online_two_stage", ["iteration"], False, {}),
     ("offline_ddpg", ["train_constrained_ddpg"], False,
      {"deterministic.q_critic_update": 50, "deterministic.ddpg_actor_update": 25,
-      "deterministic.constrained_det_actor_update": 25, "approximator.optimizer_step": 150}),
+      "deterministic.constrained_det_actor_update": 25, "deterministic.gather": 50,
+      "approximator.optimizer_step": 150}),
     ("offline_review", ["save_dataset", "load_dataset", "multi_critic_train",
                         "offline_actor_update_aux", "offline_actor_update_main",
                         "ncis_evaluate"], True, {}),
@@ -27,6 +29,7 @@ def test_prints_every_phase_and_step_kind(workload, kinds, split, calls):
     lines = out.splitlines()
     assert lines[0].startswith(f"{workload} seed 1: 0 warm-up cycles, 1 timed, 0 failed ops")
     assert float(lines[0].split("median job ")[1].split()[0]) > 0
+    assert re.fullmatch(r"[0-9a-f]{64}", lines[0].rsplit(", digest ", 1)[1])
     phases = [ln.rsplit(maxsplit=2)[0] for ln in lines[2:8]]
     assert phases == ["import stdlib, parse args", "import numpy", "import cactor, workloads",
                       "input build", "warm-up", "total"]
@@ -35,8 +38,8 @@ def test_prints_every_phase_and_step_kind(workload, kinds, split, calls):
     # columns: kind, steps/cycle, median ms, faults/cycle, ref ms
     assert all((r[3] != "-") == split and float(r[4]) > 0 for r in rows)
     assert lines[9 + len(kinds)].startswith("cycle")
-    # the per-call table: each of a cycle's 2 x 25 bank steps makes one critic step, one
-    # actor step and three optimizer steps (critic, item table, actor)
+    # the per-call table: each of a cycle's 2 x 25 bank steps makes one minibatch gather,
+    # one critic step, one actor step and three optimizer steps (critic, item table, actor)
     table = [ln.split() for ln in lines[11 + len(kinds):]] if calls else []
     assert {r[0]: float(r[1]) for r in table} == calls
     assert all(float(r[2]) > 0 and float(r[3]) > 0 for r in table)

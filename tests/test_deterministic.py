@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -337,14 +338,27 @@ class TestOfflineTrainers:
     @pytest.mark.parametrize("trainer,where", [
         ("constrained", "response 1 in stage 1"),
         ("rcpo", "response 1 in stage 2"),
+        ("weighted", "reward weights [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0] in stage 2"),
+        ("weighted-one-hot", "response 1 in stage 2"),
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_critic_loss_raises(self, dataset, trainer, where):
+        """A critic is named by its reward row: "response i" for e_i, else
+        the row itself, whichever member or trainer it belongs to."""
         ds = copy.deepcopy(dataset)
         for tr in ds.all_transitions():
             tr.response[1] = 1e308
         cfg = det.DDPGConfig(updates=5, batch_size=16)
-        train = det.train_constrained_ddpg if trainer == "constrained" else det.train_rcpo
-        with pytest.raises(stx.TrainingDiverged,
-                           match=f"critic for {where} diverged at iteration 0: loss inf"):
-            train(ds, np.full(7, 0.5), np.full(8, 0.9), cfg, master_seed=3)
+        train = {
+            "constrained": lambda: det.train_constrained_ddpg(
+                ds, np.full(7, 0.5), np.full(8, 0.9), cfg, master_seed=3),
+            "rcpo": lambda: det.train_rcpo(ds, np.full(7, 0.5), np.full(8, 0.9), cfg,
+                                           master_seed=3),
+            "weighted": lambda: det.train_ddpg_weighted(ds, [1.0, 0.5] + [0.0] * 6, 0.9, cfg,
+                                                        master_seed=3),
+            "weighted-one-hot": lambda: det.train_ddpg_weighted(ds, np.eye(8)[1], 0.9, cfg,
+                                                                master_seed=3),
+        }[trainer]
+        with pytest.raises(stx.TrainingDiverged, match=re.escape(
+                f"critic for {where} diverged at iteration 0: loss inf")):
+            train()

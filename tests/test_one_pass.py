@@ -246,7 +246,7 @@ def test_forward_pullback_equals_forward_and_multi_pass_gradients(seed, head, de
     param_grad, none = pullback(upstream)
     assert none is None
     assert_same(param_grad, _gradient(spec, params, x, upstream))
-    both = pullback(upstream, want_input=True)
+    both = pullback(upstream, wrt="both")
     assert_same(both, (_gradient(spec, params, x, upstream),
                        _input_gradient(spec, params, x, upstream)))
     assert both[1].shape == x.shape
@@ -260,7 +260,10 @@ def test_pullback_checks_upstream():
     with pytest.raises(ValueError, match=r"upstream has shape \(4, 1\), expected \(4, 2\)"):
         pullback(np.ones((4, 1)))
     with pytest.raises(ValueError, match="non-finite entries in upstream"):
-        pullback(np.full((4, 2), np.inf), want_input=True)
+        pullback(np.full((4, 2), np.inf), wrt="both")
+    with pytest.raises(ValueError, match=r"wrt must be one of \['both', 'input', 'params'\], "
+                                         r"got True"):
+        pullback(np.ones((4, 2)), wrt=True)
 
 
 # ---------------------------------------------------------------------------

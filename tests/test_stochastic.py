@@ -37,6 +37,30 @@ def actor_objective(spec, params, s, a_idx, weights):
     return float(np.mean(weights * np.log(p[np.arange(a_idx.size), a_idx])))
 
 
+class TestGather:
+    @pytest.mark.parametrize("idx", [[4, 0, 4, 9], [[1, 2, 3], [3, 3, -1]], [], [[]], 7],
+                             ids=["rows", "member-rows", "empty", "empty-members", "scalar"])
+    def test_equals_fancy_indexing(self, idx):
+        rng = np.random.default_rng(3)
+        data = (rng.normal(size=(10, 4)), rng.integers(5, size=10), rng.normal(size=(10, 2)),
+                None, rng.random(10) < 0.5)
+        idx = np.array(idx, dtype=np.intp)
+        got = stx.gather(data, idx)
+        assert got[3] is None
+        for g, x in zip(got, data):
+            if x is not None:
+                want = x[idx]
+                assert g.shape == want.shape and g.dtype == want.dtype
+                assert g.tobytes() == want.tobytes()
+
+    def test_rejects_a_boolean_mask(self):
+        data = (np.arange(6.0).reshape(3, 2), None)
+        with pytest.raises(ValueError, match=r"not a boolean mask; pass np.flatnonzero\(mask\)"):
+            stx.gather(data, np.array([True, False, True]))
+        assert stx.gather(data, np.flatnonzero([True, False, True]))[0].tolist() == [
+            [0.0, 1.0], [4.0, 5.0]]
+
+
 class TestCriticUpdate:
     def test_bellman_fixed_point_leaves_params(self):
         critic = stx.make_critic(3, (), seed=0, weights=[1.0], gamma=0.0)

@@ -19,7 +19,10 @@ reports its timings: bench/calibrate.py's fixed job runs right before and
 right after every cycle, and the cycle's times are scaled by
 ``calibrate.scale`` of those two runs.  The first line gives the median
 wall ms of the job over the timed cycles (calibrate.REF_MS on the
-reference host).
+reference host) and the digest of the last cycle's result, which a change
+that must keep every bit can compare with its parent's.  The times are
+not calibrated across processes: compare them within one run, or beside
+bench/run.py.
 
 Printed, per step kind (the steps a cycle reports, one per ``_Steps.mark``
 or one per metric row): the steps per cycle, the median wall ms of one
@@ -72,6 +75,7 @@ WARMUP_CALL = {"online_two_stage": "train_two_stage",
 TIMED_CALLS = {"offline_ddpg": (("deterministic", "q_critic_update"),
                                 ("deterministic", "ddpg_actor_update"),
                                 ("deterministic", "constrained_det_actor_update"),
+                                ("deterministic", "gather"),
                                 ("approximator", "optimizer_step"))}
 
 
@@ -220,7 +224,8 @@ def main(argv=None) -> int:
 
     print(f"{args.workload} seed {args.seed}: {args.warmup} warm-up cycles, "
           f"{args.cycles} timed, {failed} failed ops, numpy {np.__version__}, "
-          f"median job {statistics.median(job_ms):.2f} ms (ref {calibrate.REF_MS} ms)")
+          f"median job {statistics.median(job_ms):.2f} ms (ref {calibrate.REF_MS} ms), "
+          f"digest {result.digest}")
     print(f"{'set-up phase':<28}{'ms':>10}{'faults':>10}")
     for name, ms, faults in phases.rows:
         print(f"{name:<28}{ms:>10.1f}{faults:>10d}")
