@@ -112,9 +112,8 @@ def bank(nets, **fields):
     """One net standing for ``nets`` (objects with ``spec`` and ``params``,
     e.g. policies or critics of one architecture): a copy of the first whose
     params stack every member's on a leading member axis.  ``fields``
-    replace other attributes; any other field (a policy's response_index)
-    and the spec are the first member's, of which only the spec's
-    architecture is used.  Critics stack their weights and discounts too
+    replace other attributes; any other field and the spec are the first
+    member's, of which only the spec's architecture is used.  Critics stack their weights and discounts too
     through ``stochastic.critic_bank``."""
     if not nets:
         raise ValueError("a bank needs at least one member")

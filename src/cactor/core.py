@@ -1,5 +1,5 @@
-"""Vector-reward MDP vocabulary: states, transitions, trajectories, returns,
-and the columnar dataset that holds logged sessions.
+"""Vector-reward MDP vocabulary: states, transitions, trajectories, TD
+targets, and the columnar dataset that holds logged sessions.
 
 Conventions used throughout the package:
   * rewards are length-m response vectors and element 0 is the main response;
@@ -294,27 +294,6 @@ def check_discounts(gammas, m: int) -> np.ndarray:
     return gammas
 
 
-def discounted_returns(dataset: ReplayDataset, discounts) -> np.ndarray:
-    """Per-step vector returns of every session of ``dataset``: returns[t] =
-    response[t] + gammas * returns[t+1] inside a session, zero past its final
-    step.  Shape (rows, m).
-
-    All sessions step back from their ends together, with the arithmetic of
-    a one-session loop, so each session's returns do not depend on the
-    others."""
-    gammas = check_discounts(discounts, dataset.m)
-    rewards, offsets = dataset.responses, dataset.offsets
-    ends, lengths = offsets[1:], np.diff(offsets)
-    out = np.zeros_like(rewards)
-    acc = np.zeros((lengths.size, dataset.m))
-    for back in range(int(lengths.max(initial=0))):
-        live = np.flatnonzero(lengths > back)
-        rows = ends[live] - 1 - back
-        acc[live] = rewards[rows] + gammas * acc[live]
-        out[rows] = acc[live]
-    return out
-
-
 def td_target(response_i, gamma_i: float, v_next, done):
     """response_i + gamma_i * V(s'), bootstrapping 0 past the end of a session.
 
@@ -326,19 +305,6 @@ def td_target(response_i, gamma_i: float, v_next, done):
     if in_range is not True and not np.all(in_range):  # np.all only for arrays
         raise ValueError("gamma must lie in [0, 1)")
     return response_i + gamma_i * np.where(done, 0.0, v_next)
-
-
-def rank_items(action: np.ndarray, item_embeddings: np.ndarray) -> int:
-    """Index of the candidate with the largest dot product against the action
-    embedding; ties break toward the lowest index.  This need not be the
-    nearest item, the mode of the evaluators' ``det_policy_item_probs``."""
-    action = np.asarray(action, dtype=np.float64)
-    items = np.asarray(item_embeddings, dtype=np.float64)
-    if items.ndim != 2 or items.shape[0] == 0:
-        raise ValueError("item_embeddings must be a non-empty (n_items, dim) matrix")
-    if items.shape[1] != action.size:
-        raise ValueError("action and item embeddings disagree on dimension")
-    return int(np.argmax(items @ action))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ actor through a closeness kernel h), and a behavior-cloning baseline.
 
 Actors emit action embeddings in (-1, 1)^d through a tanh head, scored
 against a per-pipeline item-embedding table learned jointly with the
-critics.  Two rules map an embedding to an item and can disagree:
-``det_policy_item_probs`` (the evaluators') favours the nearest item,
-``core.rank_items`` the largest dot product.  The closeness kernel is
+critics.  An embedding maps to items through ``det_policy_item_probs``,
+which favours the nearest item.  The closeness kernel is
 h(a, b) = exp(-||a - b||^2 / 2), so h(a, a) = 1 and 0 < h <= 1.
 
 The critics are ``stochastic.CriticV`` nets on state and action
@@ -31,9 +30,9 @@ import numpy as np
 from . import approximator as ap
 from .core import ReplayDataset, check_config, check_discounts, td_target
 from .seeding import derive_seed, rng_for
-from .stochastic import (CriticV, StochasticPolicy, _check_critic_loss, critic_bank,
-                         critic_rewards, gather, loglik_ascent, make_critic, make_policy,
-                         validate_lambdas)
+from .stochastic import (CriticV, StochasticPolicy, _check_critic_loss, constrained_lambdas,
+                         critic_bank, critic_rewards, gather, loglik_ascent, make_critic,
+                         make_policy, validate_lambdas)
 from .stochastic import batch_arrays  # noqa: F401  (a binding bench/tracer.py wraps)
 
 
@@ -41,15 +40,14 @@ from .stochastic import batch_arrays  # noqa: F401  (a binding bench/tracer.py w
 class DeterministicPolicy:
     spec: ap.ApproxSpec
     params: np.ndarray
-    response_index: int = 0
 
     def act(self, features) -> np.ndarray:
         return ap.forward(self.spec, self.params, features)
 
 
-def make_det_policy(state_dim, embed_dim, hidden, seed, response_index=0) -> DeterministicPolicy:
+def make_det_policy(state_dim, embed_dim, hidden, seed) -> DeterministicPolicy:
     spec = ap.ApproxSpec(state_dim, tuple(hidden), embed_dim, "tanh", seed)
-    return DeterministicPolicy(spec, ap.init_params(spec), response_index)
+    return DeterministicPolicy(spec, ap.init_params(spec))
 
 
 def q_value(critic: CriticV, features, actions) -> np.ndarray:
@@ -143,10 +141,8 @@ def constrained_det_actor_update(policy: DeterministicPolicy, aux: Deterministic
     ``batch_arrays`` tuple) of prod_i h(pi(s), pi_aux_i(s))^(lambda_i/sum) *
     Q(s, pi(s)) / sum(lambda); the bank ``aux`` of auxiliary actors and the
     critic are frozen.  The auxiliary actions come from one stacked pass."""
-    lam = validate_lambdas(lambdas, len(aux.params))
+    lam = constrained_lambdas(lambdas, len(aux.params))
     total = lam.sum()
-    if total <= 0.0:
-        raise ValueError("sum of Lagrange multipliers must be positive")
     s = batch[0]
     n = s.shape[-2]
     a, policy_pullback = ap.forward_pullback(policy.spec, policy.params, s)
@@ -190,8 +186,7 @@ def det_policy_item_probs(policy: DeterministicPolicy, items: np.ndarray,
     """Discrete action distribution induced by a deterministic policy: a
     Gaussian kernel of bandwidth 0.5 around pi(s), normalized over the
     item-embedding table.  Used by the off-policy evaluators, which need
-    probabilities.  Its mode is the item nearest to pi(s), which need not be
-    ``core.rank_items``'s largest dot product."""
+    probabilities.  Its mode is the item nearest to pi(s)."""
     a = np.atleast_2d(policy.act(features))
     d2 = (np.sum(a * a, axis=1, keepdims=True)
           + np.sum(items * items, axis=1)[None, :]
@@ -275,7 +270,7 @@ def _train_ddpg_core(data, n_items, gammas, weights, cfg: DDPGConfig, master_see
     items_opt = ap.init_opt_state((k, items[0].size), cfg.items_lr)
 
     policies = [make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
-                                derive_seed(master_seed, "actor", label), label)
+                                derive_seed(master_seed, "actor", label))
                 for label in labels]
     critics = [[make_critic(state_dim + cfg.embed_dim, cfg.hidden,
                             derive_seed(master_seed, "critic", label, j), w, g)
@@ -366,7 +361,7 @@ def train_constrained_ddpg(dataset: ReplayDataset, lambdas, gammas,
     if dataset.m < 2:
         raise ValueError(f"need at least one auxiliary response (m >= 2), got m={dataset.m}")
     gammas = check_discounts(gammas, dataset.m)
-    lam = validate_lambdas(lambdas, dataset.m - 1)
+    lam = constrained_lambdas(lambdas, dataset.m - 1)
 
     data = dataset.arrays()
     n_items = int(dataset.metadata["n_items"])

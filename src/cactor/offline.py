@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import approximator as ap
-from .core import (ReplayDataset, Trajectory, check_config, check_discounts,
-                   discounted_returns)
+from .core import ReplayDataset, Trajectory, check_config, check_discounts
 from .seeding import derive_seed, rng_for
 from .stochastic import (CriticV, PolicySet, StochasticPolicy, _check_critic_loss,
                          actor_update_main, critic_bank, critic_loss_grad, critic_rewards,
@@ -228,51 +227,6 @@ def multi_critic_train(dataset: ReplayDataset, gammas, mode: str,
         params, opt = ap.optimizer_step(bank.params, grads, opt, "minimize")
         bank = replace(bank, params=params)
     return [replace(c, params=bank.params[i]) for i, c in enumerate(critics)]
-
-
-def pearson(x, y) -> float | None:
-    """Pearson correlation; None when either side has zero variance."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-
-
-def critic_return_correlation(critics, dataset: ReplayDataset,
-                              discounts) -> dict[int, float | None]:
-    """Pearson correlation between predicted state values and realized
-    Monte Carlo discounted returns, per response.
-
-    ``critics`` is either a list with one critic per response (separate
-    mode) or a single critic whose predictions are compared against every
-    response's return (single_summed mode).  Zero-variance predictions
-    yield None, not 0.
-    """
-    gammas = check_discounts(discounts, dataset.m)
-    s = dataset.states
-    ret = discounted_returns(dataset, gammas)
-
-    single = isinstance(critics, CriticV)
-    out = {}
-    for i in range(dataset.m):
-        critic = critics if single else critics[i]
-        pred = ap.forward(critic.spec, critic.params, s)[:, 0]
-        out[i] = pearson(pred, ret[:, i])
-    return out
-
-
-def summed_value_correlation(critics, dataset: ReplayDataset, discounts) -> float | None:
-    """Correlation of the summed separate-critic prediction (V_sep = sum_i V_i)
-    with the Monte Carlo return of the summed reward."""
-    gammas = check_discounts(discounts, dataset.m)
-    s = dataset.states
-    mc = discounted_returns(dataset, gammas).sum(axis=1)
-    pred = np.zeros(s.shape[0])
-    for critic in critics:
-        pred += ap.forward(critic.spec, critic.params, s)[:, 0]
-    return pearson(pred, mc)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@ rolling them one after another.  The same holds when several learners share
 one rollout (``stochastic.collect_batch``): each keeps its own action stream,
 drawn only for its own episodes, so each learner's episodes and the state of
 its stream afterwards are those of a rollout of that learner alone.  In the
-online loop (``stochastic._actor_critic``), auxiliary i's streams are (master
-seed, "s1-actor" | "s1-critic" | "s1-actions", i), and episode e of
-iteration it is (master seed, "s1-ep", it, e) for every auxiliary: all of
-them roll the same episodes, each with its own actions.  The main pair's
-streams are the same without i, under "s2-".
+online loop (``stochastic._actor_critic``), stage one
+(``stochastic.train_stage_one``) names auxiliary i's streams (master seed,
+"s1-actor" | "s1-critic" | "s1-actions", i), and episode e of iteration it
+(master seed, "s1-ep", it, e) for every auxiliary: all of them roll the
+same episodes, each with its own actions.  Stage two
+(``stochastic.train_stage_two``) names the main pair's streams the same
+way without i, under "s2-".  ``train_two_stage`` runs the two stages in
+turn, so each stage draws the same bits alone as in a full run.
 """
 
 from __future__ import annotations

@@ -39,12 +39,10 @@ def _check_critic_loss(loss: float, response: str, iteration: int):
 
 @dataclass
 class StochasticPolicy:
-    """Softmax policy over a discrete item set.  ``response_index`` names the
-    response this policy was trained to optimize (0 = main)."""
+    """Softmax policy over a discrete item set."""
 
     spec: ap.ApproxSpec
     params: np.ndarray
-    response_index: int = 0
 
     def probs(self, features) -> np.ndarray:
         return ap.forward(self.spec, self.params, features)
@@ -68,9 +66,9 @@ class CriticV:
     gamma: float
 
 
-def make_policy(state_dim, n_items, hidden, seed, response_index=0) -> StochasticPolicy:
+def make_policy(state_dim, n_items, hidden, seed) -> StochasticPolicy:
     spec = ap.ApproxSpec(state_dim, tuple(hidden), n_items, "softmax", seed)
-    return StochasticPolicy(spec, ap.init_params(spec), response_index)
+    return StochasticPolicy(spec, ap.init_params(spec))
 
 
 def make_critic(state_dim, hidden, seed, weights, gamma) -> CriticV:
@@ -123,13 +121,23 @@ def validate_lambdas(lambdas, n_aux: int) -> np.ndarray:
     return lam
 
 
+def constrained_lambdas(lambdas, n_aux: int) -> np.ndarray:
+    """``validate_lambdas`` for the constrained updates, which divide by the
+    multipliers' sum, so all-zero multipliers are rejected too."""
+    lam = validate_lambdas(lambdas, n_aux)
+    if lam.sum() <= 0.0:
+        raise ValueError("sum of Lagrange multipliers must be positive; "
+                         "use the unconstrained update when all are zero")
+    return lam
+
+
 def build_policy_set(state_dim, n_items, m, lambdas, gammas, hidden, seed) -> PolicySet:
-    main, *aux = [(make_policy(state_dim, n_items, hidden, derive_seed(seed, "actor", i), i),
+    gammas = check_discounts(gammas, m)
+    main, *aux = [(make_policy(state_dim, n_items, hidden, derive_seed(seed, "actor", i)),
                    make_critic(state_dim, hidden, derive_seed(seed, "critic", i), np.eye(m)[i],
                                gammas[i]))
                   for i in range(m)]
-    return PolicySet(main, aux, np.asarray(lambdas, dtype=np.float64),
-                     np.asarray(gammas, dtype=np.float64))
+    return PolicySet(main, aux, np.asarray(lambdas, dtype=np.float64), gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +284,8 @@ def constrained_weights_batch(aux_probs, cur_probs, lambdas, advantages,
     if not (clip_max > 0.0 and 0.0 <= floor <= clip_max):  # NaN fails too
         raise ValueError(f"need clip_max > 0 and 0 <= floor <= clip_max, got "
                          f"clip_max={clip_max} and floor={floor}")
-    lam = validate_lambdas(lambdas, aux_probs.shape[0])
+    lam = constrained_lambdas(lambdas, aux_probs.shape[0])
     total = lam.sum()
-    if total <= 0.0:
-        raise ValueError("sum of Lagrange multipliers must be positive; "
-                         "use the unconstrained update when all are zero")
     if np.any(cur_probs <= 0.0) or np.any(aux_probs <= 0.0):
         raise ValueError("probabilities must be positive")
     log_w = (lam / total) @ (np.log(aux_probs) - np.log(cur_probs)[None, :])
@@ -429,8 +434,8 @@ def _actor_critic(sim: SessionSimulator, stage: int, responses, gammas, iters: i
     c, s, name = sim.config, f"s{stage}", ("one", "two")[stage - 1]
     paths = [(i,) if i else () for i in responses]
     policies = [make_policy(c.state_dim, c.n_items, cfg.hidden,
-                            derive_seed(master_seed, f"{s}-actor", *path), i)
-                for path, i in zip(paths, responses)]
+                            derive_seed(master_seed, f"{s}-actor", *path))
+                for path in paths]
     critics = [make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, f"{s}-critic", *path),
                            np.eye(c.m)[i], gammas[i])
                for path, i in zip(paths, responses)]
@@ -466,51 +471,44 @@ def _aux_step(policy, critic, batch, opt):
     return policy, opt, {"actor_objective": info["objective"], "mean_weight": ""}
 
 
-def _check_pretrained_aux(pairs, c) -> list:
-    """``pretrained_aux`` as a list, checked against the simulator: pair j
-    must be response j + 1's (critic weights e_{j+1}), with nets that fit
-    its state and item counts."""
-    pairs = list(pairs)
-    if len(pairs) != c.m - 1:
-        raise ValueError("pretrained_aux must supply one pair per auxiliary response")
-    for j, (policy, critic) in enumerate(pairs):
-        got = (policy.response_index, critic.weights.tolist(),
-               policy.spec.input_dim, policy.spec.output_dim, critic.spec.input_dim)
-        want = (j + 1, np.eye(c.m)[j + 1].tolist(), c.state_dim, c.n_items, c.state_dim)
-        if got != want:
-            raise ValueError(f"pretrained_aux[{j}]: (policy response, critic weights, policy "
-                             f"features, items, critic features) is {got}, expected {want}")
-    return pairs
+def train_stage_one(sim: SessionSimulator, gammas, cfg: TwoStageConfig, master_seed: int,
+                    metrics: list | None = None) -> list:
+    """Stage one: one actor-critic pair per auxiliary response, response 1's
+    first, trained as one bank on ``_actor_critic`` whose actor step is
+    ``actor_update_aux``.
 
-
-def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
-                    master_seed: int, pretrained_aux=None,
-                    metrics: list | None = None) -> PolicySet:
-    """Full two-stage run on a simulator, both stages on one actor-critic
-    loop (``_actor_critic``).
-
-    Stage one fits one actor-critic pair per auxiliary response, as one bank
-    whose actor step is ``actor_update_aux``; it is skipped if
-    ``pretrained_aux`` supplies the pairs (response 1's first), e.g. when
-    sweeping multipliers that only affect stage two.  Stage two trains the
-    main pair as a bank of one whose actor step is ``actor_update_main``
-    against the frozen auxiliaries.
-
-    ``metrics`` receives one row per auxiliary and stage-one iteration,
+    ``metrics`` receives one row per auxiliary and iteration,
     iteration-major (every auxiliary's row of iteration 0 in response order,
-    then iteration 1, ...), then one row per stage-two iteration, which adds
-    the mean constrained weight and the KL from the main policy to each
-    auxiliary (``kl_aux_<j>``).
-    """
+    then iteration 1, ...)."""
+    c = sim.config
+    return _actor_critic(sim, 1, range(1, c.m), check_discounts(gammas, c.m), cfg.stage1_iters,
+                         cfg, master_seed, _aux_step, metrics)
+
+
+def train_stage_two(sim: SessionSimulator, aux_pairs, lambdas, gammas, cfg: TwoStageConfig,
+                    master_seed: int, metrics: list | None = None) -> PolicySet:
+    """Stage two: the main pair as a bank of one on ``_actor_critic``, whose
+    actor step is ``actor_update_main`` against the frozen ``aux_pairs``.
+
+    ``aux_pairs`` are checked against the simulator first: pair j must be
+    response j + 1's (critic weights e_{j+1}, as ``train_stage_one``
+    returns them), with nets that fit its state and item counts.
+    ``metrics`` receives one row per iteration, which adds the mean
+    constrained weight and the KL from the main policy to each auxiliary
+    (``kl_aux_<j>``)."""
     c = sim.config
     gammas = check_discounts(gammas, c.m)
-    lam = validate_lambdas(lambdas, c.m - 1)
-
-    if pretrained_aux is None:
-        aux_pairs = _actor_critic(sim, 1, range(1, c.m), gammas, cfg.stage1_iters, cfg,
-                                  master_seed, _aux_step, metrics)
-    else:
-        aux_pairs = _check_pretrained_aux(pretrained_aux, c)
+    lam = constrained_lambdas(lambdas, c.m - 1)
+    aux_pairs = list(aux_pairs)
+    if len(aux_pairs) != c.m - 1:
+        raise ValueError("aux_pairs must supply one pair per auxiliary response")
+    for j, (policy, critic) in enumerate(aux_pairs):
+        got = (critic.weights.tolist(), policy.spec.input_dim, policy.spec.output_dim,
+               critic.spec.input_dim)
+        want = (np.eye(c.m)[j + 1].tolist(), c.state_dim, c.n_items, c.state_dim)
+        if got != want:
+            raise ValueError(f"aux_pairs[{j}]: (critic weights, policy features, items, "
+                             f"critic features) is {got}, expected {want}")
     aux_bank = ap.bank([p for p, _ in aux_pairs])
 
     def constrained_step(policy, critic, batch, opt):
@@ -525,3 +523,13 @@ def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
     main, = _actor_critic(sim, 2, [0], gammas, cfg.stage2_iters, cfg, master_seed,
                           constrained_step, metrics)
     return PolicySet(main, aux_pairs, lam, gammas)
+
+
+def train_two_stage(sim: SessionSimulator, lambdas, gammas, cfg: TwoStageConfig,
+                    master_seed: int, metrics: list | None = None) -> PolicySet:
+    """Full two-stage run on a simulator: ``train_stage_one``, then
+    ``train_stage_two`` on its auxiliaries, both writing to ``metrics``.
+    All-zero multipliers are rejected before stage one starts."""
+    constrained_lambdas(lambdas, sim.config.m - 1)
+    aux_pairs = train_stage_one(sim, gammas, cfg, master_seed, metrics)
+    return train_stage_two(sim, aux_pairs, lambdas, gammas, cfg, master_seed, metrics)

@@ -48,8 +48,7 @@ def ref_train_ddpg_core(data, n_items, gammas_per_critic, weights_per_critic, cf
     items_opt = ap.init_opt_state(items.size, cfg.items_lr)
 
     policy = det.make_det_policy(state_dim, cfg.embed_dim, cfg.hidden,
-                                 derive_seed(master_seed, "actor", response_label),
-                                 response_label)
+                                 derive_seed(master_seed, "actor", response_label))
     critics = [stx.make_critic(state_dim + cfg.embed_dim, cfg.hidden,
                                derive_seed(master_seed, "critic", response_label, j), w, g)
                for j, (w, g) in enumerate(zip(weights_per_critic, gammas_per_critic))]
@@ -441,7 +440,6 @@ def test_stage_one_critics_are_named_for_their_own_response():
                                  np.eye(3)[1:, None], SMALL_DDPG, 3, [1, 2], stage_label=1)
     assert [p.critics[0].weights.tolist() for p in pipes] == [[0, 1, 0], [0, 0, 1]]
     assert [p.critics[0].gamma for p in pipes] == [0.9, 0.8]
-    assert [p.policy.response_index for p in pipes] == [1, 2]
 
 
 def test_constrained_det_actor_update_on_a_bank_equals_member_updates():

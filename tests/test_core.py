@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cactor import core
+from cactor import stochastic as stx
 
 from _rows import dataset, empty_dataset, rebuilt, session
 
@@ -21,59 +22,18 @@ def chain(rewards, state_dim=3, session_id="s", behavior_prob=0.5):
     return session(states, rewards, 0, behavior_prob, sid=session_id)
 
 
-def one_session(*args, **kwargs):
-    return dataset(chain(*args, **kwargs))
-
-
-def brute_force_returns(rewards, gammas):
-    rewards = np.asarray(rewards, dtype=np.float64)
-    n, m = rewards.shape
-    out = np.zeros_like(rewards)
-    for t in range(n):
-        for i in range(m):
-            for t2 in range(t, n):
-                out[t, i] += gammas[i] ** (t2 - t) * rewards[t2, i]
-    return out
-
-
 class TestReturns:
-    def test_geometric_sum_m1(self):
-        ret = core.discounted_returns(one_session([[1.0], [1.0], [1.0]]), [0.5])
-        assert np.allclose(ret[:, 0], [1.75, 1.5, 1.0], atol=1e-15)
-
-    def test_zero_discount_gives_instantaneous_rewards(self):
-        rewards = np.random.default_rng(0).normal(size=(6, 2))
-        ret = core.discounted_returns(one_session(rewards), [0.0, 0.0])
-        assert np.array_equal(ret, rewards)
-
-    def test_matches_brute_force_double_loop(self):
-        rewards = [[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]
-        gammas = [0.9, 0.5]
-        expected = brute_force_returns(rewards, gammas)
-        assert np.allclose(core.discounted_returns(one_session(rewards), gammas), expected,
-                           atol=1e-12)
-
-    def test_recursion_identity(self):
-        rng = np.random.default_rng(1)
-        rewards = rng.normal(size=(8, 3))
-        gammas = np.array([0.9, 0.5, 0.0])
-        ret = core.discounted_returns(one_session(rewards), gammas)
-        for t in range(7):
-            assert np.allclose(ret[t], rewards[t] + gammas * ret[t + 1], atol=1e-12)
-
     def test_bad_discount_rejected(self):
         with pytest.raises(ValueError, match="discount"):
-            core.discounted_returns(one_session([[1.0]]), [1.0])
+            core.check_discounts([1.0], 1)
+        # build_policy_set checks the vector before it reads an entry
+        with pytest.raises(ValueError, match="discount vector has length 2, expected 3"):
+            stx.build_policy_set(3, 5, 3, [1, 1], [0.9, 0.9], (4,), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_discount_rejected(self, bad):
         with pytest.raises(ValueError, match=re.escape("every discount must lie in [0, 1)")):
             core.check_discounts([bad, 0.5], 2)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_returns_with_a_non_finite_discount_rejected(self, bad):
-        with pytest.raises(ValueError, match=re.escape("every discount must lie in [0, 1)")):
-            core.discounted_returns(one_session([[1.0, 2.0], [3.0, 4.0]]), [bad, 0.5])
 
 
 class TestTDAndAdvantage:
@@ -92,34 +52,6 @@ class TestTDAndAdvantage:
             r, g, vn = rng.normal(), rng.uniform(0, 0.999), rng.normal()
             done = bool(rng.integers(2))
             assert core.td_target(r, g, vn, done) == (r if done else r + g * vn)
-
-
-class TestRankItems:
-    def test_orthogonal_case(self):
-        assert core.rank_items(np.array([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])) == 1
-
-    def test_tie_breaks_to_lowest_index(self):
-        items = np.tile(np.array([0.3, -0.1]), (4, 1))
-        assert core.rank_items(np.array([1.0, 2.0]), items) == 0
-
-    def test_matches_exhaustive_scan(self):
-        rng = np.random.default_rng(3)
-        action = rng.normal(size=4)
-        items = rng.normal(size=(5, 4))
-        best = max(range(5), key=lambda j: float(items[j] @ action))
-        assert core.rank_items(action, items) == best
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            core.rank_items(np.array([1.0]), np.zeros((0, 1)))
-
-    @settings(max_examples=50, derandomize=True)
-    @given(st.integers(0, 10 ** 6), st.floats(0.01, 100.0))
-    def test_invariant_to_positive_rescaling(self, seed, scale):
-        rng = np.random.default_rng(seed)
-        action = rng.normal(size=3)
-        items = rng.normal(size=(6, 3))
-        assert core.rank_items(action, items) == core.rank_items(scale * action, items)
 
 
 class TestInvariants:

@@ -130,8 +130,8 @@ def constrained_det_objective(features, policy, aux, critic, lambdas) -> float:
 class TestConstrainedDetObjective:
     def setup_method(self):
         self.policy = det.make_det_policy(2, 3, (4,), seed=13)
-        self.aux = ap.bank([det.make_det_policy(2, 3, (4,), seed=14, response_index=1),
-                            det.make_det_policy(2, 3, (4,), seed=15, response_index=2)])
+        self.aux = ap.bank([det.make_det_policy(2, 3, (4,), seed=14),
+                            det.make_det_policy(2, 3, (4,), seed=15)])
         self.critic = stx.make_critic(2 + 3, (4,), seed=16, weights=[1.0], gamma=0.0)
         self.s = np.array([[0.4, -0.2]])
 
@@ -334,6 +334,15 @@ class TestOfflineTrainers:
                            match=r"need at least one auxiliary response \(m >= 2\), got m=1"):
             det.train_constrained_ddpg(one_response, [], [0.9], det.DDPGConfig(updates=2),
                                        master_seed=0)
+
+    def test_all_zero_multipliers_fail_before_stage_one(self, dataset, monkeypatch):
+        def no_update(*args, **kwargs):
+            raise AssertionError("a stage-one update ran")
+
+        monkeypatch.setattr(det, "q_critic_update", no_update)
+        with pytest.raises(ValueError, match="sum of Lagrange multipliers must be positive"):
+            det.train_constrained_ddpg(dataset, np.zeros(7), np.full(8, 0.9),
+                                       det.DDPGConfig(updates=2), master_seed=0)
 
     @pytest.mark.parametrize("trainer,where", [
         ("constrained", "response 1 in stage 1"),

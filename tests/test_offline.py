@@ -10,7 +10,6 @@ from cactor import core
 from cactor import deterministic as det
 from cactor import offline as off
 from cactor import stochastic as stx
-from cactor.core import discounted_returns
 from cactor.seeding import derive_seed, rng_for
 from cactor.sim import ReviewDatasetConfig, generate_review_dataset
 from cactor.sim import SessionSimulator, SimConfig, run_episode
@@ -368,7 +367,13 @@ class TestMultiCritic:
         ds.action_index[:] = -1  # unknown
         cfg = off.MultiCriticConfig(iters=5, hidden=(4,))
         critics = off.multi_critic_train(ds, [0.9, 0.5], "separate", cfg, master_seed=6)
-        assert set(off.critic_return_correlation(critics, ds, [0.9, 0.5])) == {0, 1}
+        untrained = off.multi_critic_train(ds, [0.9, 0.5], "separate",
+                                           off.MultiCriticConfig(iters=0, hidden=(4,)),
+                                           master_seed=6)
+        assert [c.weights.tolist() for c in critics] == [[1.0, 0.0], [0.0, 1.0]]
+        for critic, start in zip(critics, untrained):
+            assert np.isfinite(critic.params).all()
+            assert not np.array_equal(critic.params, start.params)
 
     def test_separate_mode_never_mixes_responses(self):
         ds_a = chain_dataset()
@@ -539,37 +544,6 @@ def no_action_case(update):
 def test_missing_action_index_is_a_named_error(update):
     with pytest.raises(ValueError, match="batch lacks action indices"):
         no_action_case(update)
-
-
-class TestCorrelation:
-    def test_perfect_predictor_has_unit_correlation(self):
-        ds = chain_dataset(n_copies=2)
-        gammas = np.array([0.9, 0.5])
-        # hand-build exact value critics: linear on one-hot features
-        critics = []
-        rets = discounted_returns(chain_dataset(), gammas)  # one session's rows
-        for i in range(2):
-            c = stx.make_critic(3, (), seed=i, weights=np.eye(2)[i], gamma=gammas[i])
-            c.params[:3] = rets[:, i]
-            c.params[3] = 0.0
-            critics.append(c)
-        corr = off.critic_return_correlation(critics, ds, gammas)
-        assert corr[0] == pytest.approx(1.0, abs=1e-12)
-        assert corr[1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_predictor_is_undefined(self):
-        ds = chain_dataset()
-        c = stx.make_critic(3, (), seed=0, weights=[1.0, 0.0], gamma=0.9)
-        c.params[:] = 0.0
-        corr = off.critic_return_correlation(c, ds, [0.9, 0.5])
-        assert corr[0] is None and corr[1] is None
-
-    def test_summed_value_correlation_runs(self):
-        ds = chain_dataset(n_copies=2)
-        critics = [stx.make_critic(3, (4,), seed=i, weights=np.eye(2)[i], gamma=0.9)
-                   for i in range(2)]
-        val = off.summed_value_correlation(critics, ds, [0.9, 0.9])
-        assert val is None or -1.0 <= val <= 1.0
 
 
 @pytest.fixture(scope="module")

@@ -24,12 +24,23 @@ CONFIGS = [
 ]
 
 
+def recorded_streams(monkeypatch) -> dict:
+    """Each generator that ``stx.rng_for`` makes from now on, by stream path."""
+    made = {}
+
+    def recording(master, *path):
+        made[path] = rng_for(master, *path)
+        return made[path]
+    monkeypatch.setattr(stx, "rng_for", recording)
+    return made
+
+
 def sequential_stage_one(sim, i, gamma, cfg, master_seed, metrics):
     """Stage one for response i alone, as it ran before banking; returns the
     pair and its action generator."""
     c = sim.config
     policy = stx.make_policy(c.state_dim, c.n_items, cfg.hidden,
-                             derive_seed(master_seed, "s1-actor", i), i)
+                             derive_seed(master_seed, "s1-actor", i))
     critic = stx.make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s1-critic", i),
                              np.eye(c.m)[i], gamma)
     a_opt = ap.init_opt_state(policy.params.size, cfg.actor_lr)
@@ -64,12 +75,7 @@ def test_banked_stage_one_equals_the_sequential_loop(sim_cfg, iters, monkeypatch
     gammas = np.linspace(0.9, 0.5, m)  # one discount per response, so mixing shows
     cfg = stx.TwoStageConfig(stage1_iters=iters, stage2_iters=0, episodes_per_iter=3,
                              hidden=(16,))
-    made = {}
-
-    def recording(master, *path):
-        made[path] = rng_for(master, *path)
-        return made[path]
-    monkeypatch.setattr(stx, "rng_for", recording)
+    made = recorded_streams(monkeypatch)
     rows = []
     pset = stx.train_two_stage(sim, np.ones(m - 1), gammas, cfg, 5, metrics=rows)
 
@@ -77,7 +83,6 @@ def test_banked_stage_one_equals_the_sequential_loop(sim_cfg, iters, monkeypatch
     for i in range(1, m):
         policy, critic, rng = sequential_stage_one(sim, i, gammas[i], cfg, 5, want_rows)
         got_policy, got_critic = pset.auxiliaries[i - 1]
-        assert got_policy.response_index == i
         assert np.array_equal(got_critic.weights, np.eye(m)[i])
         assert np.array_equal(got_policy.params, policy.params)
         assert np.array_equal(got_critic.params, critic.params)
@@ -118,7 +123,7 @@ def test_auxiliaries_share_episodes_and_draw_their_own_actions(monkeypatch):
         assert np.array_equal(done, done0)
         assert np.array_equal(s[starts], s0[starts])
         policy = stx.make_policy(c.state_dim, c.n_items, cfg.hidden,
-                                 derive_seed(8, "s1-actor", i), i)
+                                 derive_seed(8, "s1-actor", i))
         rng = rng_for(8, "s1-actions", i)
         assert a.tolist() == [policy.sample(f, rng)[0] for f in s]
     assert not all(np.array_equal(a0, batch[1]) for batch in batches[1:])
@@ -129,7 +134,7 @@ def sequential_stage_two(sim, aux_pairs, lambdas, gammas, cfg, master_seed, metr
     returns the main pair and its action generator."""
     c = sim.config
     policy = stx.make_policy(c.state_dim, c.n_items, cfg.hidden,
-                             derive_seed(master_seed, "s2-actor"), 0)
+                             derive_seed(master_seed, "s2-actor"))
     critic = stx.make_critic(c.state_dim, cfg.hidden, derive_seed(master_seed, "s2-critic"),
                              np.eye(c.m)[0], gammas[0])
     pset = stx.PolicySet((policy, critic), aux_pairs, lambdas, gammas)
@@ -171,12 +176,7 @@ def test_stage_two_equals_its_own_loop(sim_cfg, iters, monkeypatch):
     lambdas = np.linspace(0.5, 2.0, m - 1)  # one multiplier per auxiliary, so mixing shows
     cfg = stx.TwoStageConfig(stage1_iters=1, stage2_iters=iters, episodes_per_iter=3,
                              hidden=(16,))
-    made = {}
-
-    def recording(master, *path):
-        made[path] = rng_for(master, *path)
-        return made[path]
-    monkeypatch.setattr(stx, "rng_for", recording)
+    made = recorded_streams(monkeypatch)
     rows = []
     pset = stx.train_two_stage(sim, lambdas, gammas, cfg, 5, metrics=rows)
 
@@ -184,7 +184,6 @@ def test_stage_two_equals_its_own_loop(sim_cfg, iters, monkeypatch):
     (policy, critic), rng = sequential_stage_two(sim, pset.auxiliaries, lambdas, gammas, cfg,
                                                  5, want_rows)
     got_policy, got_critic = pset.main
-    assert got_policy.response_index == 0
     assert np.array_equal(got_critic.weights, np.eye(m)[0])
     assert np.array_equal(got_policy.params, policy.params)
     assert np.array_equal(got_critic.params, critic.params)
@@ -194,55 +193,95 @@ def test_stage_two_equals_its_own_loop(sim_cfg, iters, monkeypatch):
     assert [r["stage"] for r in rows] == [1] * (m - 1) + [2] * iters
 
 
+LAMBDAS, GAMMAS = [1.0, 0.5, 2.0], [0.9, 0.8, 0.7, 0.6]
+
+
 @pytest.fixture(scope="module")
 def full_run():
+    """A two-stage run, its metric rows and the next draw of each stream it made."""
     sim = SessionSimulator(SimConfig(m=4, state_dim=5, n_items=7, seed=11))
     cfg = stx.TwoStageConfig(stage1_iters=2, stage2_iters=3, episodes_per_iter=3,
                              hidden=(8,))
     rows = []
-    pset = stx.train_two_stage(sim, [1.0, 0.5, 2.0], [0.9, 0.8, 0.7, 0.6], cfg, 4,
-                               metrics=rows)
-    return sim, cfg, pset, rows
+    with pytest.MonkeyPatch.context() as mp:
+        made = recorded_streams(mp)
+        pset = stx.train_two_stage(sim, LAMBDAS, GAMMAS, cfg, 4, metrics=rows)
+    return sim, cfg, pset, rows, next_draws(made)
 
 
-def test_pretrained_aux_gives_the_full_runs_stage_two(full_run):
-    sim, cfg, full, rows = full_run
+def next_draws(made):
+    return {path: rng.random() for path, rng in made.items()}
+
+
+def params(pset):
+    return [x.params for pair in [pset.main, *pset.auxiliaries] for x in pair]
+
+
+def test_two_stage_is_stage_one_then_stage_two(full_run, monkeypatch):
+    sim, cfg, full, rows, draws = full_run
+    made = recorded_streams(monkeypatch)
+    split_rows = []
+    aux = stx.train_stage_one(sim, GAMMAS, cfg, 4, split_rows)
+    split = stx.train_stage_two(sim, aux, LAMBDAS, GAMMAS, cfg, 4, split_rows)
+    assert len(params(split)) == len(params(full)) == 8
+    assert all(np.array_equal(a, b) for a, b in zip(params(split), params(full)))
+    assert split_rows == rows
+    assert next_draws(made) == draws
+
+
+def test_pretrained_aux_gives_the_full_runs_stage_two(full_run, monkeypatch):
+    sim, cfg, full, rows, draws = full_run
+    made = recorded_streams(monkeypatch)
     again_rows = []
-    again = stx.train_two_stage(sim, [1.0, 0.5, 2.0], [0.9, 0.8, 0.7, 0.6], cfg, 4,
-                                pretrained_aux=full.auxiliaries, metrics=again_rows)
+    again = stx.train_stage_two(sim, full.auxiliaries, LAMBDAS, GAMMAS, cfg, 4,
+                                metrics=again_rows)
     assert np.array_equal(again.main[0].params, full.main[0].params)
     assert np.array_equal(again.main[1].params, full.main[1].params)
     assert again.auxiliaries == full.auxiliaries
     assert again_rows == [r for r in rows if r["stage"] == 2] != []
+    assert list(made) == [("s2-actions",)]
+    assert next_draws(made) == {("s2-actions",): draws[("s2-actions",)]}
 
 
 def _resized(pair, state_dim, n_items):
     policy, critic = pair
-    return (stx.make_policy(state_dim, n_items, (8,), 1, policy.response_index),
+    return (stx.make_policy(state_dim, n_items, (8,), 1),
             stx.make_critic(state_dim, (8,), 2, critic.weights, critic.gamma))
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda aux: aux[:2], "one pair per auxiliary response"),
-    (lambda aux: aux[::-1], "pretrained_aux[0]: (policy response, critic weights, policy "
-                            "features, items, critic features) is (3, [0.0, 0.0, 0.0, 1.0], "
-                            "5, 7, 5), expected (1, [0.0, 1.0, 0.0, 0.0], 5, 7, 5)"),
+    (lambda aux: aux[:2], "aux_pairs must supply one pair per auxiliary response"),
+    (lambda aux: aux[::-1], "aux_pairs[0]: (critic weights, policy features, items, critic "
+                            "features) is ([0.0, 0.0, 0.0, 1.0], 5, 7, 5), expected "
+                            "([0.0, 1.0, 0.0, 0.0], 5, 7, 5)"),
     (lambda aux: [aux[0], (aux[1][0], aux[2][1]), aux[2]],
-     "pretrained_aux[1]: (policy response, critic weights, policy features, items, critic "
-     "features) is (2, [0.0, 0.0, 0.0, 1.0], 5, 7, 5), expected (2, [0.0, 0.0, 1.0, 0.0], "
-     "5, 7, 5)"),
+     "aux_pairs[1]: (critic weights, policy features, items, critic features) is "
+     "([0.0, 0.0, 0.0, 1.0], 5, 7, 5), expected ([0.0, 0.0, 1.0, 0.0], 5, 7, 5)"),
     (lambda aux: [aux[0], _resized(aux[1], 5, 8), aux[2]],
-     "is (2, [0.0, 0.0, 1.0, 0.0], 5, 8, 5), expected"),
+     "is ([0.0, 0.0, 1.0, 0.0], 5, 8, 5), expected"),
     (lambda aux: [aux[0], aux[1], _resized(aux[2], 6, 7)],
-     "is (3, [0.0, 0.0, 0.0, 1.0], 6, 7, 6), expected"),
+     "is ([0.0, 0.0, 0.0, 1.0], 6, 7, 6), expected"),
     (lambda aux: [(aux[0][0], _resized(aux[0], 6, 7)[1]), aux[1], aux[2]],
-     "is (1, [0.0, 1.0, 0.0, 0.0], 5, 7, 6), expected"),
+     "is ([0.0, 1.0, 0.0, 0.0], 5, 7, 6), expected"),
 ], ids=["count", "reversed", "mixed-pair", "items", "features", "critic-features"])
 def test_pretrained_aux_is_checked_against_the_simulator(full_run, edit, message):
-    sim, cfg, full, _ = full_run
+    sim, cfg, full, _, _ = full_run
     with pytest.raises(ValueError, match=re.escape(message)):
-        stx.train_two_stage(sim, [1.0, 0.5, 2.0], [0.9, 0.8, 0.7, 0.6], cfg, 4,
-                            pretrained_aux=edit(full.auxiliaries))
+        stx.train_stage_two(sim, edit(full.auxiliaries), LAMBDAS, GAMMAS, cfg, 4)
+
+
+@pytest.mark.parametrize("stage_one", [True, False], ids=["two-stage", "stage-two"])
+def test_all_zero_multipliers_fail_before_any_rollout(full_run, monkeypatch, stage_one):
+    sim, cfg, full, _, _ = full_run
+
+    def no_rollout(*args):
+        raise AssertionError("an iteration started")
+    monkeypatch.setattr(stx, "collect_batch", no_rollout)
+    with pytest.raises(ValueError, match="sum of Lagrange multipliers must be positive"):
+        if stage_one:
+            stx.train_two_stage(sim, [0.0, 0.0, 0.0], GAMMAS, cfg, 4)
+        else:
+            stx.train_stage_two(sim, full.auxiliaries, [0.0, 0.0, 0.0], GAMMAS, cfg, 4)
 
 
 @pytest.mark.parametrize("poison, named", [
