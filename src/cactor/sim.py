@@ -68,7 +68,12 @@ class SimConfig:
 class SessionSimulator:
     """User sessions.  ``reset``/``step`` drive one session; ``rollout``
     steps many together and runs the same arithmetic (``step`` is its
-    one-row case), so both give bit-identical trajectories.
+    one-row case), so both give bit-identical trajectories.  Both step
+    through ``_advance``, which writes a step's responses and next features
+    into two arrays it allocates and writes none of its inputs; its
+    ``_response_terms`` runs one gemv per row against the m preference
+    maps stacked once (``_pref_stack``), so a row's bits do not depend on
+    how many rows step together.
 
     RNG contract (v2): every draw of an episode comes from its own stream,
     named by (config.seed, "episode", episode_seed), and all of them are made
@@ -108,6 +113,8 @@ class SessionSimulator:
         self._embed_rows = np.ascontiguousarray(self.item_embed.transpose(1, 0, 2))
         fold = 0.4 * self.fold_map
         self._fold_push = np.stack([fold @ self.item_embed[0, j] for j in range(c.n_items)])
+        # the m preference maps as one (m * embed_dim, state_dim) matrix: one gemv per row
+        self._pref_stack = np.ascontiguousarray(self.pref_maps.reshape(c.m * e, c.state_dim))
 
         self._noise = self._fire = None
         self._features = None
@@ -162,28 +169,36 @@ class SessionSimulator:
         """One step of every row: ``features`` (k, state_dim), the items
         shown, each row's dense noise (k,) and sparse uniforms (k, m-1) for
         this step, the step count after this step and the session lengths.
-        Returns responses (k, m) and the next features (k, state_dim)."""
+        Returns responses (k, m) and the next features (k, state_dim), each
+        written in place into one array this call allocates; no input is
+        written."""
         affinity, sparse_p = self._response_terms(features, items)
         g = features[:, -2]
         level = _DENSE_BASE + affinity + noise
-        dense = g * np.where(level > 0.0, level, 0.0)
-        response = np.concatenate([dense[:, None], (fire < sparse_p).astype(np.float64)],
-                                  axis=1)
-        new_core = np.tanh(0.85 * features[:, :self._core_dim] + self._fold_push[items]
-                           + (0.1 * response.sum(axis=1))[:, None] * self.fold_resp)
+        response = np.empty((len(features), self.config.m))
+        np.multiply(g, np.where(level > 0.0, level, 0.0), out=response[:, 0])
+        np.less(fire, sparse_p, out=response[:, 1:])
+        k = self._core_dim
+        nxt = np.empty(features.shape)
+        np.tanh(0.85 * features[:, :k] + self._fold_push[items]
+                + (0.1 * response.sum(axis=1))[:, None] * self.fold_resp, out=nxt[:, :k])
         # np.clip's bits, without its wrapper's cost
-        new_g = np.minimum(np.maximum(g + _ENGAGEMENT_GAIN * self.quality[items], 0.25), 2.0)
-        progress = t / lengths
-        return response, np.concatenate([new_core, new_g[:, None], progress[:, None]], axis=1)
+        np.minimum(np.maximum(g + _ENGAGEMENT_GAIN * self.quality[items], 0.25), 2.0,
+                   out=nxt[:, k])
+        np.divide(t, lengths, out=nxt[:, k + 1])
+        return response, nxt
 
     # -- response model (also used by tests and oracles) ----------------------
 
     def _response_terms(self, features, items) -> tuple[np.ndarray, np.ndarray]:
         """Dense affinity (k,) and sparse fire probabilities (k, m-1) at each
-        row's (state, item).  Every product is stacked so that each row and
-        response runs the one-row kernels (gemv, then dot)."""
-        pref = self.pref_maps @ features[:, None, :, None]  # (k, m, embed_dim, 1)
-        x = np.tanh((pref.swapaxes(-1, -2) @ self._embed_rows[items][..., None])[..., 0, 0]
+        row's (state, item).  Each row runs one gemv against all m
+        preference maps stacked (``_pref_stack``), then one dot per
+        response; both are the one-row kernels, so a row's bits do not
+        depend on how many rows run together."""
+        k, (m, e, _) = len(features), self.pref_maps.shape
+        pref = (self._pref_stack @ features[:, :, None]).reshape(k, m, 1, e)
+        x = np.tanh((pref @ self._embed_rows[items][..., None])[..., 0, 0]
                     + self._bias_rows[items])
         sparse = _SPARSE_PROB_SCALE * _sigmoid(_SPARSE_SLOPE * x[:, 1:] - _SPARSE_OFFSET)
         return x[:, 0], sparse
@@ -282,25 +297,34 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
     ``episode_seeds[j]``; every member rolls the same number E of sessions.
     Sessions are laid out member-major: member j's sessions are sessions
     j*E .. (j+1)*E - 1 of the dataset, in seed order, so its rows are one
-    contiguous block.  ``probs(features, live)`` takes the (k, E, state_dim)
-    features of every session (a finished one keeps its last features) and
-    the flat indices of the sessions still running, and returns their
-    (len(live), n_items) action probabilities; a row must depend only on its
-    own session's features and member (``approximator.row_evaluator``).  Each
-    session's item is drawn by ``inverse_cdf`` from one uniform of its
-    member's generator.
+    contiguous block.  ``probs(features)`` takes the (k, E, state_dim)
+    features of every session and returns all k*E rows of (k*E, n_items)
+    action probabilities; a row must depend only on its own session's
+    features and member (``approximator.row_evaluator``).  Each session's
+    item is drawn by ``inverse_cdf`` from one uniform of its member's
+    generator.
+
+    Every session steps on every step, with the same arithmetic as
+    ``step``, until the longest has ended.  A finished session keeps its
+    last features, and what it computes past its end goes to one sink row,
+    n, past the columns' n rows; the dataset holds the columns' first n
+    rows as views, so nothing is copied.  One (steps, sessions) row table,
+    built before the first step, sends each session's step to its dataset
+    row or to the sink.
 
     RNG contract: each session draws from its own episode stream (see
     SessionSimulator): ``sim._start`` runs once per distinct episode seed,
     so members that share a seed share its draws (common random numbers),
-    and each session's noise and uniform blocks are laid out at its dataset
-    rows once, before the first step.  ``rngs[j]`` is drawn once, one
-    uniform per step of each of member j's sessions, and session e's step t
-    takes draw offset_e + t, where offset_e is the summed length of member
-    j's sessions before e: the order of rolling that member's sessions one
-    after another with ``choice(n, p=p)`` on ``rngs[j]``.  So each member's rows, and the
-    state of its generator afterwards, are bit-identical to that sequential
-    run, whatever the other members do.  Session ids default to ``ep-<seed>``.
+    and each session's noise and uniform blocks are gathered through the
+    row table into (steps, sessions) arrays once, before the first step;
+    past its end a session reads the sink row's zeros.  ``rngs[j]`` is
+    drawn once, one uniform per step of each of member j's sessions, and
+    session e's step t takes draw offset_e + t, where offset_e is the summed
+    length of member j's sessions before e: the order of rolling that
+    member's sessions one after another with ``choice(n, p=p)`` on
+    ``rngs[j]``.  So each member's rows, and the state of its generator
+    afterwards, are bit-identical to that sequential run, whatever the other
+    members do.  Session ids default to ``ep-<seed>``.
     """
     c = sim.config
     seeds = [list(member) for member in episode_seeds]
@@ -310,6 +334,8 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
                          "number of episode seeds for every member")
     flat = [s for member in seeds for s in member]
     ids = [f"ep-{s}" for s in flat] if session_ids is None else list(session_ids)
+    if len(ids) != len(flat):
+        raise ValueError(f"rollout got {len(ids)} session ids for {len(flat)} episode seeds")
     starts = {s: sim._start(s) for s in dict.fromkeys(flat)}  # one per distinct seed
     sessions = [starts[s] for s in flat]
     lengths = np.array([length for length, _, _, _ in sessions], dtype=np.intp)
@@ -317,39 +343,41 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
     current = features.reshape(-1, c.state_dim)  # a view: one row per session
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     n = int(offsets[-1])
-    # each session's draws at its dataset rows: step t of session e reads row offsets[e] + t
-    noise = np.concatenate([np.empty(0)] + [x for _, _, x, _ in sessions])
-    fire = np.concatenate([np.empty((0, c.m - 1))] + [u for _, _, _, u in sessions])
-    uniforms = np.empty(n)
+    # step t of session e writes row offsets[e] + t while it runs, then the sink row n
+    steps = np.arange(int(lengths.max(initial=0)))[:, None]
+    alive = steps < lengths
+    table = np.where(alive, offsets[:-1] + steps, n)
+    # each session's draws in row order, then one zero entry that the sink row reads
+    noise = np.concatenate([x for _, _, x, _ in sessions] + [np.zeros(1)])[table]
+    fire = np.concatenate([u for _, _, _, u in sessions] + [np.zeros((1, c.m - 1))])[table]
+    uniforms = np.zeros(n + 1)  # drawn in row order, read by step; entry n is the sink's
     bounds = offsets[np.arange(k + 1) * width]  # member j's rows: bounds[j]:bounds[j + 1]
     for r, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
         r.random(out=uniforms[lo:hi])
-    states, next_states = np.empty((n, c.state_dim)), np.zeros((n, c.state_dim))
-    responses, behavior_prob = np.empty((n, c.m)), np.empty(n)
-    action_index = np.empty(n, dtype=np.intp)
+    uniforms = uniforms[table]
+    states, next_states = np.empty((n + 1, c.state_dim)), np.empty((n + 1, c.state_dim))
+    responses, behavior_prob = np.empty((n + 1, c.m)), np.empty(n + 1)
+    action_index = np.empty(n + 1, dtype=np.intp)
     every = np.arange(len(flat))
-    for t in range(int(lengths.max(initial=0))):
-        live = np.flatnonzero(lengths > t)
-        f = current[live]
-        rows = offsets[live] + t
-        p = np.asarray(probs(features, live), dtype=np.float64)
-        if p.shape != (live.size, c.n_items):
-            raise ValueError(f"probs returned shape {p.shape}, expected ({live.size}, {c.n_items})")
-        items = inverse_cdf(p, uniforms[rows])
-        states[rows] = f
+    for t, rows in enumerate(table):
+        p = np.asarray(probs(features), dtype=np.float64)
+        if p.shape != (len(flat), c.n_items):
+            raise ValueError(f"probs returned shape {p.shape}, expected ({len(flat)}, "
+                             f"{c.n_items})")
+        items = inverse_cdf(p, uniforms[t])
+        states[rows] = current
         action_index[rows] = items
-        behavior_prob[rows] = p[every[:live.size], items]
-        responses[rows], f = sim._advance(f, items, noise[rows], fire[rows], t + 1,
-                                          lengths[live])
-        current[live] = f
+        behavior_prob[rows] = p[every, items]
+        responses[rows], f = sim._advance(current, items, noise[t], fire[t], t + 1, lengths)
         next_states[rows] = f
+        np.copyto(current, f, where=alive[t][:, None])  # a finished session keeps its features
     done = np.zeros(n, dtype=bool)
     done[offsets[1:] - 1] = True
-    next_states[done] = 0.0  # the terminal next_state is canonicalized to zeros
+    next_states[:n][done] = 0.0  # the terminal next_state is canonicalized to zeros
     return ReplayDataset.from_columns(
-        states=states, next_states=next_states, next_terminal=done,
-        action_index=action_index, behavior_prob=behavior_prob, responses=responses,
-        done=done, offsets=offsets, session_ids=ids, m=c.m,
+        states=states[:n], next_states=next_states[:n], next_terminal=done,
+        action_index=action_index[:n], behavior_prob=behavior_prob[:n],
+        responses=responses[:n], done=done, offsets=offsets, session_ids=ids, m=c.m,
         metadata={"state_dim": c.state_dim, "n_items": c.n_items})
 
 
@@ -357,17 +385,19 @@ def generate_offline_dataset(config: SimConfig, behavior,
                              n_trajectories: int) -> ReplayDataset:
     """Log sessions under a stochastic behavior policy.
 
-    The behavior must put positive probability on every item; each
-    transition records the probability the behavior assigned to the logged
-    action.  The sessions are rolled in lockstep (``rollout``) with one
-    action stream, (config.seed, "behavior-actions").
+    The sessions are rolled in lockstep (``rollout``) with one action
+    stream, (config.seed, "behavior-actions"), so ``behavior.probs`` is asked
+    about every session on every step, a finished session's last features
+    included.  It must put positive probability on every item at each of
+    them; each transition records the probability the behavior assigned to
+    the logged action.
     """
     check_config(SimpleNamespace(n_trajectories=n_trajectories), iterations=("n_trajectories",))
     sim = SessionSimulator(config)
     action_rng = rng_for(config.seed, "behavior-actions")
 
-    def probs(features, live):
-        p = np.array([behavior.probs(f) for f in features.reshape(-1, config.state_dim)[live]])
+    def probs(features):
+        p = np.array([behavior.probs(f) for f in features.reshape(-1, config.state_dim)])
         zero = np.any(p <= 0.0, axis=1)
         if np.any(zero):
             bad = int(np.argmin(p[zero][0]))

@@ -365,7 +365,9 @@ def collect_batch(sim: SessionSimulator, policies, rngs, episode_seeds) -> list:
     drawing its actions from ``rngs[j]``.  Returns one ``(batch,
     mean_rewards)`` per member: its ``batch_arrays`` tuple (views of the
     rollout's columns) and the mean over its episodes of the cumulative
-    reward vectors.
+    reward vectors.  Each lockstep step evaluates every member's policy on
+    all of its episodes in one ``row_evaluator`` pass, finished ones
+    included (their rows go to the rollout's sink row).
 
     RNG contract (``sim.rollout``): each episode draws, from its own stream
     and when it starts, its length, its initial features, its dense-noise
@@ -378,8 +380,7 @@ def collect_batch(sim: SessionSimulator, policies, rngs, episode_seeds) -> list:
     bank = ap.bank(policies)
     rows = ap.row_evaluator(bank.spec, bank.params)  # one stacked pass per step
     n = bank.spec.output_dim
-    data = rollout(sim, lambda features, live: rows(features).reshape(-1, n)[live],
-                   rngs, episode_seeds)
+    data = rollout(sim, lambda features: rows(features).reshape(-1, n), rngs, episode_seeds)
     width = len(data.session_ids) // len(policies)
     out = []
     for j in range(len(policies)):

@@ -13,7 +13,9 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "cycle_faults.py"
 
 
 @pytest.mark.parametrize("workload, kinds, split, calls", [
-    ("online_two_stage", ["iteration"], False, {}),
+    ("online_two_stage", ["iteration"], False,
+     {"stochastic.rollout": 2, "stochastic.critic_update": 8,
+      "stochastic.actor_update_aux": 3, "stochastic.actor_update_main": 1}),
     ("offline_ddpg", ["train_constrained_ddpg"], False,
      {"deterministic.q_critic_update": 50, "deterministic.ddpg_actor_update": 25,
       "deterministic.constrained_det_actor_update": 25, "deterministic.gather": 50,
@@ -38,8 +40,11 @@ def test_prints_every_phase_and_step_kind(workload, kinds, split, calls):
     # columns: kind, steps/cycle, median ms, faults/cycle, ref ms
     assert all((r[3] != "-") == split and float(r[4]) > 0 for r in rows)
     assert lines[9 + len(kinds)].startswith("cycle")
-    # the per-call table: each of a cycle's 2 x 25 bank steps makes one minibatch gather,
-    # one critic step, one actor step and three optimizer steps (critic, item table, actor)
+    # the per-call table.  online_two_stage: each stage's one iteration makes one rollout
+    # and, per member (3 auxiliaries, then the main policy), two critic steps and one
+    # actor step.  offline_ddpg: each of a
+    # cycle's 2 x 25 bank steps makes one minibatch gather, one critic step, one actor
+    # step and three optimizer steps (critic, item table, actor)
     table = [ln.split() for ln in lines[11 + len(kinds):]] if calls else []
     assert {r[0]: float(r[1]) for r in table} == calls
     assert all(float(r[2]) > 0 and float(r[3]) > 0 for r in table)

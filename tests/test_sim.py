@@ -36,9 +36,9 @@ def assert_same_trajectories(got, want):
 
 
 def one_net(spec, params):
-    """``rollout`` probs of one net, evaluated row by row on the live sessions."""
+    """``rollout`` probs of one net, evaluated row by row on every session."""
     rows = ap.row_evaluator(spec, params)
-    return lambda f, live: rows(f.reshape(-1, f.shape[-1])[live])
+    return lambda f: rows(f.reshape(-1, f.shape[-1]))
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,76 @@ class TestStepSemantics:
         assert np.all(fires / steps <= 0.20)
 
 
+def reference_response_terms(sim, features, items):
+    """``_response_terms`` with one stacked product per preference map, kept
+    as the reference for the one-gemv-per-row product."""
+    pref = sim.pref_maps @ features[:, None, :, None]  # (k, m, embed_dim, 1)
+    x = np.tanh((pref.swapaxes(-1, -2) @ sim._embed_rows[items][..., None])[..., 0, 0]
+                + sim._bias_rows[items])
+    return x[:, 0], sm._SPARSE_PROB_SCALE * sm._sigmoid(sm._SPARSE_SLOPE * x[:, 1:]
+                                                        - sm._SPARSE_OFFSET)
+
+
+def reference_advance(sim, features, items, noise, fire, t, lengths):
+    """``_advance`` out of place, its outputs joined by ``np.concatenate``."""
+    affinity, sparse_p = reference_response_terms(sim, features, items)
+    g = features[:, -2]
+    level = sm._DENSE_BASE + affinity + noise
+    dense = g * np.where(level > 0.0, level, 0.0)
+    response = np.concatenate([dense[:, None], (fire < sparse_p).astype(np.float64)], axis=1)
+    k = sim._core_dim
+    new_core = np.tanh(0.85 * features[:, :k] + sim._fold_push[items]
+                       + (0.1 * response.sum(axis=1))[:, None] * sim.fold_resp)
+    new_g = np.clip(g + sm._ENGAGEMENT_GAIN * sim.quality[items], 0.25, 2.0)
+    return response, np.concatenate([new_core, new_g[:, None], (t / lengths)[:, None]], axis=1)
+
+
+def random_rows(cfg, k, seed):
+    """(features, items, noise, fire, lengths) of k rows, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(k, cfg.state_dim))
+    features[:, -2] = rng.uniform(0.25, 2.0, size=k)
+    return (features, rng.integers(cfg.n_items, size=k), rng.normal(0.0, 0.3, size=k),
+            rng.random((k, cfg.m - 1)), rng.integers(1, 21, size=k))
+
+
+class TestStepKernels:
+    """``_response_terms`` and ``_advance`` against their out-of-place
+    references, bit for bit, at several row counts."""
+
+    @pytest.mark.parametrize("k", [1, 2, 24, 200])
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS[:3], ids=lambda c: f"seed{c.seed}")
+    def test_stacked_maps_equal_one_product_per_map(self, cfg, k):
+        sim = sm.SessionSimulator(cfg)
+        features, items, _, _, _ = random_rows(cfg, k, seed=k)
+        m, e, _ = sim.pref_maps.shape
+        stacked = (sim._pref_stack @ features[:, :, None]).reshape(k, m, e, 1)
+        assert np.array_equal(stacked, sim.pref_maps @ features[:, None, :, None])
+        for got, want in zip(sim._response_terms(features, items),
+                             reference_response_terms(sim, features, items)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 2, 24, 200])
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS[:4], ids=lambda c: f"seed{c.seed}")
+    def test_advance_equals_reference_and_writes_none_of_its_inputs(self, cfg, k):
+        sim = sm.SessionSimulator(cfg)
+        inputs = random_rows(cfg, k, seed=100 + k)
+        kept = [x.copy() for x in inputs]
+        for x in inputs:
+            x.setflags(write=False)  # an in-place write raises
+        features, items, noise, fire, lengths = inputs
+        got = sim._advance(features, items, noise, fire, 7, lengths)
+        want = reference_advance(sim, *kept[:4], 7, kept[4])
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert not any(np.shares_memory(a, x) for x in inputs)
+        for x, y in zip(inputs, kept):
+            assert np.array_equal(x, y)
+
+
 class TestRollout:
     """The lockstep rollout against one session at a time with
     Generator.choice on one shared action stream."""
@@ -255,7 +325,7 @@ class TestRollout:
 
     def test_probs_of_wrong_shape_rejected(self, cfg):
         with pytest.raises(ValueError, match="shape"):
-            sm.rollout(sm.SessionSimulator(cfg), lambda f, live: np.full((live.size, 3), 1 / 3),
+            sm.rollout(sm.SessionSimulator(cfg), lambda f: np.full((2, 3), 1 / 3),
                        [np.random.default_rng(0)], [[1, 2]])
 
     @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
@@ -269,7 +339,7 @@ class TestRollout:
         rows = ap.row_evaluator(nets[0], params)
         seeds = [[7, 123, 5, 40], [41, 9, 2, 11], [7, 8, 1000, 3]]  # 7 twice: own streams
         rngs = [np.random.default_rng(100 + j) for j in range(3)]
-        got = sm.rollout(sim, lambda f, live: rows(f).reshape(-1, cfg.n_items)[live], rngs,
+        got = sm.rollout(sim, lambda f: rows(f).reshape(-1, cfg.n_items), rngs,
                          seeds)
         wants = [sm.rollout(sim, one_net(nets[0], params[j]), [np.random.default_rng(100 + j)],
                             [seeds[j]]) for j in range(3)]
@@ -307,7 +377,7 @@ class TestRollout:
             return start(self, seed)
         monkeypatch.setattr(sm.SessionSimulator, "_start", counting)
         rngs = [np.random.default_rng(50 + j) for j in range(3)]
-        got = sm.rollout(sim, lambda f, live: rows(f).reshape(-1, cfg.n_items)[live], rngs,
+        got = sm.rollout(sim, lambda f: rows(f).reshape(-1, cfg.n_items), rngs,
                          seeds)
         assert sorted(started) == [5, 7, 9, 123]
         lo = 0
@@ -322,12 +392,59 @@ class TestRollout:
             assert rngs[j].random() == alone_rng.random()
             lo = hi
 
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_finished_sessions_keep_their_last_features(self, cfg):
+        """``probs`` sees every session on every step: a finished one with
+        the features its last step left, unchanged to the end, while the
+        columns still equal one session at a time with ``run_episode``."""
+        sim = sm.SessionSimulator(cfg)
+        spec = ap.ApproxSpec(cfg.state_dim, (16,), cfg.n_items, "softmax", seed=cfg.seed)
+        params = np.stack([ap.init_params(spec) * (1.0 + j) for j in range(2)])
+        rows = ap.row_evaluator(spec, params)
+        seeds = [[4, 17, 8], [30, 4, 12]]
+        seen = []
+
+        def recorder(f):
+            seen.append(f.copy())
+            return rows(f).reshape(-1, cfg.n_items)
+        got = sm.rollout(sim, recorder, [np.random.default_rng(60 + j) for j in range(2)],
+                         seeds)
+        lengths = np.diff(got.offsets)
+        assert len(seen) == lengths.max()
+        assert all(f.shape == (2, 3, cfg.state_dim) for f in seen)
+        for s, (lo, length) in enumerate(zip(got.offsets, lengths)):
+            sim.reset(seeds[s // 3][s % 3])
+            for item in got.action_index[lo:lo + length]:
+                last = sim.step(item)[0].features
+            for t in range(length, len(seen)):
+                assert np.array_equal(seen[t][s // 3, s % 3], last), (s, t)
+        for j in range(2):
+            rng = np.random.default_rng(60 + j)
+
+            def select(features):
+                p = ap.forward(spec, params[j], features)
+                item = int(rng.choice(cfg.n_items, p=p))
+                return item, float(p[item])
+            want = [sm.run_episode(sim, select, s) for s in seeds[j]]
+            assert_same_trajectories(got.trajectories[3 * j:3 * j + 3], want)
+
+    def test_session_ids_must_match_episode_seeds(self, cfg, monkeypatch):
+        """The id count is checked before any episode starts, naming both counts."""
+        sim = sm.SessionSimulator(cfg)
+        monkeypatch.setattr(sm.SessionSimulator, "_start", lambda self, seed: pytest.fail(
+            "an episode started"))
+        uniform = lambda f: np.full((3, cfg.n_items), 1 / cfg.n_items)  # noqa: E731
+        with pytest.raises(ValueError, match="^rollout got 2 session ids for 3 episode seeds$"):
+            sm.rollout(sim, uniform, [np.random.default_rng(0)], [[1, 2, 3]], ["a", "b"])
+        with pytest.raises(ValueError, match="got 4 session ids for 3 episode seeds"):
+            sm.rollout(sim, uniform, [np.random.default_rng(0)], [[1, 2, 3]], list("abcd"))
+
     def test_members_need_one_generator_and_equal_episode_counts(self, cfg):
         sim, rng = sm.SessionSimulator(cfg), np.random.default_rng(0)
         uniform = sm.UniformRandomPolicy(cfg.n_items)
 
-        def probs(f, live):
-            return np.array([uniform.probs(x) for x in f.reshape(-1, cfg.state_dim)[live]])
+        def probs(f):
+            return np.array([uniform.probs(x) for x in f.reshape(-1, cfg.state_dim)])
         with pytest.raises(ValueError, match="one action generator per member"):
             sm.rollout(sim, probs, [rng], [[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="same number of episode seeds"):
@@ -370,7 +487,7 @@ class TestAgainstContractV1:
             return int(sm.inverse_cdf(uniform.probs(features), action_rng.random()))
 
         v1 = [v1_episode(sim, select, s) for s in range(n)]
-        v2 = sm.rollout(sim, lambda f, live: np.full((live.size, cfg.n_items), 1 / cfg.n_items),
+        v2 = sm.rollout(sim, lambda f: np.full((n, cfg.n_items), 1 / cfg.n_items),
                         [np.random.default_rng(31)], [range(n)])
         # both contracts draw the length and the initial features first
         assert np.diff(v2.offsets).tolist() == [len(r) for _, r in v1]

@@ -31,8 +31,9 @@ median ref ms of one step.  Faults are split by step only for workloads
 that time their steps with ``_Steps`` (offline_review); the others show
 the cycle's total alone.
 
-Per call, for the workloads that name calls in TIMED_CALLS (offline_ddpg,
-whose cycle is one train_constrained_ddpg call): the calls per cycle and
+Per call, for the workloads that name calls in TIMED_CALLS (online_two_stage,
+whose cycle runs both stages, and offline_ddpg, whose cycle is one
+train_constrained_ddpg call): the calls per cycle and
 the median wall us and ref us of one call, over the timed cycles.  The
 script wraps each named function in its module while the cycles run, so
 the loop that calls it through the module sees the wrapper, and restores
@@ -71,8 +72,13 @@ WARMUP_CALL = {"online_two_stage": "train_two_stage",
                "offline_review": "multi_critic_train"}
 
 
-# the cactor functions whose calls are timed one by one, per workload
-TIMED_CALLS = {"offline_ddpg": (("deterministic", "q_critic_update"),
+# the cactor functions whose calls are timed one by one, per workload; stochastic's
+# rollout is its own binding of sim.rollout, the one collect_batch calls
+TIMED_CALLS = {"online_two_stage": (("stochastic", "rollout"),
+                                    ("stochastic", "critic_update"),
+                                    ("stochastic", "actor_update_aux"),
+                                    ("stochastic", "actor_update_main")),
+               "offline_ddpg": (("deterministic", "q_critic_update"),
                                 ("deterministic", "ddpg_actor_update"),
                                 ("deterministic", "constrained_det_actor_update"),
                                 ("deterministic", "gather"),
