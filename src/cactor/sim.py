@@ -13,6 +13,7 @@ genuinely outperform myopic ones on the dense response.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -42,8 +43,12 @@ _ENGAGEMENT_GAIN = 0.2
 _APPEAL_QUALITY_TRADEOFF = 0.8
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+def _fire_probability(x):
+    """scale * sigmoid(slope * x - offset) at affinity x, with sigmoid(z) =
+    (1 + tanh(z / 2)) / 2 and each halving folded into a constant: halving
+    is exact, so the bits are those of the sigmoid form."""
+    return (0.5 * _SPARSE_PROB_SCALE) * (1.0 + np.tanh((0.5 * _SPARSE_SLOPE) * x
+                                                       - 0.5 * _SPARSE_OFFSET))
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,8 @@ class SimConfig:
             ("need at least one auxiliary response (m >= 2)", self.m >= 2),
             ("session_length_range must satisfy 0 < min <= max", 0 < lo <= hi),
             ("state_dim must be at least 4", self.state_dim >= 4),
-            ("dense_noise_std must be nonnegative", self.dense_noise_std >= 0)))
+            ("dense_noise_std must be finite and nonnegative",
+             0 <= self.dense_noise_std < math.inf)))
 
 
 class SessionSimulator:
@@ -70,8 +76,9 @@ class SessionSimulator:
     steps many together and runs the same arithmetic (``step`` is its
     one-row case), so both give bit-identical trajectories.  Both step
     through ``_advance``, which writes a step's responses and next features
-    into two arrays it allocates and writes none of its inputs; its
-    ``_response_terms`` runs one gemv per row against the m preference
+    into the two arrays it is given (``step`` passes fresh ones, ``rollout``
+    the step's slices of its time-major buffers) and writes nothing else;
+    its ``_response_terms`` runs one gemv per row against the m preference
     maps stacked once (``_pref_stack``), so a row's bits do not depend on
     how many rows step together.
 
@@ -107,12 +114,13 @@ class SessionSimulator:
         self.fold_resp = rng.normal(scale=1.0, size=k)
         # per-item constants of the dynamics, item first so that a step
         # gathers each with one index: the affinity bias of each response
-        # (n_items, m), the embeddings (n_items, m, embed_dim), and each
-        # item's push on the core features
+        # (n_items, m), the embeddings (n_items, m, embed_dim), each item's
+        # push on the core features and its step of the engagement level
         self._bias_rows = np.ascontiguousarray(np.vstack([self.appeal, self.sparse_bias]).T)
         self._embed_rows = np.ascontiguousarray(self.item_embed.transpose(1, 0, 2))
         fold = 0.4 * self.fold_map
         self._fold_push = np.stack([fold @ self.item_embed[0, j] for j in range(c.n_items)])
+        self._engagement_step = _ENGAGEMENT_GAIN * self.quality
         # the m preference maps as one (m * embed_dim, state_dim) matrix: one gemv per row
         self._pref_stack = np.ascontiguousarray(self.pref_maps.reshape(c.m * e, c.state_dim))
 
@@ -148,9 +156,9 @@ class SessionSimulator:
         if self._t >= self._length:
             raise RuntimeError("stepping a terminal state")
         t = self._t
-        response, features = self._advance(self._features[None], self._items(item),
-                                           self._noise[t:t + 1], self._fire[t:t + 1], t + 1,
-                                           np.array([self._length]))
+        response, features = np.empty((1, self.config.m)), np.empty((1, self.config.state_dim))
+        self._advance(self._features[None], self._items(item), self._noise[t:t + 1],
+                      self._fire[t:t + 1], t + 1, np.array([self._length]), response, features)
         self._t = t + 1  # only once the item is checked
         done = self._t >= self._length
         self._features = features[0]
@@ -165,28 +173,28 @@ class SessionSimulator:
             raise ValueError(f"item index {item} out of range [0, {self.config.n_items})")
         return raw.astype(np.intp)[None]
 
-    def _advance(self, features, items, noise, fire, t, lengths) -> tuple[np.ndarray, np.ndarray]:
+    def _advance(self, features, items, noise, fire, t, lengths, response, nxt) -> None:
         """One step of every row: ``features`` (k, state_dim), the items
         shown, each row's dense noise (k,) and sparse uniforms (k, m-1) for
         this step, the step count after this step and the session lengths.
-        Returns responses (k, m) and the next features (k, state_dim), each
-        written in place into one array this call allocates; no input is
-        written."""
+        Writes the responses into ``response`` (k, m) and the next features
+        into ``nxt`` (k, state_dim), which must overlap no input, and writes
+        nothing else."""
         affinity, sparse_p = self._response_terms(features, items)
         g = features[:, -2]
         level = _DENSE_BASE + affinity + noise
-        response = np.empty((len(features), self.config.m))
-        np.multiply(g, np.where(level > 0.0, level, 0.0), out=response[:, 0])
+        # the rectifier: level is finite (so is the noise) and never -0.0 (a sum is -0.0
+        # only if both terms are, and 1 + affinity is not), so np.maximum's bits are
+        # np.where(level > 0.0, level, 0.0)'s
+        np.multiply(g, np.maximum(level, 0.0, out=level), out=response[:, 0])
         np.less(fire, sparse_p, out=response[:, 1:])
         k = self._core_dim
-        nxt = np.empty(features.shape)
-        np.tanh(0.85 * features[:, :k] + self._fold_push[items]
+        np.tanh(0.85 * features[:, :k] + self._fold_push.take(items, axis=0)
                 + (0.1 * response.sum(axis=1))[:, None] * self.fold_resp, out=nxt[:, :k])
         # np.clip's bits, without its wrapper's cost
-        np.minimum(np.maximum(g + _ENGAGEMENT_GAIN * self.quality[items], 0.25), 2.0,
+        np.minimum(np.maximum(g + self._engagement_step[items], 0.25), 2.0,
                    out=nxt[:, k])
         np.divide(t, lengths, out=nxt[:, k + 1])
-        return response, nxt
 
     # -- response model (also used by tests and oracles) ----------------------
 
@@ -198,10 +206,9 @@ class SessionSimulator:
         depend on how many rows run together."""
         k, (m, e, _) = len(features), self.pref_maps.shape
         pref = (self._pref_stack @ features[:, :, None]).reshape(k, m, 1, e)
-        x = np.tanh((pref @ self._embed_rows[items][..., None])[..., 0, 0]
-                    + self._bias_rows[items])
-        sparse = _SPARSE_PROB_SCALE * _sigmoid(_SPARSE_SLOPE * x[:, 1:] - _SPARSE_OFFSET)
-        return x[:, 0], sparse
+        x = np.tanh((pref @ self._embed_rows.take(items, axis=0)[..., None])[..., 0, 0]
+                    + self._bias_rows.take(items, axis=0))
+        return x[:, 0], _fire_probability(x[:, 1:])
 
     def response_probs(self, features, item) -> tuple[float, np.ndarray]:
         """Expected dense response and sparse fire probabilities at (state, item).
@@ -231,8 +238,8 @@ class UniformRandomPolicy:
 
 def inverse_cdf(p, u):
     """The index ``Generator.choice(n, p=p)`` returns when its one
-    ``random()`` draw is ``u``: the first entry of the cumulative sum,
-    normalised by its last entry, that exceeds u.
+    ``random()`` draw is ``u`` (so u lies in [0, 1)): the first entry of
+    the cumulative sum, normalised by its last entry, that exceeds u.
 
     ``p`` is one distribution with a scalar ``u``, or a stack of rows with
     one draw per row.  Raises ValueError where choice does: on NaN, on a
@@ -240,13 +247,17 @@ def inverse_cdf(p, u):
     that order, see ``_reject``).
     """
     p = np.asarray(p, dtype=np.float64)
-    # one pass decides validity: NaN fails both comparisons, and with no
-    # negative entry the sum cannot meet inf - inf
-    if not ((p >= 0.0).all() and (abs(p.sum(axis=-1) - 1.0) <= _SUM_TOL).all()):
+    # one pass decides validity: NaN fails both comparisons (a reduction of a
+    # NaN is NaN; initial keeps an empty stack valid), and with no negative
+    # entry the sum cannot meet inf - inf
+    if not (p.min(initial=0.0) >= 0.0
+            and abs(p.sum(axis=-1) - 1.0).max(initial=0.0) <= _SUM_TOL):
         _reject(p)
     cdf = p.cumsum(axis=-1)
-    cdf /= cdf[..., -1:]
-    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    cdf = cdf / cdf[..., -1:]  # in place, the overlapping last column would cost a copy
+    # cdf does not decrease and ends at 1 > u, so the first entry above u is at
+    # the count of those at or below it
+    return (cdf > np.asarray(u)[..., None]).argmax(axis=-1)
 
 
 def _reject(p):
@@ -305,26 +316,30 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
     generator.
 
     Every session steps on every step, with the same arithmetic as
-    ``step``, until the longest has ended.  A finished session keeps its
-    last features, and what it computes past its end goes to one sink row,
-    n, past the columns' n rows; the dataset holds the columns' first n
-    rows as views, so nothing is copied.  One (steps, sessions) row table,
-    built before the first step, sends each session's step to its dataset
-    row or to the sink.
+    ``step``, until the longest has ended; a finished session keeps its
+    last features.  Features, responses, actions and behavior
+    probabilities live in time-major (steps, sessions, ...) buffers that
+    step t writes by slice (``probs`` sees a read-only view of step t's
+    features).  After the last step one ``take`` per column gathers each
+    session's steps into dataset row order: fresh C-contiguous columns,
+    which ``from_columns`` does not copy and which hold no slot past a
+    session's end.  An invalid probability row raises ``inverse_cdf``'s
+    error for the first bad row, prefixed 'session <id> step <t>: ', t
+    counting lockstep steps (past a finished session's end, too).
 
     RNG contract: each session draws from its own episode stream (see
     SessionSimulator): ``sim._start`` runs once per distinct episode seed,
     so members that share a seed share its draws (common random numbers),
-    and each session's noise and uniform blocks are gathered through the
-    row table into (steps, sessions) arrays once, before the first step;
-    past its end a session reads the sink row's zeros.  ``rngs[j]`` is
-    drawn once, one uniform per step of each of member j's sessions, and
-    session e's step t takes draw offset_e + t, where offset_e is the summed
-    length of member j's sessions before e: the order of rolling that
-    member's sessions one after another with ``choice(n, p=p)`` on
-    ``rngs[j]``.  So each member's rows, and the state of its generator
-    afterwards, are bit-identical to that sequential run, whatever the other
-    members do.  Session ids default to ``ep-<seed>``.
+    and each session's noise and uniform blocks are laid into (steps,
+    sessions) buffers once, before the first step; past its end a session
+    reads zeros.  ``rngs[j]`` is drawn once, one uniform per step of each
+    of member j's sessions, and session e's step t takes draw offset_e + t,
+    where offset_e is the summed length of member j's sessions before e:
+    the order of rolling that member's sessions one after another with
+    ``choice(n, p=p)`` on ``rngs[j]``.  So each member's rows, and the
+    state of its generator afterwards, are bit-identical to that
+    sequential run, whatever the other members do.  Session ids default to
+    ``ep-<seed>``.
     """
     c = sim.config
     seeds = [list(member) for member in episode_seeds]
@@ -338,47 +353,74 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
         raise ValueError(f"rollout got {len(ids)} session ids for {len(flat)} episode seeds")
     starts = {s: sim._start(s) for s in dict.fromkeys(flat)}  # one per distinct seed
     sessions = [starts[s] for s in flat]
+    count = len(flat)
     lengths = np.array([length for length, _, _, _ in sessions], dtype=np.intp)
-    features = np.array([f for _, f, _, _ in sessions]).reshape(k, width, c.state_dim)
-    current = features.reshape(-1, c.state_dim)  # a view: one row per session
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    n = int(offsets[-1])
-    # step t of session e writes row offsets[e] + t while it runs, then the sink row n
-    steps = np.arange(int(lengths.max(initial=0)))[:, None]
-    alive = steps < lengths
-    table = np.where(alive, offsets[:-1] + steps, n)
-    # each session's draws in row order, then one zero entry that the sink row reads
-    noise = np.concatenate([x for _, _, x, _ in sessions] + [np.zeros(1)])[table]
-    fire = np.concatenate([u for _, _, _, u in sessions] + [np.zeros((1, c.m - 1))])[table]
-    uniforms = np.zeros(n + 1)  # drawn in row order, read by step; entry n is the sink's
+    n, steps = int(offsets[-1]), int(lengths.max(initial=0))
+    # dataset row offsets[e] + t is slot t * count + e of the time-major buffers
+    session = np.repeat(np.arange(count), lengths)
+    slots = (np.arange(n) - offsets[session]) * count + session
+
+    def time_major(column):  # a row-order column as (steps, sessions, ...), zeros past ends
+        out = np.zeros((steps * count, *column.shape[1:]))
+        out[slots] = column
+        return out.reshape(steps, count, *column.shape[1:])
+
+    # each session's draws in row order (an empty block keeps concatenate defined)
+    noise = time_major(np.concatenate([x for _, _, x, _ in sessions] + [np.zeros(0)]))
+    fire = time_major(np.concatenate([u for _, _, _, u in sessions]
+                                     + [np.zeros((0, c.m - 1))]))
+    uniforms = np.empty(n)  # drawn in row order
     bounds = offsets[np.arange(k + 1) * width]  # member j's rows: bounds[j]:bounds[j + 1]
     for r, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
         r.random(out=uniforms[lo:hi])
-    uniforms = uniforms[table]
-    states, next_states = np.empty((n + 1, c.state_dim)), np.empty((n + 1, c.state_dim))
-    responses, behavior_prob = np.empty((n + 1, c.m)), np.empty(n + 1)
-    action_index = np.empty(n + 1, dtype=np.intp)
-    every = np.arange(len(flat))
-    for t, rows in enumerate(table):
-        p = np.asarray(probs(features), dtype=np.float64)
-        if p.shape != (len(flat), c.n_items):
-            raise ValueError(f"probs returned shape {p.shape}, expected ({len(flat)}, "
+    uniforms = time_major(uniforms)
+    features = np.empty((steps + 1, count, c.state_dim))  # step t reads t, writes t + 1
+    features[0] = np.reshape([f for _, f, _, _ in sessions], (count, c.state_dim))
+    grid = features.reshape(steps + 1, k, width, c.state_dim)  # what probs sees
+    grid.setflags(write=False)
+    responses, behavior_prob = np.empty((steps, count, c.m)), np.empty((steps, count))
+    action_index = np.empty((steps, count), dtype=np.intp)
+    ended = (np.arange(steps)[:, None] >= lengths)[:, :, None]  # finished before step t
+    first_entry = np.arange(count) * c.n_items  # of each row of p, flattened
+    for t in range(steps):
+        p = np.asarray(probs(grid[t]), dtype=np.float64)
+        if p.shape != (count, c.n_items):
+            raise ValueError(f"probs returned shape {p.shape}, expected ({count}, "
                              f"{c.n_items})")
-        items = inverse_cdf(p, uniforms[t])
-        states[rows] = current
-        action_index[rows] = items
-        behavior_prob[rows] = p[every, items]
-        responses[rows], f = sim._advance(current, items, noise[t], fire[t], t + 1, lengths)
-        next_states[rows] = f
-        np.copyto(current, f, where=alive[t][:, None])  # a finished session keeps its features
+        try:
+            items = inverse_cdf(p, uniforms[t])
+        except ValueError as err:
+            raise _first_rejected_row(p, ids, t) from err
+        action_index[t] = items
+        behavior_prob[t] = p.take(first_entry + items)  # p[row, items[row]]
+        sim._advance(features[t], items, noise[t], fire[t], t + 1, lengths, responses[t],
+                     features[t + 1])
+        np.copyto(features[t + 1], features[t], where=ended[t])  # keeps last features
     done = np.zeros(n, dtype=bool)
     done[offsets[1:] - 1] = True
-    next_states[:n][done] = 0.0  # the terminal next_state is canonicalized to zeros
+    next_states = features[1:].reshape(-1, c.state_dim).take(slots, axis=0)
+    next_states[done] = 0.0  # the terminal next_state is canonicalized to zeros
     return ReplayDataset.from_columns(
-        states=states[:n], next_states=next_states[:n], next_terminal=done,
-        action_index=action_index[:n], behavior_prob=behavior_prob[:n],
-        responses=responses[:n], done=done, offsets=offsets, session_ids=ids, m=c.m,
-        metadata={"state_dim": c.state_dim, "n_items": c.n_items})
+        states=features[:-1].reshape(-1, c.state_dim).take(slots, axis=0),
+        next_states=next_states, next_terminal=done,
+        action_index=action_index.reshape(-1).take(slots),
+        behavior_prob=behavior_prob.reshape(-1).take(slots),
+        responses=responses.reshape(-1, c.m).take(slots, axis=0), done=done, offsets=offsets,
+        session_ids=ids, m=c.m, metadata={"state_dim": c.state_dim, "n_items": c.n_items})
+
+
+def _first_rejected_row(p, ids, t) -> ValueError:
+    """``inverse_cdf``'s error for the first row of step t's ``p`` that
+    breaks its checks (run on the same sums), prefixed by that row's session
+    and step."""
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN sum, which fails below
+        total = p.sum(axis=-1)
+    row = int(np.argmax(~((p >= 0.0).all(axis=-1) & (abs(total - 1.0) <= _SUM_TOL))))
+    try:
+        _reject(p[row])
+    except ValueError as err:
+        return ValueError(f"session {ids[row]} step {t}: {err}")
 
 
 def generate_offline_dataset(config: SimConfig, behavior,
@@ -389,19 +431,23 @@ def generate_offline_dataset(config: SimConfig, behavior,
     stream, (config.seed, "behavior-actions"), so ``behavior.probs`` is asked
     about every session on every step, a finished session's last features
     included.  It must put positive probability on every item at each of
-    them; each transition records the probability the behavior assigned to
-    the logged action.
+    them, or the error names the first row that does not by session and
+    lockstep step; each transition records the probability the behavior
+    assigned to the logged action.
     """
     check_config(SimpleNamespace(n_trajectories=n_trajectories), iterations=("n_trajectories",))
     sim = SessionSimulator(config)
     action_rng = rng_for(config.seed, "behavior-actions")
 
+    calls = itertools.count()  # the lockstep step of each call
+
     def probs(features):
+        t = next(calls)
         p = np.array([behavior.probs(f) for f in features.reshape(-1, config.state_dim)])
-        zero = np.any(p <= 0.0, axis=1)
-        if np.any(zero):
-            bad = int(np.argmin(p[zero][0]))
-            raise ValueError(f"behavior policy assigns zero probability to item {bad}")
+        if np.any(p <= 0.0):
+            row = int(np.argmax(np.any(p <= 0.0, axis=1)))
+            raise ValueError(f"session sim-{row} step {t}: behavior policy assigns zero "
+                             f"probability to item {int(np.argmin(p[row]))}")
         return p
 
     dataset = rollout(sim, probs, [action_rng], [range(n_trajectories)],

@@ -367,7 +367,7 @@ def collect_batch(sim: SessionSimulator, policies, rngs, episode_seeds) -> list:
     rollout's columns) and the mean over its episodes of the cumulative
     reward vectors.  Each lockstep step evaluates every member's policy on
     all of its episodes in one ``row_evaluator`` pass, finished ones
-    included (their rows go to the rollout's sink row).
+    included (what they compute past their end reaches no column).
 
     RNG contract (``sim.rollout``): each episode draws, from its own stream
     and when it starts, its length, its initial features, its dense-noise

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cactor import approximator as ap
 from cactor import sim as sm
@@ -44,6 +46,14 @@ def one_net(spec, params):
 @pytest.fixture(scope="module")
 def cfg():
     return sm.SimConfig(seed=11)
+
+
+@pytest.mark.parametrize("std", [np.inf, np.nan, -np.inf, -0.1])
+def test_dense_noise_std_must_be_finite_and_nonnegative(std):
+    """Rejected when the config is built, not at the end of a rollout on
+    non-finite responses."""
+    with pytest.raises(ValueError, match="^dense_noise_std must be finite and nonnegative$"):
+        sm.SimConfig(dense_noise_std=std)
 
 
 class TestSimulatorDeterminism:
@@ -203,14 +213,24 @@ class TestStepSemantics:
         assert np.all(fires / steps <= 0.20)
 
 
+def reference_sigmoid(x):
+    """The logistic function in its tanh form, (1 + tanh(x / 2)) / 2."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+
+
+def reference_fire_probability(x):
+    """The sparse fire probability in its sigmoid form: scale * sigmoid(slope * x - offset)."""
+    return sm._SPARSE_PROB_SCALE * reference_sigmoid(sm._SPARSE_SLOPE * x - sm._SPARSE_OFFSET)
+
+
 def reference_response_terms(sim, features, items):
-    """``_response_terms`` with one stacked product per preference map, kept
-    as the reference for the one-gemv-per-row product."""
+    """``_response_terms`` with one stacked product per preference map and
+    fancy-indexed item rows, kept as the reference for the one-gemv-per-row
+    product, the ``take`` gathers and the folded fire probability."""
     pref = sim.pref_maps @ features[:, None, :, None]  # (k, m, embed_dim, 1)
     x = np.tanh((pref.swapaxes(-1, -2) @ sim._embed_rows[items][..., None])[..., 0, 0]
                 + sim._bias_rows[items])
-    return x[:, 0], sm._SPARSE_PROB_SCALE * sm._sigmoid(sm._SPARSE_SLOPE * x[:, 1:]
-                                                        - sm._SPARSE_OFFSET)
+    return x[:, 0], reference_fire_probability(x[:, 1:])
 
 
 def reference_advance(sim, features, items, noise, fire, t, lengths):
@@ -256,21 +276,44 @@ class TestStepKernels:
     @pytest.mark.parametrize("k", [1, 2, 24, 200])
     @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS[:4], ids=lambda c: f"seed{c.seed}")
     def test_advance_equals_reference_and_writes_none_of_its_inputs(self, cfg, k):
+        """``_advance`` fills every entry of the two arrays it is given, a
+        row of one time-major buffer's slice among them, and writes nothing else."""
         sim = sm.SessionSimulator(cfg)
         inputs = random_rows(cfg, k, seed=100 + k)
         kept = [x.copy() for x in inputs]
         for x in inputs:
             x.setflags(write=False)  # an in-place write raises
         features, items, noise, fire, lengths = inputs
-        got = sim._advance(features, items, noise, fire, 7, lengths)
+        response = np.full((k, cfg.m), np.nan)
+        buffer = np.full((3, k, cfg.state_dim), np.nan)  # as rollout's: step t writes t + 1
+        assert sim._advance(features, items, noise, fire, 7, lengths, response, buffer[1]) is None
         want = reference_advance(sim, *kept[:4], 7, kept[4])
-        for a, b in zip(got, want):
+        for a, b in zip((response, buffer[1]), want):
             assert a.shape == b.shape and a.dtype == b.dtype == np.float64
-            assert a.flags.c_contiguous and a.flags.writeable
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-            assert not any(np.shares_memory(a, x) for x in inputs)
+        assert np.isnan(buffer[[0, 2]]).all()  # the rest of the buffer is untouched
         for x, y in zip(inputs, kept):
             assert np.array_equal(x, y)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
+    def test_folded_fire_probability_equals_the_sigmoid_form(self, xs):
+        """``_fire_probability`` against scale * sigmoid(slope * x - offset),
+        bit for bit, over tanh's range and its edge values: +-0, +-1,
+        subnormals and the neighbours of 0.75, where 8x - 6 cancels."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [0.0, -0.0, 1.0, -1.0, tiny, -tiny, 1e-310, -1e-310,
+                 *np.nextafter(0.75, [0.0, 1.0]), 0.75, np.nextafter(1.0, 0.0),
+                 np.nextafter(-1.0, 0.0)]
+        x = np.array(xs + edges)
+        got, want = sm._fire_probability(x), reference_fire_probability(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_folded_fire_probability_on_a_grid(self):
+        """As above, on 2M evenly spaced points of [-1, 1]."""
+        x = np.linspace(-1.0, 1.0, 2_000_001)
+        got, want = sm._fire_probability(x), reference_fire_probability(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRollout:
@@ -428,6 +471,83 @@ class TestRollout:
             want = [sm.run_episode(sim, select, s) for s in seeds[j]]
             assert_same_trajectories(got.trajectories[3 * j:3 * j + 3], want)
 
+    @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_columns_are_fresh_and_hold_no_slot_past_an_end(self, cfg, monkeypatch):
+        """The columns reach ``from_columns`` C-contiguous and are kept as
+        they are, not copied; and what a session computes past its end
+        (here poisoned: NaN responses and next features, and a one-hot
+        probability row) reaches none of them."""
+        spec = ap.ApproxSpec(cfg.state_dim, (16,), cfg.n_items, "softmax", seed=cfg.seed)
+        params = np.stack([ap.init_params(spec) * (1.0 + j) for j in range(2)])
+        rows = ap.row_evaluator(spec, params)
+        seeds = [[4, 17, 8], [30, 4, 12]]
+
+        def run(sim, probs):
+            rngs = [np.random.default_rng(70 + j) for j in range(2)]
+            return sm.rollout(sim, probs, rngs, seeds)
+
+        clean = run(sm.SessionSimulator(cfg), lambda f: rows(f).reshape(-1, cfg.n_items))
+        sim = sm.SessionSimulator(cfg)
+        advance = sim._advance
+
+        def poisoned_advance(features, items, noise, fire, t, lengths, response, nxt):
+            advance(features, items, noise, fire, t, lengths, response, nxt)
+            past = t > lengths  # t counts this step: the row's session had ended before it
+            response[past], nxt[past] = np.nan, np.nan
+
+        def poisoned_probs(f):
+            p = rows(f).reshape(-1, cfg.n_items)
+            p[f.reshape(-1, cfg.state_dim)[:, -1] == 1.0] = np.eye(cfg.n_items)[-1]  # ended
+            return p
+        monkeypatch.setattr(sim, "_advance", poisoned_advance)
+        passed = {}
+        build = sm.ReplayDataset.from_columns
+
+        def spy(**kwargs):
+            passed.update(kwargs)
+            return build(**kwargs)
+        monkeypatch.setattr(sm.ReplayDataset, "from_columns", spy)
+        got = run(sim, poisoned_probs)
+        for name in _COLUMNS:
+            col = getattr(got, name)
+            assert col is passed[name] and col.flags.c_contiguous, name
+            assert np.array_equal(col, getattr(clean, name)), name
+            if col.dtype == np.float64:
+                assert np.array_equal(col.view(np.uint64), getattr(clean, name).view(np.uint64))
+
+    def test_invalid_probabilities_name_the_first_bad_row(self, cfg):
+        """The first row that ``inverse_cdf`` rejects, by session and step,
+        with that row's own error; a finished session's row too, at the
+        lockstep step past its end."""
+        sim = sm.SessionSimulator(cfg)
+        seeds = [3, 8, 1, 6]
+        uniform = np.full((len(seeds), cfg.n_items), 1 / cfg.n_items)
+
+        def broken_first_step(f):
+            p = uniform.copy()
+            p[1, 0], p[3, 0] = -0.5, np.nan  # the whole step would report the NaN first
+            return p
+        with pytest.raises(ValueError, match=r"^session ep-8 step 0: probabilities are not "
+                                             r"non-negative$"):
+            sm.rollout(sim, broken_first_step, [np.random.default_rng(0)], [seeds])
+        for row, message in [([np.inf, -np.inf], "contain NaN"), ([0.6, 0.5], "do not sum")]:
+            def broken(f, row=row):
+                p = uniform.copy()
+                p[2, :2] = row
+                return p
+            with pytest.raises(ValueError, match=rf"^session ep-1 step 0: probabilities {message}"):
+                sm.rollout(sim, broken, [np.random.default_rng(0)], [seeds])
+
+        def broken_once_ended(f):
+            p = uniform.copy()
+            p[f[0, :, -1] == 1.0, 2] = np.nan
+            return p
+        lengths = [sim._start(s)[0] for s in seeds]
+        first = seeds[int(np.argmin(lengths))]
+        with pytest.raises(ValueError, match=rf"^session ep-{first} step {min(lengths)}: "
+                                             r"probabilities contain NaN$"):
+            sm.rollout(sim, broken_once_ended, [np.random.default_rng(0)], [seeds])
+
     def test_session_ids_must_match_episode_seeds(self, cfg, monkeypatch):
         """The id count is checked before any episode starts, naming both counts."""
         sim = sm.SessionSimulator(cfg)
@@ -466,8 +586,10 @@ def v1_episode(sim, select, episode_seed):
         item = select(features[0])
         noise = np.array([rng.normal(0.0, c.dense_noise_std) if c.dense_noise_std > 0 else 0.0])
         fire = rng.random((1, c.m - 1))
-        response, features = sim._advance(features, np.array([item]), noise, fire, t,
-                                          np.array([length]))
+        response, nxt = np.empty((1, c.m)), np.empty((1, c.state_dim))
+        sim._advance(features, np.array([item]), noise, fire, t, np.array([length]), response,
+                     nxt)
+        features = nxt
         responses.append(response[0])
     return first, np.array(responses)
 
@@ -599,6 +721,28 @@ class TestOfflineGeneration:
 
         with pytest.raises(ValueError, match="zero probability to item 1"):
             sm.generate_offline_dataset(cfg, Degenerate(), 1)
+
+    def test_zero_probability_names_the_first_bad_row(self, cfg):
+        """The error names the session and lockstep step of the first row
+        with a zero, a finished session's row too, past its end."""
+        lengths = [sm.SessionSimulator(cfg)._start(k)[0] for k in range(6)]
+
+        class ZeroFrom:
+            def __init__(self, start):
+                self.start = start
+
+            def probs(self, features):
+                p = np.full(cfg.n_items, 1.0 / cfg.n_items)
+                p[2] = 0.0 if features[-1] >= self.start else p[2]  # progress t / length
+                return p
+
+        with pytest.raises(ValueError, match=r"^session sim-0 step 1: behavior policy assigns "
+                                             r"zero probability to item 2$"):
+            sm.generate_offline_dataset(cfg, ZeroFrom(1e-9), 6)
+        with pytest.raises(ValueError, match=rf"^session sim-{int(np.argmin(lengths))} step "
+                                             rf"{min(lengths)}: behavior policy assigns zero "
+                                             r"probability to item 2$"):
+            sm.generate_offline_dataset(cfg, ZeroFrom(1.0), 6)  # only once a session ended
 
     @pytest.mark.parametrize("cfg", ROLLOUT_CONFIGS, ids=lambda c: f"seed{c.seed}")
     def test_matches_sequential_logging_loop(self, cfg):

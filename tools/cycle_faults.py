@@ -37,8 +37,9 @@ train_constrained_ddpg call): the calls per cycle and
 the median wall us and ref us of one call, over the timed cycles.  The
 script wraps each named function in its module while the cycles run, so
 the loop that calls it through the module sees the wrapper, and restores
-it after; an outer call's time includes the wrappers of the calls it
-makes.
+it after; a dotted name (``SessionSimulator._advance``) is a method,
+wrapped and restored on its class.  An outer call's time includes the
+wrappers of the calls it makes.
 
 Set-up phases, each in ms and faults: the script's own stdlib imports,
 importing numpy, importing cactor and the workloads, building the inputs
@@ -73,8 +74,11 @@ WARMUP_CALL = {"online_two_stage": "train_two_stage",
 
 
 # the cactor functions whose calls are timed one by one, per workload; stochastic's
-# rollout is its own binding of sim.rollout, the one collect_batch calls
+# rollout is its own binding of sim.rollout, the one collect_batch calls, and sim's
+# inverse_cdf and SessionSimulator._advance run once per lockstep step of a rollout
 TIMED_CALLS = {"online_two_stage": (("stochastic", "rollout"),
+                                    ("sim", "inverse_cdf"),
+                                    ("sim", "SessionSimulator._advance"),
                                     ("stochastic", "critic_update"),
                                     ("stochastic", "actor_update_aux"),
                                     ("stochastic", "actor_update_main")),
@@ -141,12 +145,16 @@ def _build(workload, seed: int, workdir: Path, cactor, phases: _Phases):
 
 def _install_timers(cactor, workload: str) -> tuple[dict[str, list[float]], list]:
     """Wrap every TIMED_CALLS function of ``workload`` in its module; returns
-    the call times in s by name and the (module, name, original) to restore."""
+    the call times in s by name and the (owner, attribute, original) to
+    restore, where the owner is the module or, for a dotted name, its class."""
     times: dict[str, list[float]] = {}
     restore = []
     for mod_name, fn_name in TIMED_CALLS.get(workload, ()):
-        module = getattr(cactor, mod_name)
-        original = getattr(module, fn_name)
+        owner = getattr(cactor, mod_name)
+        *classes, attr = fn_name.split(".")
+        for name in classes:
+            owner = getattr(owner, name)
+        original = getattr(owner, attr)
         calls = times.setdefault(f"{mod_name}.{fn_name}", [])
 
         def timed(*args, _fn=original, _calls=calls, **kwargs):
@@ -155,8 +163,8 @@ def _install_timers(cactor, workload: str) -> tuple[dict[str, list[float]], list
             _calls.append(time.perf_counter() - t0)
             return out
 
-        setattr(module, fn_name, timed)
-        restore.append((module, fn_name, original))
+        setattr(owner, attr, timed)
+        restore.append((owner, attr, original))
     return times, restore
 
 
@@ -225,8 +233,8 @@ def main(argv=None) -> int:
                     per_cycle.setdefault(kind, []).append((len(fs), total))
         finally:
             workloads._Steps.mark = mark
-            for module, fn_name, original in restore:
-                setattr(module, fn_name, original)
+            for owner, attr, original in restore:
+                setattr(owner, attr, original)
 
     print(f"{args.workload} seed {args.seed}: {args.warmup} warm-up cycles, "
           f"{args.cycles} timed, {failed} failed ops, numpy {np.__version__}, "
