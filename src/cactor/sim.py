@@ -397,6 +397,7 @@ def rollout(sim: SessionSimulator, probs, rngs, episode_seeds,
         sim._advance(features[t], items, noise[t], fire[t], t + 1, lengths, responses[t],
                      features[t + 1])
         np.copyto(features[t + 1], features[t], where=ended[t])  # keeps last features
+    del starts, sessions, noise, fire, uniforms  # their memory serves the gathers below
     done = np.zeros(n, dtype=bool)
     done[offsets[1:] - 1] = True
     next_states = features[1:].reshape(-1, c.state_dim).take(slots, axis=0)
